@@ -10,8 +10,6 @@ bohm_velocity
     Ensemble velocity fields and the semiclassical decomposition.
 bath_dynamics
     Explicit oscillator baths: kernels, transfer matrices, conditioning.
-cli
-    Scenario runner.
 """
 
 __version__ = "0.1.0"

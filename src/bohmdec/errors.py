@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-Configuration problems and numerical failures are kept distinct so the CLI
-can map them to different exit codes (2 and 3 respectively).
+Configuration problems and numerical failures are kept distinct so that a
+scenario runner can map them to different exit codes: 2 for
+:class:`ScenarioError` and 3 for :class:`NumericalFailureError`.
 """
 
 from __future__ import annotations

@@ -134,13 +134,23 @@ def build_energy_band_state(
     Returns
     -------
     EnergyBandState
+
+    Raises
+    ------
+    ValueError
+        If ``mean_level`` or ``band_width`` is not an integer, or the band
+        is invalid (see :class:`EnergyBandState`).
     """
+    for name, value in (("mean_level", mean_level), ("band_width", band_width)):
+        if not float(value).is_integer():
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    mean_level, band_width = int(mean_level), int(band_width)
     if coefficients is None:
         n = band_width + 1
         coefficients = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     return EnergyBandState(
-        mean_level=int(mean_level),
-        band_width=int(band_width),
+        mean_level=mean_level,
+        band_width=band_width,
         coefficients=np.asarray(coefficients, dtype=complex),
     )
 

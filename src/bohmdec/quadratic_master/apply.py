@@ -1,21 +1,22 @@
 """Apply a Gaussian propagator to a sampled Wigner field.
 
-The smearing integral is evaluated in the pulled-back frame in two separable
-stages: a conditional Gaussian sweep along one axis, then a sheared
-accumulation along the other. Each stage picks its own discretization: the
-inner sweep uses decimated tap matrices when the kernel spans many cells,
-banded convolution when it is grid-resolved, and a unit-mass operator series
-when it is far narrower than a cell; the outer accumulation taps on the grid
-step when resolved and on fractional spline-shifted steps otherwise. The
-intermediate is kept on a grid no finer than the smoothing scale requires
-(never coarser than the input grid), and the final values are picked up by
-bicubic resampling at the pulled-back output points. Near-singular total
-smearing falls back to a flagged bilinear pullback.
+In the pulled-back frame the propagator smears the initial field with the
+normalized Gaussian of covariance ``M / 2`` and reads it at ``A^-1 eta``.
+The smear is exact in Fourier space, where it multiplies the transform by
+``exp(-k^T M k / 4)``: the action of a Gaussian channel on the characteristic
+function (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), Sec. III).
+A discrete transform convolves circularly, so the field is zero-padded into
+one buffer covering the input grid and every pulled-back point, plus four
+cells for the bicubic stencil, plus ``_SIGMA_CUT`` smearing widths on each
+side so that mass smeared past one edge cannot wrap round into the values
+read near the other. A negligible smearing matrix takes an exact bilinear
+pullback instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import ndimage
 
 from ..errors import NumericalFailureError
@@ -26,231 +27,70 @@ __all__ = ["propagate_wigner"]
 
 _SIGMA_CUT = 8.0
 _DELTA_DET_FLOOR = 1e-14
-_COND_SERIES = 0.7  # inner kernel below this many steps switches to series
-_OUTER_NATIVE = 1.0  # outer kernel above this many steps taps on the grid
-_STAGE2_SKIP = 0.02  # outer smear below this many steps is a no-op
 _NORM_GUARD = 1e-3
 
 
-def _shifted(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    """Zero-filled integer shift: out[i] = values[i + offset] along ``axis``."""
-    out = np.zeros_like(values)
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    n = values.shape[axis]
-    if offset >= 0:
-        src[axis] = slice(offset, n)
-        dst[axis] = slice(0, n - offset)
-    else:
-        src[axis] = slice(0, n + offset)
-        dst[axis] = slice(-offset, n)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
-
-
-def _d2(values: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """Fourth-order centred second derivative with zero-filled edges."""
-    return (
-        -_shifted(values, 2, axis)
-        + 16.0 * _shifted(values, 1, axis)
-        - 30.0 * values
-        + 16.0 * _shifted(values, -1, axis)
-        - _shifted(values, -2, axis)
-    ) / (12.0 * step**2)
+def _padded_axis(index: np.ndarray, size: int, width: float) -> tuple[int, int]:
+    """Buffer start and length covering the ``size`` input cells, ``index`` and the margins."""
+    margin = 4 + int(np.ceil(_SIGMA_CUT * width))
+    lo = min(int(np.floor(index.min())), 0) - margin
+    hi = max(int(np.ceil(index.max())), size - 1) + margin
+    return lo, sp_fft.next_fast_len(hi - lo + 1, real=True)
 
 
 def propagate_wigner(
-    propagator: GaussianPropagator,
-    field: WignerField,
-    system: OscillatorSystemSpec,
+    propagator: GaussianPropagator, field: WignerField, system: OscillatorSystemSpec
 ) -> WignerField:
     """Evolve a Wigner field with a Gaussian propagator.
 
-    Parameters
-    ----------
-    propagator : GaussianPropagator
-    field : WignerField
-        Initial samples; treated as zero outside its grid.
-    system : OscillatorSystemSpec
-        Supplies ``hbar`` for the near-singular smearing threshold.
-
-    Returns
-    -------
-    WignerField
-        Evolved samples on the same grid, time stamp advanced by the
-        propagator's time. Diagnostic notes record the evaluation path and
-        the mass residual.
+    ``field`` is treated as zero outside its grid; ``system`` supplies
+    ``hbar`` for the near-singular smearing threshold. Returns the evolved
+    samples on the same grid with the time stamp advanced by the propagator's
+    time; the notes record the path (``spectral_smear`` with the buffer
+    shape, or ``delta_fallback``) and the mass residual.
 
     Raises
     ------
     NumericalFailureError
-        If the flow is orientation-reversing or the output mass drifts by
-        more than 1e-3 relative to the input.
+        If the flow is orientation-reversing, or the output mass is not
+        within 1e-3 of the input mass (a NaN mass is never within).
     """
-    a = propagator.a
-    m = propagator.m
+    a, m = propagator.a, propagator.m
     det_a = float(np.linalg.det(a))
     if det_a <= 0.0:
         raise NumericalFailureError("flow matrix must preserve orientation")
-    det_m = float(np.linalg.det(m))
-    hbar = system.hbar
-    x = field.x_grid
-    p = field.p_grid
-    dx = field.dx
-    dp = field.dp
+    x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
     a_inv = np.linalg.inv(a)
+    # pulled-back output grid, in steps from the first input cell
+    rows = (a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p - x[0]) / dx
+    cols = (a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p - p[0]) / dp
 
-    # pulled-back coordinates of every output grid point
-    xi_x = a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p[None, :]
-    xi_p = a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p[None, :]
-
-    notes: list[str] = []
-    if det_m < _DELTA_DET_FLOOR * hbar**2:
-        rows = (xi_x - x[0]) / dx
-        cols = (xi_p - p[0]) / dp
-        values = ndimage.map_coordinates(
-            field.values, [rows, cols], order=1, mode="constant", cval=0.0
-        ) / det_a
-        notes.append("delta_fallback")
+    if float(np.linalg.det(m)) < _DELTA_DET_FLOOR * system.hbar**2:
+        source, order, note = field.values, 1, "delta_fallback"
     else:
-        m_inv = np.linalg.inv(m)
-        sigma_x = np.sqrt(0.5 * m[0, 0])
-        sigma_p = np.sqrt(0.5 * m[1, 1])
-        # outer axis: the one whose marginal smoothing is least resolved;
-        # the inner conditional sweep then absorbs the wide direction cheaply
-        outer = 0 if (sigma_x / dx) <= (sigma_p / dp) else 1
-        inner = 1 - outer
-        steps = (dx, dp)
-        d_o, d_i = steps[outer], steps[inner]
-        b = m_inv[inner, inner]
-        c = m_inv[outer, inner]
-        sigma_cond = np.sqrt(0.5 / b)
-        sigma_outer = np.sqrt(0.5 * m[outer, outer])
-        shear = -c / b
-        reach_i = abs(shear) * _SIGMA_CUT * sigma_outer
+        lo_x, n_x = _padded_axis(rows, x.size, np.sqrt(0.5 * m[0, 0]) / dx)
+        lo_p, n_p = _padded_axis(cols, p.size, np.sqrt(0.5 * m[1, 1]) / dp)
+        buffer = np.zeros((n_x, n_p))
+        buffer[-lo_x : x.size - lo_x, -lo_p : p.size - lo_p] = field.values
+        spectrum = sp_fft.rfft2(buffer)
+        del buffer
+        kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
+        kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
+        spectrum *= np.exp(-0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2))
+        source = sp_fft.irfft2(spectrum, s=(n_x, n_p))
+        del spectrum
+        rows -= lo_x
+        cols -= lo_p
+        order, note = 3, f"spectral_smear(buffer={n_x}x{n_p})"
+    values = ndimage.map_coordinates(source, [rows, cols], order=order, mode="constant")
+    values /= det_a
 
-        w0 = field.values if outer == 0 else field.values.T
-        axes = (x, p)
-        o_axis, i_axis = axes[outer], axes[inner]
-        xi_o = (xi_x, xi_p)[outer]
-        xi_i = (xi_x, xi_p)[inner]
-
-        # stage 1: conditional Gaussian along the inner axis, producing rows
-        # of smoothed values at center points i_centers
-        if sigma_cond / 6.0 > d_i:
-            d_ic = sigma_cond / 6.0
-            i_lo = min(float(xi_i.min()), i_axis[0]) - reach_i - 4.0 * d_ic
-            i_hi = max(float(xi_i.max()), i_axis[-1]) + reach_i + 4.0 * d_ic
-            i_centers = np.arange(i_lo, i_hi + d_ic, d_ic)
-            inner_mass = np.sqrt(np.pi / b)
-            taps = np.exp(-b * (i_axis[:, None] - i_centers[None, :]) ** 2) * d_i
-            col_mass = taps.sum(axis=0, keepdims=True)
-            scale = np.where(
-                col_mass > 0.5 * inner_mass,
-                inner_mass / np.maximum(col_mass, 1e-300),
-                1.0,
-            )
-            stage1 = w0 @ (taps * scale)
-            s1_mass = inner_mass
-            stage1_kind = "decimated"
-        else:
-            if sigma_cond >= _COND_SERIES * d_i:
-                k = int(np.ceil(_SIGMA_CUT * sigma_cond / d_i))
-                offs = np.arange(-k, k + 1) * d_i
-                taps1d = np.exp(-b * offs**2) * d_i
-                inner_mass = np.sqrt(np.pi / b)
-                taps1d *= inner_mass / taps1d.sum()
-                conv = ndimage.convolve1d(
-                    w0, taps1d, axis=1, mode="constant", cval=0.0
-                )
-                s1_mass = inner_mass
-                stage1_kind = "banded"
-            else:
-                # kernel far narrower than a cell: quadrature at the grid
-                # step would alias, so apply the unit-mass operator series
-                var = 0.5 / b
-                curv = _d2(w0, d_i, 1)
-                conv = w0 + 0.5 * var * curv + 0.125 * var**2 * _d2(curv, d_i, 1)
-                s1_mass = 1.0
-                stage1_kind = "series"
-            d_ic = d_i
-            i_lo = min(float(xi_i.min()), i_axis[0]) - reach_i - 4.0 * d_i
-            i_hi = max(float(xi_i.max()), i_axis[-1]) + reach_i + 4.0 * d_i
-            lo_k = int(np.floor((i_lo - i_axis[0]) / d_i))
-            hi_k = int(np.ceil((i_hi - i_axis[0]) / d_i))
-            i_centers = i_axis[0] + d_i * np.arange(lo_k, hi_k + 1)
-            stage1 = np.zeros((w0.shape[0], i_centers.size))
-            stage1[:, -lo_k : -lo_k + w0.shape[1]] = conv
-
-        # stage 2: sheared accumulation along the outer axis, with rows
-        # extended so pulled-back points outside the input stay covered
-        reach_rows = int(np.ceil(_SIGMA_CUT * sigma_outer / d_o)) + 4
-        ext_lo = (
-            int(np.floor((min(float(xi_o.min()), o_axis[0]) - o_axis[0]) / d_o))
-            - reach_rows
-        )
-        ext_hi = (
-            int(np.ceil((max(float(xi_o.max()), o_axis[-1]) - o_axis[0]) / d_o))
-            + reach_rows
-        )
-        n_rows = ext_hi - ext_lo + 1
-        o_origin = o_axis[0] + ext_lo * d_o
-        base = np.zeros((n_rows, i_centers.size))
-        base[-ext_lo : -ext_lo + stage1.shape[0]] = stage1
-
-        if sigma_outer < _STAGE2_SKIP * d_o and reach_i < _STAGE2_SKIP * d_ic:
-            accum = base
-            s2_mass = 1.0
-            stage2_kind = "skipped"
-        else:
-            # taps on the grid step when the kernel is resolved, on
-            # fractional spline-shifted steps when it is narrower
-            d_oq = d_o if sigma_outer >= _OUTER_NATIVE * d_o else float(sigma_outer)
-            n_q = int(np.ceil(_SIGMA_CUT * sigma_outer / d_oq))
-            s_offsets = np.arange(-n_q, n_q + 1) * d_oq
-            weights = np.exp(-(s_offsets**2) / (2.0 * sigma_outer**2)) * d_oq
-            s2_mass = float(np.sqrt(2.0 * np.pi) * sigma_outer)
-            weights *= s2_mass / weights.sum()
-            coeffs = ndimage.spline_filter(base, order=3, mode="constant")
-            accum = np.zeros_like(base)
-            for s_q, w_q in zip(s_offsets, weights):
-                # accum(xi_o, xi_i) += w_q * stage1(xi_o + s_q, xi_i + shear s_q)
-                shifted = ndimage.shift(
-                    coeffs,
-                    (-s_q / d_o, -shear * s_q / d_ic),
-                    order=3,
-                    mode="constant",
-                    cval=0.0,
-                    prefilter=False,
-                )
-                accum += w_q * shifted
-            stage2_kind = "native" if d_oq == d_o else "fractional"
-
-        rows = (xi_o - o_origin) / d_o
-        cols = (xi_i - i_centers[0]) / d_ic
-        values = ndimage.map_coordinates(
-            accum, [rows, cols], order=3, mode="constant", cval=0.0
-        ) / (det_a * s1_mass * s2_mass)
-        notes.append(
-            "quadrature_path("
-            f"outer={'xp'[outer]}, decimation={d_ic / d_i:.2f}, "
-            f"stage1={stage1_kind}, stage2={stage2_kind})"
-        )
-
-    out = WignerField(
-        x_grid=x,
-        p_grid=p,
-        values=values,
-        time_stamp=field.time_stamp + propagator.t,
-        notes=tuple(field.notes) + tuple(notes),
-    )
-    mass_in = field.normalization()
-    mass_out = out.normalization()
+    out = WignerField(x, p, values, field.time_stamp + propagator.t, tuple(field.notes) + (note,))
+    mass_in, mass_out = field.normalization(), out.normalization()
     drift = abs(mass_out - mass_in) / max(abs(mass_in), 1e-300)
     out.notes = out.notes + (f"mass_residual={drift:.3e}",)
-    if drift > _NORM_GUARD:
+    if not drift <= _NORM_GUARD:
         raise NumericalFailureError(
-            f"propagated mass drifted by {drift:.3e} (input {mass_in:.6e}, "
-            f"output {mass_out:.6e})"
+            f"propagated mass drifted by {drift:.3e} (input {mass_in:.6e}, output {mass_out:.6e})"
         )
     return out

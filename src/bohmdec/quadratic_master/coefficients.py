@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -18,10 +19,12 @@ __all__ = [
 CoefficientLike = Union[float, Callable[[float], float]]
 
 
-def _as_function(value: CoefficientLike) -> Callable[[float], float]:
+def _as_function(name: str, value: CoefficientLike) -> Callable[[float], float]:
     if callable(value):
         return value
     const = float(value)
+    if not math.isfinite(const):
+        raise ValueError(f"MasterEqCoefficients.{name} must be finite, got {const!r}")
     return lambda t: const
 
 
@@ -34,7 +37,7 @@ class MasterEqCoefficients:
         K(t) = [[-h3(t), -h2(t)], [h1(t), 2 gamma(t) + h3(t)]]
 
     and the symmetric diffusion matrix as ``[[J11, J12], [J12, J22]]``.
-    Constants may be passed in place of callables.
+    Constants may be passed in place of callables; they must be finite.
     """
 
     h1: CoefficientLike
@@ -50,7 +53,7 @@ class MasterEqCoefficients:
         names = ("h1", "h2", "h3", "gamma", "j11", "j12", "j22")
         all_const = all(not callable(getattr(self, n)) for n in names)
         for n in names:
-            object.__setattr__(self, n, _as_function(getattr(self, n)))
+            object.__setattr__(self, n, _as_function(n, getattr(self, n)))
         if all_const:
             object.__setattr__(self, "time_independent", True)
 
@@ -97,6 +100,9 @@ class CaldeiraLeggettParams:
     cutoff: float
 
     def __post_init__(self) -> None:
+        values = (self.damping_rate, self.thermal_energy, self.cutoff)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"CaldeiraLeggettParams must be finite, got {values!r}")
         if self.damping_rate < 0.0 or self.thermal_energy < 0.0:
             raise ValueError("damping_rate and thermal_energy must be non-negative")
         if self.cutoff <= 0.0:

@@ -61,6 +61,11 @@ class TestEnergyBandState:
         assert not build_energy_band_state(5, 4).semiclassical_ok
         assert not build_energy_band_state(9, 0).semiclassical_ok
 
+    @pytest.mark.parametrize("levels", [(10.7, 2), (10, 2.5), (np.nan, 2), (np.inf, 0)])
+    def test_rejects_non_integer_levels(self, levels):
+        with pytest.raises(ValueError, match="integer"):
+            build_energy_band_state(*levels)
+
     def test_rejects_odd_band_width(self):
         with pytest.raises(ValueError, match="even"):
             build_energy_band_state(50, 3)

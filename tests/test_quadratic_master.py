@@ -128,6 +128,23 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             CaldeiraLeggettParams(damping_rate=0.1, thermal_energy=1.0, cutoff=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["damping_rate", "thermal_energy", "cutoff"])
+    def test_cl_params_reject_nonfinite(self, name, bad):
+        values = {"damping_rate": 0.01, "thermal_energy": 10.0, "cutoff": 100.0}
+        values[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            CaldeiraLeggettParams(**values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["h1", "gamma", "j22"])
+    def test_constant_coefficients_reject_nonfinite(self, name, bad):
+        values = {"h1": 1.0, "h2": 1.0, "h3": 0.0, "gamma": 0.0,
+                  "j11": 0.0, "j12": 0.0, "j22": 0.0}
+        values[name] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MasterEqCoefficients(**values)
+
     def test_derived_rates_recomputed(self, natural_system):
         params = CaldeiraLeggettParams(
             damping_rate=0.05, thermal_energy=1000.0, cutoff=200.0
@@ -261,7 +278,7 @@ class TestPropagateWigner:
         mean0 = np.array([0.7, -0.4])
         cov0 = 0.5 * np.eye(2)
         field = gaussian_field(x, x, mean0, cov0)
-        for t in (0.1, 0.3):
+        for t in (0.01, 0.1, 0.3, 1.0, 2.0):
             prop = integrate_propagator(coeffs, t)
             out = propagate_wigner(prop, field, natural_system)
             assert out.normalization() == pytest.approx(1.0, abs=1e-6)
@@ -272,6 +289,29 @@ class TestPropagateWigner:
             expected = gaussian_field(x, x, mean_t, cov_t)
             peak = expected.values.max()
             assert np.max(np.abs(out.values - expected.values)) <= 1e-3 * peak
+
+    def test_smear_past_edge_does_not_wrap(self, natural_system):
+        # The smeared Gaussian's tail at the upper x edge is 3.2 widths out:
+        # the grid keeps all but 7e-4 of the mass, yet a tail value wrapped
+        # round to the lower edge would exceed 1e-3 of the peak.
+        x = symmetric_grid(6.0, 0.05)
+        cov0 = 0.25 * np.eye(2)
+        m = 2.0 * np.eye(2)
+        cov_t = cov0 + 0.5 * m
+        mean = np.array([x[-1] - 3.2 * np.sqrt(cov_t[0, 0]), 0.0])
+        field = gaussian_field(x, x, mean, cov0)
+        out = propagate_wigner(GaussianPropagator(1.0, np.eye(2), m), field, natural_system)
+        expected = gaussian_field(x, x, mean, cov_t)
+        peak = expected.values.max()
+        assert np.max(np.abs(out.values - expected.values)) <= 1e-3 * peak
+
+    def test_nan_cell_raises(self, natural_system):
+        x = symmetric_grid(6.0, 0.05)
+        field = gaussian_field(x, x, np.array([0.7, -0.4]), 0.5 * np.eye(2))
+        field.values[100, 100] = np.nan
+        prop = integrate_propagator(default_cl(natural_system), 0.1)
+        with pytest.raises(NumericalFailureError, match="drifted"):
+            propagate_wigner(prop, field, natural_system)
 
     def test_semigroup_field_route(self, natural_system):
         coeffs = default_cl(natural_system)
