@@ -6,15 +6,22 @@ when evaluated literally, plus the two-frequency ratio family
 
     (a sin(b tau) - b sin(a tau)) / (a^2 - b^2)
 
-whose ``a -> b`` limit is finite but numerically indeterminate.
+whose ``a -> b`` limit is finite but numerically indeterminate, and the
+entire cosine integral ``Cin`` that the ohmic spectral integrals reduce to.
 """
 
 from __future__ import annotations
 
+from math import factorial
+
 import numpy as np
+from scipy.special import sici
 
 _SERIES_CUT = 0.05
 _DEGENERATE_CUT = 1e-8
+_CIN_CUT = 0.5
+# Taylor coefficients of Cin in x^2, x^4, ..., x^16: (-1)^(k+1) / (2k (2k)!).
+_CIN_SERIES = np.array([(-1) ** (k + 1) / (2 * k * factorial(2 * k)) for k in range(1, 9)])
 
 
 def t_minus_sin(u: np.ndarray) -> np.ndarray:
@@ -38,6 +45,21 @@ def one_minus_cos(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     s = np.sin(0.5 * u)
     return 2.0 * s * s
+
+
+def cin(x: np.ndarray) -> np.ndarray:
+    """Entire cosine integral ``Cin(x) = integral_0^x (1 - cos u) / u du``.
+
+    Even in ``x``. From ``|x| = 0.5`` up it is ``euler_gamma + ln|x| - Ci(|x|)``
+    (Abramowitz & Stegun 5.2.2); below, where that difference cancels, its
+    power series.
+    """
+    x = np.abs(np.asarray(x, dtype=float))
+    x2 = x * x
+    series = x2 * np.polynomial.polynomial.polyval(x2, _CIN_SERIES)
+    wide = np.maximum(x, _CIN_CUT)
+    closed = np.euler_gamma + np.log(wide) - sici(wide)[1]
+    return np.where(x < _CIN_CUT, series, closed)
 
 
 def pair_kernel(

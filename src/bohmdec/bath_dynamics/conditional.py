@@ -31,7 +31,6 @@ from ..phase_space import (
     band_wavefunction,
 )
 from ..quadratic_master import CaldeiraLeggettParams
-from ._trig import one_minus_cos, sin_minus_u_cos, t_minus_sin
 from .matrices import BathPropagators, _flip_time
 from .sampling import CoherentBathSample
 from .spectral import BathSpec, SpectralDensity
@@ -59,43 +58,34 @@ def m_tilde_matrix(
 
     The entries are spectral integrals of ``(omega t - sin omega t)`` and
     ``(1 - cos omega t)`` combinations weighted by inverse powers of the mode
-    frequency; all are evaluated with cancellation-safe forms so the
-    ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) come out clean.
+    frequency (:meth:`SpectralDensity.slice_integrals`). For the ohmic
+    density they reduce, with ``X = cutoff t``, to
+    ``M_xx = 4 hbar gamma t^2 Q(X) / (pi m)``, ``M_xp = -4 hbar gamma t R(X) / pi``
+    and ``M_pp = 4 hbar m gamma P(X) / pi``; both the closed forms and a line
+    sum keep the ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) clean.
     """
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     hbar = system.hbar
     m = system.mass
-
-    def entry_xx(w: np.ndarray) -> np.ndarray:
-        return (t_minus_sin(w * t) / (w * w)) ** 2
-
-    def entry_xp(w: np.ndarray) -> np.ndarray:
-        return t_minus_sin(w * t) * one_minus_cos(w * t) / w**3
-
-    def entry_pp(w: np.ndarray) -> np.ndarray:
-        return (one_minus_cos(w * t) / w) ** 2
-
-    xx = 2.0 * hbar / m**2 * spectral.integrate(entry_xx, oscillation_time=t)
-    xp = -2.0 * hbar / m * spectral.integrate(entry_xp, oscillation_time=t)
-    pp = 2.0 * hbar * spectral.integrate(entry_pp, oscillation_time=t)
+    jxx, jxp, jpp, _ = spectral.slice_integrals(t)
+    xx = 2.0 * hbar / m**2 * jxx
+    xp = -2.0 * hbar / m * jxp
+    pp = 2.0 * hbar * jpp
     return np.array([[xx, xp], [xp, pp]])
 
 
 def sigma3_squared(
     spectral: SpectralDensity, system: OscillatorSystemSpec, t: float
 ) -> float:
-    """Slice-information precision: the momentum weight the bath slice adds."""
+    """Slice-information precision: the momentum weight the bath slice adds.
+
+    For the ohmic density this is ``4 gamma t^2 S(X) / (pi hbar m)`` with
+    ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`).
+    """
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
-
-    def entry(w: np.ndarray) -> np.ndarray:
-        return (sin_minus_u_cos(w * t) / (w * w)) ** 2
-
-    return float(
-        2.0 / (system.hbar * system.mass**2)
-        * spectral.integrate(entry, oscillation_time=t)
-    )
+    return float(2.0 / (system.hbar * system.mass**2) * spectral.slice_integrals(t)[3])
 
 
 def cl_m_tilde_asymptote(
@@ -191,14 +181,6 @@ class ConditionalKernel:
             - self.response[:, 0, 1] * p
         )
 
-    def conditional_momentum_peaks(self, x: float, p: float) -> np.ndarray:
-        """Companion momentum centers of the conditional mode Gaussians."""
-        return (
-            self.rotated_means[:, 1]
-            - self.response[:, 1, 0] * x
-            - self.response[:, 1, 1] * p
-        )
-
     def slice_quadratic(
         self, bath_slice: np.ndarray, x: float
     ) -> tuple[float, float, float]:
@@ -260,7 +242,7 @@ def conditional_kernel(
         Retain the smearing-center offset instead of zeroing it. The offset
         is reported either way.
     spectral : SpectralDensity, optional
-        Density to quadrate the smearing matrix and slice precision over.
+        Density to integrate the smearing matrix and slice precision over.
         Defaults to the line spectrum of ``bath``; pass the continuum parent
         density when the modes discretize one and the oscillation period
         ``2 pi / t`` is finer than the mode spacing, where the line sum

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._quadrature import gregory_weights
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ._trig import one_minus_cos, pair_kernel, t_minus_sin
 from .spectral import BathSpec
-from .volterra import GKernelTable
+from .volterra import GKernelTable, gregory_weights
 
 __all__ = [
     "BathPropagators",
@@ -55,6 +54,35 @@ def _free_rotation(
     out[:, 1, 0] = -masses * frequencies * sin
     out[:, 1, 1] = cos
     return out
+
+
+def _cross_blocks(
+    bath: BathSpec,
+    m: float,
+    w: float,
+    h: np.ndarray,
+    h_dot: np.ndarray,
+    h_ddot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mode-to-center and center-to-mode blocks from the response integrals.
+
+    ``h``, ``h_dot`` and ``h_ddot`` are the per-mode response integrals and
+    their time derivatives; ``w`` is the central frequency they were built
+    with.
+    """
+    mode_m = bath.masses
+    scale = bath.couplings / (m * mode_m * w * bath.frequencies)
+    b = np.empty((bath.n_modes, 2, 2))
+    b[:, 0, 0] = scale * mode_m * h_dot
+    b[:, 0, 1] = scale * h
+    b[:, 1, 0] = scale * m * mode_m * h_ddot
+    b[:, 1, 1] = scale * m * h_dot
+    c = np.empty_like(b)
+    c[:, 0, 0] = scale * m * h_dot
+    c[:, 0, 1] = scale * h
+    c[:, 1, 0] = scale * m * mode_m * h_ddot
+    c[:, 1, 1] = scale * mode_m * h_dot
+    return b, c
 
 
 @dataclass(frozen=True)
@@ -113,13 +141,6 @@ class BathPropagators:
     def has_d_corrections(self) -> bool:
         return self.d_corrections is not None
 
-    def d_block(self, r: int, s: int) -> np.ndarray:
-        """Mode-to-mode block ``D_rs`` as a fresh 2x2 array."""
-        out = self.d_corrections[r, s].copy() if self.has_d_corrections else np.zeros((2, 2))
-        if r == s:
-            out += self.d_free[r]
-        return out
-
     def dense_d(self) -> np.ndarray:
         """Mode sector as a dense ``(2N, 2N)`` matrix."""
         n = self.n_modes
@@ -134,16 +155,6 @@ class BathPropagators:
         for r in range(n):
             dense[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += self.d_free[r]
         return dense
-
-    def transfer_matrix(self) -> np.ndarray:
-        """Full ``(2N+2, 2N+2)`` linear flow, center first then the modes."""
-        n = self.n_modes
-        out = np.zeros((2 * n + 2, 2 * n + 2))
-        out[:2, :2] = self.a
-        out[:2, 2:] = np.transpose(self.b, (1, 0, 2)).reshape(2, 2 * n)
-        out[2:, :2] = self.c.reshape(2 * n, 2)
-        out[2:, 2:] = self.dense_d()
-        return out
 
 
 def exact_bath_matrices(
@@ -213,17 +224,7 @@ def exact_bath_matrices(
             [m * gddot_now / w0, gdot_now / w0],
         ]
     )
-    b = np.empty((bath.n_modes, 2, 2))
-    scale = kappa / (m * mode_m * w0 * mode_w)
-    b[:, 0, 0] = scale * mode_m * h_dot
-    b[:, 0, 1] = scale * h
-    b[:, 1, 0] = scale * m * mode_m * h_ddot
-    b[:, 1, 1] = scale * m * h_dot
-    c = np.empty_like(b)
-    c[:, 0, 0] = scale * m * h_dot
-    c[:, 0, 1] = scale * h
-    c[:, 1, 0] = scale * m * mode_m * h_ddot
-    c[:, 1, 1] = scale * mode_m * h_dot
+    b, c = _cross_blocks(bath, m, w0, h, h_dot, h_ddot)
 
     d_corrections = None
     if include_d_corrections:
@@ -331,17 +332,7 @@ def weak_coupling_matrices(
         h_dot = -pair_kernel(mode_w, w, t, order=1)
         h_ddot = -pair_kernel(mode_w, w, t, order=2)
 
-    b = np.empty((bath.n_modes, 2, 2))
-    scale = kappa / (m * mode_m * w * mode_w)
-    b[:, 0, 0] = scale * mode_m * h_dot
-    b[:, 0, 1] = scale * h
-    b[:, 1, 0] = scale * m * mode_m * h_ddot
-    b[:, 1, 1] = scale * m * h_dot
-    c = np.empty_like(b)
-    c[:, 0, 0] = scale * m * h_dot
-    c[:, 0, 1] = scale * h
-    c[:, 1, 0] = scale * m * mode_m * h_ddot
-    c[:, 1, 1] = scale * mode_m * h_dot
+    b, c = _cross_blocks(bath, m, w, h, h_dot, h_ddot)
 
     return BathPropagators(
         time=float(t),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import sici
 
-from .._quadrature import panel_quadrature
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
+from ._trig import cin, one_minus_cos, pair_kernel, sin_minus_u_cos, t_minus_sin
 
 __all__ = [
     "BathSpec",
@@ -16,6 +17,22 @@ __all__ = [
     "counterterm_bare_frequency",
     "discretize_spectral_density",
 ]
+
+_SLICE_SERIES_CUT = 0.5
+# Taylor coefficients of R, Q, P, S in X^4, X^6, ..., X^18: the integrands'
+# series integrated term by term, as exact rationals.
+_SLICE_SERIES = np.array(
+    [
+        [1 / 48, -1 / 540, 41 / 483840, -23 / 9072000, 157 / 2874009600,
+         -31 / 34673184000, 1927 / 167382319104000, -3449 / 28810681675776000],
+        [1 / 144, -1 / 2160, 41 / 2419200, -23 / 54432000, 157 / 20118067200,
+         -31 / 277385472000, 1927 / 1506440871936000, -3449 / 288106816757760000],
+        [1 / 16, -1 / 144, 1 / 2560, -17 / 1209600, 31 / 87091200,
+         -1 / 149022720, 5461 / 55794106368000, -257 / 225966130790400],
+        [1 / 36, -1 / 270, 1 / 4200, -2 / 212625, 1 / 3929310,
+         -1 / 198648450, 1 / 13135122000, -4 / 4396161144375],
+    ]
+)
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:
@@ -37,6 +54,8 @@ class BathSpec:
     thermal_energy : float
         ``k_B T`` of the thermal preparation; strictly positive.
     hbar : float
+
+    Every field must be finite; NaN or inf raises ``ValueError``.
     """
 
     masses: np.ndarray
@@ -51,6 +70,9 @@ class BathSpec:
         couplings = _readonly(np.atleast_1d(self.couplings))
         if not masses.shape == frequencies.shape == couplings.shape or masses.ndim != 1:
             raise ValueError("masses, frequencies and couplings must be 1-D and equal length")
+        for values in (masses, frequencies, couplings, self.thermal_energy, self.hbar):
+            if not np.all(np.isfinite(values)):
+                raise ValueError("bath parameters must be finite")
         if np.any(masses <= 0.0) or np.any(frequencies <= 0.0):
             raise ValueError("mode masses and frequencies must be positive")
         if self.thermal_energy <= 0.0:
@@ -90,6 +112,11 @@ class SpectralDensity:
     ``kappa_r^2 / (2 m_r omega_r)``, and ``ohmic`` is the sharply cut off
     linear form ``2 m gamma omega / pi`` on ``[0, cutoff]``, where ``m`` is
     the mass of the central oscillator.
+
+    Every spectral integral the bath modules need is a method here: a line
+    spectrum sums its lines exactly, and the ohmic form uses closed forms in
+    the sine and cosine integrals (Abramowitz & Stegun 5.2), so no other
+    module depends on the density's shape.
     """
 
     kind: str
@@ -97,7 +124,6 @@ class SpectralDensity:
     damping_rate: float = 0.0
     cutoff: float = 0.0
     mass: float = 0.0
-    abs_tol: float = field(default=1e-10, repr=False)
 
     def __post_init__(self) -> None:
         if self.kind == "discrete":
@@ -132,66 +158,123 @@ class SpectralDensity:
             return 0.0
         return float(self.bath.frequencies.max())
 
-    def evaluate(self, omega: np.ndarray) -> np.ndarray:
-        """Pointwise density; only the ohmic kind is a function."""
-        if self.kind != "ohmic":
-            raise ValueError("pointwise evaluation is undefined for a line spectrum")
-        omega = np.asarray(omega, dtype=float)
-        inside = (omega >= 0.0) & (omega <= self.cutoff)
-        return np.where(
-            inside, 2.0 * self.mass * self.damping_rate * omega / np.pi, 0.0
-        )
-
     def lines(self) -> tuple[np.ndarray, np.ndarray]:
         """Line positions and weights of a discrete density."""
         if self.kind != "discrete":
             raise ValueError("an ohmic density has no lines")
         return self.bath.frequencies, self.bath.spectral_weights
 
-    def integrate(self, integrand, oscillation_time: float = 0.0) -> float:
-        """``integral I(omega) f(omega) domega`` over the full support.
+    def kernel_tables(
+        self, bare_frequency: float, mass: float, times: np.ndarray
+    ) -> list[np.ndarray]:
+        """Memory kernel ``chi`` and its first two derivatives at ``times``.
+
+        ``chi(tau) = 2 / (mass b) integral I(omega) K(omega, b, tau) domega``
+        with ``b`` the bare frequency and ``K`` the order-0
+        :func:`~bohmdec.bath_dynamics._trig.pair_kernel`; the derivatives
+        integrate its orders 1 and 2. For the ohmic form, with
+        ``s, c = sin(b tau), cos(b tau)``,
+        ``dCin = Cin((L+b) tau) - Cin(|L-b| tau)`` and
+        ``sumSi = Si((L+b) tau) + Si((L-b) tau)`` at cutoff ``L``::
+
+            chi      = k/b [L s - b/2 (s dCin + c sumSi)]
+            chi_dot  = k [L c - b/2 (c dCin - s sumSi) - sin(L tau)/tau]
+            chi_ddot = -b^2 chi + k (sin(L tau) - L tau cos(L tau)) / tau^2
+
+        where ``k = 4 gamma / pi`` times the density's mass over ``mass``.
 
         Parameters
         ----------
-        integrand : callable
-            Vectorized ``f(omega)``. For a discrete density the result is the
-            exact weighted line sum.
-        oscillation_time : float
-            When positive, the ohmic quadrature caps its panel width at an
-            eighth of the ``2 pi / t`` oscillation period of ``f``.
+        bare_frequency : float
+        mass : float
+            Central mass in the kernel prefactor.
+        times : numpy.ndarray
+            Non-negative times.
+        """
+        b = bare_frequency
+        if self.kind == "discrete":
+            freqs, weights = self.lines()
+            prefactor = 2.0 / (mass * b)
+            return [
+                prefactor * (weights @ pair_kernel(freqs[:, None], b, times[None, :], order))
+                for order in range(3)
+            ]
+        k = 4.0 * self.damping_rate / np.pi * (self.mass / mass)
+        cut = self.cutoff
+        s, c = np.sin(b * times), np.cos(b * times)
+        d_cin = cin((cut + b) * times) - cin((cut - b) * times)
+        si_sum = sici((cut + b) * times)[0] + sici((cut - b) * times)[0]
+        u = cut * times
+        chi = k / b * (cut * s - 0.5 * b * (s * d_cin + c * si_sum))
+        chi_dot = k * (cut * c - 0.5 * b * (c * d_cin - s * si_sum) - cut * np.sinc(u / np.pi))
+        tail = np.divide(sin_minus_u_cos(u), times * times, out=np.zeros_like(u), where=times > 0.0)
+        chi_ddot = -b * b * chi + k * tail
+        return [chi, chi_dot, chi_ddot]
+
+    def slice_integrals(self, t: float) -> tuple[float, float, float, float]:
+        """Spectral integrals behind the conditional kernel at time ``t``.
+
+        Returns ``integral I(omega) f(omega) domega`` for the four integrands
+        ``((omega t - sin omega t) / omega^2)^2``,
+        ``(omega t - sin omega t)(1 - cos omega t) / omega^3``,
+        ``((1 - cos omega t) / omega)^2`` and
+        ``((sin omega t - omega t cos omega t) / omega^2)^2``. For the ohmic
+        form they are ``2 m gamma / pi`` times ``t^2 Q``, ``t R``, ``P`` and
+        ``t^2 S`` of ``X = cutoff t``::
+
+            R = 2 Cin(X) - Cin(2X) + (sin X - sin(2X) / 2) / X
+            Q = R - (1 - sin(X) / X)^2 / 2
+            P = 2 Cin(X) - Cin(2X) / 2
+            S = Cin(2X) / 2 - 1/2 + sin(2X) / (2X) - sin(X)^2 / (2 X^2)
+
+        All four cancel down to ``O(X^4)``, so below ``X = 0.5`` their
+        Taylor series are summed instead.
         """
         if self.kind == "discrete":
             freqs, weights = self.lines()
-            if freqs.size == 0:
-                return 0.0
-            return float(np.dot(weights, integrand(freqs)))
-        width = self.cutoff / 8.0
-        if oscillation_time > 0.0:
-            width = min(width, np.pi / (4.0 * oscillation_time))
-        return panel_quadrature(
-            lambda w: self.evaluate(w) * integrand(w),
-            0.0,
-            self.cutoff,
-            width,
-            abs_tol=self.abs_tol,
+            u = freqs * t
+            integrands = (
+                (t_minus_sin(u) / (freqs * freqs)) ** 2,
+                t_minus_sin(u) * one_minus_cos(u) / freqs**3,
+                (one_minus_cos(u) / freqs) ** 2,
+                (sin_minus_u_cos(u) / (freqs * freqs)) ** 2,
+            )
+            return tuple(float(np.dot(weights, f)) for f in integrands)
+        r, q, p, s = _ohmic_slice_forms(self.cutoff * t)
+        scale = 2.0 * self.mass * self.damping_rate / np.pi
+        return scale * t * t * q, scale * t * r, scale * p, scale * t * t * s
+
+
+def _ohmic_slice_forms(x: float) -> tuple[float, float, float, float]:
+    """``R, Q, P, S`` of :meth:`SpectralDensity.slice_integrals` at ``X = x``."""
+    if x < _SLICE_SERIES_CUT:
+        x2 = x * x
+        return tuple(
+            float(x2 * x2 * np.polynomial.polynomial.polyval(x2, row))
+            for row in _SLICE_SERIES
         )
+    cin_x, cin_2x = float(cin(x)), float(cin(2.0 * x))
+    sinc = np.sin(x) / x
+    r = 2.0 * cin_x - cin_2x + (np.sin(x) - 0.5 * np.sin(2.0 * x)) / x
+    q = r - 0.5 * (1.0 - sinc) ** 2
+    p = 2.0 * cin_x - 0.5 * cin_2x
+    s = 0.5 * cin_2x - 0.5 + np.sin(2.0 * x) / (2.0 * x) - 0.5 * sinc * sinc
+    return float(r), float(q), float(p), float(s)
 
 
 def discretize_spectral_density(
     cl_params: CaldeiraLeggettParams,
     system: OscillatorSystemSpec,
     n_modes: int,
-    strategy: str = "midpoint",
 ) -> BathSpec:
     """Build a finite bath whose line spectrum converges to the ohmic density.
 
     Unit mode masses are used throughout; only the combination
-    ``kappa_r^2 / m_r`` is physical, so the couplings absorb the choice. With
-    the ``midpoint`` strategy the frequencies sit at cell centers
-    ``(r - 1/2) cutoff / n_modes`` and the couplings reproduce the cell
-    integrals ``kappa_r^2 = 2 m_r omega_r I(omega_r) domega`` of the ohmic
-    form, making smooth spectral integrals second-order accurate in the cell
-    width.
+    ``kappa_r^2 / m_r`` is physical, so the couplings absorb the choice. The
+    frequencies sit at cell centers ``(r - 1/2) cutoff / n_modes`` and the
+    couplings reproduce the cell integrals
+    ``kappa_r^2 = 2 m_r omega_r I(omega_r) domega`` of the ohmic form, making
+    smooth spectral integrals second-order accurate in the cell width.
 
     Parameters
     ----------
@@ -200,8 +283,6 @@ def discretize_spectral_density(
     system : OscillatorSystemSpec
         Supplies the central mass entering the ohmic normalization and hbar.
     n_modes : int
-    strategy : str
-        Only ``"midpoint"`` is implemented.
 
     Returns
     -------
@@ -209,8 +290,6 @@ def discretize_spectral_density(
     """
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
-    if strategy != "midpoint":
-        raise ValueError(f"unknown discretization strategy {strategy!r}")
     if cl_params.thermal_energy <= 0.0:
         raise ValueError("a sampled bath needs a positive temperature")
     spacing = cl_params.cutoff / n_modes

@@ -5,11 +5,13 @@ function solving
 
     g(t) = sin(w0 t) + integral_0^t chi(t - t') g(t') dt'
 
-where the memory kernel ``chi`` is a spectral integral over the environment.
-The solve marches the product-integration rule forward; because
-``chi(0) = 0`` every step is explicit. End-corrected (Gregory) trapezoidal
-weights keep the global error at fourth order, which the downstream
-round-trip identities need at the ``1e-8`` level over tens of periods. The
+where the memory kernel ``chi`` is a spectral integral over the environment,
+tabulated by :meth:`~bohmdec.bath_dynamics.spectral.SpectralDensity.kernel_tables`
+(an exact line sum for a finite bath, a closed form in the sine and cosine
+integrals for the ohmic density). The solve marches the product-integration
+rule forward; because ``chi(0) = 0`` every step is explicit. End-corrected
+(Gregory) trapezoidal weights keep the global error at fourth order: halving
+the step cuts the exact blocks' reversibility residuals by about 16. The
 first two derivatives of ``g`` are evaluated from the differentiated
 integral equation rather than by finite differencing, so they carry the same
 accuracy as ``g`` itself.
@@ -21,14 +23,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._quadrature import _GL_NODES, _GL_WEIGHTS, gregory_weights
-from ..errors import NumericalFailureError
-from ._trig import pair_kernel
 from .spectral import SpectralDensity
 
 __all__ = ["GKernelTable", "solve_g_kernel"]
 
 _POINTS_PER_PERIOD = 20
+# Gregory end corrections of order 4: the first three weights replace the
+# trapezoid's 1/2 edge weight; the interior stays at 1.
+_GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+
+
+def gregory_weights(n: int, step: float) -> np.ndarray:
+    """Weights for integrating a table of ``n`` equally spaced samples.
+
+    Parameters
+    ----------
+    n : int
+        Number of samples (the integral runs over ``(n - 1) * step``).
+    step : float
+        Grid spacing.
+
+    Returns
+    -------
+    numpy.ndarray
+        Weight vector ``w`` with ``integral ~= w @ samples``. For ``n >= 7``
+        the rule is fourth order; shorter tables fall back to the plain
+        trapezoid, which is exact enough for the vanishing-at-origin
+        integrands it is used on.
+    """
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if n == 1:
+        return np.zeros(1)
+    w = np.ones(n)
+    if n >= 7:
+        w[:3] = _GREGORY_EDGE
+        w[-3:] = _GREGORY_EDGE[::-1]
+    else:
+        w[0] = 0.5
+        w[-1] = 0.5
+    return w * step
 
 
 @dataclass(frozen=True)
@@ -89,66 +123,6 @@ class GKernelTable:
         return index
 
 
-def _discrete_kernel_tables(
-    spectral: SpectralDensity, bare_frequency: float, mass: float, times: np.ndarray
-) -> list[np.ndarray]:
-    freqs, weights = spectral.lines()
-    prefactor = 2.0 / (mass * bare_frequency)
-    tables = []
-    for order in range(3):
-        if freqs.size == 0:
-            tables.append(np.zeros_like(times))
-            continue
-        block = pair_kernel(freqs[:, None], bare_frequency, times[None, :], order)
-        tables.append(prefactor * (weights @ block))
-    return tables
-
-
-def _ohmic_kernel_tables(
-    spectral: SpectralDensity, bare_frequency: float, mass: float, times: np.ndarray
-) -> list[np.ndarray]:
-    """Vectorized panel quadrature of the kernel integrals at every node."""
-    prefactor = 2.0 / (mass * bare_frequency)
-    t_max = float(times[-1]) if times.size else 0.0
-    width = spectral.cutoff / 8.0
-    if t_max > 0.0:
-        width = min(width, np.pi / (4.0 * t_max))
-    panels = max(1, int(np.ceil(spectral.cutoff / width)))
-
-    def _level(n_panels: int) -> list[np.ndarray]:
-        edges = np.linspace(0.0, spectral.cutoff, n_panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-        gl = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-        weighted = gl * spectral.evaluate(nodes)
-        out = [np.empty_like(times) for _ in range(3)]
-        chunk = max(1, int(2**21 // max(nodes.size, 1)))
-        for start in range(0, times.size, chunk):
-            sl = slice(start, min(start + chunk, times.size))
-            for order in range(3):
-                block = pair_kernel(
-                    nodes[:, None], bare_frequency, times[None, sl], order
-                )
-                out[order][sl] = weighted @ block
-        return out
-
-    previous = _level(panels)
-    for _ in range(8):
-        panels *= 2
-        current = _level(panels)
-        drift = max(
-            float(np.max(np.abs(c - p))) for c, p in zip(current, previous)
-        )
-        scale = max(float(np.max(np.abs(c))) for c in current)
-        if drift <= max(spectral.abs_tol, 1e-12 * scale):
-            return [prefactor * c for c in current]
-        previous = current
-    raise NumericalFailureError(
-        "memory-kernel quadrature failed to converge after 8 panel doublings"
-    )
-
-
 def solve_g_kernel(
     spectral: SpectralDensity,
     bare_frequency: float,
@@ -202,28 +176,14 @@ def solve_g_kernel(
 
     n = int(np.ceil(t_max / step - 1e-9))
     times = np.arange(n + 1) * step
-    if spectral.kind == "discrete":
-        kernel, kernel_dot, kernel_ddot = _discrete_kernel_tables(
-            spectral, bare_frequency, mass, times
-        )
-    else:
-        kernel, kernel_dot, kernel_ddot = _ohmic_kernel_tables(
-            spectral, bare_frequency, mass, times
-        )
+    kernel, kernel_dot, kernel_ddot = spectral.kernel_tables(bare_frequency, mass, times)
 
-    values = np.zeros(n + 1)
-    for j in range(1, n + 1):
-        weights = gregory_weights(j + 1, step)
-        history = weights[:j] * values[:j]
-        values[j] = np.sin(bare_frequency * times[j]) + np.dot(
-            history, kernel[j:0:-1]
-        )
-
+    values = np.sin(bare_frequency * times)
     first = bare_frequency * np.cos(bare_frequency * times)
-    second = -bare_frequency**2 * np.sin(bare_frequency * times)
+    second = -bare_frequency**2 * values
     for j in range(1, n + 1):
-        weights = gregory_weights(j + 1, step)
-        history = weights[:j] * values[:j]
+        history = gregory_weights(j + 1, step)[:j] * values[:j]
+        values[j] += np.dot(history, kernel[j:0:-1])
         first[j] += np.dot(history, kernel_dot[j:0:-1])
         second[j] += np.dot(history, kernel_ddot[j:0:-1])
 

@@ -154,20 +154,6 @@ class WignerField:
         cxp = float(_trapezoid(dxv * inner, self.dx)) / norm
         return np.array([mean_x, mean_p]), np.array([[cxx, cxp], [cxp, cpp]])
 
-    def value_at(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Bicubic interpolation of the field at arbitrary points."""
-        x = np.asarray(x, dtype=float)
-        p = np.asarray(p, dtype=float)
-        rows = (x - self.x_grid[0]) / self.dx
-        cols = (p - self.p_grid[0]) / self.dp
-        return ndimage.map_coordinates(
-            self.values,
-            np.broadcast_arrays(rows, cols),
-            order=3,
-            mode="constant",
-            cval=0.0,
-        )
-
 
 def _support_interval(
     sampler: Callable[[np.ndarray], np.ndarray],

@@ -9,7 +9,8 @@ A discrete transform convolves circularly, so the field is zero-padded into
 one buffer covering the input grid and every pulled-back point, plus four
 cells for the bicubic stencil, plus ``_SIGMA_CUT`` smearing widths on each
 side so that mass smeared past one edge cannot wrap round into the values
-read near the other. A negligible smearing matrix takes an exact bilinear
+read near the other. The smear stays exact for a singular ``M``; only a
+negligible one, every entry below ``1e-7 hbar``, takes an exact bilinear
 pullback instead.
 """
 
@@ -26,7 +27,7 @@ from .propagator import GaussianPropagator
 __all__ = ["propagate_wigner"]
 
 _SIGMA_CUT = 8.0
-_DELTA_DET_FLOOR = 1e-14
+_DELTA_M_FLOOR = 1e-7
 _NORM_GUARD = 1e-3
 
 
@@ -44,7 +45,7 @@ def propagate_wigner(
     """Evolve a Wigner field with a Gaussian propagator.
 
     ``field`` is treated as zero outside its grid; ``system`` supplies
-    ``hbar`` for the near-singular smearing threshold. Returns the evolved
+    ``hbar`` for the negligible-smear threshold. Returns the evolved
     samples on the same grid with the time stamp advanced by the propagator's
     time; the notes record the path (``spectral_smear`` with the buffer
     shape, or ``delta_fallback``) and the mass residual.
@@ -65,11 +66,12 @@ def propagate_wigner(
     rows = (a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p - x[0]) / dx
     cols = (a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p - p[0]) / dp
 
-    if float(np.linalg.det(m)) < _DELTA_DET_FLOOR * system.hbar**2:
+    if float(np.abs(m).max()) < _DELTA_M_FLOOR * system.hbar:
         source, order, note = field.values, 1, "delta_fallback"
     else:
-        lo_x, n_x = _padded_axis(rows, x.size, np.sqrt(0.5 * m[0, 0]) / dx)
-        lo_p, n_p = _padded_axis(cols, p.size, np.sqrt(0.5 * m[1, 1]) / dp)
+        # a singular M may carry a round-off negative diagonal entry
+        lo_x, n_x = _padded_axis(rows, x.size, np.sqrt(0.5 * max(m[0, 0], 0.0)) / dx)
+        lo_p, n_p = _padded_axis(cols, p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
         buffer = np.zeros((n_x, n_p))
         buffer[-lo_x : x.size - lo_x, -lo_p : p.size - lo_p] = field.values
         spectrum = sp_fft.rfft2(buffer)

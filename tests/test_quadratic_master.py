@@ -305,6 +305,17 @@ class TestPropagateWigner:
         peak = expected.values.max()
         assert np.max(np.abs(out.values - expected.values)) <= 1e-3 * peak
 
+    @pytest.mark.parametrize("m_pp", [0.0, -1e-12])
+    def test_singular_smear_is_applied(self, natural_system, m_pp):
+        # det M = 0 (or a round-off negative), yet the rank-1 smear is large
+        x = symmetric_grid(6.0, 0.05)
+        field = gaussian_field(x, x, np.zeros(2), 0.5 * np.eye(2))
+        prop = GaussianPropagator(1.0, np.eye(2), np.diag([1.0, m_pp]))
+        out = propagate_wigner(prop, field, natural_system)
+        _, cov = out.mean_and_covariance()
+        np.testing.assert_allclose(cov, np.diag([1.0, 0.5]), atol=1e-5)
+        assert out.notes[-2].startswith("spectral_smear")
+
     def test_nan_cell_raises(self, natural_system):
         x = symmetric_grid(6.0, 0.05)
         field = gaussian_field(x, x, np.array([0.7, -0.4]), 0.5 * np.eye(2))
