@@ -6,7 +6,7 @@ when evaluated literally, plus the two-frequency ratio family
 
     (a sin(b tau) - b sin(a tau)) / (a^2 - b^2)
 
-whose ``a -> b`` limit is finite but numerically indeterminate, and the
+whose ``a -> b`` limit is finite (a half-angle form removes the 0/0), and the
 entire cosine integral ``Cin`` that the ohmic spectral integrals reduce to.
 """
 
@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import sici
 
 _SERIES_CUT = 0.05
-_DEGENERATE_CUT = 1e-8
 _CIN_CUT = 0.5
 # Taylor coefficients of Cin in x^2, x^4, ..., x^16: (-1)^(k+1) / (2k (2k)!).
 _CIN_SERIES = np.array([(-1) ** (k + 1) / (2 * k * factorial(2 * k)) for k in range(1, 9)])
@@ -63,41 +62,34 @@ def cin(x: np.ndarray) -> np.ndarray:
 
 
 def pair_kernel(
-    a: np.ndarray, b: np.ndarray, tau: np.ndarray, order: int = 0
-) -> np.ndarray:
+    a: np.ndarray, b: np.ndarray, tau: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Two-frequency response kernel and its first two time derivatives.
 
-    ``order=0`` evaluates ``(a sin(b tau) - b sin(a tau)) / (a^2 - b^2)``;
-    orders 1 and 2 are its first and second derivatives in ``tau``. Inputs
-    broadcast. Where ``a`` and ``b`` coincide to relative ``1e-8`` the
-    continuous limit at the mean frequency is substituted.
+    Returns ``(K0, K1, K2)``, where
+    ``K0 = (a sin(b tau) - b sin(a tau)) / (a^2 - b^2)`` and ``K1``, ``K2``
+    are its first and second derivatives in ``tau``; inputs broadcast. With
+    ``z = (a - b) tau``, ``u = (a + b) tau / 2``, ``sinc(z/2) = sin(z/2) / (z/2)``
+    (1 at ``z = 0``) and ``lo, hi`` the smaller and larger of ``a, b``,
+    sum-to-product identities give::
 
-    Parameters
-    ----------
-    a, b : array_like
-        Positive frequencies.
-    tau : array_like
-        Times; the kernel is odd in ``tau`` for orders 0 and 2, even for 1.
-    order : int
-        Derivative order, 0 through 2.
+        c  = tau cos(u) sinc(z/2)
+        K0 = (sin(lo tau) - lo c) / (a + b)
+        K1 = a b tau sin(u) sinc(z/2) / (a + b)
+        K2 = a b (sin(lo tau) + hi c) / (a + b)
+
+    These hold unchanged as ``a`` approaches ``b``, so the degenerate limit
+    needs no branch, and anchoring on the smaller frequency keeps the
+    rounding of the large phase out of ``K0``. ``K0`` and ``K2`` are odd in
+    ``tau``, ``K1`` even.
     """
-    a, b, tau = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(b, dtype=float), np.asarray(tau, dtype=float)
-    )
-    mean = 0.5 * (a + b)
-    degenerate = np.abs(a - b) <= _DEGENERATE_CUT * mean
-    # Avoid 0/0 warnings on the lanes the mask will overwrite.
-    split = np.where(degenerate, 1.0, a * a - b * b)
-    u = mean * tau
-    if order == 0:
-        generic = (a * np.sin(b * tau) - b * np.sin(a * tau)) / split
-        limit = sin_minus_u_cos(u) / (2.0 * mean)
-    elif order == 1:
-        generic = a * b * (np.cos(b * tau) - np.cos(a * tau)) / split
-        limit = 0.5 * u * np.sin(u)
-    elif order == 2:
-        generic = a * b * (a * np.sin(a * tau) - b * np.sin(b * tau)) / split
-        limit = 0.5 * mean * (np.sin(u) + u * np.cos(u))
-    else:
-        raise ValueError(f"order must be 0, 1 or 2, got {order}")
-    return np.where(degenerate, limit, generic)
+    a, b, tau = (np.asarray(v, dtype=float) for v in (a, b, tau))
+    total = a + b
+    scale = a * b / total
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    u = 0.5 * total * tau
+    half_z = 0.5 * (a - b) * tau
+    sinc = np.divide(np.sin(half_z), half_z, out=np.ones_like(half_z), where=half_z != 0.0)
+    sin_lo = np.sin(lo * tau)
+    c = tau * np.cos(u) * sinc
+    return (sin_lo - lo * c) / total, scale * tau * np.sin(u) * sinc, scale * (sin_lo + hi * c)

@@ -152,10 +152,9 @@ class ConditionalKernel:
     sigma3_sq : float
         Momentum precision contributed by a consistent slice.
     offset : numpy.ndarray
-        Reported smearing-center offset, zeroed in the kernel unless
-        ``offset_kept`` is set.
+        Smearing-center offset, reported for diagnosis; the kernel itself is
+        centred with the offset zeroed.
     offset_norm : float
-    offset_kept : bool
     degenerate : bool
     """
 
@@ -170,7 +169,6 @@ class ConditionalKernel:
     sigma3_sq: float
     offset: np.ndarray
     offset_norm: float
-    offset_kept: bool
     degenerate: bool
 
     def conditional_peaks(self, x: float, p: float) -> np.ndarray:
@@ -223,7 +221,6 @@ def conditional_kernel(
     bath: BathSpec,
     sample: CoherentBathSample,
     t: float,
-    keep_offset: bool = False,
     spectral: SpectralDensity | None = None,
 ) -> ConditionalKernel:
     """Assemble the slice-conditioning data from weak-coupling blocks.
@@ -238,9 +235,6 @@ def conditional_kernel(
     sample : CoherentBathSample
     t : float
         Must match the time the blocks were assembled at.
-    keep_offset : bool
-        Retain the smearing-center offset instead of zeroing it. The offset
-        is reported either way.
     spectral : SpectralDensity, optional
         Density to integrate the smearing matrix and slice precision over.
         Defaults to the line spectrum of ``bath``; pass the continuum parent
@@ -287,7 +281,6 @@ def conditional_kernel(
         sigma3_sq=sigma3_squared(spectral, props.system, t),
         offset=offset,
         offset_norm=float(np.linalg.norm(offset)),
-        offset_kept=bool(keep_offset),
         degenerate=degenerate,
     )
 
@@ -361,8 +354,6 @@ def conditional_velocity(
         return float(initial_velocity(sampler, x, system))
 
     x_eval = float(x)
-    if kernel.offset_kept:
-        x_eval += float(kernel.offset[0])
     amplitude = orbit.amplitude
     if abs(x_eval) >= amplitude:
         raise DomainValidityError(
@@ -437,6 +428,4 @@ def conditional_velocity(
         )
     weights = np.exp(log_masses_arr - top)
     momentum = float(np.dot(weights, means) / weights.sum())
-    if kernel.offset_kept:
-        momentum -= float(kernel.offset[1])
     return momentum / mass

@@ -328,9 +328,7 @@ def weak_coupling_matrices(
                 [-m * w * np.sin(angle), np.cos(angle)],
             ]
         )
-        h = -pair_kernel(mode_w, w, t, order=0)
-        h_dot = -pair_kernel(mode_w, w, t, order=1)
-        h_ddot = -pair_kernel(mode_w, w, t, order=2)
+        h, h_dot, h_ddot = (-kernel for kernel in pair_kernel(mode_w, w, t))
 
     b, c = _cross_blocks(bath, m, w, h, h_dot, h_ddot)
 

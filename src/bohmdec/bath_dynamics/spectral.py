@@ -116,7 +116,8 @@ class SpectralDensity:
     Every spectral integral the bath modules need is a method here: a line
     spectrum sums its lines exactly, and the ohmic form uses closed forms in
     the sine and cosine integrals (Abramowitz & Stegun 5.2), so no other
-    module depends on the density's shape.
+    module depends on the density's shape. The ohmic parameters must be
+    finite; NaN or inf raises ``ValueError``.
     """
 
     kind: str
@@ -130,6 +131,8 @@ class SpectralDensity:
             if self.bath is None:
                 raise ValueError("a discrete density requires a bath")
         elif self.kind == "ohmic":
+            if not np.all(np.isfinite([self.damping_rate, self.cutoff, self.mass])):
+                raise ValueError("ohmic density parameters must be finite")
             if self.damping_rate < 0.0:
                 raise ValueError("damping_rate must be non-negative")
             if self.cutoff <= 0.0 or self.mass <= 0.0:
@@ -170,9 +173,9 @@ class SpectralDensity:
         """Memory kernel ``chi`` and its first two derivatives at ``times``.
 
         ``chi(tau) = 2 / (mass b) integral I(omega) K(omega, b, tau) domega``
-        with ``b`` the bare frequency and ``K`` the order-0
+        with ``b`` the bare frequency and ``K`` the kernel ``K0`` of
         :func:`~bohmdec.bath_dynamics._trig.pair_kernel`; the derivatives
-        integrate its orders 1 and 2. For the ohmic form, with
+        integrate its ``K1`` and ``K2``. For the ohmic form, with
         ``s, c = sin(b tau), cos(b tau)``,
         ``dCin = Cin((L+b) tau) - Cin(|L-b| tau)`` and
         ``sumSi = Si((L+b) tau) + Si((L-b) tau)`` at cutoff ``L``::
@@ -196,8 +199,8 @@ class SpectralDensity:
             freqs, weights = self.lines()
             prefactor = 2.0 / (mass * b)
             return [
-                prefactor * (weights @ pair_kernel(freqs[:, None], b, times[None, :], order))
-                for order in range(3)
+                prefactor * (weights @ kernel)
+                for kernel in pair_kernel(freqs[:, None], b, times[None, :])
             ]
         k = 4.0 * self.damping_rate / np.pi * (self.mass / mass)
         cut = self.cutoff

@@ -153,17 +153,19 @@ def solve_g_kernel(
     Raises
     ------
     ValueError
-        If the step is too coarse, or the mass is missing for a line
-        spectrum.
+        If an argument is NaN or inf, the step is too coarse, or the mass is
+        missing for a line spectrum.
     """
-    if bare_frequency <= 0.0:
-        raise ValueError("bare_frequency must be positive")
-    if t_max <= 0.0 or step <= 0.0:
-        raise ValueError("t_max and step must be positive")
     if mass is None:
         if spectral.kind != "ohmic":
             raise ValueError("a line spectrum requires the central mass")
         mass = spectral.mass
+    if not np.all(np.isfinite([bare_frequency, t_max, step, mass])):
+        raise ValueError("bare_frequency, t_max, step and mass must be finite")
+    if bare_frequency <= 0.0:
+        raise ValueError("bare_frequency must be positive")
+    if t_max <= 0.0 or step <= 0.0:
+        raise ValueError("t_max and step must be positive")
     if mass <= 0.0:
         raise ValueError("mass must be positive")
     fastest = max(bare_frequency, spectral.max_frequency)

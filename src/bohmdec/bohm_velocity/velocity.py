@@ -8,20 +8,18 @@ import numpy as np
 
 from ..errors import DomainValidityError, GridCoverageError, UndefinedVelocityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
-from ..phase_space.wigner import WignerField
+from ..phase_space.wigner import WignerField, _trapezoid
 
 __all__ = ["classical_band_margin", "ensemble_velocity", "initial_velocity"]
 
-
-def _trapezoid(values: np.ndarray, step: float) -> np.ndarray:
-    return step * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+# Fraction of the peak density below which a velocity is undefined (node region).
+_DENSITY_FLOOR = 1e-12
 
 
 def ensemble_velocity(
     field: WignerField,
     system: OscillatorSystemSpec,
     x: float | np.ndarray,
-    density_floor: float = 1e-12,
 ) -> float | np.ndarray:
     """Mean velocity ``(integral p W dp) / (m integral W dp)`` at ``x``.
 
@@ -32,9 +30,6 @@ def ensemble_velocity(
     system : OscillatorSystemSpec
     x : float or array_like
         Positions, each within half a grid step of a sampled column.
-    density_floor : float
-        Fraction of the peak position density below which the velocity is
-        undefined (node region).
 
     Returns
     -------
@@ -45,7 +40,8 @@ def ensemble_velocity(
     GridCoverageError
         If a requested position falls outside the sampled grid.
     UndefinedVelocityError
-        If the position density at a requested point is below the floor.
+        If the position density at a requested point is below ``1e-12`` of
+        its peak (node region).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     grid = field.x_grid
@@ -61,12 +57,12 @@ def ensemble_velocity(
         raise GridCoverageError("requested position is not near a grid column")
 
     density = _trapezoid(field.values, field.dp)
-    floor = density_floor * float(density.max())
+    floor = _DENSITY_FLOOR * float(density.max())
     selected = density[index]
     if np.any(selected <= floor):
         dead = x_arr[selected <= floor]
         raise UndefinedVelocityError(
-            f"position density below {density_floor:g} of peak at x = {dead}; "
+            f"position density below {_DENSITY_FLOOR:g} of peak at x = {dead}; "
             "velocity is undefined in node regions"
         )
     flux = _trapezoid(field.p_grid[None, :] * field.values[index], field.dp)
@@ -80,15 +76,13 @@ def initial_velocity(
     psi_sampler: Callable[[np.ndarray], np.ndarray],
     x: float | np.ndarray,
     system: OscillatorSystemSpec,
-    step: float | None = None,
-    density_floor: float = 1e-12,
 ) -> float | np.ndarray:
     """Guidance velocity ``(hbar/m) Im(psi* psi') / |psi|^2`` from a wavefunction.
 
-    The derivative is a fourth-order central difference. When ``step`` is
-    omitted it defaults to one percent of the local wavelength: a first pass
-    at one percent of the ground-state length estimates the local wavenumber
-    and the stencil is re-evaluated at ``min(h0, hbar / (100 m |v|))``.
+    The derivative is a fourth-order central difference with a step of one
+    percent of the local wavelength: a first pass at one percent of the
+    ground-state length estimates the local wavenumber and the stencil is
+    re-evaluated at ``min(h0, hbar / (100 m |v|))``.
 
     Parameters
     ----------
@@ -96,11 +90,6 @@ def initial_velocity(
         Vectorized wavefunction sampler.
     x : float or array_like
     system : OscillatorSystemSpec
-    step : float, optional
-        Explicit stencil step; skips the adaptive pass.
-    density_floor : float
-        Fraction of the peak sampled density below which the velocity is
-        undefined.
 
     Returns
     -------
@@ -109,16 +98,17 @@ def initial_velocity(
     Raises
     ------
     UndefinedVelocityError
-        If ``|psi(x)|^2`` is below the floor at a requested point.
+        If ``|psi(x)|^2`` at a requested point is below ``1e-12`` of the
+        largest sampled density.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     psi_here = np.asarray(psi_sampler(x_arr), dtype=complex)
     density = np.abs(psi_here) ** 2
-    floor = density_floor * float(density.max())
+    floor = _DENSITY_FLOOR * float(density.max())
     if np.any(density <= floor):
         dead = x_arr[density <= floor]
         raise UndefinedVelocityError(
-            f"|psi|^2 below {density_floor:g} of peak at x = {dead}; "
+            f"|psi|^2 below {_DENSITY_FLOOR:g} of peak at x = {dead}; "
             "velocity is undefined in node regions"
         )
 
@@ -130,19 +120,16 @@ def initial_velocity(
         derivative = (upper - lower) / (12.0 * h)
         return scale * np.imag(np.conj(psi_here) * derivative) / density
 
-    if step is not None:
-        velocity = stencil(np.full_like(x_arr, float(step)))
-    else:
-        ground_length = np.sqrt(system.hbar / (system.mass * system.renormalized_frequency))
-        h0 = np.full_like(x_arr, ground_length / 100.0)
-        probe = stencil(h0)
-        wavenumber = system.mass * np.abs(probe) / system.hbar
-        refined = np.where(
-            wavenumber > 0.0,
-            np.minimum(h0, 1.0 / (100.0 * np.maximum(wavenumber, 1e-300))),
-            h0,
-        )
-        velocity = stencil(refined)
+    ground_length = np.sqrt(system.hbar / (system.mass * system.renormalized_frequency))
+    h0 = np.full_like(x_arr, ground_length / 100.0)
+    probe = stencil(h0)
+    wavenumber = system.mass * np.abs(probe) / system.hbar
+    refined = np.where(
+        wavenumber > 0.0,
+        np.minimum(h0, 1.0 / (100.0 * np.maximum(wavenumber, 1e-300))),
+        h0,
+    )
+    velocity = stencil(refined)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(velocity[0])
     return velocity

@@ -18,32 +18,12 @@ _RESCALE_THRESHOLD = 1e250
 _RESCALE_LOG = np.log(_RESCALE_THRESHOLD)
 
 
-def _hermite_mantissas(n: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the normalized recurrence up to level ``n``.
-
-    Returns mantissa arrays for levels ``n-1`` and ``n`` plus the shared
-    per-point log-scale accumulated by overflow rescaling. The represented
-    quantity is ``w_k(xi) = pi**(-1/4) * H_k(xi) / sqrt(2^k k!)`` so that the
-    dimensionless eigenfunction is ``w_k * exp(-xi^2 / 2)``.
-    """
-    prev = np.zeros_like(xi)
-    cur = np.full_like(xi, np.pi**-0.25)
-    log_scale = np.zeros_like(xi)
-    for k in range(n):
-        nxt = np.sqrt(2.0 / (k + 1)) * xi * cur - np.sqrt(k / (k + 1)) * prev
-        prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE_THRESHOLD
-        if np.any(big):
-            prev[big] /= _RESCALE_THRESHOLD
-            cur[big] /= _RESCALE_THRESHOLD
-            log_scale[big] += _RESCALE_LOG
-    return prev, cur, log_scale
-
-
 def eigenfunction_exact(
     n: int, x: np.ndarray, system: OscillatorSystemSpec
 ) -> np.ndarray:
     """Evaluate the normalized level-``n`` eigenfunction at ``x``.
+
+    The level-``n`` row of :func:`eigenfunction_table`.
 
     Parameters
     ----------
@@ -60,15 +40,7 @@ def eigenfunction_exact(
         Real values of the standard (positive leading coefficient) Hermite
         eigenfunction, unit-normalized in ``x``.
     """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
-    xi = alpha * x
-    _, cur, log_scale = _hermite_mantissas(n, xi)
-    with np.errstate(under="ignore"):
-        vals = cur * np.exp(log_scale - 0.5 * xi**2)
-    return np.sqrt(alpha) * vals
+    return eigenfunction_table([n], x, system)[0]
 
 
 def eigenfunction_table(
@@ -79,7 +51,8 @@ def eigenfunction_table(
     Parameters
     ----------
     levels : array_like of int
-        Level indices; the recurrence runs once up to ``max(levels)``.
+        Non-negative integer level indices; the recurrence runs once up to
+        ``max(levels)``.
     x : array_like
         Evaluation points.
     system : OscillatorSystemSpec
@@ -89,15 +62,16 @@ def eigenfunction_table(
     numpy.ndarray
         Array of shape ``(len(levels), len(x))``.
     """
-    levels = np.asarray(levels, dtype=int)
-    if levels.size and levels.min() < 0:
-        raise ValueError("level indices must be non-negative")
+    levels = np.asarray(levels)
+    if levels.dtype.kind not in "iu" or np.any(levels < 0):
+        raise ValueError("level indices must be non-negative integers")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
     xi = alpha * x
     wanted = set(int(k) for k in levels)
     top = max(wanted) if wanted else 0
 
+    # The mantissas carry pi**-0.25 H_k(xi) / sqrt(2^k k!) times exp(-log_scale).
     rows: dict[int, np.ndarray] = {}
     prev = np.zeros_like(xi)
     cur = np.full_like(xi, np.pi**-0.25)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from ..errors import GridCoverageError
@@ -18,6 +19,11 @@ __all__ = [
     "exact_oscillator_wigner",
     "density_matrix_from_wigner",
 ]
+
+# Relative amplitude below which the state is treated as absent, and the
+# largest norm fraction the position axis may miss.
+_ENVELOPE_CUTOFF = 1e-12
+_COVERAGE_TOL = 1e-8
 
 
 def _trapezoid(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
@@ -155,31 +161,39 @@ class WignerField:
         return np.array([mean_x, mean_p]), np.array([[cxx, cxp], [cxp, cpp]])
 
 
+def _sample(
+    sampler: Callable[[np.ndarray], np.ndarray], points: np.ndarray
+) -> np.ndarray:
+    """Evaluate ``sampler`` at ``points``, rejecting NaN or inf amplitudes."""
+    values = np.asarray(sampler(points))
+    if not np.all(np.isfinite(values)):
+        raise ValueError("wavefunction sampler returned NaN or inf")
+    return values
+
+
 def _support_interval(
     sampler: Callable[[np.ndarray], np.ndarray],
     probe_lo: float,
     probe_hi: float,
     probe_step: float,
-    cutoff: float,
-) -> tuple[float, float, float]:
-    """Locate where ``|psi|`` exceeds ``cutoff`` times its peak.
+) -> tuple[float, float]:
+    """Locate where ``|psi|`` exceeds ``_ENVELOPE_CUTOFF`` times its peak.
 
     The probe window is widened until the envelope is below threshold at both
-    ends. Returns ``(lo, hi, peak)``.
+    ends. Returns ``(lo, hi)``.
     """
     lo, hi = probe_lo, probe_hi
     for _ in range(12):
         grid = np.arange(lo, hi + probe_step, probe_step)
-        env = np.abs(sampler(grid))
-        peak = float(env.max())
-        mask = env > cutoff * peak
+        env = np.abs(_sample(sampler, grid))
+        mask = env > _ENVELOPE_CUTOFF * env.max()
         if mask[0] or mask[-1]:
             width = hi - lo
             lo -= 0.5 * width
             hi += 0.5 * width
             continue
         idx = np.nonzero(mask)[0]
-        return float(grid[idx[0]]), float(grid[idx[-1]]), peak
+        return float(grid[idx[0]]), float(grid[idx[-1]])
     raise GridCoverageError("could not bracket the wavefunction support")
 
 
@@ -188,100 +202,90 @@ def wigner_transform(
     grid: GridSpec,
     system: OscillatorSystemSpec,
     time_stamp: float = 0.0,
-    y_step: float | None = None,
-    envelope_cutoff: float = 1e-12,
-    coverage_tol: float = 1e-8,
 ) -> WignerField:
     """Wigner function of a pure state on a phase-space grid.
 
     Evaluates ``W(x, p) = (1/pi hbar) Re integral dy
     psi*(x + y) psi(x - y) exp(2 i p y / hbar)`` by a symmetric trapezoid sum
-    whose step resolves both the grid's fastest phase and the state's own
-    momentum content.
+    in ``y`` with step ``h = dx / k``: the smallest integer ``k`` for which
+    ``h`` resolves both the grid's fastest phase and the state's own momentum
+    content (``h <= 0.2 hbar / p_fast``). Every point ``x_i +- y_j`` then
+    lies on one lattice of step ``h`` centred on the grid, so the
+    wavefunction is sampled once on that lattice and the correlation table
+    ``psi*(x_i + y_j) psi(x_i - y_j)`` is read from strided windows of it.
+    On a symmetric grid the lattice is exactly mirrored, which keeps the
+    field's parity exact.
 
     Parameters
     ----------
     wavefunction_sampler : callable
         Vectorized map from positions to complex amplitudes.
     grid : GridSpec
-        Output grid. The position axis must carry all but ``coverage_tol``
-        of the state's norm.
+        Output grid. The position axis must carry all but ``1e-8`` of the
+        state's norm.
     system : OscillatorSystemSpec
     time_stamp : float
         Recorded on the returned field.
-    y_step : float, optional
-        Override the half-difference quadrature step.
-    envelope_cutoff : float
-        Relative amplitude below which the state is treated as absent.
-    coverage_tol : float
-        Maximum norm fraction allowed outside the position axis.
 
     Returns
     -------
     WignerField
+        Its notes record the quadrature step (``y_step=``) and the largest
+        discarded imaginary part (``imag_residue=``).
 
     Raises
     ------
     GridCoverageError
-        If the grid misses more than ``coverage_tol`` of the state's norm.
+        If the grid misses more than ``1e-8`` of the state's norm.
     ValueError
-        If the discarded imaginary residue exceeds 1e-10 of the field scale.
+        If the sampler returns NaN or inf, or the discarded imaginary residue
+        exceeds 1e-10 of the field scale.
     """
     hbar = system.hbar
     x = grid.x
     p = grid.p
 
     probe_step = min(grid.dx, 0.05 * (x[-1] - x[0]))
-    lo, hi, _ = _support_interval(
-        wavefunction_sampler, float(x[0]), float(x[-1]), probe_step, envelope_cutoff
-    )
+    lo, hi = _support_interval(wavefunction_sampler, float(x[0]), float(x[-1]), probe_step)
 
     fine = np.arange(lo, hi + probe_step / 4.0, probe_step / 4.0)
-    dens = np.abs(wavefunction_sampler(fine)) ** 2
-    total = _trapezoid(dens, probe_step / 4.0)
-    inside_mask = (fine >= x[0]) & (fine <= x[-1])
-    inside = _trapezoid(
-        np.where(inside_mask, dens, 0.0), probe_step / 4.0
-    )
-    leak = 1.0 - inside / total
-    if leak > coverage_tol:
+    dens = np.abs(_sample(wavefunction_sampler, fine)) ** 2
+    inside = np.where((fine >= x[0]) & (fine <= x[-1]), dens, 0.0)
+    leak = 1.0 - _trapezoid(inside, 1.0) / _trapezoid(dens, 1.0)
+    if leak > _COVERAGE_TOL:
         raise GridCoverageError(
             f"position grid misses {leak:.3e} of the state's norm "
-            f"(allowed {coverage_tol:g})"
+            f"(allowed {_COVERAGE_TOL:g})"
         )
 
     # Momentum scales: the output grid's own extreme and the state's
     # semiclassical content estimated from its support half-width.
     p_grid_max = float(np.max(np.abs(p)))
-    p_state = (
-        system.mass * system.renormalized_frequency * 0.5 * (hi - lo)
-    )
-    p_fast = max(p_grid_max, p_state)
-    if y_step is None:
-        y_step = 0.2 * hbar / p_fast
     half_width = 0.5 * (hi - lo)
+    p_state = system.mass * system.renormalized_frequency * half_width
+    p_fast = max(p_grid_max, p_state)
+    k = int(np.ceil(grid.dx * p_fast / (0.2 * hbar)))
+    y_step = grid.dx / k
     n_half = int(np.ceil(half_width / y_step)) + 1
     y = y_step * np.arange(-n_half, n_half + 1)
-    w = np.ones(y.size)
-    w[0] = w[-1] = 0.5
 
-    # F[i, k] = w_k psi*(x_i + y_k) psi(x_i - y_k), assembled in row chunks
-    # to bound the sampler's working set.
-    f_mat = np.empty((x.size, y.size), dtype=complex)
-    chunk = max(1, int(2e5 // y.size))
-    for start in range(0, x.size, chunk):
-        xs = x[start : start + chunk, None]
-        plus = wavefunction_sampler((xs + y[None, :]).ravel()).reshape(-1, y.size)
-        minus = wavefunction_sampler((xs - y[None, :]).ravel()).reshape(-1, y.size)
-        f_mat[start : start + chunk] = np.conj(plus) * minus * w[None, :]
+    # Window i of the lattice is centred on x_i: windows[i, j] = psi(x_i + y_j).
+    n_lattice = (x.size - 1) * k + 2 * n_half
+    centre = 0.5 * (x[0] + x[-1])
+    lattice = centre + y_step * (np.arange(n_lattice + 1) - 0.5 * n_lattice)
+    psi = _sample(wavefunction_sampler, lattice)
+    windows = sliding_window_view(psi, y.size)[::k]
+    f_mat = np.conjugate(windows)
+    f_mat *= windows[:, ::-1]
+    f_mat[:, 0] *= 0.5
+    f_mat[:, -1] *= 0.5
 
     values = np.empty((x.size, p.size))
     worst_imag = 0.0
     p_chunk = 512
     for start in range(0, p.size, p_chunk):
-        pc = p[start : start + p_chunk]
-        e_mat = np.exp(2j * np.outer(y, pc) / hbar)
-        block = f_mat @ e_mat
+        phase = np.outer(y, (2j / hbar) * p[start : start + p_chunk])
+        block = f_mat @ np.exp(phase, out=phase)
         values[:, start : start + p_chunk] = block.real
         worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))
     values *= y_step / (np.pi * hbar)

@@ -75,16 +75,13 @@ class WkbAmplitudes:
     ``exp(+iS/hbar)`` and ``exp(-iS/hbar)``; both vanish identically outside
     the classically allowed region. ``rho_plus``/``rho_minus`` are their
     squared moduli, the branch position densities; their sum integrates to
-    one over the orbit. ``phase_plus``/``phase_minus`` are the amplitude
-    arguments.
+    one over the orbit.
     """
 
     g_plus: Callable[[np.ndarray], np.ndarray]
     g_minus: Callable[[np.ndarray], np.ndarray]
     rho_plus: Callable[[np.ndarray], np.ndarray]
     rho_minus: Callable[[np.ndarray], np.ndarray]
-    phase_plus: Callable[[np.ndarray], np.ndarray]
-    phase_minus: Callable[[np.ndarray], np.ndarray]
     orbit: ClassicalOrbit
 
 
@@ -145,19 +142,11 @@ def wkb_amplitudes(
     def rho_minus(x: np.ndarray) -> np.ndarray:
         return np.abs(g_minus(x)) ** 2
 
-    def phase_plus(x: np.ndarray) -> np.ndarray:
-        return np.angle(g_plus(x))
-
-    def phase_minus(x: np.ndarray) -> np.ndarray:
-        return np.angle(g_minus(x))
-
     return WkbAmplitudes(
         g_plus=g_plus,
         g_minus=g_minus,
         rho_plus=rho_plus,
         rho_minus=rho_minus,
-        phase_plus=phase_plus,
-        phase_minus=phase_minus,
         orbit=orbit,
     )
 

@@ -14,6 +14,8 @@ from .coefficients import MasterEqCoefficients
 __all__ = ["GaussianPropagator", "integrate_propagator", "compose"]
 
 _COND_LIMIT = 1e12
+# Relative tolerance of the adaptive Runge-Kutta integration.
+_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class GaussianPropagator:
 
 
 def integrate_propagator(
-    coeffs: MasterEqCoefficients, t: float, tolerance: float = 1e-9
+    coeffs: MasterEqCoefficients, t: float
 ) -> GaussianPropagator:
     """Integrate the flow ``A' = -K A`` and smearing ``M' = 4 A^-1 J A^-T``.
 
@@ -67,8 +69,6 @@ def integrate_propagator(
     coeffs : MasterEqCoefficients
     t : float
         Target time (non-negative).
-    tolerance : float
-        Relative tolerance of the adaptive Runge-Kutta integration.
 
     Returns
     -------
@@ -109,8 +109,8 @@ def integrate_propagator(
         (0.0, t),
         y0,
         method="DOP853",
-        rtol=tolerance,
-        atol=tolerance * 1e-3,
+        rtol=_RTOL,
+        atol=_RTOL * 1e-3,
         dense_output=False,
     )
     if not sol.success:

@@ -14,18 +14,28 @@ from bohmdec.bath_dynamics import (
     SpectralDensity,
     cl_m_tilde_asymptote,
     cl_sigma3_squared_asymptote,
+    conditional_kernel,
+    conditional_velocity,
     counterterm_bare_frequency,
     discretize_spectral_density,
     exact_bath_matrices,
     m_tilde_matrix,
     reversibility_residuals,
+    sample_bath,
     sigma3_squared,
     solve_g_kernel,
     weak_coupling_matrices,
 )
-from bohmdec.bath_dynamics._trig import cin
+from bohmdec.bath_dynamics._trig import cin, pair_kernel
+from bohmdec.bohm_velocity import initial_velocity
 from bohmdec.errors import CouplingStrengthWarning
-from bohmdec.phase_space import OscillatorSystemSpec
+from bohmdec.phase_space import (
+    OscillatorSystemSpec,
+    band_wavefunction,
+    build_energy_band_state,
+    classical_orbit,
+    wkb_amplitudes,
+)
 from bohmdec.quadratic_master import CaldeiraLeggettParams
 
 ORACLE_DIGITS = 30
@@ -114,6 +124,38 @@ class TestClosedForms:
             float(2 / (hbar * m**2) * s3), rel=1e-12, abs=0.0
         )
 
+    def test_pair_kernel_matches_mpmath_across_degeneracy(self):
+        # a = b (1 + delta): delta = 0 is the degenerate limit, 1e-9 to 5e-8
+        # straddle the old branch cut, the rest are generic pairs on both
+        # sides of b
+        deltas = np.array([0.0, 1e-9, 2e-8, 5e-8, 1e-6, 0.3, -0.5, 3.0])
+        phases = np.array([0.013, 0.9, 3.9, 52.0])
+        b = 1.3
+        a = b * (1.0 + deltas[:, None])
+        tau = phases[None, :] / b
+        got = pair_kernel(a, b, tau)
+        with mp.workdps(50):
+            for i, j in np.ndindex(a.shape):
+                x, y, t = mp.mpf(float(a[i, j])), mp.mpf(b), mp.mpf(float(tau[0, j]))
+                if x == y:
+                    u = x * t
+                    expected = (
+                        (mp.sin(u) - u * mp.cos(u)) / (2 * x),
+                        u * mp.sin(u) / 2,
+                        x * (mp.sin(u) + u * mp.cos(u)) / 2,
+                    )
+                else:
+                    split = x * x - y * y
+                    expected = (
+                        (x * mp.sin(y * t) - y * mp.sin(x * t)) / split,
+                        x * y * (mp.cos(y * t) - mp.cos(x * t)) / split,
+                        x * y * (x * mp.sin(x * t) - y * mp.sin(y * t)) / split,
+                    )
+                for order, value in enumerate(expected):
+                    assert got[order][i, j] == pytest.approx(float(value), rel=1e-11, abs=0.0), (
+                        order, deltas[i], phases[j]
+                    )
+
     def test_discretized_bath_converges_at_second_order(self):
         system = OscillatorSystemSpec()
         params = oracle_params()
@@ -194,20 +236,80 @@ class TestBlocks:
 
 class TestBathSpec:
     @pytest.mark.parametrize(
-        "field", ["masses", "frequencies", "couplings", "thermal_energy", "hbar"]
+        "field",
+        [
+            # BathSpec fields
+            "masses", "frequencies", "couplings", "thermal_energy", "hbar",
+            # ohmic SpectralDensity fields
+            "damping_rate", "cutoff", "mass",
+            # solve_g_kernel arguments
+            "bare_frequency", "t_max", "step",
+        ],
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite(self, field, bad):
-        values = dict(
+        bath = dict(
             masses=np.ones(3),
             frequencies=np.array([1.0, 2.0, 3.0]),
             couplings=np.array([0.1, -0.1, 0.2]),
             thermal_energy=1.0,
             hbar=1.0,
         )
-        if np.ndim(values[field]):
-            values[field][1] = bad
-        else:
-            values[field] = bad
+        ohmic = dict(kind="ohmic", damping_rate=1e-2, cutoff=20.0, mass=1.0)
+        solver = dict(bare_frequency=1.0, t_max=1.0, step=0.01)
+        for values in (bath, ohmic, solver):
+            if field not in values:
+                continue
+            if np.ndim(values[field]):
+                values[field][1] = bad
+            else:
+                values[field] = bad
         with pytest.raises(ValueError, match="finite"):
-            BathSpec(**values)
+            BathSpec(**bath)
+            solve_g_kernel(SpectralDensity(**ohmic), **solver)
+
+
+class TestSampling:
+    def test_thermal_moments_and_seed_reproducibility(self):
+        n_modes = 4000
+        mass, frequency, thermal_energy, hbar = 1.3, 2.0, 1.5, 0.7
+        bath = BathSpec(
+            masses=np.full(n_modes, mass),
+            frequencies=np.full(n_modes, frequency),
+            couplings=np.full(n_modes, 0.01),
+            thermal_energy=thermal_energy,
+            hbar=hbar,
+        )
+        occupancy = 1.0 / np.expm1(hbar * frequency / thermal_energy)
+        width_sq = hbar / (mass * frequency)
+        sample = sample_bath(bath, seed=11)
+        for draws, variance in (
+            (sample.positions, width_sq * occupancy),
+            (sample.momenta, hbar**2 / width_sq * occupancy),
+        ):
+            # standard error of a Gaussian sample variance
+            standard_error = variance * np.sqrt(2.0 / (n_modes - 1))
+            assert abs(np.mean(draws**2) - variance) < 5.0 * standard_error
+        again = sample_bath(bath, seed=11)
+        assert np.array_equal(again.positions, sample.positions)
+        assert np.array_equal(again.momenta, sample.momenta)
+        assert not np.array_equal(sample_bath(bath, seed=12).positions, sample.positions)
+
+
+class TestConditionalVelocity:
+    def test_degenerate_kernel_falls_back_to_initial_velocity(self):
+        system = OscillatorSystemSpec()
+        # couplings inside the weak-coupling bound, so no regime warning
+        params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)
+        bath = discretize_spectral_density(params, system, 64)
+        props = weak_coupling_matrices(bath, system, 0.0, small_angle=True)
+        sample = sample_bath(bath, seed=3)
+        kernel = conditional_kernel(props, bath, sample, 0.0)
+        assert kernel.degenerate and kernel.minv is None
+        state = build_energy_band_state(50, 8)
+        orbit = classical_orbit(state, system)
+        wkb = wkb_amplitudes(state, orbit, system)
+        psi = band_wavefunction(state, system)
+        for x in (-3.1, 0.4, 5.2):
+            v = conditional_velocity(state, orbit, wkb, kernel, x, sample.positions)
+            assert v == initial_velocity(psi, x, system)

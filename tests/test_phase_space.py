@@ -164,6 +164,11 @@ class TestEigenfunctions:
         for row, n in zip(table, (48, 50, 52)):
             assert np.allclose(row, eigenfunction_exact(n, xs, natural_system))
 
+    @pytest.mark.parametrize("level", [-1, 10.7, np.nan, np.inf])
+    def test_rejects_invalid_level(self, natural_system, level):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            eigenfunction_exact(level, np.array([0.3]), natural_system)
+
 
 class TestWkb:
     def test_requires_semiclassical_state(self, natural_system):
@@ -333,6 +338,35 @@ class TestWignerTransform:
         flipped = field.values[::-1, ::-1]
         scale = np.max(np.abs(field.values))
         assert np.max(np.abs(field.values - flipped)) < 1e-13 * scale
+
+    def test_samples_one_lattice(self, natural_system):
+        # every point x_i +- y_j lies on one lattice, sampled in one call
+        # after the support probe and the coverage pass
+        st = build_energy_band_state(50, 8)
+        grid = GridSpec.for_orbit(classical_orbit(st, natural_system))
+        psi = band_wavefunction(st, natural_system)
+        sizes = []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return psi(x)
+
+        wigner_transform(counted, grid, natural_system)
+        assert len(sizes) == 3
+        assert sum(sizes) < 50_000
+
+    def test_nonfinite_sampler_rejected(self, natural_system):
+        st = build_energy_band_state(12, 2)
+        grid = _wide_grid(classical_orbit(st, natural_system))
+        psi = band_wavefunction(st, natural_system)
+
+        def broken(x):
+            values = psi(x)
+            values[values.size // 2] = np.nan
+            return values
+
+        with pytest.raises(ValueError, match="NaN"):
+            wigner_transform(broken, grid, natural_system)
 
     def test_coverage_precondition(self, natural_system):
         st = build_energy_band_state(0, 0)
