@@ -389,6 +389,12 @@ def _cross_product_blocks(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.transpose(cross, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
 
 
+def _spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, from the top eigenvalue of the smaller Gram matrix."""
+    gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
 def reversibility_residuals(
     forward: BathPropagators, backward: BathPropagators
 ) -> dict[str, float]:
@@ -440,4 +446,4 @@ def reversibility_residuals(
     residuals["inverse_schur_center"] = (
         a_b - b_b_row @ d_inv_backward @ c_b_col - a_f_inv
     )
-    return {name: float(np.linalg.norm(res, 2)) for name, res in residuals.items()}
+    return {name: _spectral_norm(res) for name, res in residuals.items()}

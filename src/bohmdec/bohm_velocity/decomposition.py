@@ -35,8 +35,8 @@ class MInverseParams:
     """Entries of the inverse smearing matrix, ``((a, c), (c, b))``.
 
     ``delta`` is its determinant. Consistency ``delta = a b - c^2`` is
-    enforced to 1e-10 relative; ``b`` and ``delta`` must be positive, which
-    makes the quadratic form positive definite.
+    enforced to 1e-10 relative; every field must be finite and ``b`` and
+    ``delta`` positive, which makes the quadratic form positive definite.
     """
 
     a: float
@@ -45,6 +45,8 @@ class MInverseParams:
     delta: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.a, self.c, self.b, self.delta])):
+            raise ValueError("MInverseParams fields must be finite")
         if self.b <= 0.0:
             raise ValueError("MInverseParams.b must be positive")
         if self.delta <= 0.0:

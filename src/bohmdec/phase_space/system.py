@@ -87,7 +87,7 @@ class EnergyBandState:
                 f"got shape {coeffs.shape}"
             )
         norm = float(np.sum(np.abs(coeffs) ** 2))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN and inf
             raise ValueError(
                 "EnergyBandState coefficients must be normalized: "
                 f"sum |c_r|^2 = {norm!r} differs from 1 by more than 1e-12"

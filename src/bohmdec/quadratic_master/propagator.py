@@ -68,7 +68,7 @@ def integrate_propagator(
     ----------
     coeffs : MasterEqCoefficients
     t : float
-        Target time (non-negative).
+        Target time (finite and non-negative).
 
     Returns
     -------
@@ -80,6 +80,8 @@ def integrate_propagator(
         If the flow matrix becomes too ill-conditioned to invert reliably
         (condition number above 1e12) or the integrator fails.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"propagator time must be finite, got {t!r}")
     if t < 0.0:
         raise ValueError("propagator time must be non-negative")
     if t == 0.0:

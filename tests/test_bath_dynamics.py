@@ -27,6 +27,7 @@ from bohmdec.bath_dynamics import (
     weak_coupling_matrices,
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel
+from bohmdec.bath_dynamics.matrices import _spectral_norm
 from bohmdec.bohm_velocity import initial_velocity
 from bohmdec.errors import CouplingStrengthWarning
 from bohmdec.phase_space import (
@@ -203,6 +204,11 @@ class TestSolveGKernel:
             residuals.append(max(reversibility_residuals(forward, backward).values()))
         ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
         assert np.all(ratios >= 12.0), (residuals, ratios)
+
+    @pytest.mark.parametrize("shape", [(40, 40), (12, 70), (70, 12)])
+    def test_spectral_norm_matches_svd(self, shape):
+        mat = np.random.default_rng(5).standard_normal(shape)
+        assert _spectral_norm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
 
 
 class TestBlocks:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from bohmdec.bohm_velocity import (
@@ -74,13 +76,31 @@ class TestMInverseParams:
         assert minv.b == pytest.approx(ref[1, 1], rel=1e-12)
         assert minv.delta == pytest.approx(1.0 / np.linalg.det(m), rel=1e-12)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, np.pi))
+    def test_from_m_matrix_round_trips_inverse(self, log_l1, log_l2, angle):
+        # symmetric positive definite M with condition number up to 1e4
+        rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        m = rot @ np.diag([10.0**log_l1, 10.0**log_l2]) @ rot.T
+        m = 0.5 * (m + m.T)
+        minv = MInverseParams.from_m_matrix(m)
+        inverse = np.array([[minv.a, minv.c], [minv.c, minv.b]])
+        np.testing.assert_allclose(inverse @ m, np.eye(2), rtol=0.0, atol=1e-11)
+        assert minv.delta * np.linalg.det(m) == pytest.approx(1.0, rel=1e-11)
+
     def test_rejects_inconsistent_determinant(self):
         with pytest.raises(ValueError, match="delta"):
             MInverseParams(a=1.0, c=0.0, b=1.0, delta=0.9)
 
     @pytest.mark.parametrize(
         "a, c, b, delta",
-        [(1.0, 0.0, -1.0, -1.0), (-1.0, 0.0, 1.0, -1.0), (1.0, 2.0, 1.0, -3.0)],
+        [
+            (1.0, 0.0, -1.0, -1.0),
+            (-1.0, 0.0, 1.0, -1.0),
+            (1.0, 2.0, 1.0, -3.0),
+            (np.nan, 0.0, np.nan, np.nan),
+            (np.inf, 0.0, 1.0, np.inf),
+        ],
     )
     def test_rejects_nonpositive_shape(self, a, c, b, delta):
         with pytest.raises(ValueError):

@@ -74,9 +74,12 @@ class TestEnergyBandState:
         with pytest.raises(ValueError, match="negative"):
             build_energy_band_state(1, 4)
 
-    def test_rejects_unnormalized_coefficients(self):
+    @pytest.mark.parametrize(
+        "coefficients", [[0.5, 0.5, 0.5], [np.nan, 1.0, 1.0], [np.inf, 0.0, 0.0]]
+    )
+    def test_rejects_unnormalized_coefficients(self, coefficients):
         with pytest.raises(ValueError, match="normalized"):
-            build_energy_band_state(50, 2, [0.5, 0.5, 0.5])
+            build_energy_band_state(50, 2, coefficients)
 
     def test_rejects_wrong_coefficient_count(self):
         with pytest.raises(ValueError, match="coefficients"):
@@ -354,6 +357,42 @@ class TestWignerTransform:
         wigner_transform(counted, grid, natural_system)
         assert len(sizes) == 3
         assert sum(sizes) < 50_000
+
+    @pytest.mark.parametrize(
+        "p_lo, p_hi, n_p", [(-2.3, 6.1, 400), (26.0, 34.0, 401), (-9.0, 1.0, 300)]
+    )
+    def test_boosted_coherent_state_on_off_centre_momentum_grid(
+        self, natural_system, p_lo, p_hi, n_p
+    ):
+        x0, p0 = 1.3, 0.5 * (p_lo + p_hi) + 0.4
+        grid = GridSpec(x=np.linspace(-8.0, 8.0, 321), p=np.linspace(p_lo, p_hi, n_p))
+
+        def psi(x):
+            return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
+
+        field = wigner_transform(psi, grid, natural_system)
+        exact = np.exp(
+            -((grid.x[:, None] - x0) ** 2) - (grid.p[None, :] - p0) ** 2
+        ) / np.pi
+        assert np.max(np.abs(field.values - exact)) < 1e-12 / np.pi
+
+    def test_rows_match_dense_sum(self, natural_system):
+        # plain trapezoid sum over the transform's own step, every column
+        st = build_energy_band_state(50, 8)
+        grid = GridSpec.for_orbit(classical_orbit(st, natural_system))
+        psi = band_wavefunction(st, natural_system)
+        field = wigner_transform(psi, grid, natural_system)
+        note = next(n for n in field.notes if n.startswith("y_step="))
+        h = float(note.split("=")[1])
+        ys = h * np.arange(-int(18.0 / h), int(18.0 / h) + 1)
+        rows = [len(grid.x) // 2, len(grid.x) // 3, len(grid.x) // 7, 5 * len(grid.x) // 6]
+        corr = np.array([np.conj(psi(grid.x[i] + ys)) * psi(grid.x[i] - ys) for i in rows])
+        ref = np.concatenate([
+            np.exp((2j / natural_system.hbar) * np.outer(part, ys)) @ corr.T
+            for part in np.array_split(grid.p, 8)
+        ]).real.T * h / (np.pi * natural_system.hbar)
+        scale = np.max(np.abs(field.values))
+        assert np.max(np.abs(field.values[rows] - ref)) < 1e-12 * scale
 
     def test_nonfinite_sampler_rejected(self, natural_system):
         st = build_energy_band_state(12, 2)

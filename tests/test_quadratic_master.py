@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from bohmdec.errors import DomainValidityError, NumericalFailureError
@@ -36,6 +38,24 @@ from conftest import widen_momentum_axis
 def default_cl(system: OscillatorSystemSpec) -> MasterEqCoefficients:
     params = CaldeiraLeggettParams(damping_rate=0.01, thermal_energy=10.0, cutoff=100.0)
     return assemble_cl_coefficients(system, params)
+
+
+# Property tests are derandomized so the suite gives the same verdict on
+# every run.
+properties = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+entry = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def propagators(draw) -> GaussianPropagator:
+    """Propagator with a well-conditioned flow and a PSD smearing matrix."""
+    # diagonal in [1.5, 3.5], off-diagonal within 1: diagonally dominant
+    perturbation = np.array(draw(st.lists(entry, min_size=4, max_size=4))).reshape(2, 2)
+    a = 2.5 * np.eye(2) + 0.5 * perturbation
+    low = np.array(draw(st.lists(entry, min_size=3, max_size=3)))
+    chol = np.array([[low[0], 0.0], [low[1], low[2]]])
+    t = draw(st.floats(0.0, 3.0))
+    return GaussianPropagator(t=t, a=a, m=chol @ chol.T)
 
 
 def symmetric_grid(half_span: float, step: float) -> np.ndarray:
@@ -224,6 +244,25 @@ class TestIntegratePropagator:
         np.testing.assert_allclose(joined.a, direct.a, atol=1e-9)
         np.testing.assert_allclose(joined.m, direct.m, atol=1e-9)
 
+    @properties
+    @given(propagators(), propagators(), propagators())
+    def test_compose_is_associative(self, first, second, third):
+        left = compose(compose(first, second), third)
+        right = compose(first, compose(second, third))
+        assert left.t == pytest.approx(right.t, rel=1e-15, abs=0.0)
+        np.testing.assert_allclose(left.a, right.a, rtol=1e-12, atol=1e-12)
+        scale = max(1.0, float(np.abs(left.m).max()))
+        np.testing.assert_allclose(left.m, right.m, rtol=0.0, atol=1e-12 * scale)
+
+    @properties
+    @given(st.floats(0.01, 1.5), st.floats(0.01, 1.5))
+    def test_compose_matches_direct_for_constant_coefficients(self, t1, t2):
+        coeffs = default_cl(OscillatorSystemSpec())
+        joined = compose(integrate_propagator(coeffs, t1), integrate_propagator(coeffs, t2))
+        direct = integrate_propagator(coeffs, t1 + t2)
+        np.testing.assert_allclose(joined.a, direct.a, atol=1e-9)
+        np.testing.assert_allclose(joined.m, direct.m, atol=1e-9)
+
     def test_m_symmetric_psd_along_horizon(self, natural_system):
         coeffs = default_cl(natural_system)
         for t in (0.2, 0.5, 1.0, 2.0, 4.0):
@@ -239,6 +278,11 @@ class TestIntegratePropagator:
         coeffs = assemble_cl_coefficients(natural_system, params)
         with pytest.raises(NumericalFailureError):
             integrate_propagator(coeffs, 0.3)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_time(self, natural_system, t):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_propagator(default_cl(natural_system), t)
 
     def test_propagator_validation(self):
         with pytest.raises(ValueError):
