@@ -16,6 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
+from scipy.optimize import brentq
 
 from ..bohm_velocity import (
     MInverseParams,
@@ -35,10 +36,6 @@ __all__ = [
     "conditional_smearing_time",
 ]
 
-_SCAN_POINTS = 64
-_BISECTION_REL = 1e-12
-_RESIDUAL_REL = 1e-10
-
 
 def conditional_smearing_time(
     system: OscillatorSystemSpec,
@@ -47,11 +44,12 @@ def conditional_smearing_time(
 ) -> float:
     """Time at which conditional smearing first resolves the orbit.
 
-    Solves ``omega gamma t^2 ln(cutoff t) = lambda_B / x_max`` by a
-    log-spaced scan over ``[10/cutoff, 1/(10 gamma)]`` followed by bisection.
-    The left-hand side is the leading growth of the conditional position
-    spread in orbit units; the right-hand side is the interference scale it
-    must beat.
+    Solves ``omega gamma t^2 ln(cutoff t) = lambda_B / x_max`` on
+    ``[10/cutoff, 1/(10 gamma)]`` with Brent's method. The left-hand side is
+    the leading growth of the conditional position spread in orbit units;
+    the right-hand side is the interference scale it must beat. Its
+    derivative ``omega gamma t (2 ln(cutoff t) + 1)`` is positive on the
+    window, so a sign change at the two ends brackets the only root.
 
     Returns
     -------
@@ -60,8 +58,8 @@ def conditional_smearing_time(
     Raises
     ------
     NumericalFailureError
-        If no sign change exists inside the scan window or bisection fails
-        to meet the residual tolerance.
+        If the window is empty or the residual does not change sign across
+        it.
     """
     omega = system.renormalized_frequency
     gamma = cl_params.damping_rate
@@ -78,29 +76,15 @@ def conditional_smearing_time(
             "conditional smearing-time window is empty: 10/cutoff = "
             f"{lo:g} is not below 1/(10 gamma) = {hi:g}"
         )
-    grid = np.geomspace(lo, hi, _SCAN_POINTS)
-    values = np.array([residual(t) for t in grid])
-    crossings = np.nonzero((values[:-1] <= 0.0) & (values[1:] > 0.0))[0]
-    if crossings.size == 0:
+    ends = residual(lo), residual(hi)
+    if not (ends[0] <= 0.0 < ends[1]):
         raise NumericalFailureError(
             "no conditional smearing-time crossing in "
-            f"[{lo:g}, {hi:g}]: residual spans "
-            f"[{values.min():g}, {values.max():g}]"
+            f"[{lo:g}, {hi:g}]: residual spans [{min(ends):g}, {max(ends):g}]"
         )
-    a, b = float(grid[crossings[0]]), float(grid[crossings[0] + 1])
-    while b - a > _BISECTION_REL * b:
-        mid = 0.5 * (a + b)
-        if residual(mid) > 0.0:
-            b = mid
-        else:
-            a = mid
-    root = 0.5 * (a + b)
-    if abs(residual(root)) > _RESIDUAL_REL * target:
-        raise NumericalFailureError(
-            "conditional smearing-time bisection stalled: residual "
-            f"{residual(root):g} exceeds tolerance at t = {root:g}"
-        )
-    return root
+    # the root is at least lo, so both tolerances are relative, near rounding
+    eps = np.finfo(float).eps
+    return float(brentq(residual, lo, hi, xtol=1e-15 * lo, rtol=4.0 * eps))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ grid is involved.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..bohm_velocity import (
@@ -34,8 +36,6 @@ from ..quadratic_master import CaldeiraLeggettParams
 from .matrices import BathPropagators, _flip_time
 from .sampling import CoherentBathSample
 from .spectral import BathSpec, SpectralDensity
-
-from dataclasses import dataclass
 
 __all__ = [
     "ConditionalKernel",
@@ -154,8 +154,6 @@ class ConditionalKernel:
     offset : numpy.ndarray
         Smearing-center offset, reported for diagnosis; the kernel itself is
         centred with the offset zeroed.
-    offset_norm : float
-    degenerate : bool
     """
 
     time: float
@@ -168,8 +166,15 @@ class ConditionalKernel:
     minv: MInverseParams | None
     sigma3_sq: float
     offset: np.ndarray
-    offset_norm: float
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the kernel has no inverse (no modes, or zero time)."""
+        return self.minv is None
+
+    @property
+    def offset_norm(self) -> float:
+        return float(np.linalg.norm(self.offset))
 
     def conditional_peaks(self, x: float, p: float) -> np.ndarray:
         """Most likely slice position of every mode given the central point."""
@@ -202,18 +207,6 @@ class ConditionalKernel:
         q1 = 2.0 * float(np.dot(scale, const * linear))
         q2 = float(np.dot(scale, linear**2))
         return q0, q1, q2
-
-    def validity_margins(self, orbit: ClassicalOrbit) -> dict[str, float]:
-        """Spread margins of the branch decomposition under this kernel.
-
-        Uses the same margin convention as the reduced-propagator window:
-        values at or above one pass. The chord margin is reported for
-        diagnosis but does not gate the velocity, because the interference
-        term it controls is carried explicitly through its envelope bound.
-        """
-        if self.minv is None:
-            raise ValueError("a degenerate kernel has no decomposition window")
-        return dict(validity_window(self.minv, orbit, self.system).margins)
 
 
 def conditional_kernel(
@@ -264,10 +257,8 @@ def conditional_kernel(
     m_tilde = m_tilde_matrix(spectral, props.system, t)
     try:
         minv = MInverseParams.from_m_matrix(m_tilde)
-        degenerate = False
     except ValueError:
         minv = None
-        degenerate = True
 
     return ConditionalKernel(
         time=float(t),
@@ -280,8 +271,6 @@ def conditional_kernel(
         minv=minv,
         sigma3_sq=sigma3_squared(spectral, props.system, t),
         offset=offset,
-        offset_norm=float(np.linalg.norm(offset)),
-        degenerate=degenerate,
     )
 
 
@@ -306,12 +295,14 @@ def conditional_velocity(
 ) -> float:
     """Guidance velocity at ``x`` conditioned on a position slice of the modes.
 
-    The conditioned distribution is assembled as the two branch Gaussians
-    plus, when not negligible, the interference term taken at its envelope
-    bound (unit phase), everything multiplied by the Gaussian slice weight.
-    Each term is then an exact Gaussian in momentum, so the flux and density
-    integrals reduce to closed-form masses and means, combined in the log
-    domain.
+    The conditioned distribution is the decomposition's three momentum
+    Gaussians (:meth:`SemiclassicalDecomposition.gaussian_terms`: the two
+    branches and the interference term at its envelope bound, unit phase)
+    times the slice weight ``exp[-(q0 + q1 p + q2 p^2)]``. Completing the
+    square once for all three leaves exact Gaussians in momentum, so the
+    flux and density integrals reduce to closed-form masses and means,
+    combined in the log domain. The envelope is dropped when its peak is
+    below ``1e-6`` of the larger branch peak.
 
     The position-spread margin of the decomposition and the turning-zone
     distance gate the evaluation; the chord margin is computed for diagnosis
@@ -361,7 +352,7 @@ def conditional_velocity(
         )
     zone = _turning_zone_length(orbit, system)
     turning_margin = (amplitude - abs(x_eval)) / zone
-    margins = kernel.validity_margins(orbit)
+    margins = validity_window(kernel.minv, orbit, system).margins
     if margins["position_spread"] < 1.0 or turning_margin < 1.0:
         failing = {"position_spread": margins["position_spread"], "turning_zone": turning_margin}
         failing = {k: v for k, v in failing.items() if v < 1.0}
@@ -371,61 +362,31 @@ def conditional_velocity(
         )
 
     decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
-    p_cl = float(orbit.classical_momentum(x_eval))
-    rho_plus = float(decomp.rho_plus(x_eval)[0])
-    rho_minus = float(decomp.rho_minus(x_eval)[0])
+    log_weight, centre, precision = (
+        term[:, 0] for term in decomp.gaussian_terms(x_eval)
+    )
     q0, q1, q2 = kernel.slice_quadratic(np.asarray(bath_slice, dtype=float), x_eval)
 
-    log_masses: list[float] = []
-    means: list[float] = []
-    log_peaks: list[float] = []
-    reference = -np.inf
-    for sign, rho in ((1.0, rho_plus), (-1.0, rho_minus)):
-        if rho <= 0.0:
-            continue
-        sigma = float(
-            decomp.sigma_plus(x_eval)[0] if sign > 0 else decomp.sigma_minus(x_eval)[0]
-        )
-        curvature = sigma**2 + q2
-        slope = 2.0 * sigma**2 * sign * p_cl - q1
-        const = -(sigma**2) * p_cl**2 - q0 + np.log(sigma / np.sqrt(np.pi)) + np.log(rho)
-        log_peak = const + slope**2 / (4.0 * curvature)
-        log_masses.append(log_peak + 0.5 * np.log(np.pi / curvature))
-        means.append(slope / (2.0 * curvature))
-        log_peaks.append(log_peak)
-        reference = max(
-            reference, np.log(rho) + np.log(sigma) - 0.5 * np.log(curvature)
-        )
-
-    if not log_masses:
+    # Term k times the slice weight is exp(const - curvature p^2 + slope p).
+    curvature = precision + q2
+    slope = 2.0 * precision * centre - q1
+    log_peak = log_weight - precision * centre**2 - q0 + slope**2 / (4.0 * curvature)
+    log_mass = log_peak + 0.5 * np.log(np.pi / curvature)
+    # the largest branch mass any slice could leave (its weight centred on the
+    # branch); the representable floor is measured from it
+    reference = float(np.max(log_weight[:2] + 0.5 * np.log(np.pi / curvature[:2])))
+    if reference == -np.inf:
         raise UndefinedVelocityError(
             f"no branch density at x = {x_eval:g}; the conditioned velocity is undefined"
         )
+    if log_peak[2] <= log_peak[:2].max() + np.log(_ENVELOPE_INCLUSION):
+        log_mass[2] = -np.inf
 
-    if rho_plus > 0.0 and rho_minus > 0.0:
-        sigma1 = float(decomp.sigma_1(x_eval)[0])
-        sigma2 = float(decomp.sigma_2(x_eval)[0])
-        drift = float(decomp.beta(x_eval)[0])
-        curvature = sigma2**2 + q2
-        slope = -2.0 * sigma2**2 * drift * p_cl - q1
-        const = (
-            0.5 * np.log(4.0 * system.hbar * sigma1 * sigma2 * np.sqrt(kernel.minv.delta) / np.pi)
-            + 0.5 * (np.log(rho_plus) + np.log(rho_minus))
-            - sigma1**2 * p_cl**2
-            - sigma2**2 * drift**2 * p_cl**2
-            - q0
-        )
-        log_peak = const + slope**2 / (4.0 * curvature)
-        if log_peak > max(log_peaks) + np.log(_ENVELOPE_INCLUSION):
-            log_masses.append(log_peak + 0.5 * np.log(np.pi / curvature))
-            means.append(slope / (2.0 * curvature))
-
-    log_masses_arr = np.asarray(log_masses)
-    top = float(log_masses_arr.max())
+    top = float(log_mass.max())
     if top < reference - _LOG_MASS_FLOOR:
         raise UndefinedVelocityError(
             "the bath slice suppresses every branch below the representable floor"
         )
-    weights = np.exp(log_masses_arr - top)
-    momentum = float(np.dot(weights, means) / weights.sum())
+    weights = np.exp(log_mass - top)
+    momentum = float(np.dot(weights, slope / (2.0 * curvature)) / weights.sum())
     return momentum / mass

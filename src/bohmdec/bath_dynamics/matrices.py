@@ -32,7 +32,6 @@ __all__ = [
     "weak_coupling_matrices",
 ]
 
-_DENSE_MODE_LIMIT = 64
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -108,8 +107,8 @@ class BathPropagators:
         Diagonal free-rotation part of the mode-to-mode blocks, ``(N, 2, 2)``.
     d_corrections : numpy.ndarray or None
         Off-diagonal-capable corrections, ``(N, N, 2, 2)``; ``None`` when not
-        assembled (always in weak-coupling mode, and for large exact baths
-        unless requested).
+        assembled (always in weak-coupling mode, and for exact blocks unless
+        requested).
     """
 
     time: float
@@ -162,7 +161,7 @@ def exact_bath_matrices(
     system: OscillatorSystemSpec,
     g_table: GKernelTable,
     t: float,
-    include_d_corrections: bool | None = None,
+    include_d_corrections: bool = False,
 ) -> BathPropagators:
     """Assemble the exact transfer blocks at time ``t`` from a response table.
 
@@ -180,9 +179,9 @@ def exact_bath_matrices(
     g_table : GKernelTable
     t : float
     include_d_corrections : bool, optional
-        Assemble the ``(N, N, 2, 2)`` mode-to-mode corrections. Defaults to
-        ``True`` for baths of at most 64 modes; the quadratic memory cost is
-        opt-in above that.
+        Assemble the ``(N, N, 2, 2)`` mode-to-mode corrections, which
+        :func:`reversibility_residuals` needs. Off by default: their memory
+        cost is quadratic in the mode count.
 
     Returns
     -------
@@ -194,8 +193,6 @@ def exact_bath_matrices(
         )
     if abs(g_table.mass - system.mass) > 1e-12 * system.mass:
         raise ValueError("g_table was solved for a different central mass")
-    if include_d_corrections is None:
-        include_d_corrections = bath.n_modes <= _DENSE_MODE_LIMIT
 
     index = g_table.node_index(t)
     nodes = g_table.times[: index + 1]

@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import DomainValidityError, NumericalFailureError
+from ..errors import DomainValidityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..phase_space.wkb import WkbAmplitudes
 from ..quadratic_master.coefficients import CaldeiraLeggettParams
@@ -183,66 +183,112 @@ class SemiclassicalDecomposition:
             )
         return self.wkb
 
-    def _slope(self, x: np.ndarray) -> np.ndarray:
-        return self.orbit.classical_momentum_derivative(x)
+    def _widths(self, x: float | np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(sigma_plus, sigma_minus, sigma_1, sigma_2, beta)`` at ``x``."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = self.orbit.classical_momentum_derivative(x)
+        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
+        hbar = self.orbit.system.hbar
+        inner = hbar**2 * a * delta + b * p**2
+        # the sigma_2 denominator, factored (see sigma_2)
+        envelope = hbar**2 * (a - b * p**2) ** 2 + (1.0 + hbar**2 * delta) ** 2 * p**2
+        return (
+            np.sqrt(delta / (a + 2.0 * c * p + b * p**2)),
+            np.sqrt(delta / (a - 2.0 * c * p + b * p**2)),
+            np.sqrt(delta / inner),
+            np.sqrt(inner / envelope),
+            c * (1.0 + hbar**2 * delta) * p / inner,
+        )
 
     def sigma_plus(self, x: float | np.ndarray) -> np.ndarray:
         """Momentum-width parameter of the right-moving branch."""
-        return self._branch_sigma(x, +1.0)
+        return self._widths(x)[0]
 
     def sigma_minus(self, x: float | np.ndarray) -> np.ndarray:
         """Momentum-width parameter of the left-moving branch."""
-        return self._branch_sigma(x, -1.0)
-
-    def _branch_sigma(self, x: float | np.ndarray, sign: float) -> np.ndarray:
-        p = self._slope(np.atleast_1d(np.asarray(x, dtype=float)))
-        minv = self.minv
-        denominator = minv.a + sign * 2.0 * minv.c * p + minv.b * p**2
-        return np.sqrt(minv.delta / denominator)
+        return self._widths(x)[1]
 
     def sigma_1(self, x: float | np.ndarray) -> np.ndarray:
         """Suppression width: the envelope carries ``exp(-sigma_1^2 p_cl^2)``."""
-        p = self._slope(np.atleast_1d(np.asarray(x, dtype=float)))
-        minv = self.minv
-        hbar = self.orbit.system.hbar
-        return np.sqrt(minv.delta / (hbar**2 * minv.a * minv.delta + minv.b * p**2))
+        return self._widths(x)[2]
 
     def sigma_2(self, x: float | np.ndarray) -> np.ndarray:
-        """Momentum-width parameter of the interference envelope."""
-        p = self._slope(np.atleast_1d(np.asarray(x, dtype=float)))
-        minv = self.minv
-        hbar = self.orbit.system.hbar
-        numerator = hbar**2 * minv.a * minv.delta + minv.b * p**2
-        denominator = (
-            hbar**2 * minv.a**2
-            + (1.0 - 2.0 * hbar**2 * minv.c**2 + hbar**4 * minv.delta**2) * p**2
-            + hbar**2 * minv.b**2 * p**4
-        )
-        if np.any(denominator[np.isfinite(denominator)] <= 0.0):
-            raise NumericalFailureError(
-                "interference width parameter lost positivity"
-            )
-        return np.sqrt(numerator / denominator)
+        """Momentum-width parameter of the interference envelope.
+
+        ``sigma_2^2 = (hbar^2 a delta + b p'^2) / D`` with the denominator
+        written as ``D = hbar^2 (a - b p'^2)^2 + (1 + hbar^2 delta)^2 p'^2``
+        (``p' = p_cl'(x)``; the expanded quartic regrouped with
+        ``delta = a b - c^2``). Both terms are squares and ``a > 0`` for a
+        positive-definite kernel, so ``D > 0`` at every position.
+        """
+        return self._widths(x)[3]
 
     def beta(self, x: float | np.ndarray) -> np.ndarray:
         """Drift of the interference ridge in units of ``p_cl``."""
-        p = self._slope(np.atleast_1d(np.asarray(x, dtype=float)))
-        minv = self.minv
-        hbar = self.orbit.system.hbar
-        return (
-            minv.c
-            * (1.0 + hbar**2 * minv.delta)
-            * p
-            / (hbar**2 * minv.a * minv.delta + minv.b * p**2)
-        )
+        return self._widths(x)[4]
 
     def rho_plus(self, x: float | np.ndarray) -> np.ndarray:
         """Right-moving branch position density."""
-        return self._require_wkb().rho_plus(np.atleast_1d(np.asarray(x, dtype=float)))
+        return self._require_wkb().rho_plus(x)
 
     def rho_minus(self, x: float | np.ndarray) -> np.ndarray:
         """Left-moving branch position density."""
-        return self._require_wkb().rho_minus(np.atleast_1d(np.asarray(x, dtype=float)))
+        return self._require_wkb().rho_minus(x)
+
+    def gaussian_terms(
+        self, x: float | np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three momentum Gaussians of the decomposition at ``x``.
+
+        Returns ``(log_weight, centre, precision)``, each of shape
+        ``(3, len(x))``; term ``k`` contributes
+        ``exp(log_weight[k] - precision[k] (p - centre[k])^2)`` at momentum
+        ``p``. The rows are
+
+        0. the right-moving branch: centre ``+p_cl``, precision
+           ``sigma_plus^2``, weight ``sigma_plus rho_plus / sqrt(pi)``;
+        1. the left-moving branch: centre ``-p_cl``, precision
+           ``sigma_minus^2``, weight ``sigma_minus rho_minus / sqrt(pi)``;
+        2. the interference envelope (unit phase): centre ``-beta p_cl``,
+           precision ``sigma_2^2``, weight
+           ``sqrt(4 hbar sigma_1 sigma_2 sqrt(delta) / pi)
+           sqrt(rho_plus rho_minus) exp(-sigma_1^2 p_cl^2)``.
+
+        An absent branch has weight ``-inf``, and the envelope with it.
+        Positions must lie inside the turning points.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        g_plus, g_minus = self._require_wkb().amplitudes(x)
+        with np.errstate(divide="ignore"):
+            log_rho = np.log(np.abs(np.stack([g_plus, g_minus])) ** 2)
+        hbar = self.orbit.system.hbar
+        p_cl = self.orbit.classical_momentum(x)
+        s_plus, s_minus, s1, s2, beta = self._widths(x)
+        log_weight = np.stack(
+            [
+                np.log(s_plus / np.sqrt(np.pi)) + log_rho[0],
+                np.log(s_minus / np.sqrt(np.pi)) + log_rho[1],
+                0.5 * np.log(4.0 * hbar * s1 * s2 * np.sqrt(self.minv.delta) / np.pi)
+                + 0.5 * (log_rho[0] + log_rho[1])
+                - s1**2 * p_cl**2,
+            ]
+        )
+        centre = np.stack([p_cl, -p_cl, -beta * p_cl])
+        precision = np.stack([s_plus**2, s_minus**2, s2**2])
+        return log_weight, centre, precision
+
+    def _outer_sum(self, rows: slice, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Sum of the selected Gaussian terms on an ``(x, p)`` outer grid."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        out = np.zeros((x.size, p.size))
+        inside = np.abs(x) < self.orbit.amplitude
+        if np.any(inside):
+            log_weight, centre, precision = (
+                term[rows, :, None] for term in self.gaussian_terms(x[inside])
+            )
+            out[inside] = np.exp(log_weight - precision * (p - centre) ** 2).sum(axis=0)
+        return out
 
     def classical_part(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Nonnegative two-branch distribution on an ``(x, p)`` outer grid.
@@ -250,48 +296,11 @@ class SemiclassicalDecomposition:
         Returns an array of shape ``(len(x), len(p))``; zero outside the
         turning points.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.zeros((x.size, p.size))
-        inside = np.abs(x) < self.orbit.amplitude
-        if not np.any(inside):
-            return out
-        xs = x[inside]
-        p_cl = self.orbit.classical_momentum(xs)[:, None]
-        s_plus = self.sigma_plus(xs)[:, None]
-        s_minus = self.sigma_minus(xs)[:, None]
-        rho_p = self.rho_plus(xs)[:, None]
-        rho_m = self.rho_minus(xs)[:, None]
-        grid_p = p[None, :]
-        out[inside] = (
-            s_minus / np.sqrt(np.pi) * np.exp(-(s_minus**2) * (grid_p + p_cl) ** 2) * rho_m
-            + s_plus / np.sqrt(np.pi) * np.exp(-(s_plus**2) * (grid_p - p_cl) ** 2) * rho_p
-        )
-        return out
+        return self._outer_sum(slice(0, 2), x, p)
 
     def oscillatory_envelope(self, x: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Pointwise bound on the interference part, shape ``(len(x), len(p))``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = np.atleast_1d(np.asarray(p, dtype=float))
-        out = np.zeros((x.size, p.size))
-        inside = np.abs(x) < self.orbit.amplitude
-        if not np.any(inside):
-            return out
-        xs = x[inside]
-        hbar = self.orbit.system.hbar
-        p_cl = self.orbit.classical_momentum(xs)[:, None]
-        s1 = self.sigma_1(xs)[:, None]
-        s2 = self.sigma_2(xs)[:, None]
-        drift = self.beta(xs)[:, None]
-        cross = np.sqrt(self.rho_plus(xs) * self.rho_minus(xs))[:, None]
-        prefactor = np.sqrt(4.0 * hbar * s1 * s2 * np.sqrt(self.minv.delta) / np.pi)
-        grid_p = p[None, :]
-        out[inside] = (
-            prefactor
-            * np.exp(-(s2**2) * (grid_p + drift * p_cl) ** 2 - s1**2 * p_cl**2)
-            * cross
-        )
-        return out
+        return self._outer_sum(slice(2, 3), x, p)
 
 
 def semiclassical_decomposition(

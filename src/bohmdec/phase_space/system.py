@@ -197,16 +197,6 @@ class ClassicalOrbit:
             out = -m * w * x / np.sqrt(inside)
         return np.where(inside > 0.0, out, np.nan)
 
-    def classical_momentum_second_derivative(self, x: np.ndarray) -> np.ndarray:
-        """Second derivative ``p_cl''(x)``."""
-        x = np.asarray(x, dtype=float)
-        m = self.system.mass
-        w = self.system.renormalized_frequency
-        inside = self.amplitude**2 - x**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -m * w * self.amplitude**2 / inside**1.5
-        return np.where(inside > 0.0, out, np.nan)
-
     def action(self, x: np.ndarray) -> np.ndarray:
         """Accumulated action from the left turning point plus its quarter-wave
         reference value.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -42,6 +42,29 @@ def _symmetric_axis(extent: float, max_step: float) -> np.ndarray:
     return step * np.arange(-n_half, n_half + 1)
 
 
+def _uniform_axis(name: str, values: np.ndarray) -> np.ndarray:
+    """``values`` as a 1-D float axis, rejected unless uniformly spaced.
+
+    Every step may differ from the end-point step by at most
+    ``4 eps max|axis|``. Building an axis as ``start + i * step`` (``arange``
+    or ``linspace``) rounds each point by at most ``1.5 eps max|axis|``, so
+    on a long axis that rounding, not a fixed share of the step, sets how
+    far the steps scatter.
+    """
+    axis = np.asarray(values, dtype=float)
+    if axis.ndim != 1 or axis.size < 2:
+        raise ValueError(f"{name} must be a 1-D grid")
+    slack = np.abs(np.diff(axis) - _step(axis))
+    if not np.all(slack <= 4.0 * np.finfo(float).eps * np.max(np.abs(axis))):
+        raise ValueError(f"{name} must be uniformly spaced")
+    return axis
+
+
+def _step(axis: np.ndarray) -> float:
+    """Step of a uniform axis, from its end points."""
+    return float((axis[-1] - axis[0]) / (axis.size - 1))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Rectangular phase-space grid with uniform, symmetric axes."""
@@ -51,21 +74,16 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("x", "p"):
-            axis = np.asarray(getattr(self, name), dtype=float)
-            if axis.ndim != 1 or axis.size < 2:
-                raise ValueError(f"GridSpec.{name} must be a 1-D grid")
-            steps = np.diff(axis)
-            if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-                raise ValueError(f"GridSpec.{name} must be uniformly spaced")
+            axis = _uniform_axis(f"GridSpec.{name}", getattr(self, name))
             object.__setattr__(self, name, axis)
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        return _step(self.x)
 
     @property
     def dp(self) -> float:
-        return float(self.p[1] - self.p[0])
+        return _step(self.p)
 
     @classmethod
     def for_orbit(
@@ -101,7 +119,7 @@ class WignerField:
     Attributes
     ----------
     x_grid, p_grid : numpy.ndarray
-        Uniform axes.
+        Uniform axes, checked as :class:`GridSpec` checks its own.
     values : numpy.ndarray
         Real samples, shape ``(len(x_grid), len(p_grid))``.
     time_stamp : float
@@ -118,8 +136,8 @@ class WignerField:
     notes: tuple = ()
 
     def __post_init__(self) -> None:
-        self.x_grid = np.asarray(self.x_grid, dtype=float)
-        self.p_grid = np.asarray(self.p_grid, dtype=float)
+        self.x_grid = _uniform_axis("WignerField.x_grid", self.x_grid)
+        self.p_grid = _uniform_axis("WignerField.p_grid", self.p_grid)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.x_grid.size, self.p_grid.size):
             raise ValueError(
@@ -128,11 +146,11 @@ class WignerField:
 
     @property
     def dx(self) -> float:
-        return float(self.x_grid[1] - self.x_grid[0])
+        return _step(self.x_grid)
 
     @property
     def dp(self) -> float:
-        return float(self.p_grid[1] - self.p_grid[0])
+        return _step(self.p_grid)
 
     def normalization(self) -> float:
         """Phase-space integral of the field."""
@@ -221,8 +239,8 @@ def wigner_transform(
     ``p_l = p_mid + delta v_l``, the identity
     ``u v = (u^2 + v^2 - (v - u)^2) / 2`` turns it into a pre-chirp, one FFT
     convolution with the kernel ``exp(-i theta (v - u)^2 / 2)``
-    (``theta = 2 delta h / hbar``) and a post-chirp, at
-    ``O(Nx (Ny + Np) log(Ny + Np))`` cost. ``delta`` is taken from the end
+    (``theta = 2 delta h / hbar``, ``delta = grid.dp``) and a post-chirp, at
+    ``O(Nx (Ny + Np) log(Ny + Np))`` cost. ``grid.dp`` comes from the end
     points of the momentum axis, not from its first step, which carries a
     rounding that would show at 1e-12 of the peak. On a symmetric grid the
     lattice and the kernel are exactly mirrored, which keeps the field's
@@ -292,7 +310,7 @@ def wigner_transform(
     # prefactor ride on the pre-chirp.
     v = np.arange(p.size) - 0.5 * (p.size - 1)
     p_mid = 0.5 * (p[0] + p[-1])
-    theta = 2.0 * (p[-1] - p[0]) / (p.size - 1) * y_step / hbar
+    theta = 2.0 * grid.dp * y_step / hbar
     pre = np.exp(1j * ((2.0 * p_mid * y_step / hbar) * u + 0.5 * theta * u**2))
     pre[[0, -1]] *= 0.5
     pre *= y_step / (np.pi * hbar)
@@ -328,7 +346,7 @@ def wigner_transform(
         p_grid=p,
         values=values,
         time_stamp=time_stamp,
-        notes=(f"y_step={y_step:.6e}", f"imag_residue={worst_imag:.3e}"),
+        notes=(f"y_step={y_step!r}", f"imag_residue={worst_imag:.3e}"),
     )
 
 
@@ -354,8 +372,8 @@ def exact_oscillator_wigner(
     -------
     numpy.ndarray
     """
-    if n < 0:
-        raise ValueError("level index must be non-negative")
+    if np.asarray(n).dtype.kind not in "iu" or n < 0:
+        raise ValueError("level index must be a non-negative integer")
     m = system.mass
     w = system.renormalized_frequency
     hbar = system.hbar

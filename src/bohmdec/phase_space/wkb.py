@@ -69,34 +69,50 @@ def band_wavefunction(
 
 @dataclass(frozen=True)
 class WkbAmplitudes:
-    """Branch amplitudes of a semiclassical band state.
+    """Branch amplitudes of a semiclassical band state on its mean-level orbit.
 
     ``g_plus`` and ``g_minus`` are the slowly varying amplitudes multiplying
-    ``exp(+iS/hbar)`` and ``exp(-iS/hbar)``; both vanish identically outside
-    the classically allowed region. ``rho_plus``/``rho_minus`` are their
-    squared moduli, the branch position densities; their sum integrates to
-    one over the orbit.
+    ``exp(+iS/hbar)`` and ``exp(-iS/hbar)``, with amplitude scale
+    ``sqrt(m omega / (2 pi p_cl(x)))``; for a pure level both moduli reduce
+    to that scale, and both vanish identically outside the classically
+    allowed region. ``rho_plus``/``rho_minus`` are their squared moduli, the
+    branch position densities; their sum integrates to one over the orbit.
+    :meth:`amplitudes` evaluates both branches from one sum over the band,
+    and the single-branch methods read it.
     """
 
-    g_plus: Callable[[np.ndarray], np.ndarray]
-    g_minus: Callable[[np.ndarray], np.ndarray]
-    rho_plus: Callable[[np.ndarray], np.ndarray]
-    rho_minus: Callable[[np.ndarray], np.ndarray]
+    state: EnergyBandState
     orbit: ClassicalOrbit
+    system: OscillatorSystemSpec
 
+    def amplitudes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(g_plus, g_minus)`` at ``x``."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        inside = np.abs(x) < self.orbit.amplitude
+        r = self.state.offsets
+        c = self.state.coefficients
+        # g_minus is the conjugate of a sum over conj(c_r) exp(+i r theta), so
+        # both branches come from one product with the same phases
+        phases = np.exp(1j * r[:, None] * self.orbit.angle(x)[None, :])
+        plus, conj_minus = np.stack([c * (-1.0) ** r, np.conjugate(c)]) @ phases
+        p = self.orbit.classical_momentum(x)
+        m = self.system.mass
+        w = self.system.renormalized_frequency
+        with np.errstate(divide="ignore"):
+            scale = np.sqrt(m * w / (2.0 * np.pi * np.where(inside, p, np.inf)))
+        return scale * plus, scale * np.conjugate(conj_minus)
 
-def _branch_sums(
-    state: EnergyBandState, orbit: ClassicalOrbit, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (inside mask, plus-branch sum, minus-branch sum) at ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = np.abs(x) < orbit.amplitude
-    theta = orbit.angle(x)
-    r = state.offsets[:, None]
-    c = state.coefficients[:, None]
-    plus = np.sum(c * ((-1.0) ** r) * np.exp(1j * r * theta[None, :]), axis=0)
-    minus = np.sum(c * np.exp(-1j * r * theta[None, :]), axis=0)
-    return inside, plus, minus
+    def g_plus(self, x: np.ndarray) -> np.ndarray:
+        return self.amplitudes(x)[0]
+
+    def g_minus(self, x: np.ndarray) -> np.ndarray:
+        return self.amplitudes(x)[1]
+
+    def rho_plus(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(self.g_plus(x)) ** 2
+
+    def rho_minus(self, x: np.ndarray) -> np.ndarray:
+        return np.abs(self.g_minus(x)) ** 2
 
 
 def wkb_amplitudes(
@@ -116,39 +132,8 @@ def wkb_amplitudes(
     Returns
     -------
     WkbAmplitudes
-        With amplitude scale ``sqrt(m omega / (2 pi p_cl(x)))``. For a pure
-        level both branch moduli reduce to that scale.
     """
-    m = system.mass
-    w = system.renormalized_frequency
-
-    def _scale(x: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        p = orbit.classical_momentum(x)
-        with np.errstate(divide="ignore"):
-            s = np.sqrt(m * w / (2.0 * np.pi * np.where(inside, p, np.inf)))
-        return s
-
-    def g_plus(x: np.ndarray) -> np.ndarray:
-        inside, plus, _ = _branch_sums(state, orbit, x)
-        return np.where(inside, _scale(np.atleast_1d(x), inside) * plus, 0.0 + 0.0j)
-
-    def g_minus(x: np.ndarray) -> np.ndarray:
-        inside, _, minus = _branch_sums(state, orbit, x)
-        return np.where(inside, _scale(np.atleast_1d(x), inside) * minus, 0.0 + 0.0j)
-
-    def rho_plus(x: np.ndarray) -> np.ndarray:
-        return np.abs(g_plus(x)) ** 2
-
-    def rho_minus(x: np.ndarray) -> np.ndarray:
-        return np.abs(g_minus(x)) ** 2
-
-    return WkbAmplitudes(
-        g_plus=g_plus,
-        g_minus=g_minus,
-        rho_plus=rho_plus,
-        rho_minus=rho_minus,
-        orbit=orbit,
-    )
+    return WkbAmplitudes(state=state, orbit=orbit, system=system)
 
 
 def wkb_wavefunction(
@@ -200,7 +185,7 @@ def wkb_wavefunction(
             f"requested point |x| = {worst:g} lies inside the turning window "
             f"(|x| >= {cutoff:g}); the branch expansion is invalid there"
         )
-    amp = wkb_amplitudes(state, orbit, system)
+    g_plus, g_minus = wkb_amplitudes(state, orbit, system).amplitudes(x)
     s = orbit.action(x) / system.hbar
     sign = -1.0 if state.mean_level % 2 else 1.0
-    return sign * 1j * (np.exp(-1j * s) * amp.g_minus(x) - np.exp(1j * s) * amp.g_plus(x))
+    return sign * 1j * (np.exp(-1j * s) * g_minus - np.exp(1j * s) * g_plus)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
@@ -38,6 +38,8 @@ class MasterEqCoefficients:
 
     and the symmetric diffusion matrix as ``[[J11, J12], [J12, J22]]``.
     Constants may be passed in place of callables; they must be finite.
+    ``time_independent`` is derived: true exactly when every coefficient was
+    given as a constant.
     """
 
     h1: CoefficientLike
@@ -47,15 +49,14 @@ class MasterEqCoefficients:
     j11: CoefficientLike
     j12: CoefficientLike
     j22: CoefficientLike
-    time_independent: bool = False
+    time_independent: bool = field(init=False)
 
     def __post_init__(self) -> None:
         names = ("h1", "h2", "h3", "gamma", "j11", "j12", "j22")
         all_const = all(not callable(getattr(self, n)) for n in names)
         for n in names:
             object.__setattr__(self, n, _as_function(n, getattr(self, n)))
-        if all_const:
-            object.__setattr__(self, "time_independent", True)
+        object.__setattr__(self, "time_independent", all_const)
 
     def drift_matrix(self, t: float) -> np.ndarray:
         """Drift matrix ``K(t)``."""
@@ -71,13 +72,11 @@ class MasterEqCoefficients:
         j12 = self.j12(t)
         return np.array([[self.j11(t), j12], [j12, self.j22(t)]])
 
-    def diffusion_is_zero(self, probe_times: np.ndarray | None = None) -> bool:
+    def diffusion_is_zero(self) -> bool:
         """Whether ``J`` vanishes (probed at several times if callable)."""
-        if probe_times is None:
-            probe_times = np.array([0.0, 0.1, 0.7, 2.3])
         return all(
-            np.allclose(self.diffusion_matrix(float(t)), 0.0, atol=0.0)
-            for t in probe_times
+            np.allclose(self.diffusion_matrix(t), 0.0, atol=0.0)
+            for t in (0.0, 0.1, 0.7, 2.3)
         )
 
 

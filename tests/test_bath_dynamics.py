@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -12,9 +13,11 @@ import pytest
 from bohmdec.bath_dynamics import (
     BathSpec,
     SpectralDensity,
+    classicality_report,
     cl_m_tilde_asymptote,
     cl_sigma3_squared_asymptote,
     conditional_kernel,
+    conditional_smearing_time,
     conditional_velocity,
     counterterm_bare_frequency,
     discretize_spectral_density,
@@ -28,16 +31,23 @@ from bohmdec.bath_dynamics import (
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel
 from bohmdec.bath_dynamics.matrices import _spectral_norm
-from bohmdec.bohm_velocity import initial_velocity
-from bohmdec.errors import CouplingStrengthWarning
+from bohmdec.bohm_velocity import SemiclassicalDecomposition, initial_velocity
+from bohmdec.errors import (
+    CouplingStrengthWarning,
+    NumericalFailureError,
+    UndefinedVelocityError,
+)
 from bohmdec.phase_space import (
     OscillatorSystemSpec,
+    WkbAmplitudes,
     band_wavefunction,
     build_energy_band_state,
     classical_orbit,
     wkb_amplitudes,
 )
 from bohmdec.quadratic_master import CaldeiraLeggettParams
+
+from conftest import trapz
 
 ORACLE_DIGITS = 30
 
@@ -319,3 +329,125 @@ class TestConditionalVelocity:
         for x in (-3.1, 0.4, 5.2):
             v = conditional_velocity(state, orbit, wkb, kernel, x, sample.positions)
             assert v == initial_velocity(psi, x, system)
+
+    @pytest.mark.parametrize("t", [2.0, 4.0])
+    def test_matches_momentum_quadrature_of_the_decomposition(self, t):
+        run = _canonical_conditioning(t)
+        direction = np.random.default_rng(23).standard_normal(run.kernel.bath.n_modes)
+        for x in np.linspace(-0.8, 0.8, 17) * run.orbit.amplitude:
+            p_cl = float(run.orbit.classical_momentum(x))
+            for branch in (p_cl, -p_cl):
+                for jitter in (0.0, 0.3, 1.0):
+                    bath_slice = (
+                        run.kernel.conditional_peaks(x, branch)
+                        + jitter * run.kernel.bath.coherent_widths * direction
+                    )
+                    v = conditional_velocity(
+                        run.state, run.orbit, run.wkb, run.kernel, x, bath_slice
+                    )
+                    expected = _quadrature_velocity(run.kernel, run.wkb, x, bath_slice)
+                    assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass, (
+                        x, branch, jitter
+                    )
+
+    @pytest.mark.parametrize("absent", [(0,), (1,), (0, 1)], ids=["plus", "minus", "both"])
+    def test_absent_branches(self, absent):
+        run = _canonical_conditioning(2.0)
+
+        class Masked(WkbAmplitudes):
+            def amplitudes(self, x):
+                return tuple(
+                    np.zeros_like(g) if k in absent else g
+                    for k, g in enumerate(super().amplitudes(x))
+                )
+
+        wkb = Masked(run.state, run.orbit, run.system)
+        x = 0.3 * run.orbit.amplitude
+        p_cl = float(run.orbit.classical_momentum(x))
+        bath_slice = run.kernel.conditional_peaks(x, p_cl)
+        if len(absent) == 2:
+            with pytest.raises(UndefinedVelocityError, match="no branch density"):
+                conditional_velocity(run.state, run.orbit, wkb, run.kernel, x, bath_slice)
+            return
+        v = conditional_velocity(run.state, run.orbit, wkb, run.kernel, x, bath_slice)
+        expected = _quadrature_velocity(run.kernel, wkb, x, bath_slice)
+        assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass
+
+
+def _canonical_conditioning(t):
+    """The n=50 width-8 band and a 64-mode canonical-parameter bath conditioned at ``t``."""
+    system = OscillatorSystemSpec()
+    params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+    bath = discretize_spectral_density(params, system, 64)
+    continuum = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
+    with warnings.catch_warnings():
+        # the canonical-parameter bath sits above the weak-coupling bound
+        warnings.simplefilter("ignore", CouplingStrengthWarning)
+        props = weak_coupling_matrices(bath, system, t, small_angle=True)
+    kernel = conditional_kernel(props, bath, sample_bath(bath, seed=17), t, spectral=continuum)
+    state = build_energy_band_state(50, 8)
+    orbit = classical_orbit(state, system)
+    return SimpleNamespace(
+        system=system, kernel=kernel, state=state, orbit=orbit,
+        wkb=wkb_amplitudes(state, orbit, system),
+    )
+
+
+def _quadrature_velocity(kernel, wkb, x, bath_slice):
+    """Oracle for the conditioned velocity at ``x``.
+
+    The conditioned distribution (classical part plus the interference
+    envelope at unit phase) times the Gaussian slice weight, integrated by
+    the trapezoid rule over a momentum grid that spans every term centre by
+    12 widths of the widest term and resolves the narrowest.
+    """
+    orbit = wkb.orbit
+    decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
+    p_cl = float(orbit.classical_momentum(x))
+    widths = [float(f(x)[0]) for f in (decomp.sigma_plus, decomp.sigma_minus, decomp.sigma_2)]
+    centres = [p_cl, -p_cl, -float(decomp.beta(x)[0]) * p_cl]
+    reach = 12.0 / min(widths)
+    steepest = np.sqrt(max(widths) ** 2 + kernel.sigma3_sq)
+    p = np.arange(min(centres) - reach, max(centres) + reach, 0.25 / steepest)
+    density = (decomp.classical_part(x, p) + decomp.oscillatory_envelope(x, p))[0]
+    # slice weight exp(-sum_r (m w / hbar)_r (slice_r - peak_r(x, p))^2), with
+    # the peaks affine in p: peak_r(x, p) = peak_r(x, 0) - k_r p
+    bath = kernel.bath
+    scale = bath.masses * bath.frequencies / bath.hbar
+    offset = bath_slice - kernel.conditional_peaks(x, 0.0)
+    slope = kernel.response[:, 0, 1]
+    exponent = scale @ offset**2 + 2.0 * (scale * offset) @ slope * p + scale @ slope**2 * p**2
+    weighted = density * np.exp(exponent.min() - exponent)
+    return trapz(p * weighted, p) / trapz(weighted, p) / orbit.system.mass
+
+
+class TestClassicality:
+    @pytest.mark.parametrize("level", [20, 50, 400])
+    @pytest.mark.parametrize("thermal_energy", [1.0, 1e3])
+    def test_smearing_time_closes_its_margin(self, level, thermal_energy):
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(
+            damping_rate=1e-4, thermal_energy=thermal_energy, cutoff=1e3
+        )
+        orbit = classical_orbit(build_energy_band_state(level, 0), system)
+        onset = conditional_smearing_time(system, orbit, params)
+        report = classicality_report(system, orbit, params, onset)
+        assert report.conditional_smearing_time == onset
+        margin = report.margins["past_conditional_smearing_time"]
+        assert margin == pytest.approx(1.0, rel=1e-10, abs=0.0)
+        # kT = 1 localizes after the onset, kT = 1e3 before it
+        assert report.ordering_ok == (report.timescales.t_c < onset)
+        assert report.ordering_ok == (thermal_energy > 1.0)
+
+    @pytest.mark.parametrize(
+        "damping_rate, cutoff, message",
+        [(1.0, 5.0, "window is empty"), (5.0, 1e3, "no conditional smearing-time crossing")],
+    )
+    def test_smearing_time_failures_raise(self, damping_rate, cutoff, message):
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(
+            damping_rate=damping_rate, thermal_energy=1.0, cutoff=cutoff
+        )
+        orbit = classical_orbit(build_energy_band_state(50, 0), system)
+        with pytest.raises(NumericalFailureError, match=message):
+            conditional_smearing_time(system, orbit, params)

@@ -9,6 +9,7 @@ from bohmdec.errors import DomainValidityError, GridCoverageError
 from bohmdec.phase_space import (
     GridSpec,
     OscillatorSystemSpec,
+    WignerField,
     band_wavefunction,
     build_energy_band_state,
     classical_orbit,
@@ -110,15 +111,6 @@ class TestClassicalOrbit:
         h = 1e-5
         d1 = (orb.classical_momentum(xs + h) - orb.classical_momentum(xs - h)) / (2 * h)
         assert np.allclose(d1, orb.classical_momentum_derivative(xs), rtol=1e-6)
-        h2 = 1e-3
-        d2 = (
-            orb.classical_momentum(xs + h2)
-            - 2 * orb.classical_momentum(xs)
-            + orb.classical_momentum(xs - h2)
-        ) / h2**2
-        assert np.allclose(
-            d2, orb.classical_momentum_second_derivative(xs), rtol=1e-5
-        )
 
     def test_momentum_vanishes_outside(self, natural_system):
         orb = classical_orbit(build_energy_band_state(50, 0), natural_system)
@@ -276,6 +268,14 @@ class TestWkb:
         assert np.allclose(psi, eigenfunction_exact(50, xs, natural_system))
 
 
+def _build_axes(kind, x, p):
+    if kind == "GridSpec":
+        return GridSpec(x=x, p=p)
+    # a zero-stride view: the n = 1000 grid would need 5 GB of real samples
+    values = np.broadcast_to(0.0, (x.size, p.size))
+    return WignerField(x_grid=x, p_grid=p, values=values)
+
+
 class TestGridSpec:
     def test_default_spacings(self, natural_system):
         orb = classical_orbit(build_energy_band_state(50, 0), natural_system)
@@ -286,9 +286,25 @@ class TestGridSpec:
         assert grid.p[-1] == pytest.approx(3.0 * orb.amplitude)
         assert 0.0 in grid.x and 0.0 in grid.p
 
-    def test_rejects_nonuniform_axis(self):
+    @pytest.mark.parametrize("kind", ["GridSpec", "WignerField"])
+    def test_rejects_nonuniform_axis(self, kind):
+        x, p = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="uniform"):
-            GridSpec(x=np.array([0.0, 1.0, 3.0]), p=np.array([0.0, 1.0, 2.0]))
+            _build_axes(kind, x, p)
+
+    @pytest.mark.parametrize("level", [600, 800, 1000])
+    def test_large_orbit_grids_build(self, natural_system, level):
+        orb = classical_orbit(build_energy_band_state(level, 0), natural_system)
+        grid = GridSpec.for_orbit(orb, 1.3, 2.0)
+        for axis, step in ((grid.x, grid.dx), (grid.p, grid.dp)):
+            assert step == (axis[-1] - axis[0]) / (axis.size - 1)
+        for kind in ("GridSpec", "WignerField"):
+            _build_axes(kind, grid.x, grid.p)
+            for name in ("x", "p"):
+                axes = {"x": grid.x.copy(), "p": grid.p.copy()}
+                axes[name][axes[name].size // 3] += 1e-9
+                with pytest.raises(ValueError, match="uniform"):
+                    _build_axes(kind, axes["x"], axes["p"])
 
 
 class TestWignerTransform:
@@ -434,6 +450,11 @@ class TestExactOscillatorWigner:
 
     def test_underflow_guard_returns_zero(self, natural_system):
         assert exact_oscillator_wigner(3, 40.0, 0.0, natural_system) == 0.0
+
+    @pytest.mark.parametrize("n", [2.5, np.nan, np.inf, -1])
+    def test_rejects_invalid_level(self, natural_system, n):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            exact_oscillator_wigner(n, 0.0, 0.0, natural_system)
 
 
 class TestDensityMatrixFromWigner:

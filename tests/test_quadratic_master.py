@@ -142,6 +142,15 @@ class TestCoefficients:
         assert not coeffs.time_independent
         assert coeffs.drift_matrix(2.0)[1, 0] == pytest.approx(3.0)
 
+    def test_time_independent_is_derived(self):
+        # a caller-set flag would send time-dependent coefficients down the
+        # constant-flow expm shortcut of integrate_propagator
+        with pytest.raises(TypeError):
+            MasterEqCoefficients(
+                h1=lambda t: 1.0 + t, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=0.0,
+                time_independent=True,
+            )
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             CaldeiraLeggettParams(damping_rate=-0.1, thermal_energy=1.0, cutoff=1.0)
