@@ -57,12 +57,16 @@ def conditional_smearing_time(
 
     Raises
     ------
+    ValueError
+        If the damping rate is not positive.
     NumericalFailureError
         If the window is empty or the residual does not change sign across
         it.
     """
     omega = system.renormalized_frequency
     gamma = cl_params.damping_rate
+    if gamma <= 0.0:
+        raise ValueError(f"conditional smearing time needs damping_rate > 0, got {gamma:g}")
     cutoff = cl_params.cutoff
     target = orbit.de_broglie / orbit.amplitude
 

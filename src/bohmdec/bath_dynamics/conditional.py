@@ -248,8 +248,9 @@ def conditional_kernel(
     if sample.n_modes != bath.n_modes or props.n_modes != bath.n_modes:
         raise ValueError("bath, sample and blocks disagree on the mode count")
 
-    rotated = np.einsum("rij,rj->ri", props.d_free, sample.vectors())
-    response = np.einsum("rij,rjk->rik", props.d_free, _flip_time(props.c))
+    d_free = props.d_free
+    rotated = np.einsum("rij,rj->ri", d_free, sample.vectors())
+    response = np.einsum("rij,rjk->rik", d_free, _flip_time(props.c))
     offset = np.einsum("rij,rj->i", _flip_time(props.b), rotated)
 
     if spectral is None:

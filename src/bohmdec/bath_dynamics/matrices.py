@@ -9,6 +9,11 @@ function ``g`` and weighted integrals of it, so a solved
 assembly needs. Negative times come from the parity of those integrals (odd
 in ``t`` for positions, even for the velocity-like entries) rather than a
 second solve.
+
+The coupling convention is ``H = H_S + sum_r H_r + x sum_r kappa_r q_r``:
+the center's momentum is driven by ``-sum_r kappa_r q_r`` and mode ``r``'s by
+``-kappa_r x``. On ``z = (x, p, q_1, p_1, ...)`` the blocks tile the dense
+transfer matrix ``T(t) = exp(L t)`` of that linear flow.
 """
 
 from __future__ import annotations
@@ -103,12 +108,13 @@ class BathPropagators:
         Central 2x2 block.
     b, c : numpy.ndarray
         Mode-to-center and center-to-mode blocks, shape ``(N, 2, 2)``.
-    d_free : numpy.ndarray
-        Diagonal free-rotation part of the mode-to-mode blocks, ``(N, 2, 2)``.
     d_corrections : numpy.ndarray or None
         Off-diagonal-capable corrections, ``(N, N, 2, 2)``; ``None`` when not
         assembled (always in weak-coupling mode, and for exact blocks unless
         requested).
+
+    The mode-to-mode block ``D_rs`` is ``d_free[r]`` on the diagonal plus
+    ``d_corrections[r, s]``; ``d_free`` is derived from the bath and the time.
     """
 
     time: float
@@ -119,14 +125,13 @@ class BathPropagators:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d_free: np.ndarray
     d_corrections: np.ndarray | None
 
     def __post_init__(self) -> None:
         n = self.bath.n_modes
         if self.a.shape != (2, 2):
             raise ValueError("central block must be 2x2")
-        for name in ("b", "c", "d_free"):
+        for name in ("b", "c"):
             if getattr(self, name).shape != (n, 2, 2):
                 raise ValueError(f"{name} must have shape ({n}, 2, 2)")
         if self.d_corrections is not None and self.d_corrections.shape != (n, n, 2, 2):
@@ -137,23 +142,9 @@ class BathPropagators:
         return self.bath.n_modes
 
     @property
-    def has_d_corrections(self) -> bool:
-        return self.d_corrections is not None
-
-    def dense_d(self) -> np.ndarray:
-        """Mode sector as a dense ``(2N, 2N)`` matrix."""
-        n = self.n_modes
-        if self.has_d_corrections:
-            dense = np.transpose(self.d_corrections, (0, 2, 1, 3)).reshape(2 * n, 2 * n).copy()
-        else:
-            if self.mode == "exact":
-                raise ValueError(
-                    "mode-to-mode corrections were not assembled for this bath"
-                )
-            dense = np.zeros((2 * n, 2 * n))
-        for r in range(n):
-            dense[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += self.d_free[r]
-        return dense
+    def d_free(self) -> np.ndarray:
+        """Diagonal free-rotation part of the mode-to-mode blocks, ``(N, 2, 2)``."""
+        return _free_rotation(self.bath.masses, self.bath.frequencies, self.time)
 
 
 def exact_bath_matrices(
@@ -181,7 +172,8 @@ def exact_bath_matrices(
     include_d_corrections : bool, optional
         Assemble the ``(N, N, 2, 2)`` mode-to-mode corrections, which
         :func:`reversibility_residuals` needs. Off by default: their memory
-        cost is quadratic in the mode count.
+        cost is quadratic in the mode count. The trigonometric tables are
+        contracted once either way.
 
     Returns
     -------
@@ -208,9 +200,12 @@ def exact_bath_matrices(
 
     weights = gregory_weights(index + 1, g_table.step)
     weighted_g = weights * g_table.values[index::-1]
+    # the weighted response and its first tau-moment, contracted against each
+    # trigonometric table in one pass
+    moments = np.stack([weighted_g, nodes * weighted_g], axis=1)
     angles = mode_w[:, None] * nodes[None, :]
-    sin_sum = np.sin(angles) @ weighted_g
-    cos_sum = np.cos(angles) @ weighted_g
+    sin_sum, tau_sin = (np.sin(angles) @ moments).T
+    cos_sum, tau_cos = (np.cos(angles) @ moments).T
     h = -sin_sum
     h_dot = -mode_w * cos_sum
     h_ddot = -mode_w * g_now - mode_w**2 * h
@@ -225,21 +220,14 @@ def exact_bath_matrices(
 
     d_corrections = None
     if include_d_corrections:
-        tau_sin = (nodes[None, :] * np.sin(angles)) @ weighted_g
-        tau_cos = (nodes[None, :] * np.cos(angles)) @ weighted_g
-        split = mode_w[:, None] ** 2 - mode_w[None, :] ** 2
-        tied = np.abs(mode_w[:, None] - mode_w[None, :]) <= 1e-12 * (
-            mode_w[:, None] + mode_w[None, :]
-        )
-        safe = np.where(tied, 1.0, split)
-        f = (mode_w[None, :] * h[:, None] - mode_w[:, None] * h[None, :]) / safe
-        f_dot = (mode_w[None, :] * h_dot[:, None] - mode_w[:, None] * h_dot[None, :]) / safe
-        f_ddot = (
-            mode_w[:, None]
-            * mode_w[None, :]
-            * (mode_w[None, :] * h[None, :] - mode_w[:, None] * h[:, None])
-            / safe
-        )
+        # pair (r, s) of the mode sector: r along rows, s along columns
+        w_r, w_s = mode_w[:, None], mode_w[None, :]
+        m_r, m_s = mode_m[:, None], mode_m[None, :]
+        tied = np.abs(w_r - w_s) <= 1e-12 * (w_r + w_s)
+        safe = np.where(tied, 1.0, w_r**2 - w_s**2)
+        f = (w_s * h[:, None] - w_r * h[None, :]) / safe
+        f_dot = (w_s * h_dot[:, None] - w_r * h_dot[None, :]) / safe
+        f_ddot = w_r * w_s * (w_s * h[None, :] - w_r * h[:, None]) / safe
         f_tie = (-h - mode_w * tau_cos) / (2.0 * mode_w)
         f_dot_tie = 0.5 * mode_w * tau_sin
         f_ddot_tie = 0.5 * mode_w * (-h + mode_w * tau_cos)
@@ -247,22 +235,17 @@ def exact_bath_matrices(
         f_dot = np.where(tied, f_dot_tie[:, None], f_dot)
         f_ddot = np.where(tied, f_ddot_tie[:, None], f_ddot)
 
-        pair_scale = (kappa[:, None] * kappa[None, :]) / (
-            m * mode_m[:, None] * mode_m[None, :] * w0 * mode_w[:, None] * mode_w[None, :]
-        )
+        pair_scale = (kappa[:, None] * kappa[None, :]) / (m * m_r * m_s * w0 * w_r * w_s)
         d_corrections = np.empty((bath.n_modes, bath.n_modes, 2, 2))
-        d_corrections[:, :, 0, 0] = pair_scale * mode_m[None, :] * f_dot
+        d_corrections[:, :, 0, 0] = pair_scale * m_s * f_dot
         d_corrections[:, :, 0, 1] = pair_scale * f
-        d_corrections[:, :, 1, 0] = pair_scale * mode_m[:, None] * mode_m[None, :] * f_ddot
-        d_corrections[:, :, 1, 1] = pair_scale * mode_m[:, None] * f_dot
+        d_corrections[:, :, 1, 0] = pair_scale * m_r * m_s * f_ddot
+        d_corrections[:, :, 1, 1] = pair_scale * m_r * f_dot
 
     if t < 0.0:
-        a = _flip_time(a)
-        b = _flip_time(b)
-        c = _flip_time(c)
+        a, b, c = _flip_time(a), _flip_time(b), _flip_time(c)
         if d_corrections is not None:
             d_corrections = _flip_time(d_corrections)
-    d_free = _free_rotation(mode_m, mode_w, t)
 
     return BathPropagators(
         time=float(t),
@@ -273,7 +256,6 @@ def exact_bath_matrices(
         a=a,
         b=b,
         c=c,
-        d_free=d_free,
         d_corrections=d_corrections,
     )
 
@@ -338,7 +320,6 @@ def weak_coupling_matrices(
         a=a,
         b=b,
         c=c,
-        d_free=_free_rotation(mode_m, mode_w, t),
         d_corrections=None,
     )
 
@@ -379,11 +360,18 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
     return a_inv @ core @ a_inv.T
 
 
-def _cross_product_blocks(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dense ``(2N, 2N)`` matrix with blocks ``left_r @ right_s``."""
-    n = left.shape[0]
-    cross = np.einsum("rab,sbc->rsac", left, right)
-    return np.transpose(cross, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
+def _transfer_matrix(props: BathPropagators) -> np.ndarray:
+    """Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on ``(x, p, q_1, p_1, ...)``."""
+    n = props.n_modes
+    modes = np.transpose(props.d_corrections, (0, 2, 1, 3)).copy()
+    diagonal = np.arange(n)
+    modes[diagonal, :, diagonal, :] += props.d_free
+    out = np.empty((2 * n + 2, 2 * n + 2))
+    out[:2, :2] = props.a
+    out[:2, 2:] = np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n)
+    out[2:, :2] = props.c.reshape(2 * n, 2)
+    out[2:, 2:] = modes.reshape(2 * n, 2 * n)
+    return out
 
 
 def _spectral_norm(mat: np.ndarray) -> float:
@@ -399,48 +387,43 @@ def reversibility_residuals(
 
     ``forward`` and ``backward`` must be exact-mode blocks (with mode-to-mode
     corrections assembled) at ``t`` and ``-t``. The first four keys are the
-    blocks of the round trip ``T(t) T(-t) = 1``; the rest probe the
+    blocks of the round trip ``R = T(t) T(-t) - 1``; the rest probe the
     block-inverse construction of the mode sector,
 
         Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t)
 
     its transfer to the cross block, and the Schur-complement form of the
-    inverse central block. All values are spectral norms of the residual
-    matrices.
+    inverse central block. Because ``R_mc = C(t) A(-t) + D(t) C(-t)``, the
+    block-inverse residual is a rank-2 update of the mode block of ``R``,
+
+        D(t) Dinv(t) - 1 = R_mm - R_mc A(-t)^-1 B(-t)
+
+    so the only cubic product is ``T(t) T(-t)``. All values are spectral
+    norms of the residual matrices.
     """
     if forward.mode != "exact" or backward.mode != "exact":
         raise ValueError("reversibility checks need exact-mode blocks")
-    if not (forward.has_d_corrections and backward.has_d_corrections):
+    if forward.d_corrections is None or backward.d_corrections is None:
         raise ValueError("reversibility checks need the mode-to-mode corrections")
     if abs(forward.time + backward.time) > 1e-12 * max(1.0, abs(forward.time)):
         raise ValueError("backward blocks must be evaluated at minus the forward time")
-    n = forward.n_modes
-    eye2n = np.eye(2 * n)
+    t_f = _transfer_matrix(forward)
+    t_b = _transfer_matrix(backward)
+    round_trip = t_f @ t_b
+    round_trip[np.diag_indices_from(round_trip)] -= 1.0
 
-    a_f, a_b = forward.a, backward.a
-    b_f, b_b = forward.b, backward.b
-    c_f, c_b = forward.c, backward.c
-    d_f = forward.dense_d()
-    d_b = backward.dense_d()
-    b_f_row = np.transpose(b_f, (1, 0, 2)).reshape(2, 2 * n)
-    b_b_row = np.transpose(b_b, (1, 0, 2)).reshape(2, 2 * n)
-    c_f_col = c_f.reshape(2 * n, 2)
-    c_b_col = c_b.reshape(2 * n, 2)
-
-    residuals = {
-        "round_trip_center": a_f @ a_b + b_f_row @ c_b_col - np.eye(2),
-        "round_trip_modes": _cross_product_blocks(c_f, b_b) + d_f @ d_b - eye2n,
-        "round_trip_center_modes": a_f @ b_b_row + b_f_row @ d_b,
-        "round_trip_modes_center": c_f_col @ a_b + d_f @ c_b_col,
-    }
-
+    a_f, b_f, c_f, d_f = t_f[:2, :2], t_f[:2, 2:], t_f[2:, :2], t_f[2:, 2:]
+    a_b, b_b, c_b = t_b[:2, :2], t_b[:2, 2:], t_b[2:, :2]
     a_f_inv = np.linalg.inv(a_f)
-    a_b_inv = np.linalg.inv(a_b)
-    d_inv_forward = d_b - c_b_col @ a_b_inv @ b_b_row
-    d_inv_backward = d_f - c_f_col @ a_f_inv @ b_f_row
-    residuals["block_inverse"] = d_f @ d_inv_forward - eye2n
-    residuals["inverse_cross_transfer"] = b_b_row @ d_inv_backward + a_f_inv @ b_f_row
-    residuals["inverse_schur_center"] = (
-        a_b - b_b_row @ d_inv_backward @ c_b_col - a_f_inv
-    )
+    d_inv_backward = d_f - c_f @ a_f_inv @ b_f
+    cross = b_b @ d_inv_backward
+    residuals = {
+        "round_trip_center": round_trip[:2, :2],
+        "round_trip_modes": round_trip[2:, 2:],
+        "round_trip_center_modes": round_trip[:2, 2:],
+        "round_trip_modes_center": round_trip[2:, :2],
+        "block_inverse": round_trip[2:, 2:] - round_trip[2:, :2] @ np.linalg.solve(a_b, b_b),
+        "inverse_cross_transfer": cross + a_f_inv @ b_f,
+        "inverse_schur_center": a_b - cross @ c_b - a_f_inv,
+    }
     return {name: _spectral_norm(res) for name, res in residuals.items()}

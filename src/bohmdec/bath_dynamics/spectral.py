@@ -198,10 +198,15 @@ class SpectralDensity:
         if self.kind == "discrete":
             freqs, weights = self.lines()
             prefactor = 2.0 / (mass * b)
-            return [
-                prefactor * (weights @ kernel)
-                for kernel in pair_kernel(freqs[:, None], b, times[None, :])
-            ]
+            tables = [np.empty(times.shape) for _ in range(3)]
+            # blocks of times keep each (lines x block) kernel table at most
+            # 2**18 entries, however long the time grid
+            width = max(1, 2**18 // max(freqs.size, 1))
+            for start in range(0, times.size, width):
+                block = times[None, start : start + width]
+                for table, kernel in zip(tables, pair_kernel(freqs[:, None], b, block)):
+                    table[start : start + width] = prefactor * (weights @ kernel)
+            return tables
         k = 4.0 * self.damping_rate / np.pi * (self.mass / mass)
         cut = self.cutoff
         s, c = np.sin(b * times), np.cos(b * times)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from bohmdec.bath_dynamics import (
     BathSpec,
@@ -183,6 +185,34 @@ class TestClosedForms:
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all((ratios >= 3.5) & (ratios <= 4.5)), (errors, ratios)
 
+    def test_line_kernel_tables_stay_small(self):
+        # 512 lines x 6401 times: one-shot tables of every line at every
+        # time would hold about 225 MB
+        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
+        spectral = SpectralDensity.from_bath(bath)
+        times = np.linspace(0.0, 20.0, 6401)
+        tracemalloc.start()
+        try:
+            spectral.kernel_tables(1.0, 1.0, times)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20, peak / 2**20
+
+    def test_line_kernel_tables_match_one_shot_sum(self):
+        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
+        spectral = SpectralDensity.from_bath(bath)
+        freqs, weights = spectral.lines()
+        bare, mass = 1.3, 1.5
+        # the lines are summed over blocks of 2**18 // 512 times: three full
+        # blocks and a partial one
+        times = np.linspace(0.0, 3.0, 3 * (2**18 // freqs.size) + 77)
+        tables = spectral.kernel_tables(bare, mass, times)
+        kernels = pair_kernel(freqs[:, None], bare, times[None, :])
+        for table, kernel in zip(tables, kernels):
+            expected = 2.0 / (mass * bare) * (weights @ kernel)
+            assert np.abs(table - expected).max() <= 1e-15 * np.abs(expected).max()
+
     @pytest.mark.parametrize("log_cut", [3.9, 6.2, 8.0])
     def test_closed_forms_approach_log_asymptotes(self, log_cut):
         system = OscillatorSystemSpec()
@@ -248,6 +278,73 @@ class TestBlocks:
         gaps = np.array(gaps)
         ratios = gaps[:-1] / gaps[1:]
         assert np.all((ratios >= 3.5) & (ratios <= 4.5)), (gaps, ratios)
+
+
+    def test_exact_blocks_match_generator_exponential(self):
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        n, m = bath.n_modes, system.mass
+        modes = 2 + 2 * np.arange(n)
+        # dz/dt = L z for z = (x, p, q_1, p_1, ...) under
+        # H = p^2/2m + m bare^2 x^2/2 + sum_r (p_r^2/2m_r + m_r w_r^2 q_r^2/2 + kappa_r x q_r)
+        gen = np.zeros((2 * n + 2, 2 * n + 2))
+        gen[0, 1] = 1.0 / m
+        gen[1, 0] = -m * bare**2
+        gen[1, modes] = -bath.couplings
+        gen[modes, modes + 1] = 1.0 / bath.masses
+        gen[modes + 1, modes] = -bath.masses * bath.frequencies**2
+        gen[modes + 1, 0] = -bath.couplings
+        t = 2.0
+        errors = []
+        for refine in (1, 2, 4, 8):
+            step = on_grid_step(t, max(bare, bath.frequencies.max()), refine)
+            table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=m)
+            worst = 0.0
+            for sign in (1.0, -1.0):
+                props = exact_bath_matrices(
+                    bath, coupled, table, sign * t, include_d_corrections=True
+                )
+                expected = expm(sign * t * gen)
+                gaps = [np.abs(props.a - expected[:2, :2]).max()]
+                for r, i in enumerate(modes):
+                    gaps.append(np.abs(props.b[r] - expected[:2, i : i + 2]).max())
+                    gaps.append(np.abs(props.c[r] - expected[i : i + 2, :2]).max())
+                    for s, j in enumerate(modes):
+                        d_rs = props.d_corrections[r, s] + (r == s) * props.d_free[r]
+                        gaps.append(np.abs(d_rs - expected[i : i + 2, j : j + 2]).max())
+                worst = max(worst, max(gaps) / np.abs(expected).max())
+            errors.append(worst)
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all(ratios >= 12.0), (errors, ratios)
+        assert errors[-1] <= 5e-8, errors
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    def test_block_inverse_matches_explicit_construction(self, t):
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 32)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        step = on_grid_step(t, max(bare, bath.frequencies.max()))
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=system.mass)
+        forward = exact_bath_matrices(bath, coupled, table, t, include_d_corrections=True)
+        backward = exact_bath_matrices(bath, coupled, table, -t, include_d_corrections=True)
+        n = bath.n_modes
+
+        def dense_d(props):
+            dense = np.transpose(props.d_corrections, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
+            for r in range(n):
+                dense[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += props.d_free[r]
+            return dense
+
+        # Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t), built from the public blocks
+        b_row = np.transpose(backward.b, (1, 0, 2)).reshape(2, 2 * n)
+        c_col = backward.c.reshape(2 * n, 2)
+        d_inv = dense_d(backward) - c_col @ np.linalg.inv(backward.a) @ b_row
+        expected = np.linalg.norm(dense_d(forward) @ d_inv - np.eye(2 * n), 2)
+        residual = reversibility_residuals(forward, backward)["block_inverse"]
+        assert residual == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 class TestBathSpec:
@@ -450,4 +547,11 @@ class TestClassicality:
         )
         orbit = classical_orbit(build_energy_band_state(50, 0), system)
         with pytest.raises(NumericalFailureError, match=message):
+            conditional_smearing_time(system, orbit, params)
+
+    def test_smearing_time_rejects_zero_damping(self):
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=0.0, thermal_energy=1.0, cutoff=1e3)
+        orbit = classical_orbit(build_energy_band_state(50, 0), system)
+        with pytest.raises(ValueError, match="damping_rate"):
             conditional_smearing_time(system, orbit, params)
