@@ -423,16 +423,20 @@ def density_matrix_from_wigner(
     if np.any(mid < field.x_grid[0]) or np.any(mid > field.x_grid[-1]):
         raise GridCoverageError("midpoint outside the field's position grid")
 
-    # one bicubic prefilter shared by every midpoint row
-    coeffs = ndimage.spline_filter(field.values, order=3, mode="nearest")
+    # The momentum columns are read at integer indices, where the cubic spline
+    # reproduces its samples, so only the position axis is prefiltered; each
+    # midpoint row mixes the four nearest coefficient rows, clipped at the edges
+    # as mode="nearest" extends them.
+    coeffs = ndimage.spline_filter1d(field.values, 3, axis=0, mode="nearest")
     rows = (mid.ravel() - field.x_grid[0]) / field.dx
-    cols = np.arange(field.p_grid.size, dtype=float)
-    lines = ndimage.map_coordinates(
-        coeffs,
-        np.broadcast_arrays(rows[:, None], cols[None, :]),
-        order=3,
-        mode="nearest",
-        prefilter=False,
-    )
+    index = np.floor(rows)
+    t = (rows - index)[:, None]
+    taps = np.clip(index.astype(int)[:, None] + np.arange(-1, 3), 0, field.x_grid.size - 1)
+    lines = (
+        (1.0 - t) ** 3 * coeffs[taps[:, 0]]
+        + (4.0 - 6.0 * t**2 + 3.0 * t**3) * coeffs[taps[:, 1]]
+        + (1.0 + 3.0 * t + 3.0 * t**2 - 3.0 * t**3) * coeffs[taps[:, 2]]
+        + t**3 * coeffs[taps[:, 3]]
+    ) / 6.0
     phase = np.exp(1j * np.outer(sep.ravel(), field.p_grid) / system.hbar)
     return _trapezoid(lines * phase, field.dp, axis=1).reshape(x.shape)

@@ -4,14 +4,16 @@ In the pulled-back frame the propagator smears the initial field with the
 normalized Gaussian of covariance ``M / 2`` and reads it at ``A^-1 eta``.
 The smear is exact in Fourier space, where it multiplies the transform by
 ``exp(-k^T M k / 4)``: the action of a Gaussian channel on the characteristic
-function (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), Sec. III).
-A discrete transform convolves circularly, so the field is zero-padded into
-one buffer covering the input grid and every pulled-back point, plus four
-cells for the bicubic stencil, plus ``_SIGMA_CUT`` smearing widths on each
-side so that mass smeared past one edge cannot wrap round into the values
-read near the other. The smear stays exact for a singular ``M``; only a
-negligible one, every entry below ``1e-7 hbar``, takes an exact bilinear
-pullback instead.
+function (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), Sec. III). The
+same multiply divides by the cubic B-spline symbol ``(2 + cos kx dx)(2 + cos
+kp dp) / 9``, the exact bicubic prefilter on a periodic buffer (Unser, IEEE
+Signal Proc. Mag. 16(6), 22 (1999)). The buffer is the input grid zero-padded
+by four stencil cells plus ``_SIGMA_CUT`` smearing widths on each side, so
+mass smeared past one edge cannot wrap round into values read near the other.
+A point that pulls back outside the buffer is that far from every input cell
+and reads 0; its true value is below ``e^-32`` of the peak. The smear stays
+exact for a singular ``M``; only a negligible one, every entry below
+``1e-7 hbar``, takes an exact bilinear pullback instead.
 """
 
 from __future__ import annotations
@@ -31,12 +33,10 @@ _DELTA_M_FLOOR = 1e-7
 _NORM_GUARD = 1e-3
 
 
-def _padded_axis(index: np.ndarray, size: int, width: float) -> tuple[int, int]:
-    """Buffer start and length covering the ``size`` input cells, ``index`` and the margins."""
+def _padded_axis(size: int, width: float) -> tuple[int, int]:
+    """Margin and buffer length for ``size`` input cells smeared ``width`` cells wide."""
     margin = 4 + int(np.ceil(_SIGMA_CUT * width))
-    lo = min(int(np.floor(index.min())), 0) - margin
-    hi = max(int(np.ceil(index.max())), size - 1) + margin
-    return lo, sp_fft.next_fast_len(hi - lo + 1, real=True)
+    return margin, sp_fft.next_fast_len(size + 2 * margin, real=True)
 
 
 def propagate_wigner(
@@ -44,11 +44,12 @@ def propagate_wigner(
 ) -> WignerField:
     """Evolve a Wigner field with a Gaussian propagator.
 
-    ``field`` is treated as zero outside its grid; ``system`` supplies
-    ``hbar`` for the negligible-smear threshold. Returns the evolved
-    samples on the same grid with the time stamp advanced by the propagator's
-    time; the notes record the path (``spectral_smear`` with the buffer
-    shape, or ``delta_fallback``) and the mass residual.
+    ``field`` is treated as zero outside its grid, and an output point that
+    pulls back beyond the smearing buffer reads 0; ``system`` supplies ``hbar``
+    for the negligible-smear threshold. Returns the evolved samples on the same
+    grid with the time stamp advanced by the propagator's time; the notes record
+    the path (``spectral_smear`` with the buffer shape, set by the grid and
+    ``M`` alone, or ``delta_fallback``) and the mass residual.
 
     Raises
     ------
@@ -61,30 +62,29 @@ def propagate_wigner(
     if det_a <= 0.0:
         raise NumericalFailureError("flow matrix must preserve orientation")
     x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
-    a_inv = np.linalg.inv(a)
-    # pulled-back output grid, in steps from the first input cell
-    rows = (a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p - x[0]) / dx
-    cols = (a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p - p[0]) / dp
 
     if float(np.abs(m).max()) < _DELTA_M_FLOOR * system.hbar:
-        source, order, note = field.values, 1, "delta_fallback"
+        source, pad, order, note = field.values, (0, 0), 1, "delta_fallback"
     else:
         # a singular M may carry a round-off negative diagonal entry
-        lo_x, n_x = _padded_axis(rows, x.size, np.sqrt(0.5 * max(m[0, 0], 0.0)) / dx)
-        lo_p, n_p = _padded_axis(cols, p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
-        buffer = np.zeros((n_x, n_p))
-        buffer[-lo_x : x.size - lo_x, -lo_p : p.size - lo_p] = field.values
-        spectrum = sp_fft.rfft2(buffer)
-        del buffer
+        pad_x, n_x = _padded_axis(x.size, np.sqrt(0.5 * max(m[0, 0], 0.0)) / dx)
+        pad_p, n_p = _padded_axis(p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
+        widths = ((pad_x, n_x - x.size - pad_x), (pad_p, n_p - p.size - pad_p))
+        spectrum = sp_fft.rfft2(np.pad(field.values, widths))
         kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
         kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
         spectrum *= np.exp(-0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2))
+        spectrum *= 9.0 / ((2.0 + np.cos(kx * dx)) * (2.0 + np.cos(kp * dp)))
         source = sp_fft.irfft2(spectrum, s=(n_x, n_p))
         del spectrum
-        rows -= lo_x
-        cols -= lo_p
-        order, note = 3, f"spectral_smear(buffer={n_x}x{n_p})"
-    values = ndimage.map_coordinates(source, [rows, cols], order=order, mode="constant")
+        pad, order, note = (pad_x, pad_p), 3, f"spectral_smear(buffer={n_x}x{n_p})"
+    # A^-1 in index units: output cell j reads source cell matrix @ j + offset
+    step, corner = np.array([dx, dp]), np.array([x[0] / dx, p[0] / dp])
+    matrix = np.linalg.inv(a) * step / step[:, None]
+    offset = matrix @ corner - corner + pad
+    values = ndimage.affine_transform(
+        source, matrix, offset, field.values.shape, order=order, mode="constant", prefilter=False
+    )
     values /= det_a
 
     out = WignerField(x, p, values, field.time_stamp + propagator.t, tuple(field.notes) + (note,))

@@ -11,6 +11,8 @@ grid, with zero inflow at the edges.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..errors import NumericalFailureError
@@ -19,30 +21,29 @@ from .coefficients import MasterEqCoefficients
 
 __all__ = ["pde_oracle_evolve"]
 
+# k -> the field shifted by k cells along one axis
+_Taps = Callable[[int], np.ndarray]
 
-def _shifted(values: np.ndarray, offset: int, axis: int) -> np.ndarray:
-    out = np.zeros_like(values)
+
+def _taps(values: np.ndarray, axis: int, reach: int = 3) -> _Taps:
+    """Map ``k`` (``|k| <= reach``) to ``values[i + k]`` along ``axis``, zero past the edges.
+
+    One zero-padded copy serves every tap; each tap is a view into it.
+    """
     n = values.shape[axis]
-    src = [slice(None)] * values.ndim
-    dst = [slice(None)] * values.ndim
-    if offset >= 0:
-        src[axis] = slice(offset, n)
-        dst[axis] = slice(0, n - offset)
-    else:
-        src[axis] = slice(0, n + offset)
-        dst[axis] = slice(-offset, n)
-    out[tuple(dst)] = values[tuple(src)]
-    return out
+    lead = (slice(None),) * axis
+    padded = np.zeros(values.shape[:axis] + (n + 2 * reach,) + values.shape[axis + 1 :])
+    padded[lead + (slice(reach, reach + n),)] = values
+    return lambda k: padded[lead + (slice(reach + k, reach + k + n),)]
 
 
-def _biased_first(values: np.ndarray, step: float, axis: int, leftward: bool) -> np.ndarray:
-    """Fifth-order upwind-biased first derivative.
+def _biased_first(s: _Taps, step: float, leftward: bool) -> np.ndarray:
+    """Fifth-order upwind-biased first derivative from the taps ``s``.
 
     ``leftward`` selects the stencil reaching three points upstream to the
     left (for flow arriving from the left); the mirrored stencil covers the
     other wind direction.
     """
-    s = lambda k: _shifted(values, k, axis)
     if leftward:
         num = (
             -2.0 * s(-3) + 15.0 * s(-2) - 60.0 * s(-1)
@@ -56,13 +57,11 @@ def _biased_first(values: np.ndarray, step: float, axis: int, leftward: bool) ->
     return num / (60.0 * step)
 
 
-def _centered_second(values: np.ndarray, step: float, axis: int) -> np.ndarray:
-    s = lambda k: _shifted(values, k, axis)
+def _centered_second(s: _Taps, step: float) -> np.ndarray:
     return (-s(-2) + 16.0 * s(-1) - 30.0 * s(0) + 16.0 * s(1) - s(2)) / (12.0 * step**2)
 
 
-def _centered_first(values: np.ndarray, step: float, axis: int) -> np.ndarray:
-    s = lambda k: _shifted(values, k, axis)
+def _centered_first(s: _Taps, step: float) -> np.ndarray:
     return (s(-2) - 8.0 * s(-1) + 8.0 * s(1) - s(2)) / (12.0 * step)
 
 
@@ -109,25 +108,26 @@ def pde_oracle_evolve(
         j = coeffs.diffusion_matrix(s)
         f_x = k[0, 0] * x + k[0, 1] * p
         f_p = k[1, 0] * x + k[1, 1] * p
+        s_x, s_p = _taps(w_cur, 0), _taps(w_cur, 1)
         # d_x(f_x W): upwind bias follows the characteristic speed -f_x
         dwx = np.where(
             f_x < 0.0,
-            _biased_first(w_cur, dx, 0, leftward=True),
-            _biased_first(w_cur, dx, 0, leftward=False),
+            _biased_first(s_x, dx, leftward=True),
+            _biased_first(s_x, dx, leftward=False),
         )
         dwp = np.where(
             f_p < 0.0,
-            _biased_first(w_cur, dp, 1, leftward=True),
-            _biased_first(w_cur, dp, 1, leftward=False),
+            _biased_first(s_p, dp, leftward=True),
+            _biased_first(s_p, dp, leftward=False),
         )
         out = f_x * dwx + f_p * dwp + (k[0, 0] + k[1, 1]) * w_cur
         if j[0, 0] != 0.0:
-            out += j[0, 0] * _centered_second(w_cur, dx, 0)
+            out += j[0, 0] * _centered_second(s_x, dx)
         if j[1, 1] != 0.0:
-            out += j[1, 1] * _centered_second(w_cur, dp, 1)
+            out += j[1, 1] * _centered_second(s_p, dp)
         if j[0, 1] != 0.0:
             out += 2.0 * j[0, 1] * _centered_first(
-                _centered_first(w_cur, dx, 0), dp, 1
+                _taps(_centered_first(s_x, dx), 1, reach=2), dp
             )
         return out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bohmdec.errors import DomainValidityError, GridCoverageError
 from bohmdec.phase_space import (
@@ -469,6 +470,34 @@ class TestDensityMatrixFromWigner:
         got = density_matrix_from_wigner(field, natural_system, xs, xps)
         expected = psi(xs) * np.conj(psi(xps))
         assert np.max(np.abs(got - expected)) < 1e-6
+
+    def test_matches_bicubic_reference(self, natural_system):
+        st = build_energy_band_state(12, 4)
+        orb = classical_orbit(st, natural_system)
+        grid = GridSpec.for_orbit(orb)
+        full = wigner_transform(band_wavefunction(st, natural_system), grid, natural_system)
+        # an off-centre slice in x, so the edge rows the spline clips at are
+        # not negligible; the first two midpoints sit in the edge cells
+        keep = (grid.x >= -0.5 * orb.amplitude) & (grid.x <= 0.3 * orb.amplitude)
+        field = WignerField(grid.x[keep], grid.p, full.values[keep])
+        x = field.x_grid
+        mid = np.concatenate(
+            [[x[0] + 0.3 * field.dx, x[-1] - 0.6 * field.dx], np.linspace(-0.45, 0.25, 6) * orb.amplitude]
+        )
+        sep = np.linspace(-1.5, 2.0, 8)
+        xs, xps = mid + 0.5 * sep, mid - 0.5 * sep
+        got = density_matrix_from_wigner(field, natural_system, xs, xps)
+        # reference: full bicubic prefilter, then the interpolated rows
+        coeffs = ndimage.spline_filter(field.values, order=3, mode="nearest")
+        rows = (mid - x[0]) / field.dx
+        cols = np.arange(grid.p.size, dtype=float)
+        lines = ndimage.map_coordinates(
+            coeffs, np.broadcast_arrays(rows[:, None], cols[None, :]),
+            order=3, mode="nearest", prefilter=False,
+        )
+        phase = np.exp(1j * np.outer(sep, grid.p) / natural_system.hbar)
+        expected = trapz(lines * phase, dx=field.dp, axis=1)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_diagonal_recovers_position_density(self, natural_system):
         st = build_energy_band_state(50, 2)

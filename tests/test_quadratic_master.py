@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 from scipy.integrate import solve_ivp
 
 from bohmdec.errors import DomainValidityError, NumericalFailureError
@@ -357,6 +358,57 @@ class TestPropagateWigner:
         expected = gaussian_field(x, x, mean, cov_t)
         peak = expected.values.max()
         assert np.max(np.abs(out.values - expected.values)) <= 1e-3 * peak
+
+    def test_matches_bounding_box_reference(self, natural_system):
+        # Reference: a zero buffer covering the input grid and every
+        # pulled-back point, smeared in Fourier space and read with
+        # map_coordinates' own bicubic prefilter.
+        state = build_energy_band_state(12, 4)
+        grid = GridSpec.for_orbit(classical_orbit(state, natural_system), x_span=1.5, p_span=1.5)
+        field = wigner_transform(band_wavefunction(state, natural_system), grid, natural_system)
+        prop = integrate_propagator(default_cl(natural_system), 0.8)
+        out = propagate_wigner(prop, field, natural_system)
+
+        x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
+        a_inv = np.linalg.inv(prop.a)
+        rows = (a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p - x[0]) / dx
+        cols = (a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p - p[0]) / dp
+        width_x = np.sqrt(0.5 * prop.m[0, 0]) / dx
+        width_p = np.sqrt(0.5 * prop.m[1, 1]) / dp
+        # the rotated corners pull back beyond 8 smearing widths of the grid
+        assert rows.min() < -4 - 8.0 * width_x and cols.max() > p.size
+
+        def span(index, size, width):
+            margin = 4 + int(np.ceil(8.0 * width))
+            lo = min(int(np.floor(index.min())), 0) - margin
+            return lo, max(int(np.ceil(index.max())), size - 1) + margin + 1 - lo
+
+        lo_x, n_x = span(rows, x.size, width_x)
+        lo_p, n_p = span(cols, p.size, width_p)
+        buffer = np.zeros((n_x, n_p))
+        buffer[-lo_x : x.size - lo_x, -lo_p : p.size - lo_p] = field.values
+        kx = 2.0 * np.pi * np.fft.fftfreq(n_x, dx)[:, None]
+        kp = 2.0 * np.pi * np.fft.rfftfreq(n_p, dp)[None, :]
+        m = prop.m
+        gauss = np.exp(-0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2))
+        smeared = np.fft.irfft2(np.fft.rfft2(buffer) * gauss, s=buffer.shape)
+        expected = ndimage.map_coordinates(
+            smeared, [rows - lo_x, cols - lo_p], order=3, mode="constant"
+        ) / np.linalg.det(prop.a)
+        peak = np.abs(expected).max()
+        assert np.max(np.abs(out.values - expected)) <= 1e-13 * peak
+
+    def test_shear_does_not_grow_buffer(self, natural_system):
+        x = symmetric_grid(6.0, 0.05)
+        mean0, cov0 = np.array([0.7, -0.4]), 0.5 * np.eye(2)
+        field = gaussian_field(x, x, mean0, cov0)
+        shear, m = np.array([[1.0, 1.0], [0.0, 1.0]]), 0.2 * np.eye(2)
+        out = propagate_wigner(GaussianPropagator(1.0, shear, m), field, natural_system)
+        expected = gaussian_field(x, x, shear @ mean0, shear @ (cov0 + 0.5 * m) @ shear.T)
+        peak = expected.values.max()
+        assert np.max(np.abs(out.values - expected.values)) <= 1e-10 * peak
+        still = propagate_wigner(GaussianPropagator(1.0, np.eye(2), m), field, natural_system)
+        assert out.notes[-2] == still.notes[-2]
 
     @pytest.mark.parametrize("m_pp", [0.0, -1e-12])
     def test_singular_smear_is_applied(self, natural_system, m_pp):
