@@ -47,7 +47,6 @@ __all__ = [
     "sigma3_squared",
 ]
 
-_ENVELOPE_INCLUSION = 1e-6
 _LOG_MASS_FLOOR = 700.0
 
 
@@ -151,9 +150,6 @@ class ConditionalKernel:
         degenerate (no modes, or zero time).
     sigma3_sq : float
         Momentum precision contributed by a consistent slice.
-    offset : numpy.ndarray
-        Smearing-center offset, reported for diagnosis; the kernel itself is
-        centred with the offset zeroed.
     """
 
     time: float
@@ -165,16 +161,11 @@ class ConditionalKernel:
     m_tilde: np.ndarray
     minv: MInverseParams | None
     sigma3_sq: float
-    offset: np.ndarray
 
     @property
     def degenerate(self) -> bool:
         """Whether the kernel has no inverse (no modes, or zero time)."""
         return self.minv is None
-
-    @property
-    def offset_norm(self) -> float:
-        return float(np.linalg.norm(self.offset))
 
     def conditional_peaks(self, x: float, p: float) -> np.ndarray:
         """Most likely slice position of every mode given the central point."""
@@ -251,7 +242,6 @@ def conditional_kernel(
     d_free = props.d_free
     rotated = np.einsum("rij,rj->ri", d_free, sample.vectors())
     response = np.einsum("rij,rjk->rik", d_free, _flip_time(props.c))
-    offset = np.einsum("rij,rj->i", _flip_time(props.b), rotated)
 
     if spectral is None:
         spectral = SpectralDensity.from_bath(bath)
@@ -271,7 +261,6 @@ def conditional_kernel(
         m_tilde=m_tilde,
         minv=minv,
         sigma3_sq=sigma3_squared(spectral, props.system, t),
-        offset=offset,
     )
 
 
@@ -302,8 +291,7 @@ def conditional_velocity(
     times the slice weight ``exp[-(q0 + q1 p + q2 p^2)]``. Completing the
     square once for all three leaves exact Gaussians in momentum, so the
     flux and density integrals reduce to closed-form masses and means,
-    combined in the log domain. The envelope is dropped when its peak is
-    below ``1e-6`` of the larger branch peak.
+    combined in the log domain.
 
     The position-spread margin of the decomposition and the turning-zone
     distance gate the evaluation; the chord margin is computed for diagnosis
@@ -371,8 +359,10 @@ def conditional_velocity(
     # Term k times the slice weight is exp(const - curvature p^2 + slope p).
     curvature = precision + q2
     slope = 2.0 * precision * centre - q1
-    log_peak = log_weight - precision * centre**2 - q0 + slope**2 / (4.0 * curvature)
-    log_mass = log_peak + 0.5 * np.log(np.pi / curvature)
+    log_mass = (
+        log_weight - precision * centre**2 - q0 + slope**2 / (4.0 * curvature)
+        + 0.5 * np.log(np.pi / curvature)
+    )
     # the largest branch mass any slice could leave (its weight centred on the
     # branch); the representable floor is measured from it
     reference = float(np.max(log_weight[:2] + 0.5 * np.log(np.pi / curvature[:2])))
@@ -380,9 +370,6 @@ def conditional_velocity(
         raise UndefinedVelocityError(
             f"no branch density at x = {x_eval:g}; the conditioned velocity is undefined"
         )
-    if log_peak[2] <= log_peak[:2].max() + np.log(_ENVELOPE_INCLUSION):
-        log_mass[2] = -np.inf
-
     top = float(log_mass.max())
     if top < reference - _LOG_MASS_FLOOR:
         raise UndefinedVelocityError(

@@ -220,7 +220,6 @@ def wigner_transform(
     wavefunction_sampler: Callable[[np.ndarray], np.ndarray],
     grid: GridSpec,
     system: OscillatorSystemSpec,
-    time_stamp: float = 0.0,
 ) -> WignerField:
     """Wigner function of a pure state on a phase-space grid.
 
@@ -254,14 +253,13 @@ def wigner_transform(
         Output grid. The position axis must carry all but ``1e-8`` of the
         state's norm.
     system : OscillatorSystemSpec
-    time_stamp : float
-        Recorded on the returned field.
 
     Returns
     -------
     WignerField
-        Its notes record the quadrature step (``y_step=``) and the largest
-        discarded imaginary part (``imag_residue=``).
+        Stamped at time 0. Its notes record the quadrature step
+        (``y_step=``) and the largest discarded imaginary part
+        (``imag_residue=``).
 
     Raises
     ------
@@ -345,7 +343,6 @@ def wigner_transform(
         x_grid=x,
         p_grid=p,
         values=values,
-        time_stamp=time_stamp,
         notes=(f"y_step={y_step!r}", f"imag_residue={worst_imag:.3e}"),
     )
 

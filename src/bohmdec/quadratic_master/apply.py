@@ -12,8 +12,8 @@ by four stencil cells plus ``_SIGMA_CUT`` smearing widths on each side, so
 mass smeared past one edge cannot wrap round into values read near the other.
 A point that pulls back outside the buffer is that far from every input cell
 and reads 0; its true value is below ``e^-32`` of the peak. The smear stays
-exact for a singular ``M``; only a negligible one, every entry below
-``1e-7 hbar``, takes an exact bilinear pullback instead.
+exact for a singular ``M``, zero included, where it multiplies by 1 and only
+the bicubic pullback along ``A`` remains.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .propagator import GaussianPropagator
 __all__ = ["propagate_wigner"]
 
 _SIGMA_CUT = 8.0
-_DELTA_M_FLOOR = 1e-7
 _NORM_GUARD = 1e-3
 
 
@@ -45,11 +44,11 @@ def propagate_wigner(
     """Evolve a Wigner field with a Gaussian propagator.
 
     ``field`` is treated as zero outside its grid, and an output point that
-    pulls back beyond the smearing buffer reads 0; ``system`` supplies ``hbar``
-    for the negligible-smear threshold. Returns the evolved samples on the same
-    grid with the time stamp advanced by the propagator's time; the notes record
-    the path (``spectral_smear`` with the buffer shape, set by the grid and
-    ``M`` alone, or ``delta_fallback``) and the mass residual.
+    pulls back beyond the smearing buffer reads 0. ``system`` is accepted for
+    the callers' uniform signature and is not used. Returns the evolved samples
+    on the same grid with the time stamp advanced by the propagator's time; the
+    notes record the path (``spectral_smear`` with the buffer shape, set by the
+    grid and ``M`` alone) and the mass residual.
 
     Raises
     ------
@@ -63,30 +62,27 @@ def propagate_wigner(
         raise NumericalFailureError("flow matrix must preserve orientation")
     x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
 
-    if float(np.abs(m).max()) < _DELTA_M_FLOOR * system.hbar:
-        source, pad, order, note = field.values, (0, 0), 1, "delta_fallback"
-    else:
-        # a singular M may carry a round-off negative diagonal entry
-        pad_x, n_x = _padded_axis(x.size, np.sqrt(0.5 * max(m[0, 0], 0.0)) / dx)
-        pad_p, n_p = _padded_axis(p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
-        widths = ((pad_x, n_x - x.size - pad_x), (pad_p, n_p - p.size - pad_p))
-        spectrum = sp_fft.rfft2(np.pad(field.values, widths))
-        kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
-        kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
-        spectrum *= np.exp(-0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2))
-        spectrum *= 9.0 / ((2.0 + np.cos(kx * dx)) * (2.0 + np.cos(kp * dp)))
-        source = sp_fft.irfft2(spectrum, s=(n_x, n_p))
-        del spectrum
-        pad, order, note = (pad_x, pad_p), 3, f"spectral_smear(buffer={n_x}x{n_p})"
+    # a singular M may carry a round-off negative diagonal entry
+    pad_x, n_x = _padded_axis(x.size, np.sqrt(0.5 * max(m[0, 0], 0.0)) / dx)
+    pad_p, n_p = _padded_axis(p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
+    widths = ((pad_x, n_x - x.size - pad_x), (pad_p, n_p - p.size - pad_p))
+    spectrum = sp_fft.rfft2(np.pad(field.values, widths))
+    kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
+    kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
+    spectrum *= np.exp(-0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2))
+    spectrum *= 9.0 / ((2.0 + np.cos(kx * dx)) * (2.0 + np.cos(kp * dp)))
+    source = sp_fft.irfft2(spectrum, s=(n_x, n_p))
+    del spectrum
     # A^-1 in index units: output cell j reads source cell matrix @ j + offset
     step, corner = np.array([dx, dp]), np.array([x[0] / dx, p[0] / dp])
     matrix = np.linalg.inv(a) * step / step[:, None]
-    offset = matrix @ corner - corner + pad
+    offset = matrix @ corner - corner + (pad_x, pad_p)
     values = ndimage.affine_transform(
-        source, matrix, offset, field.values.shape, order=order, mode="constant", prefilter=False
+        source, matrix, offset, field.values.shape, order=3, mode="constant", prefilter=False
     )
     values /= det_a
 
+    note = f"spectral_smear(buffer={n_x}x{n_p})"
     out = WignerField(x, p, values, field.time_stamp + propagator.t, tuple(field.notes) + (note,))
     mass_in, mass_out = field.normalization(), out.normalization()
     drift = abs(mass_out - mass_in) / max(abs(mass_in), 1e-300)

@@ -39,7 +39,8 @@ class MasterEqCoefficients:
     and the symmetric diffusion matrix as ``[[J11, J12], [J12, J22]]``.
     Constants may be passed in place of callables; they must be finite.
     ``time_independent`` is derived: true exactly when every coefficient was
-    given as a constant.
+    given as a constant, which lets ``integrate_propagator`` use its closed
+    form, one block matrix exponential (Van Loan 1978).
     """
 
     h1: CoefficientLike

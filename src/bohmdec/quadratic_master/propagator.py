@@ -14,7 +14,8 @@ from .coefficients import MasterEqCoefficients
 __all__ = ["GaussianPropagator", "integrate_propagator", "compose"]
 
 _COND_LIMIT = 1e12
-# Relative tolerance of the adaptive Runge-Kutta integration.
+# Relative tolerance of the adaptive Runge-Kutta integration (callable
+# coefficients only).
 _RTOL = 1e-9
 
 
@@ -64,6 +65,13 @@ def integrate_propagator(
 ) -> GaussianPropagator:
     """Integrate the flow ``A' = -K A`` and smearing ``M' = 4 A^-1 J A^-T``.
 
+    Both are carried as ``A`` and ``S = A M A^T``, which obeys the bounded
+    Lyapunov equation ``S' = -K S - S K^T + 4 J``. For constant coefficients
+    one block exponential gives both in closed form (Van Loan, IEEE Trans.
+    Autom. Control 23, 395 (1978)): ``expm([[-K, 4J], [0, K^T]] t)`` has ``A``
+    as its top-left block and ``S A^-T`` as its top-right one. Callable
+    coefficients take an adaptive Runge-Kutta (DOP853) solve.
+
     Parameters
     ----------
     coeffs : MasterEqCoefficients
@@ -87,15 +95,37 @@ def integrate_propagator(
     if t == 0.0:
         return GaussianPropagator(t=0.0, a=np.eye(2), m=np.zeros((2, 2)))
 
-    if coeffs.time_independent and coeffs.diffusion_is_zero():
-        # purely unitary (or damped but noiseless) constant flow
-        a = expm(-coeffs.drift_matrix(0.0) * t)
-        return GaussianPropagator(t=t, a=a, m=np.zeros((2, 2)))
+    if coeffs.time_independent:
+        k = coeffs.drift_matrix(0.0)
+        generator = np.block([[-k, 4.0 * coeffs.diffusion_matrix(0.0)], [np.zeros((2, 2)), k.T]])
+        block = expm(generator * t)
+        a = block[:2, :2]
+        forward = block[:2, 2:] @ a.T
+    else:
+        a, forward = _solve_flow(coeffs, t)
+    if np.linalg.cond(a) > _COND_LIMIT:
+        raise NumericalFailureError(
+            f"flow matrix condition number exceeds {_COND_LIMIT:g} at t={t:g}"
+        )
+    a_inv = np.linalg.inv(a)
+    m = a_inv @ forward @ a_inv.T
+    m = 0.5 * (m + m.T)
+    # clip negligible negative eigenvalues left by round-off
+    eigs, vecs = np.linalg.eigh(m)
+    floor = -1e-12 * max(1.0, float(eigs.max()))
+    if eigs.min() < floor:
+        raise NumericalFailureError("smearing matrix lost positive semidefiniteness")
+    eigs = np.clip(eigs, 0.0, None)
+    m = (vecs * eigs) @ vecs.T
+    return GaussianPropagator(t=t, a=a, m=m)
 
-    # Integrating M directly is stiff whenever the flow is strongly damped:
-    # its equation carries A^-1 twice and blows up exponentially.  The
-    # substitution S = A M A^T turns it into the bounded Lyapunov equation
-    # S' = -K S - S K^T + 4 J, and A is only inverted once at the end.
+
+def _solve_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A(t)`` and ``S(t) = A M A^T`` for callable coefficients, by DOP853.
+
+    ``M`` itself is stiff under strong damping (its equation carries ``A^-1``
+    twice); ``S`` stays bounded, and ``A`` is inverted once by the caller.
+    """
     def rhs(s: float, y: np.ndarray) -> np.ndarray:
         a = y[:4].reshape(2, 2)
         forward = y[4:].reshape(2, 2)
@@ -117,23 +147,7 @@ def integrate_propagator(
     )
     if not sol.success:
         raise NumericalFailureError(f"propagator integration failed: {sol.message}")
-    a = sol.y[:4, -1].reshape(2, 2)
-    forward = sol.y[4:, -1].reshape(2, 2)
-    if np.linalg.cond(a) > _COND_LIMIT:
-        raise NumericalFailureError(
-            f"flow matrix condition number exceeds {_COND_LIMIT:g} at t={t:g}"
-        )
-    a_inv = np.linalg.inv(a)
-    m = a_inv @ forward @ a_inv.T
-    m = 0.5 * (m + m.T)
-    # clip negligible negative eigenvalues produced by the integrator
-    eigs, vecs = np.linalg.eigh(m)
-    floor = -1e-12 * max(1.0, float(eigs.max()))
-    if eigs.min() < floor:
-        raise NumericalFailureError("smearing matrix lost positive semidefiniteness")
-    eigs = np.clip(eigs, 0.0, None)
-    m = (vecs * eigs) @ vecs.T
-    return GaussianPropagator(t=t, a=a, m=m)
+    return sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
 
 
 def compose(first: GaussianPropagator, second: GaussianPropagator) -> GaussianPropagator:

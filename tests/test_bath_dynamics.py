@@ -11,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import brentq
 
 from bohmdec.bath_dynamics import (
     BathSpec,
@@ -245,6 +246,12 @@ class TestSolveGKernel:
         ratios = np.array(residuals[:-1]) / np.array(residuals[1:])
         assert np.all(ratios >= 12.0), (residuals, ratios)
 
+    def test_rejects_too_coarse_step(self):
+        # 20 points per period of a cutoff of 100 need a step below 3.1e-3
+        spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
+        with pytest.raises(ValueError, match="too coarse"):
+            solve_g_kernel(spectral, 1.0, 1.0, 0.01)
+
     @pytest.mark.parametrize("shape", [(40, 40), (12, 70), (70, 12)])
     def test_spectral_norm_matches_svd(self, shape):
         mat = np.random.default_rng(5).standard_normal(shape)
@@ -470,11 +477,45 @@ class TestConditionalVelocity:
         expected = _quadrature_velocity(run.kernel, wkb, x, bath_slice)
         assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass
 
+    def test_slice_far_from_every_branch_raises(self):
+        run = _canonical_conditioning(2.0)
+        x = 0.3 * run.orbit.amplitude
+        p_cl = float(run.orbit.classical_momentum(x))
+        widths = run.kernel.bath.coherent_widths
+        bath_slice = run.kernel.conditional_peaks(x, p_cl) + 10.0 * widths
+        with pytest.raises(UndefinedVelocityError, match="representable floor"):
+            conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
 
-def _canonical_conditioning(t):
-    """The n=50 width-8 band and a 64-mode canonical-parameter bath conditioned at ``t``."""
+    def test_tiny_envelope_keeps_its_share(self):
+        # The slice sits where the envelope's slice-weighted peak is 1e-7 of
+        # the larger branch's: it still moves v by ~1e-6 p_cl / m, so it must
+        # enter with its log-domain weight, as in the quadrature oracle.
+        run = _canonical_conditioning(2.0, damping_rate=1e-3)
+        x = 0.3 * run.orbit.amplitude
+        p_cl = float(run.orbit.classical_momentum(x))
+        decomp = SemiclassicalDecomposition(run.kernel.minv, run.orbit, run.wkb)
+        log_weight, centre, precision = (term[:, 0] for term in decomp.gaussian_terms(x))
+        q2 = run.kernel.slice_quadratic(run.kernel.conditional_peaks(x, 0.0), x)[2]
+
+        def log_peak_gap(p_star):
+            # a slice at the peaks of p_star weighs p by exp(-q2 (p - p_star)^2)
+            peak = log_weight - precision * q2 / (precision + q2) * (centre - p_star) ** 2
+            return peak[2] - peak[:2].max() - np.log(1e-7)
+
+        p_star = brentq(log_peak_gap, -20.0 * p_cl, -10.0 * p_cl, xtol=1e-12 * p_cl)
+        bath_slice = run.kernel.conditional_peaks(x, p_star)
+        v = conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        expected = _quadrature_velocity(run.kernel, run.wkb, x, bath_slice)
+        assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass
+
+
+def _canonical_conditioning(t, damping_rate=1e-4):
+    """The n=50 width-8 band and a 64-mode bath conditioned at ``t``.
+
+    The bath has the canonical parameters unless ``damping_rate`` is given.
+    """
     system = OscillatorSystemSpec()
-    params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+    params = CaldeiraLeggettParams(damping_rate=damping_rate, thermal_energy=1e3, cutoff=1e3)
     bath = discretize_spectral_density(params, system, 64)
     continuum = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
     with warnings.catch_warnings():

@@ -424,6 +424,12 @@ class TestWignerTransform:
         with pytest.raises(ValueError, match="NaN"):
             wigner_transform(broken, grid, natural_system)
 
+    def test_unbounded_support_rejected(self, natural_system):
+        # a constant amplitude never falls below the envelope threshold
+        x = 0.05 * np.arange(-120, 121)
+        with pytest.raises(GridCoverageError, match="could not bracket"):
+            wigner_transform(np.ones_like, GridSpec(x=x, p=x), natural_system)
+
     def test_coverage_precondition(self, natural_system):
         st = build_energy_band_state(0, 0)
         orb = classical_orbit(st, natural_system)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.integrate import solve_ivp
 
+from bohmdec.bohm_velocity import timescales
 from bohmdec.errors import DomainValidityError, NumericalFailureError
 from bohmdec.phase_space import (
     GridSpec,
@@ -144,8 +145,8 @@ class TestCoefficients:
         assert coeffs.drift_matrix(2.0)[1, 0] == pytest.approx(3.0)
 
     def test_time_independent_is_derived(self):
-        # a caller-set flag would send time-dependent coefficients down the
-        # constant-flow expm shortcut of integrate_propagator
+        # a caller-set flag would send time-dependent coefficients to the
+        # closed-form block exponential of integrate_propagator
         with pytest.raises(TypeError):
             MasterEqCoefficients(
                 h1=lambda t: 1.0 + t, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=0.0,
@@ -235,6 +236,39 @@ class TestIntegratePropagator:
         np.testing.assert_allclose(adaptive.a, direct.a, atol=1e-8)
         np.testing.assert_allclose(adaptive.m, direct.m, atol=1e-10)
 
+    # t = None stands for five smoothing times of the canonical band
+    @pytest.mark.parametrize("t", [None, 2.0, 20.0], ids=["5t_c", "2", "20"])
+    @pytest.mark.parametrize("gamma, thermal_energy, cutoff", [(1e-4, 1e3, 1e3), (1e-2, 10.0, 100.0)])
+    def test_constant_coefficients_closed_form(
+        self, natural_system, gamma, thermal_energy, cutoff, t
+    ):
+        params = CaldeiraLeggettParams(gamma, thermal_energy, cutoff)
+        if t is None:
+            orbit = classical_orbit(build_energy_band_state(50, 8), natural_system)
+            t = 5.0 * timescales(natural_system, params, orbit).t_c
+        coeffs = assemble_cl_coefficients(natural_system, params)
+        prop = integrate_propagator(coeffs, t)
+
+        # A = exp(-K t), with (K - gamma)^2 = -(omega^2 - gamma^2)
+        k = coeffs.drift_matrix(0.0)
+        rate = np.sqrt(natural_system.renormalized_frequency**2 - gamma**2)
+        a = np.exp(-gamma * t) * (
+            np.cos(rate * t) * np.eye(2) - np.sin(rate * t) / rate * (k - gamma * np.eye(2))
+        )
+        np.testing.assert_allclose(prop.a, a, rtol=0.0, atol=1e-12 * np.abs(a).max())
+
+        # M = A^-1 S A^-T, with the Lyapunov equation S' = -K S - S K^T + 4 J
+        j = coeffs.diffusion_matrix(0.0)
+
+        def rhs(_, y):
+            s = y.reshape(2, 2)
+            return (-k @ s - s @ k.T + 4.0 * j).ravel()
+
+        sol = solve_ivp(rhs, (0.0, t), np.zeros(4), method="DOP853", rtol=1e-13, atol=1e-16)
+        a_inv = np.linalg.inv(a)
+        m = a_inv @ sol.y[:, -1].reshape(2, 2) @ a_inv.T
+        np.testing.assert_allclose(prop.m, m, rtol=0.0, atol=1e-12 * np.abs(m).max())
+
     def test_short_time_diffusion_closed_form(self, natural_system):
         # D = 1 with omega t, gamma t << 1: M ~ 4 D t [[t^2/3, -t/2], [-t/2, 1]]
         params = CaldeiraLeggettParams(damping_rate=0.01, thermal_energy=50.0, cutoff=100.0)
@@ -310,7 +344,7 @@ class TestPropagateWigner:
         prop = GaussianPropagator(0.0, np.eye(2), np.zeros((2, 2)))
         out = propagate_wigner(prop, field, natural_system)
         np.testing.assert_allclose(out.values, field.values, atol=1e-12)
-        assert any("delta_fallback" in note for note in out.notes)
+        assert any("spectral_smear" in note for note in out.notes)
 
     def test_delta_rotation_pullback(self, natural_system):
         params = CaldeiraLeggettParams(damping_rate=0.0, thermal_energy=0.0, cutoff=1.0)
@@ -325,6 +359,19 @@ class TestPropagateWigner:
         expected = gaussian_field(x, x, mean_t, prop.a @ cov0 @ prop.a.T)
         peak = expected.values.max()
         assert np.max(np.abs(out.values - expected.values)) <= 2e-3 * peak
+
+    def test_zero_smear_rotation_is_exact(self, natural_system):
+        # M = 0 takes the spectral path, where the smear multiplies by 1:
+        # only the bicubic read along A is left
+        params = CaldeiraLeggettParams(damping_rate=0.0, thermal_energy=0.0, cutoff=1.0)
+        prop = integrate_propagator(assemble_cl_coefficients(natural_system, params), 0.4)
+        assert not prop.m.any()
+        x = symmetric_grid(6.0, 0.05)
+        mean0, cov0 = np.array([0.7, -0.4]), 0.5 * np.eye(2)
+        out = propagate_wigner(prop, gaussian_field(x, x, mean0, cov0), natural_system)
+        expected = gaussian_field(x, x, prop.a @ mean0, prop.a @ cov0 @ prop.a.T)
+        peak = expected.values.max()
+        assert np.max(np.abs(out.values - expected.values)) <= 1e-6 * peak
 
     def test_gaussian_moment_oracle(self, natural_system):
         coeffs = default_cl(natural_system)
