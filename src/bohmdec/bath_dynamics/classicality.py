@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from ..bohm_velocity import (
     MInverseParams,
@@ -44,12 +44,15 @@ def conditional_smearing_time(
 ) -> float:
     """Time at which conditional smearing first resolves the orbit.
 
-    Solves ``omega gamma t^2 ln(cutoff t) = lambda_B / x_max`` on
-    ``[10/cutoff, 1/(10 gamma)]`` with Brent's method. The left-hand side is
-    the leading growth of the conditional position spread in orbit units;
-    the right-hand side is the interference scale it must beat. Its
-    derivative ``omega gamma t (2 ln(cutoff t) + 1)`` is positive on the
-    window, so a sign change at the two ends brackets the only root.
+    Solves ``omega gamma t^2 ln(cutoff t) = lambda_B / x_max``. The left-hand
+    side is the leading growth of the conditional position spread in orbit
+    units; the right-hand side is the interference scale it must beat. With
+    ``u = cutoff t`` the equation reads ``u^2 ln u = K``, where
+    ``K = cutoff^2 lambda_B / (x_max omega gamma)``, whose root is
+    ``u = sqrt(2K / W_0(2K))`` on the principal branch of the Lambert W
+    function (Corless et al., Adv. Comput. Math. 5, 329 (1996)). The root
+    must lie in the window ``[10/cutoff, 1/(10 gamma)]``, where the growth
+    law holds.
 
     Returns
     -------
@@ -60,19 +63,13 @@ def conditional_smearing_time(
     ValueError
         If the damping rate is not positive.
     NumericalFailureError
-        If the window is empty or the residual does not change sign across
-        it.
+        If the window is empty or the root lies outside it.
     """
     omega = system.renormalized_frequency
     gamma = cl_params.damping_rate
     if gamma <= 0.0:
         raise ValueError(f"conditional smearing time needs damping_rate > 0, got {gamma:g}")
     cutoff = cl_params.cutoff
-    target = orbit.de_broglie / orbit.amplitude
-
-    def residual(t: float) -> float:
-        return omega * gamma * t * t * np.log(cutoff * t) - target
-
     lo = 10.0 / cutoff
     hi = 1.0 / (10.0 * gamma)
     if lo >= hi:
@@ -80,15 +77,14 @@ def conditional_smearing_time(
             "conditional smearing-time window is empty: 10/cutoff = "
             f"{lo:g} is not below 1/(10 gamma) = {hi:g}"
         )
-    ends = residual(lo), residual(hi)
-    if not (ends[0] <= 0.0 < ends[1]):
+    twice_k = 2.0 * cutoff**2 * orbit.de_broglie / (orbit.amplitude * omega * gamma)
+    t = float(np.sqrt(twice_k / lambertw(twice_k).real)) / cutoff
+    if not lo <= t <= hi:
         raise NumericalFailureError(
-            "no conditional smearing-time crossing in "
-            f"[{lo:g}, {hi:g}]: residual spans [{min(ends):g}, {max(ends):g}]"
+            f"no conditional smearing-time crossing in [{lo:g}, {hi:g}]: "
+            f"the root is at t = {t:g}"
         )
-    # the root is at least lo, so both tolerances are relative, near rounding
-    eps = np.finfo(float).eps
-    return float(brentq(residual, lo, hi, xtol=1e-15 * lo, rtol=4.0 * eps))
+    return t
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ def classicality_report(
         system, cl_params.damping_rate, cl_params.cutoff
     )
     minv = MInverseParams.from_m_matrix(m_tilde_matrix(spectral, system, t))
-    decomp = SemiclassicalDecomposition(minv, orbit)
+    widths = SemiclassicalDecomposition(minv, orbit).widths(x)
     p_cl = float(orbit.classical_momentum(x))
     slice_width = float(np.sqrt(sigma3_squared(spectral, system, t)))
 
@@ -174,9 +170,9 @@ def classicality_report(
     orbit_ratio = orbit.amplitude / orbit.de_broglie
 
     margins = {
-        "interference_suppression": float(decomp.sigma_1(x)[0]) * p_cl,
-        "branch_width_plus": float(decomp.sigma_plus(x)[0]) * p_cl,
-        "branch_width_minus": float(decomp.sigma_minus(x)[0]) * p_cl,
+        "interference_suppression": float(widths.sigma_1[0]) * p_cl,
+        "branch_width_plus": float(widths.sigma_plus[0]) * p_cl,
+        "branch_width_minus": float(widths.sigma_minus[0]) * p_cl,
         "slice_precision": slice_width * p_cl,
         "past_conditional_smearing_time": smear_growth * orbit_ratio,
         "cutoff_window": (

@@ -133,34 +133,23 @@ class ConditionalKernel:
 
     Attributes
     ----------
-    time : float
     system : OscillatorSystemSpec
     bath : BathSpec
-    sample : CoherentBathSample
-        Coherent-state centers the conditioning is relative to.
     rotated_means : numpy.ndarray
-        Freely evolved mode centers, shape ``(N, 2)``.
+        Freely evolved coherent-state centers of the modes, shape ``(N, 2)``.
     response : numpy.ndarray
         Sensitivity of each mode's conditional peak to the central point,
         shape ``(N, 2, 2)``; row 0 is the peak position, row 1 its momentum.
-    m_tilde : numpy.ndarray
-        Conditional smearing matrix, 2x2.
     minv : MInverseParams or None
-        Validated inverse-kernel parameters; ``None`` when the kernel is
-        degenerate (no modes, or zero time).
-    sigma3_sq : float
-        Momentum precision contributed by a consistent slice.
+        Inverse of the conditional smearing matrix (:func:`m_tilde_matrix`);
+        ``None`` when the kernel is degenerate (no modes, or zero time).
     """
 
-    time: float
     system: OscillatorSystemSpec
     bath: BathSpec
-    sample: CoherentBathSample
     rotated_means: np.ndarray
     response: np.ndarray
-    m_tilde: np.ndarray
     minv: MInverseParams | None
-    sigma3_sq: float
 
     @property
     def degenerate(self) -> bool:
@@ -183,7 +172,7 @@ class ConditionalKernel:
         The Gaussian slice factor contributes
         ``exp[-(q0 + q1 p + q2 p^2)]`` to every momentum integrand at fixed
         central position ``x``; ``q2`` equals the slice precision
-        ``sigma3_sq`` up to discretization of the spectral integral.
+        :func:`sigma3_squared` up to discretization of the spectral integral.
         """
         bath_slice = np.asarray(bath_slice, dtype=float)
         if bath_slice.shape != (self.bath.n_modes,):
@@ -220,7 +209,7 @@ def conditional_kernel(
     t : float
         Must match the time the blocks were assembled at.
     spectral : SpectralDensity, optional
-        Density to integrate the smearing matrix and slice precision over.
+        Density to integrate the smearing matrix over.
         Defaults to the line spectrum of ``bath``; pass the continuum parent
         density when the modes discretize one and the oscillation period
         ``2 pi / t`` is finer than the mode spacing, where the line sum
@@ -245,22 +234,17 @@ def conditional_kernel(
 
     if spectral is None:
         spectral = SpectralDensity.from_bath(bath)
-    m_tilde = m_tilde_matrix(spectral, props.system, t)
     try:
-        minv = MInverseParams.from_m_matrix(m_tilde)
+        minv = MInverseParams.from_m_matrix(m_tilde_matrix(spectral, props.system, t))
     except ValueError:
         minv = None
 
     return ConditionalKernel(
-        time=float(t),
         system=props.system,
         bath=bath,
-        sample=sample,
         rotated_means=rotated,
         response=response,
-        m_tilde=m_tilde,
         minv=minv,
-        sigma3_sq=sigma3_squared(spectral, props.system, t),
     )
 
 

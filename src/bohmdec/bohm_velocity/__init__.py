@@ -1,6 +1,7 @@
 """Ensemble velocity fields, their semiclassical decomposition, timescales."""
 
 from .decomposition import (
+    BranchWidths,
     MInverseParams,
     SemiclassicalDecomposition,
     ValidityReport,
@@ -11,6 +12,7 @@ from .timescales import TimescaleReport, timescales
 from .velocity import classical_band_margin, ensemble_velocity, initial_velocity
 
 __all__ = [
+    "BranchWidths",
     "MInverseParams",
     "SemiclassicalDecomposition",
     "TimescaleReport",

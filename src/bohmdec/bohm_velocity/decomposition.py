@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from ..quadratic_master.coefficients import CaldeiraLeggettParams
 from .timescales import timescales
 
 __all__ = [
+    "BranchWidths",
     "MInverseParams",
     "SemiclassicalDecomposition",
     "ValidityReport",
@@ -99,7 +100,6 @@ def validity_window(
     minv: MInverseParams,
     orbit: ClassicalOrbit,
     system: OscillatorSystemSpec,
-    x: float | np.ndarray = 0.0,
     cl_params: CaldeiraLeggettParams | None = None,
     time: float | None = None,
 ) -> ValidityReport:
@@ -107,19 +107,17 @@ def validity_window(
 
     Two inequalities bound the kernel widths against the orbit curvature
     scale: the position spread ``m omega (b/delta)^(3/2) / hbar << x_max``
-    and the chord spread ``8 m omega hbar^2 b^(3/2) << x_max``. When
-    ``cl_params`` and ``time`` are given, the damped-oscillator time window
-    ``(omega t_loc)^(4/3) << t/t_c << (x_max/lambda_B)^(4/9)`` is evaluated
-    as well.
+    and the chord spread ``8 m omega hbar^2 b^(3/2) << x_max``. Both use the
+    orbit-wide scale ``x_max``, so they hold or fail for the whole orbit at
+    once. When ``cl_params`` and ``time`` are given, the damped-oscillator
+    time window ``(omega t_loc)^(4/3) << t/t_c << (x_max/lambda_B)^(4/9)``
+    is evaluated as well.
 
     Parameters
     ----------
     minv : MInverseParams
     orbit : ClassicalOrbit
     system : OscillatorSystemSpec
-    x : float or array_like
-        Probe position; the margins use the orbit-wide curvature scale, so
-        ``x`` only documents where the caller intends to work.
     cl_params : CaldeiraLeggettParams, optional
     time : float, optional
         Evolution time for the damped-oscillator window.
@@ -160,15 +158,35 @@ def validity_window(
     )
 
 
+class BranchWidths(NamedTuple):
+    """Width parameters of the decomposition, one entry per position.
+
+    ``sigma_plus`` and ``sigma_minus`` are the momentum-width parameters of
+    the right- and left-moving branches, ``sigma_1`` the suppression width
+    (the envelope carries ``exp(-sigma_1^2 p_cl^2)``), ``sigma_2`` the
+    momentum-width parameter of the interference envelope and ``beta`` the
+    drift of its ridge in units of ``p_cl``.
+    """
+
+    sigma_plus: np.ndarray
+    sigma_minus: np.ndarray
+    sigma_1: np.ndarray
+    sigma_2: np.ndarray
+    beta: np.ndarray
+
+
 @dataclass(frozen=True)
 class SemiclassicalDecomposition:
     """Branch widths and interference envelope of a smeared band state.
 
-    All evaluators accept positions inside the classically allowed region;
-    the phase-space evaluators return zero outside it. The interference
-    phase is never evaluated: only the envelope (the prefactor with the
-    cosine replaced by one) is available, which bounds the oscillating part
-    pointwise.
+    :meth:`widths` evaluates the five width parameters in one pass and
+    needs only ``minv`` and ``orbit``; the branch densities come from
+    ``wkb``, which :meth:`gaussian_terms` and the phase-space evaluators
+    require. All evaluators accept positions inside the classically allowed
+    region; the phase-space evaluators return zero outside it. The
+    interference phase is never evaluated: only the envelope (the prefactor
+    with the cosine replaced by one) is available, which bounds the
+    oscillating part pointwise.
     """
 
     minv: MInverseParams
@@ -183,37 +201,8 @@ class SemiclassicalDecomposition:
             )
         return self.wkb
 
-    def _widths(self, x: float | np.ndarray) -> tuple[np.ndarray, ...]:
-        """``(sigma_plus, sigma_minus, sigma_1, sigma_2, beta)`` at ``x``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = self.orbit.classical_momentum_derivative(x)
-        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
-        hbar = self.orbit.system.hbar
-        inner = hbar**2 * a * delta + b * p**2
-        # the sigma_2 denominator, factored (see sigma_2)
-        envelope = hbar**2 * (a - b * p**2) ** 2 + (1.0 + hbar**2 * delta) ** 2 * p**2
-        return (
-            np.sqrt(delta / (a + 2.0 * c * p + b * p**2)),
-            np.sqrt(delta / (a - 2.0 * c * p + b * p**2)),
-            np.sqrt(delta / inner),
-            np.sqrt(inner / envelope),
-            c * (1.0 + hbar**2 * delta) * p / inner,
-        )
-
-    def sigma_plus(self, x: float | np.ndarray) -> np.ndarray:
-        """Momentum-width parameter of the right-moving branch."""
-        return self._widths(x)[0]
-
-    def sigma_minus(self, x: float | np.ndarray) -> np.ndarray:
-        """Momentum-width parameter of the left-moving branch."""
-        return self._widths(x)[1]
-
-    def sigma_1(self, x: float | np.ndarray) -> np.ndarray:
-        """Suppression width: the envelope carries ``exp(-sigma_1^2 p_cl^2)``."""
-        return self._widths(x)[2]
-
-    def sigma_2(self, x: float | np.ndarray) -> np.ndarray:
-        """Momentum-width parameter of the interference envelope.
+    def widths(self, x: float | np.ndarray) -> BranchWidths:
+        """The five width parameters at ``x``, each of shape ``(len(x),)``.
 
         ``sigma_2^2 = (hbar^2 a delta + b p'^2) / D`` with the denominator
         written as ``D = hbar^2 (a - b p'^2)^2 + (1 + hbar^2 delta)^2 p'^2``
@@ -221,19 +210,19 @@ class SemiclassicalDecomposition:
         ``delta = a b - c^2``). Both terms are squares and ``a > 0`` for a
         positive-definite kernel, so ``D > 0`` at every position.
         """
-        return self._widths(x)[3]
-
-    def beta(self, x: float | np.ndarray) -> np.ndarray:
-        """Drift of the interference ridge in units of ``p_cl``."""
-        return self._widths(x)[4]
-
-    def rho_plus(self, x: float | np.ndarray) -> np.ndarray:
-        """Right-moving branch position density."""
-        return self._require_wkb().rho_plus(x)
-
-    def rho_minus(self, x: float | np.ndarray) -> np.ndarray:
-        """Left-moving branch position density."""
-        return self._require_wkb().rho_minus(x)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        p = self.orbit.classical_momentum_derivative(x)
+        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
+        hbar = self.orbit.system.hbar
+        inner = hbar**2 * a * delta + b * p**2
+        envelope = hbar**2 * (a - b * p**2) ** 2 + (1.0 + hbar**2 * delta) ** 2 * p**2
+        return BranchWidths(
+            sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p**2)),
+            sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p**2)),
+            sigma_1=np.sqrt(delta / inner),
+            sigma_2=np.sqrt(inner / envelope),
+            beta=c * (1.0 + hbar**2 * delta) * p / inner,
+        )
 
     def gaussian_terms(
         self, x: float | np.ndarray
@@ -254,7 +243,9 @@ class SemiclassicalDecomposition:
            ``sqrt(4 hbar sigma_1 sigma_2 sqrt(delta) / pi)
            sqrt(rho_plus rho_minus) exp(-sigma_1^2 p_cl^2)``.
 
-        An absent branch has weight ``-inf``, and the envelope with it.
+        Here ``rho_plus = |g_plus|^2`` and ``rho_minus = |g_minus|^2`` are the
+        branch densities of :meth:`WkbAmplitudes.amplitudes`. An absent
+        branch has weight ``-inf``, and the envelope with it.
         Positions must lie inside the turning points.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -263,7 +254,7 @@ class SemiclassicalDecomposition:
             log_rho = np.log(np.abs(np.stack([g_plus, g_minus])) ** 2)
         hbar = self.orbit.system.hbar
         p_cl = self.orbit.classical_momentum(x)
-        s_plus, s_minus, s1, s2, beta = self._widths(x)
+        s_plus, s_minus, s1, s2, beta = self.widths(x)
         log_weight = np.stack(
             [
                 np.log(s_plus / np.sqrt(np.pi)) + log_rho[0],
@@ -311,7 +302,7 @@ def semiclassical_decomposition(
     cl_params: CaldeiraLeggettParams | None = None,
     time: float | None = None,
 ) -> SemiclassicalDecomposition:
-    """Build the two-branch decomposition after checking validity at ``x``.
+    """Build the two-branch decomposition after checking its validity window.
 
     Parameters
     ----------
@@ -321,7 +312,9 @@ def semiclassical_decomposition(
     wkb : WkbAmplitudes
         Branch amplitudes of the (possibly evolved) band state.
     x : float or array_like
-        Positions where the decomposition will be used.
+        Positions where the decomposition will be used. The margins of
+        :func:`validity_window` are orbit-wide, so ``x`` does not enter the
+        check.
     cl_params, time : optional
         Forwarded to :func:`validity_window` for the damped-oscillator
         time-window check.
@@ -333,11 +326,9 @@ def semiclassical_decomposition(
     Raises
     ------
     DomainValidityError
-        If the validity window does not pass at ``x``.
+        If the validity window does not pass.
     """
-    report = validity_window(
-        minv, orbit, orbit.system, x, cl_params=cl_params, time=time
-    )
+    report = validity_window(minv, orbit, orbit.system, cl_params=cl_params, time=time)
     if not report.passed:
         failing = {k: round(v, 4) for k, v in report.margins.items() if v < 1.0}
         raise DomainValidityError(

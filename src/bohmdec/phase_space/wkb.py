@@ -75,10 +75,9 @@ class WkbAmplitudes:
     ``exp(+iS/hbar)`` and ``exp(-iS/hbar)``, with amplitude scale
     ``sqrt(m omega / (2 pi p_cl(x)))``; for a pure level both moduli reduce
     to that scale, and both vanish identically outside the classically
-    allowed region. ``rho_plus``/``rho_minus`` are their squared moduli, the
+    allowed region. Their squared moduli ``rho_plus``/``rho_minus`` are the
     branch position densities; their sum integrates to one over the orbit.
-    :meth:`amplitudes` evaluates both branches from one sum over the band,
-    and the single-branch methods read it.
+    :meth:`amplitudes` evaluates both branches from one sum over the band.
     """
 
     state: EnergyBandState
@@ -101,18 +100,6 @@ class WkbAmplitudes:
         with np.errstate(divide="ignore"):
             scale = np.sqrt(m * w / (2.0 * np.pi * np.where(inside, p, np.inf)))
         return scale * plus, scale * np.conjugate(conj_minus)
-
-    def g_plus(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitudes(x)[0]
-
-    def g_minus(self, x: np.ndarray) -> np.ndarray:
-        return self.amplitudes(x)[1]
-
-    def rho_plus(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.g_plus(x)) ** 2
-
-    def rho_minus(self, x: np.ndarray) -> np.ndarray:
-        return np.abs(self.g_minus(x)) ** 2
 
 
 def wkb_amplitudes(

@@ -85,8 +85,10 @@ def integrate_propagator(
     Raises
     ------
     NumericalFailureError
-        If the flow matrix becomes too ill-conditioned to invert reliably
-        (condition number above 1e12) or the integrator fails.
+        If the flow or smearing matrix overflows, the flow matrix becomes too
+        ill-conditioned to invert reliably (condition number above 1e12), the
+        smearing matrix loses positive semidefiniteness, or the integrator
+        fails.
     """
     if not np.isfinite(t):
         raise ValueError(f"propagator time must be finite, got {t!r}")
@@ -95,20 +97,26 @@ def integrate_propagator(
     if t == 0.0:
         return GaussianPropagator(t=0.0, a=np.eye(2), m=np.zeros((2, 2)))
 
-    if coeffs.time_independent:
-        k = coeffs.drift_matrix(0.0)
-        generator = np.block([[-k, 4.0 * coeffs.diffusion_matrix(0.0)], [np.zeros((2, 2)), k.T]])
-        block = expm(generator * t)
-        a = block[:2, :2]
-        forward = block[:2, 2:] @ a.T
-    else:
-        a, forward = _solve_flow(coeffs, t)
-    if np.linalg.cond(a) > _COND_LIMIT:
-        raise NumericalFailureError(
-            f"flow matrix condition number exceeds {_COND_LIMIT:g} at t={t:g}"
-        )
-    a_inv = np.linalg.inv(a)
-    m = a_inv @ forward @ a_inv.T
+    # overflow surfaces as a non-finite matrix and is reported as a failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        if coeffs.time_independent:
+            k = coeffs.drift_matrix(0.0)
+            generator = np.block(
+                [[-k, 4.0 * coeffs.diffusion_matrix(0.0)], [np.zeros((2, 2)), k.T]]
+            )
+            block = expm(generator * t)
+            a = block[:2, :2]
+            forward = block[:2, 2:] @ a.T
+        else:
+            a, forward = _solve_flow(coeffs, t)
+        _require_finite(t, a, forward)
+        if np.linalg.cond(a) > _COND_LIMIT:
+            raise NumericalFailureError(
+                f"flow matrix condition number exceeds {_COND_LIMIT:g} at t={t:g}"
+            )
+        a_inv = np.linalg.inv(a)
+        m = a_inv @ forward @ a_inv.T
+        _require_finite(t, m)
     m = 0.5 * (m + m.T)
     # clip negligible negative eigenvalues left by round-off
     eigs, vecs = np.linalg.eigh(m)
@@ -118,6 +126,11 @@ def integrate_propagator(
     eigs = np.clip(eigs, 0.0, None)
     m = (vecs * eigs) @ vecs.T
     return GaussianPropagator(t=t, a=a, m=m)
+
+
+def _require_finite(t: float, *matrices: np.ndarray) -> None:
+    if not all(np.isfinite(matrix).all() for matrix in matrices):
+        raise NumericalFailureError(f"propagator matrices overflowed at t={t:g}")
 
 
 def _solve_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, np.ndarray]:

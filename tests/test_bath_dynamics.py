@@ -26,6 +26,7 @@ from bohmdec.bath_dynamics import (
     discretize_spectral_density,
     exact_bath_matrices,
     m_tilde_matrix,
+    reduced_M_from_bath,
     reversibility_residuals,
     sample_bath,
     sigma3_squared,
@@ -72,6 +73,24 @@ def mp_integral(f, upper: float, rate: float) -> float:
 
 def oracle_params() -> CaldeiraLeggettParams:
     return CaldeiraLeggettParams(damping_rate=1e-2, thermal_energy=10.0, cutoff=20.0)
+
+
+def bath_generator(bath: BathSpec, bare: float, mass: float) -> np.ndarray:
+    """Explicit generator ``L`` of the central oscillator coupled to ``bath``.
+
+    ``dz/dt = L z`` for ``z = (x, p, q_1, p_1, ...)`` under
+    ``H = p^2/2m + m bare^2 x^2/2 + sum_r (p_r^2/2m_r + m_r w_r^2 q_r^2/2 + kappa_r x q_r)``.
+    """
+    n = bath.n_modes
+    modes = 2 + 2 * np.arange(n)
+    gen = np.zeros((2 * n + 2, 2 * n + 2))
+    gen[0, 1] = 1.0 / mass
+    gen[1, 0] = -mass * bare**2
+    gen[1, modes] = -bath.couplings
+    gen[modes, modes + 1] = 1.0 / bath.masses
+    gen[modes + 1, modes] = -bath.masses * bath.frequencies**2
+    gen[modes + 1, 0] = -bath.couplings
+    return gen
 
 
 def on_grid_step(t: float, fastest: float, refine: int = 1) -> float:
@@ -292,17 +311,9 @@ class TestBlocks:
         bath = discretize_spectral_density(oracle_params(), system, 16)
         bare = counterterm_bare_frequency(bath, system)
         coupled = dataclasses.replace(system, bare_frequency=bare)
-        n, m = bath.n_modes, system.mass
-        modes = 2 + 2 * np.arange(n)
-        # dz/dt = L z for z = (x, p, q_1, p_1, ...) under
-        # H = p^2/2m + m bare^2 x^2/2 + sum_r (p_r^2/2m_r + m_r w_r^2 q_r^2/2 + kappa_r x q_r)
-        gen = np.zeros((2 * n + 2, 2 * n + 2))
-        gen[0, 1] = 1.0 / m
-        gen[1, 0] = -m * bare**2
-        gen[1, modes] = -bath.couplings
-        gen[modes, modes + 1] = 1.0 / bath.masses
-        gen[modes + 1, modes] = -bath.masses * bath.frequencies**2
-        gen[modes + 1, 0] = -bath.couplings
+        m = system.mass
+        modes = 2 + 2 * np.arange(bath.n_modes)
+        gen = bath_generator(bath, bare, m)
         t = 2.0
         errors = []
         for refine in (1, 2, 4, 8):
@@ -326,6 +337,45 @@ class TestBlocks:
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all(ratios >= 12.0), (errors, ratios)
         assert errors[-1] <= 5e-8, errors
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 5.0])
+    def test_reduced_smearing_matches_generator_exponential(self, t):
+        # M = 2 A^-1 C A^-T, with A and C the central blocks of T and of
+        # T Sigma_0 T^T for T = expm(L t) and the thermal mode covariance
+        # Sigma_0 = (hbar/2) coth(beta_r/2) diag(1/(m_r w_r), m_r w_r)
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        transfer = expm(t * bath_generator(bath, bare, system.mass))
+        modes = 2 + 2 * np.arange(bath.n_modes)
+        half_coth = 0.5 * bath.hbar / np.tanh(0.5 * bath.thermal_ratios)
+        stiffness = bath.masses * bath.frequencies
+        cov0 = np.zeros_like(transfer)
+        cov0[modes, modes] = half_coth / stiffness
+        cov0[modes + 1, modes + 1] = half_coth * stiffness
+        a_inv = np.linalg.inv(transfer[:2, :2])
+        expected = 2.0 * a_inv @ (transfer @ cov0 @ transfer.T)[:2, :2] @ a_inv.T
+        errors = []
+        for refine in (1, 2, 4, 8):
+            step = on_grid_step(t, max(bare, bath.frequencies.max()), refine)
+            table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=system.mass)
+            props = exact_bath_matrices(bath, coupled, table, t)
+            m = reduced_M_from_bath(props, bath)
+            errors.append(np.abs(m - expected).max() / np.abs(expected).max())
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all(ratios >= 12.0), (errors, ratios)
+        assert errors[-1] <= 2e-8, errors
+
+    def test_reduced_smearing_rejects_weak_coupling_blocks(self):
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        with warnings.catch_warnings():
+            # the oracle bath sits above the weak-coupling regime bound
+            warnings.simplefilter("ignore", CouplingStrengthWarning)
+            props = weak_coupling_matrices(bath, system, 1.0)
+        with pytest.raises(ValueError, match="exact-mode"):
+            reduced_M_from_bath(props, bath)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_block_inverse_matches_explicit_construction(self, t):
@@ -449,7 +499,7 @@ class TestConditionalVelocity:
                     v = conditional_velocity(
                         run.state, run.orbit, run.wkb, run.kernel, x, bath_slice
                     )
-                    expected = _quadrature_velocity(run.kernel, run.wkb, x, bath_slice)
+                    expected = _quadrature_velocity(run, run.wkb, x, bath_slice)
                     assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass, (
                         x, branch, jitter
                     )
@@ -474,7 +524,7 @@ class TestConditionalVelocity:
                 conditional_velocity(run.state, run.orbit, wkb, run.kernel, x, bath_slice)
             return
         v = conditional_velocity(run.state, run.orbit, wkb, run.kernel, x, bath_slice)
-        expected = _quadrature_velocity(run.kernel, wkb, x, bath_slice)
+        expected = _quadrature_velocity(run, wkb, x, bath_slice)
         assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass
 
     def test_slice_far_from_every_branch_raises(self):
@@ -505,7 +555,7 @@ class TestConditionalVelocity:
         p_star = brentq(log_peak_gap, -20.0 * p_cl, -10.0 * p_cl, xtol=1e-12 * p_cl)
         bath_slice = run.kernel.conditional_peaks(x, p_star)
         v = conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
-        expected = _quadrature_velocity(run.kernel, run.wkb, x, bath_slice)
+        expected = _quadrature_velocity(run, run.wkb, x, bath_slice)
         assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass
 
 
@@ -513,6 +563,7 @@ def _canonical_conditioning(t, damping_rate=1e-4):
     """The n=50 width-8 band and a 64-mode bath conditioned at ``t``.
 
     The bath has the canonical parameters unless ``damping_rate`` is given.
+    ``slice_precision`` is the continuum's slice precision at ``t``.
     """
     system = OscillatorSystemSpec()
     params = CaldeiraLeggettParams(damping_rate=damping_rate, thermal_energy=1e3, cutoff=1e3)
@@ -528,24 +579,27 @@ def _canonical_conditioning(t, damping_rate=1e-4):
     return SimpleNamespace(
         system=system, kernel=kernel, state=state, orbit=orbit,
         wkb=wkb_amplitudes(state, orbit, system),
+        slice_precision=sigma3_squared(continuum, system, t),
     )
 
 
-def _quadrature_velocity(kernel, wkb, x, bath_slice):
-    """Oracle for the conditioned velocity at ``x``.
+def _quadrature_velocity(run, wkb, x, bath_slice):
+    """Oracle for the conditioned velocity at ``x`` under ``run``'s kernel.
 
     The conditioned distribution (classical part plus the interference
     envelope at unit phase) times the Gaussian slice weight, integrated by
     the trapezoid rule over a momentum grid that spans every term centre by
     12 widths of the widest term and resolves the narrowest.
     """
+    kernel = run.kernel
     orbit = wkb.orbit
     decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
     p_cl = float(orbit.classical_momentum(x))
-    widths = [float(f(x)[0]) for f in (decomp.sigma_plus, decomp.sigma_minus, decomp.sigma_2)]
-    centres = [p_cl, -p_cl, -float(decomp.beta(x)[0]) * p_cl]
+    s_plus, s_minus, _, s2, beta = (float(w[0]) for w in decomp.widths(x))
+    widths = [s_plus, s_minus, s2]
+    centres = [p_cl, -p_cl, -beta * p_cl]
     reach = 12.0 / min(widths)
-    steepest = np.sqrt(max(widths) ** 2 + kernel.sigma3_sq)
+    steepest = np.sqrt(max(widths) ** 2 + run.slice_precision)
     p = np.arange(min(centres) - reach, max(centres) + reach, 0.25 / steepest)
     density = (decomp.classical_part(x, p) + decomp.oscillatory_envelope(x, p))[0]
     # slice weight exp(-sum_r (m w / hbar)_r (slice_r - peak_r(x, p))^2), with

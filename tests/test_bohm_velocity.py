@@ -336,13 +336,13 @@ def smooth_reconstruction(canonical_cl_run):
 
 class TestSemiclassicalDecomposition:
     def test_apex_limits(self, apex_decomposition):
-        dec = apex_decomposition
+        widths = apex_decomposition.widths(0.0)
         # at the orbit apex p_cl is stationary and the cross terms drop out
-        assert dec.sigma_plus(0.0) ** 2 == pytest.approx(0.5, rel=1e-12)
-        assert dec.sigma_minus(0.0) ** 2 == pytest.approx(0.5, rel=1e-12)
-        assert dec.sigma_1(0.0) ** 2 == pytest.approx(0.5, rel=1e-12)
-        assert dec.sigma_2(0.0) ** 2 == pytest.approx(0.5, rel=1e-12)
-        assert dec.beta(0.0) == pytest.approx(0.0, abs=1e-15)
+        assert widths.sigma_plus ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert widths.sigma_minus ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert widths.sigma_1 ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert widths.sigma_2 ** 2 == pytest.approx(0.5, rel=1e-12)
+        assert widths.beta == pytest.approx(0.0, abs=1e-15)
 
     def test_classical_part_nonnegative_and_confined(self, apex_decomposition):
         xs = np.linspace(-14.0, 14.0, 301)
@@ -359,17 +359,16 @@ class TestSemiclassicalDecomposition:
         hbar = dec.orbit.system.hbar
         for x in (1.0, 2.5):
             p_cl = dec.orbit.classical_momentum(x)
-            ridge = np.array([-dec.beta(x)[0] * p_cl])
+            _, _, s1, s2, beta = (w[0] for w in dec.widths(x))
+            ridge = np.array([-beta * p_cl])
             value = dec.oscillatory_envelope(np.array([x]), ridge)[0, 0]
-            s1 = dec.sigma_1(x)[0]
-            s2 = dec.sigma_2(x)[0]
             prefactor = np.sqrt(
                 4.0 * hbar * s1 * s2 * np.sqrt(dec.minv.delta) / np.pi
             )
             expected = (
                 prefactor
                 * np.exp(-((s1 * p_cl) ** 2))
-                * np.sqrt(dec.rho_plus(x)[0] * dec.rho_minus(x)[0])
+                * np.abs(np.prod(dec.wkb.amplitudes(x)))
             )
             assert value == pytest.approx(expected, rel=1e-12)
 
@@ -409,8 +408,7 @@ class TestSemiclassicalDecomposition:
             if abs(x) > 0.8 * run.orbit.amplitude or marginal[i] < floor:
                 continue
             v = ensemble_velocity(field, run.system, x)
-            rho_p = dec.rho_plus(x)[0]
-            rho_m = dec.rho_minus(x)[0]
+            rho_p, rho_m = np.abs(np.concatenate(dec.wkb.amplitudes(x))) ** 2
             v_cl = run.orbit.classical_momentum(x) / run.system.mass
             expected = v_cl * (rho_p - rho_m) / (rho_p + rho_m)
             assert v == pytest.approx(expected, abs=0.01 * v_cl)
@@ -484,7 +482,7 @@ class TestSemiclassicalDecomposition:
             dec = SemiclassicalDecomposition(
                 minv=minv, orbit=run.orbit, wkb=wkb
             )
-            exponent = float(dec.sigma_1(x)[0] * p_cl) ** 2
+            exponent = float(dec.widths(x).sigma_1[0] * p_cl) ** 2
             assert exponent > previous
             previous = exponent
             cubic = diffusion * t**3 * p_cl**2 / 3.0

@@ -186,16 +186,18 @@ class TestWkb:
         amp = wkb_amplitudes(st, orb, natural_system)
         x = np.array([2.0, -4.5])
         expected = np.sqrt(1.0 / (2.0 * np.pi * orb.classical_momentum(x)))
-        assert np.allclose(np.abs(amp.g_plus(x)), expected, rtol=1e-13)
-        assert np.allclose(np.abs(amp.g_minus(x)), expected, rtol=1e-13)
+        g_plus, g_minus = amp.amplitudes(x)
+        assert np.allclose(np.abs(g_plus), expected, rtol=1e-13)
+        assert np.allclose(np.abs(g_minus), expected, rtol=1e-13)
 
     def test_amplitudes_vanish_outside_orbit(self, natural_system):
         st = build_energy_band_state(50, 4)
         orb = classical_orbit(st, natural_system)
         amp = wkb_amplitudes(st, orb, natural_system)
         x = np.array([-1.2 * orb.amplitude, 1.01 * orb.amplitude])
-        assert np.all(amp.g_plus(x) == 0.0)
-        assert np.all(amp.g_minus(x) == 0.0)
+        g_plus, g_minus = amp.amplitudes(x)
+        assert np.all(g_plus == 0.0)
+        assert np.all(g_minus == 0.0)
 
     @pytest.mark.parametrize("band_width", [0, 8])
     def test_branch_density_normalization(self, natural_system, band_width):
@@ -206,7 +208,8 @@ class TestWkb:
         theta = np.linspace(-np.pi / 2, np.pi / 2, 20001)[1:-1]
         xs = orb.amplitude * np.sin(theta)
         jac = orb.amplitude * np.cos(theta)
-        total = trapz((amp.rho_plus(xs) + amp.rho_minus(xs)) * jac, theta)
+        rho_plus, rho_minus = np.abs(np.stack(amp.amplitudes(xs))) ** 2
+        total = trapz((rho_plus + rho_minus) * jac, theta)
         assert total == pytest.approx(1.0, abs=2e-2)
 
     def test_branch_orientation_matches_momentum_lobes(self, natural_system):
@@ -227,8 +230,9 @@ class TestWkb:
         theta = np.linspace(-np.pi / 2, np.pi / 2, 20001)[1:-1]
         xs = orb.amplitude * np.sin(theta)
         jac = orb.amplitude * np.cos(theta)
-        weight_plus = trapz(amp.rho_plus(xs) * jac, theta)
-        weight_minus = trapz(amp.rho_minus(xs) * jac, theta)
+        rho_plus, rho_minus = np.abs(np.stack(amp.amplitudes(xs))) ** 2
+        weight_plus = trapz(rho_plus * jac, theta)
+        weight_minus = trapz(rho_minus * jac, theta)
 
         assert weight_minus > 2.0 * weight_plus
         assert mass_neg == pytest.approx(weight_minus, abs=0.05)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,6 +325,30 @@ class TestIntegratePropagator:
         with pytest.raises(NumericalFailureError):
             integrate_propagator(coeffs, 0.3)
 
+    @pytest.mark.parametrize("warning_filter", ["error", "default"])
+    @pytest.mark.parametrize(
+        "damping_rate, t, message",
+        [
+            (0.01, 5e4, "overflowed"),
+            (1.0, 400.0, "overflowed"),
+            (1.0, 800.0, "overflowed"),
+            (1.0, 100.0, "positive semidefiniteness"),
+        ],
+    )
+    def test_runaway_flow_raises_typed_error(
+        self, natural_system, warning_filter, damping_rate, t, message
+    ):
+        # kT = 10, cutoff 100: the flow grows until A, S or M = A^-1 S A^-T
+        # leaves the float range, or M's round-off eigenvalue goes negative
+        params = CaldeiraLeggettParams(
+            damping_rate=damping_rate, thermal_energy=10.0, cutoff=100.0
+        )
+        coeffs = assemble_cl_coefficients(natural_system, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_filter)
+            with pytest.raises(NumericalFailureError, match=message):
+                integrate_propagator(coeffs, t)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_time(self, natural_system, t):
         with pytest.raises(ValueError, match="finite"):
@@ -512,8 +538,16 @@ class TestPropagateWigner:
         out = propagate_wigner(prop, wide, natural_system)
         assert out.values.min() >= -1e-4 * out.values.max()
 
-    def test_agreement_with_pde_oracle(self, natural_system):
-        coeffs = default_cl(natural_system)
+    @pytest.mark.parametrize("j11, j12", [(0.0, 0.0), (0.5, 0.3), (0.5, -0.3)])
+    def test_agreement_with_pde_oracle(self, natural_system, j11, j12):
+        # default_cl's drift and J22 with position and cross diffusion added
+        # (det J = 0.01 for the nonzero pairs), so every diffusion term of the
+        # oracle runs
+        base = default_cl(natural_system)
+        coeffs = MasterEqCoefficients(
+            h1=base.h1(0.0), h2=base.h2(0.0), h3=base.h3(0.0), gamma=base.gamma(0.0),
+            j11=j11, j12=j12, j22=base.j22(0.0),
+        )
         x = symmetric_grid(6.0, 0.05)
         field = gaussian_field(x, x, np.array([0.7, -0.4]), 0.5 * np.eye(2))
         t = 0.1
