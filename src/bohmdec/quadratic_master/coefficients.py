@@ -40,7 +40,8 @@ class MasterEqCoefficients:
     Constants may be passed in place of callables; they must be finite.
     ``time_independent`` is derived: true exactly when every coefficient was
     given as a constant, which lets ``integrate_propagator`` use its closed
-    form, one block matrix exponential (Van Loan 1978).
+    form, a block matrix exponential (Van Loan 1978) on a short step that
+    is then doubled.
     """
 
     h1: CoefficientLike

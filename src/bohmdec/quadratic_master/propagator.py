@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,13 @@ def integrate_propagator(
 
     Both are carried as ``A`` and ``S = A M A^T``, which obeys the bounded
     Lyapunov equation ``S' = -K S - S K^T + 4 J``. For constant coefficients
-    one block exponential gives both in closed form (Van Loan, IEEE Trans.
-    Autom. Control 23, 395 (1978)): ``expm([[-K, 4J], [0, K^T]] t)`` has ``A``
-    as its top-left block and ``S A^-T`` as its top-right one. Callable
-    coefficients take an adaptive Runge-Kutta (DOP853) solve.
+    a block exponential gives both in closed form (Van Loan, IEEE Trans.
+    Autom. Control 23, 395 (1978)): ``expm([[-K, 4J], [0, K^T]] h)`` has
+    ``A(h)`` as its top-left block and ``S(h) A(h)^-T`` as its top-right one.
+    It is taken on a short step ``h = t / 2^n`` and doubled up to ``t``, so
+    that strong damping, where ``A`` decays while ``e^{K^T t}`` grows, keeps
+    ``A`` accurate. Callable coefficients take an adaptive Runge-Kutta
+    (DOP853) solve.
 
     Parameters
     ----------
@@ -100,13 +104,7 @@ def integrate_propagator(
     # overflow surfaces as a non-finite matrix and is reported as a failure
     with np.errstate(over="ignore", invalid="ignore"):
         if coeffs.time_independent:
-            k = coeffs.drift_matrix(0.0)
-            generator = np.block(
-                [[-k, 4.0 * coeffs.diffusion_matrix(0.0)], [np.zeros((2, 2)), k.T]]
-            )
-            block = expm(generator * t)
-            a = block[:2, :2]
-            forward = block[:2, 2:] @ a.T
+            a, forward = _constant_flow(coeffs, t)
         else:
             a, forward = _solve_flow(coeffs, t)
         _require_finite(t, a, forward)
@@ -131,6 +129,30 @@ def integrate_propagator(
 def _require_finite(t: float, *matrices: np.ndarray) -> None:
     if not all(np.isfinite(matrix).all() for matrix in matrices):
         raise NumericalFailureError(f"propagator matrices overflowed at t={t:g}")
+
+
+def _constant_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A(t)`` and ``S(t) = A M A^T`` for constant coefficients.
+
+    Van Loan's block exponential is taken on one step ``h = t / 2^n``, the
+    longest with ``h max|K| <= 1/2``, so its growing ``e^{K^T h}`` block stays
+    bounded and its round-off stays out of ``A``. ``n`` doublings
+    ``S <- A S A^T + S``, ``A <- A^2`` (the composition law for ``S``) then
+    reach ``t`` with every factor bounded.
+    """
+    k = coeffs.drift_matrix(0.0)
+    doublings = math.ceil(math.log2(max(2.0 * t * float(np.abs(k).max()), 1.0)))
+    h = math.ldexp(t, -doublings)
+    generator = np.block(
+        [[-k, 4.0 * coeffs.diffusion_matrix(0.0)], [np.zeros((2, 2)), k.T]]
+    )
+    block = expm(generator * h)
+    a = block[:2, :2]
+    forward = block[:2, 2:] @ a.T
+    for _ in range(doublings):
+        forward = a @ forward @ a.T + forward
+        a = a @ a
+    return a, forward
 
 
 def _solve_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from bohmdec.bath_dynamics import (
     BathSpec,
@@ -34,6 +36,7 @@ from bohmdec.bath_dynamics import (
     weak_coupling_matrices,
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel
+from bohmdec.bath_dynamics import matrices
 from bohmdec.bath_dynamics.matrices import _spectral_norm
 from bohmdec.bohm_velocity import SemiclassicalDecomposition, initial_velocity
 from bohmdec.errors import (
@@ -96,6 +99,48 @@ def bath_generator(bath: BathSpec, bare: float, mass: float) -> np.ndarray:
 def on_grid_step(t: float, fastest: float, refine: int = 1) -> float:
     """Largest allowed solver step that lands ``t`` on a node, divided by ``refine``."""
     return t / (refine * int(np.ceil(t * 20.0 * fastest / (2.0 * np.pi))))
+
+
+RESIDUAL_KEYS = [
+    "round_trip_center",
+    "round_trip_modes",
+    "round_trip_center_modes",
+    "round_trip_modes_center",
+    "block_inverse",
+    "inverse_cross_transfer",
+    "inverse_schur_center",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def reversal_pair(t: float) -> tuple:
+    """Exact blocks with mode-to-mode corrections at ``t`` and ``-t`` (32 oracle modes)."""
+    system = OscillatorSystemSpec()
+    bath = discretize_spectral_density(oracle_params(), system, 32)
+    bare = counterterm_bare_frequency(bath, system)
+    coupled = dataclasses.replace(system, bare_frequency=bare)
+    span = max(t, 0.5)
+    step = on_grid_step(span, max(bare, bath.frequencies.max()))
+    table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, span, step, mass=system.mass)
+    return tuple(
+        exact_bath_matrices(bath, coupled, table, sign * t, include_d_corrections=True)
+        for sign in (1.0, -1.0)
+    )
+
+
+def dense_blocks(props) -> tuple:
+    """``A``, ``B``, ``C`` and ``D`` of the transfer matrix, from the public blocks."""
+    n = props.n_modes
+    d = np.transpose(props.d_corrections, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
+    for r in range(n):
+        d[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += props.d_free[r]
+    b = np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n)
+    return props.a, b, props.c.reshape(2 * n, 2), d
+
+
+def dense_transfer(props) -> np.ndarray:
+    a, b, c, d = dense_blocks(props)
+    return np.block([[a, b], [c, d]])
 
 
 class TestClosedForms:
@@ -378,30 +423,60 @@ class TestBlocks:
             reduced_M_from_bath(props, bath)
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
-    def test_block_inverse_matches_explicit_construction(self, t):
-        system = OscillatorSystemSpec()
-        bath = discretize_spectral_density(oracle_params(), system, 32)
-        bare = counterterm_bare_frequency(bath, system)
-        coupled = dataclasses.replace(system, bare_frequency=bare)
-        step = on_grid_step(t, max(bare, bath.frequencies.max()))
-        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=system.mass)
-        forward = exact_bath_matrices(bath, coupled, table, t, include_d_corrections=True)
-        backward = exact_bath_matrices(bath, coupled, table, -t, include_d_corrections=True)
-        n = bath.n_modes
+    @pytest.mark.parametrize("key", RESIDUAL_KEYS)
+    def test_residuals_match_explicit_construction(self, key, t):
+        forward, backward = reversal_pair(t)
+        n = forward.n_modes
+        a_f, b_f, c_f, d_f = dense_blocks(forward)
+        a_b, b_b, c_b, d_b = dense_blocks(backward)
+        round_trip = dense_transfer(forward) @ dense_transfer(backward) - np.eye(2 * n + 2)
+        # Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t), and its mirror at -t
+        d_inv = d_b - c_b @ np.linalg.inv(a_b) @ b_b
+        schur = d_f - c_f @ np.linalg.inv(a_f) @ b_f
+        expected = {
+            "round_trip_center": round_trip[:2, :2],
+            "round_trip_modes": round_trip[2:, 2:],
+            "round_trip_center_modes": round_trip[:2, 2:],
+            "round_trip_modes_center": round_trip[2:, :2],
+            "block_inverse": d_f @ d_inv - np.eye(2 * n),
+            "inverse_cross_transfer": b_b @ schur + np.linalg.inv(a_f) @ b_f,
+            "inverse_schur_center": a_b - b_b @ schur @ c_b - np.linalg.inv(a_f),
+        }[key]
+        residual = reversibility_residuals(forward, backward)[key]
+        assert residual == pytest.approx(np.linalg.norm(expected, 2), rel=1e-9, abs=0.0)
 
-        def dense_d(props):
-            dense = np.transpose(props.d_corrections, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
-            for r in range(n):
-                dense[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += props.d_free[r]
-            return dense
+    def test_residuals_repeat_bitwise(self):
+        forward, backward = reversal_pair(1.0)
+        first = reversibility_residuals(forward, backward)
+        assert list(first) == RESIDUAL_KEYS
+        assert reversibility_residuals(forward, backward) == first
 
-        # Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t), built from the public blocks
-        b_row = np.transpose(backward.b, (1, 0, 2)).reshape(2, 2 * n)
-        c_col = backward.c.reshape(2 * n, 2)
-        d_inv = dense_d(backward) - c_col @ np.linalg.inv(backward.a) @ b_row
-        expected = np.linalg.norm(dense_d(forward) @ d_inv - np.eye(2 * n), 2)
-        residual = reversibility_residuals(forward, backward)["block_inverse"]
-        assert residual == pytest.approx(expected, rel=1e-9, abs=0.0)
+    def test_residuals_vanish_at_time_zero(self):
+        # T(0) is the identity exactly, so every residual matrix is zero
+        forward, backward = reversal_pair(0.0)
+        assert reversibility_residuals(forward, backward) == dict.fromkeys(RESIDUAL_KEYS, 0.0)
+
+    def test_spectral_norm_reports_lanczos_failure(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(matrices, "eigsh", stalled)
+        with pytest.raises(NumericalFailureError, match="did not converge"):
+            _spectral_norm(np.eye(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 6401])
+    def test_phase_sums_match_long_double(self, n):
+        # one node, one whole block (n = 2), and padded last blocks (7, 50, 6401)
+        rng = np.random.default_rng(n)
+        frequencies = rng.uniform(0.05, 100.0, 64)
+        nodes = np.arange(n) / 320.0
+        moments = rng.standard_normal((n, 2))
+        angles = np.multiply.outer(frequencies.astype(np.longdouble), nodes.astype(np.longdouble))
+        wide = moments.astype(np.longdouble)
+        sums = matrices._phase_sums(frequencies, nodes, moments)
+        scale = np.abs(moments).sum(axis=0)
+        assert np.all(np.abs(sums.real - (np.cos(angles) @ wide)) <= 1e-14 * scale)
+        assert np.all(np.abs(sums.imag - (np.sin(angles) @ wide)) <= 1e-14 * scale)
 
 
 class TestBathSpec:
