@@ -89,8 +89,9 @@ def integrate_propagator(
     Raises
     ------
     NumericalFailureError
-        If the flow or smearing matrix overflows, the flow matrix becomes too
-        ill-conditioned to invert reliably (condition number above 1e12), the
+        If the flow or smearing matrix overflows, the flow matrix underflows
+        or becomes too ill-conditioned to invert reliably (condition number
+        above 1e12), the
         smearing matrix loses positive semidefiniteness, or the integrator
         fails.
     """
@@ -108,6 +109,10 @@ def integrate_propagator(
         else:
             a, forward = _solve_flow(coeffs, t)
         _require_finite(t, a, forward)
+        if np.abs(a).max() < np.finfo(float).tiny:
+            raise NumericalFailureError(
+                f"flow matrix underflowed below the smallest normal double at t={t:g}"
+            )
         if np.linalg.cond(a) > _COND_LIMIT:
             raise NumericalFailureError(
                 f"flow matrix condition number exceeds {_COND_LIMIT:g} at t={t:g}"

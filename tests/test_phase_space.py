@@ -380,12 +380,22 @@ class TestWignerTransform:
         assert sum(sizes) < 50_000
 
     @pytest.mark.parametrize(
-        "p_lo, p_hi, n_p", [(-2.3, 6.1, 400), (26.0, 34.0, 401), (-9.0, 1.0, 300)]
+        "p_lo, p_hi, n_p, boost",
+        [
+            (-2.3, 6.1, 400, 0.4),
+            (26.0, 34.0, 401, 0.4),
+            (-9.0, 1.0, 300, 0.4),
+            # p0 = 40 sits past the grid's edge: its alias lands on the grid
+            # unless the y-step is set by the measured reach p0 + 7.4
+            (-25.0, 39.0, 257, 33.0),
+            # p0 = 30: the grid sees only the tails, where |W| ~ 1e-16
+            (-5.0, 5.0, 201, 30.0),
+        ],
     )
     def test_boosted_coherent_state_on_off_centre_momentum_grid(
-        self, natural_system, p_lo, p_hi, n_p
+        self, natural_system, p_lo, p_hi, n_p, boost
     ):
-        x0, p0 = 1.3, 0.5 * (p_lo + p_hi) + 0.4
+        x0, p0 = 1.3, 0.5 * (p_lo + p_hi) + boost
         grid = GridSpec(x=np.linspace(-8.0, 8.0, 321), p=np.linspace(p_lo, p_hi, n_p))
 
         def psi(x):
@@ -396,6 +406,17 @@ class TestWignerTransform:
             -((grid.x[:, None] - x0) ** 2) - (grid.p[None, :] - p0) ** 2
         ) / np.pi
         assert np.max(np.abs(field.values - exact)) < 1e-12 / np.pi
+        # |psi~| = e^{-(p - p0)^2 / 2} falls to 1e-12 of its peak at
+        # |p - p0| = sqrt(2 ln 1e12), read to the probe spectrum's resolution
+        note = next(n for n in field.notes if n.startswith("p_reach="))
+        reach = abs(p0) + np.sqrt(2.0 * np.log(1e12))
+        assert float(note.split("=")[1]) == pytest.approx(reach, abs=0.5)
+
+    def test_canonical_grid_takes_the_grid_step(self, canonical_cl_run):
+        # dx (max|p| + reach) < pi hbar on this for_orbit grid, so no y-step
+        # finer than the grid's own is needed
+        note = next(n for n in canonical_cl_run.field0.notes if n.startswith("y_step="))
+        assert float(note.split("=")[1]) == canonical_cl_run.grid.dx
 
     def test_rows_match_dense_sum(self, natural_system):
         # plain trapezoid sum over the transform's own step, every column

@@ -332,7 +332,7 @@ class TestIntegratePropagator:
         [
             (0.01, 5e4, "overflowed"),
             (1.0, 400.0, "overflowed"),
-            (1.0, 800.0, "condition number"),
+            (1.0, 800.0, "underflowed"),
         ],
     )
     def test_runaway_flow_raises_typed_error(
