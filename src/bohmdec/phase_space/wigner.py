@@ -25,6 +25,9 @@ __all__ = [
 # largest norm fraction the position axis may miss.
 _ENVELOPE_CUTOFF = 1e-12
 _COVERAGE_TOL = 1e-8
+# Halvings of the momentum probe's step allowed before an aliased reach is
+# reported as an error.
+_REACH_HALVINGS = 8
 
 
 def _trapezoid(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
@@ -216,6 +219,15 @@ def _support_interval(
     raise GridCoverageError("could not bracket the wavefunction support")
 
 
+def _momentum_reach(samples: np.ndarray, step: float, hbar: float) -> tuple[float, float]:
+    """Largest ``|p|`` where the FFT of ``samples`` exceeds ``_ENVELOPE_CUTOFF``
+    of its peak, and the spacing of its momentum modes."""
+    spectrum = np.abs(sp_fft.fft(samples))
+    p_modes = (2.0 * np.pi * hbar) * sp_fft.fftfreq(samples.size, step)
+    reach = float(np.max(np.abs(p_modes[spectrum > _ENVELOPE_CUTOFF * spectrum.max()])))
+    return reach, 2.0 * np.pi * hbar / (samples.size * step)
+
+
 def wigner_transform(
     wavefunction_sampler: Callable[[np.ndarray], np.ndarray],
     grid: GridSpec,
@@ -238,10 +250,14 @@ def wigner_transform(
     ``pi hbar / h > max|p_grid| + P``; ``k`` is the smallest integer with
     ``k >= dx (max|p_grid| + P) / (pi hbar)``. ``P`` is measured, not
     estimated: it is the largest ``|p|`` at which the FFT of the coverage
-    probe's samples (step ``dx / 4``) exceeds ``1e-12`` of its peak. The
-    probe sees momenta within ``+-4 pi hbar / dx`` only, so the state's
-    reach must lie inside that band. On :meth:`GridSpec.for_orbit` grids
-    with the default step ``dx = hbar / (4 m omega x_max)`` the band is
+    probe's samples (step ``s = dx / 4``) exceeds ``1e-12`` of its peak. The
+    probe sees momenta within ``+-pi hbar / s`` only and folds a larger
+    reach back into that band, so a second probe at step ``3 s / 4``
+    measures it again: a reach inside both bands reads the same in both, to
+    within two mode spacings, while an aliased one lands at different
+    momenta. While the two disagree both steps are halved, at most eight
+    times. On :meth:`GridSpec.for_orbit` grids with the default step
+    ``dx = hbar / (4 m omega x_max)`` the first band is
     ``+-16 pi m omega x_max``, far beyond a band state's reach of about
     ``1.4 m omega x_max``, and ``k = 1`` for any ``p_span`` below about 11.
 
@@ -251,11 +267,12 @@ def wigner_transform(
     ``u v = (u^2 + v^2 - (v - u)^2) / 2`` turns it into a pre-chirp, one FFT
     convolution with the kernel ``exp(-i theta (v - u)^2 / 2)``
     (``theta = 2 delta h / hbar``, ``delta = grid.dp``) and a post-chirp, at
-    ``O(Nx (Ny + Np) log(Ny + Np))`` cost. ``grid.dp`` comes from the end
-    points of the momentum axis, not from its first step, which carries a
-    rounding that would show at 1e-12 of the peak. On a symmetric grid the
-    lattice and the kernel are exactly mirrored, which keeps the field's
-    parity exact.
+    ``O(Nx (Ny + Np) log(Ny + Np))`` cost. Each block of rows is written,
+    zero-padded and transformed in place in one buffer reused for every
+    block. ``grid.dp`` comes from the end points of the momentum axis, not
+    from its first step, which carries a rounding that would show at 1e-12
+    of the peak. On a symmetric grid the lattice and the kernel are exactly
+    mirrored, which keeps the field's parity exact.
 
     Parameters
     ----------
@@ -276,7 +293,8 @@ def wigner_transform(
     Raises
     ------
     GridCoverageError
-        If the grid misses more than ``1e-8`` of the state's norm.
+        If the grid misses more than ``1e-8`` of the state's norm, or the two
+        momentum probes still disagree on the reach after eight halvings.
     ValueError
         If the sampler returns NaN or inf, or the discarded imaginary residue
         exceeds 1e-10 of ``||psi||^2 / (pi hbar)``, the bound on ``|W|``.
@@ -301,11 +319,24 @@ def wigner_transform(
             f"(allowed {_COVERAGE_TOL:g})"
         )
 
-    # The state's momentum reach, read off the spectrum of the same samples,
-    # and the y-step that keeps every alias of W off the momentum grid.
-    spectrum = np.abs(sp_fft.fft(psi_fine))
-    p_modes = (2.0 * np.pi * hbar) * sp_fft.fftfreq(fine.size, fine_step)
-    p_reach = float(np.max(np.abs(p_modes[spectrum > _ENVELOPE_CUTOFF * spectrum.max()])))
+    # The state's momentum reach, read off the spectrum of the same samples
+    # and of a second probe at 3/4 of their step. A reach beyond a probe's
+    # band aliases to different momenta in the two bands, so while the two
+    # reaches disagree both steps are halved.
+    step, samples = fine_step, psi_fine
+    for _ in range(1 + _REACH_HALVINGS):
+        p_reach, spacing = _momentum_reach(samples, step, hbar)
+        check_step = 0.75 * step
+        check = _sample(wavefunction_sampler, np.arange(lo, hi + check_step, check_step))
+        if abs(_momentum_reach(check, check_step, hbar)[0] - p_reach) <= 2.0 * spacing:
+            break
+        step *= 0.5
+        samples = _sample(wavefunction_sampler, np.arange(lo, hi + step, step))
+    else:
+        raise GridCoverageError(
+            f"momentum reach still aliased at a probe step of {2.0 * step:.3e}"
+        )
+    # the y-step that keeps every alias of W off the momentum grid
     k = int(np.ceil(grid.dx * (np.max(np.abs(p)) + p_reach) / (np.pi * hbar)))
     y_step = grid.dx / k
     n_half = int(np.ceil(0.5 * (hi - lo) / y_step)) + 1
@@ -334,15 +365,20 @@ def wigner_transform(
 
     values = np.empty((x.size, p.size))
     worst_imag = 0.0
-    # each block holds no more entries than a 512-column table over y
+    # each block holds no more entries than a 512-column table over y, and
+    # every block is built, zero-padded and transformed in one buffer
     rows = max(1, 512 * u.size // n_fft)
+    buffer = np.empty((rows, n_fft), dtype=complex)
     for start in range(0, x.size, rows):
         win = windows[start : start + rows]
-        f_mat = np.conjugate(win) * pre
-        f_mat *= win[:, ::-1]
-        spectrum = sp_fft.fft(f_mat, n_fft, axis=1)
-        spectrum *= kernel
-        block = sp_fft.ifft(spectrum, axis=1, overwrite_x=True)[:, : p.size]
+        table = buffer[: win.shape[0]]
+        np.conjugate(win, out=table[:, : u.size])
+        table[:, : u.size] *= pre
+        table[:, : u.size] *= win[:, ::-1]
+        table[:, u.size :] = 0.0
+        table = sp_fft.fft(table, axis=1, overwrite_x=True)
+        table *= kernel
+        block = sp_fft.ifft(table, axis=1, overwrite_x=True)[:, : p.size]
         block *= post
         values[start : start + rows] = block.real
         worst_imag = max(worst_imag, float(np.max(np.abs(block.imag))))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -365,7 +367,7 @@ class TestWignerTransform:
 
     def test_samples_one_lattice(self, natural_system):
         # every point x_i +- y_j lies on one lattice, sampled in one call
-        # after the support probe and the coverage pass
+        # after the support probe, the coverage pass and the reach check
         st = build_energy_band_state(50, 8)
         grid = GridSpec.for_orbit(classical_orbit(st, natural_system))
         psi = band_wavefunction(st, natural_system)
@@ -376,7 +378,7 @@ class TestWignerTransform:
             return psi(x)
 
         wigner_transform(counted, grid, natural_system)
-        assert len(sizes) == 3
+        assert len(sizes) == 4
         assert sum(sizes) < 50_000
 
     @pytest.mark.parametrize(
@@ -390,6 +392,10 @@ class TestWignerTransform:
             (-25.0, 39.0, 257, 33.0),
             # p0 = 30: the grid sees only the tails, where |W| ~ 1e-16
             (-5.0, 5.0, 201, 30.0),
+            # p0 = 300 lies beyond the first probe's band of +-251, which
+            # aliases it to -203: the reach is read after one halving
+            (280.0, 320.0, 401, 0.0),
+            (-25.0, 50.0, 301, 287.5),
         ],
     )
     def test_boosted_coherent_state_on_off_centre_momentum_grid(
@@ -411,6 +417,41 @@ class TestWignerTransform:
         note = next(n for n in field.notes if n.startswith("p_reach="))
         reach = abs(p0) + np.sqrt(2.0 * np.log(1e12))
         assert float(note.split("=")[1]) == pytest.approx(reach, abs=0.5)
+
+    def test_unresolved_momentum_reach_raises(self, natural_system):
+        # local momentum 2e6 x: aliased in every probe band up to 2^8 times
+        # the first, so the two probes never agree on the reach
+        grid = GridSpec(x=np.linspace(-8.0, 8.0, 321), p=np.linspace(-5.0, 5.0, 201))
+
+        def chirp(x):
+            return np.pi**-0.25 * np.exp(-0.5 * x**2 + 1e6j * x**2)
+
+        with pytest.raises(GridCoverageError, match="aliased"):
+            wigner_transform(chirp, grid, natural_system)
+
+    def test_one_block_buffer_at_peak(self, natural_system):
+        # Every block is built, zero-padded and transformed in one reused
+        # buffer of at most 512 complex entries per column of the y table,
+        # 8192 bytes per column. A separate table, padded copy and spectrum
+        # per block take the peak above the output to about 2.7 buffers.
+        x0, p0 = 1.3, 0.4
+        grid = GridSpec(x=np.linspace(-8.0, 8.0, 801), p=np.linspace(-6.0, 6.0, 601))
+
+        def psi(x):
+            return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
+
+        tracemalloc.start()
+        try:
+            field = wigner_transform(psi, grid, natural_system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        note = next(n for n in field.notes if n.startswith("y_step="))
+        y_step = float(note.split("=")[1])
+        # |psi| > 1e-12 of its peak within sqrt(2 ln 1e12) of x0
+        columns = 2.0 * np.sqrt(2.0 * np.log(1e12)) / y_step + 5.0
+        buffer = 512 * 16 * columns
+        assert peak - field.values.nbytes <= 1.5 * buffer, (peak, buffer)
 
     def test_canonical_grid_takes_the_grid_step(self, canonical_cl_run):
         # dx (max|p| + reach) < pi hbar on this for_orbit grid, so no y-step

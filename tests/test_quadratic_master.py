@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -520,6 +521,27 @@ class TestPropagateWigner:
         _, cov = out.mean_and_covariance()
         np.testing.assert_allclose(cov, np.diag([1.0, 0.5]), atol=1e-5)
         assert out.notes[-2].startswith("spectral_smear")
+
+    def test_one_buffer_and_one_output_at_peak(self, natural_system):
+        # Every stage runs in one complex buffer whose float view holds the
+        # padded field; the FFT passes and the smearing factor touch
+        # _BLOCK_ROWS rows of it at a time. A second buffer-sized array (a
+        # padded copy, a separate spectrum or a whole-buffer block) takes the
+        # peak to about 1.3 times the one buffer and the output.
+        x, p = symmetric_grid(6.0, 0.02), symmetric_grid(8.0, 0.02)
+        field = gaussian_field(x, p, np.array([0.7, -0.4]), 0.5 * np.eye(2))
+        prop = GaussianPropagator(1.0, np.array([[1.0, 0.3], [-0.2, 1.0]]), 0.2 * np.eye(2))
+        tracemalloc.start()
+        try:
+            out = propagate_wigner(prop, field, natural_system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_x, n_p = map(int, out.notes[-2].split("=")[1].rstrip(")").split("x"))
+        # M pads both axes
+        assert n_x > x.size + 200 and n_p > p.size + 200
+        allowed = 1.1 * (n_x * (n_p // 2 + 1) * 16 + out.values.nbytes)
+        assert peak <= allowed, (peak, allowed)
 
     def test_nan_cell_raises(self, natural_system):
         x = symmetric_grid(6.0, 0.05)
