@@ -18,7 +18,6 @@ transfer matrix ``T(t) = exp(L t)`` of that linear flow.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
-from ._trig import one_minus_cos, pair_kernel, t_minus_sin
+from ._trig import one_minus_cos, pair_kernel, phase_sums, t_minus_sin
 from .spectral import BathSpec
 from .volterra import GKernelTable, gregory_weights
 
@@ -149,29 +148,6 @@ class BathPropagators:
         return _free_rotation(self.bath.masses, self.bath.frequencies, self.time)
 
 
-def _phase_sums(
-    frequencies: np.ndarray, nodes: np.ndarray, moments: np.ndarray
-) -> np.ndarray:
-    """``sum_k exp(1j w tau_k) moments[k]`` for each frequency, by angle addition.
-
-    Node ``k = j B + i`` with ``B = ceil(sqrt(n))`` has the phase of node ``i``
-    times that of node ``j B``, so only ``n / B + B`` phases per frequency are
-    evaluated: one matrix product sums each block of ``B`` nodes against the
-    fine phases, and the coarse phases then combine the blocks. Returns shape
-    ``(len(frequencies), moments.shape[1])``.
-    """
-    n, width = moments.shape
-    block = math.isqrt(n - 1) + 1
-    rows = -(-n // block)
-    fine = np.exp(1j * np.multiply.outer(frequencies, nodes[:block]))
-    coarse = np.exp(1j * np.multiply.outer(frequencies, nodes[::block]))
-    padded = np.zeros((rows * block, width))
-    padded[:n] = moments
-    stacked = padded.reshape(rows, block, width).transpose(1, 0, 2).reshape(block, rows * width)
-    partial = (fine @ stacked).reshape(frequencies.size, rows, width)
-    return np.einsum("rj,rjc->rc", coarse, partial)
-
-
 def exact_bath_matrices(
     bath: BathSpec,
     system: OscillatorSystemSpec,
@@ -231,7 +207,7 @@ def exact_bath_matrices(
     weighted_g = weights * g_table.values[index::-1]
     # the weighted response and its first tau-moment
     moments = np.stack([weighted_g, nodes * weighted_g], axis=1)
-    sums = _phase_sums(mode_w, nodes, moments)
+    sums = phase_sums(mode_w, g_table.step, moments)
     sin_sum, tau_sin = sums.imag.T
     cos_sum, tau_cos = sums.real.T
     h = -sin_sum

@@ -21,6 +21,8 @@ class CoherentBathSample:
         Center coordinates per mode, shape ``(N,)``.
     seed : int
         Seed of the counter-based generator that produced the draw.
+
+    NaN or inf in a centre raises ``ValueError``.
     """
 
     positions: np.ndarray
@@ -32,6 +34,8 @@ class CoherentBathSample:
         momenta = np.atleast_1d(np.asarray(self.momenta, dtype=float))
         if positions.shape != momenta.shape or positions.ndim != 1:
             raise ValueError("positions and momenta must be 1-D and equal length")
+        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(momenta))):
+            raise ValueError("coherent-state centres must be finite")
         positions.flags.writeable = False
         momenta.flags.writeable = False
         object.__setattr__(self, "positions", positions)

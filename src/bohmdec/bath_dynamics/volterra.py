@@ -7,14 +7,16 @@ function solving
 
 where the memory kernel ``chi`` is a spectral integral over the environment,
 tabulated by :meth:`~bohmdec.bath_dynamics.spectral.SpectralDensity.kernel_tables`
-(an exact line sum for a finite bath, a closed form in the sine and cosine
-integrals for the ohmic density). The solve marches the product-integration
-rule forward; because ``chi(0) = 0`` every step is explicit. End-corrected
-(Gregory) trapezoidal weights keep the global error at fourth order: halving
-the step cuts the exact blocks' reversibility residuals by about 16. The
-first two derivatives of ``g`` are evaluated from the differentiated
-integral equation rather than by finite differencing, so they carry the same
-accuracy as ``g`` itself.
+on the solver grid (phase sums over the lines for a finite bath, a closed
+form in the sine and cosine integrals for the ohmic density). The solve
+marches the product-integration rule forward; because ``chi(0) = 0`` every
+step is explicit. End-corrected (Gregory) trapezoidal weights keep the global
+error at fourth order: halving the step cuts the exact blocks'
+reversibility residuals by about 16. The first two derivatives of ``g`` are
+evaluated from the differentiated integral equation rather than by finite
+differencing, so they carry the same accuracy as ``g`` itself.
+Each step updates the three newest entries of one weighted-history buffer
+and takes ``g`` and both derivatives from one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ _POINTS_PER_PERIOD = 20
 # Gregory end corrections of order 4: the first three weights replace the
 # trapezoid's 1/2 edge weight; the interior stays at 1.
 _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+# Fewest samples that take the end corrections; shorter tables use the
+# trapezoid.
+_GREGORY_SAMPLES = 7
 
 
 def gregory_weights(n: int, step: float) -> np.ndarray:
@@ -56,7 +61,7 @@ def gregory_weights(n: int, step: float) -> np.ndarray:
     if n == 1:
         return np.zeros(1)
     w = np.ones(n)
-    if n >= 7:
+    if n >= _GREGORY_SAMPLES:
         w[:3] = _GREGORY_EDGE
         w[-3:] = _GREGORY_EDGE[::-1]
     else:
@@ -106,10 +111,12 @@ class GKernelTable:
         Raises
         ------
         ValueError
-            If ``|t|`` exceeds the table span or misses every node by more
-            than ``1e-9`` of the step.
+            If ``t`` is NaN or inf, ``|t|`` exceeds the table span, or it
+            misses every node by more than ``1e-9`` of the step.
         """
         magnitude = abs(float(t))
+        if not np.isfinite(magnitude):
+            raise ValueError(f"t = {t:g} is not finite")
         if magnitude > self.t_max * (1.0 + 1e-12):
             raise ValueError(
                 f"t = {t:g} lies outside the solved span [0, {self.t_max:g}]"
@@ -155,6 +162,16 @@ def solve_g_kernel(
     ValueError
         If an argument is NaN or inf, the step is too coarse, or the mass is
         missing for a line spectrum.
+
+    Notes
+    -----
+    Step ``j`` adds ``sum_{k<j} w_k^(j) g_k K(t_j - t_k)`` for the stack
+    ``K = (chi, chi_dot, chi_ddot)``, with ``w^(j)`` the
+    :func:`gregory_weights` of ``j + 1`` samples. From seven samples on,
+    ``w^(j)`` differs from ``w^(j-1)`` only at the three newest nodes, so the
+    history ``w_k^(j) g_k`` is updated there alone and holds the same
+    floating-point numbers as a rebuilt one. The cost is ``3 n^2 / 2``
+    multiply-adds for ``n`` steps.
     """
     if mass is None:
         if spectral.kind != "ohmic":
@@ -178,16 +195,28 @@ def solve_g_kernel(
 
     n = int(np.ceil(t_max / step - 1e-9))
     times = np.arange(n + 1) * step
-    kernel, kernel_dot, kernel_ddot = spectral.kernel_tables(bare_frequency, mass, times)
+    tables = spectral.kernel_tables(bare_frequency, mass, step, n + 1)
+    # column n - j + k holds the kernels at lag j - k, so the lags of step j
+    # are the last j columns, in the order of the history
+    lagged = np.stack([table[n:0:-1] for table in tables])
+    # once the table is long enough, the three newest history entries take
+    # the interior weight and the last two end corrections
+    tail = np.array([1.0, *_GREGORY_EDGE[:0:-1]]) * step
 
     values = np.sin(bare_frequency * times)
     first = bare_frequency * np.cos(bare_frequency * times)
     second = -bare_frequency**2 * values
+    history = np.empty(n)
     for j in range(1, n + 1):
-        history = gregory_weights(j + 1, step)[:j] * values[:j]
-        values[j] += np.dot(history, kernel[j:0:-1])
-        first[j] += np.dot(history, kernel_dot[j:0:-1])
-        second[j] += np.dot(history, kernel_ddot[j:0:-1])
+        if j < _GREGORY_SAMPLES:
+            # up to the switch from the trapezoid every weight may change
+            history[:j] = gregory_weights(j + 1, step)[:j] * values[:j]
+        else:
+            history[j - 3 : j] = tail * values[j - 3 : j]
+        memory = lagged[:, n - j :] @ history[:j]
+        values[j] += memory[0]
+        first[j] += memory[1]
+        second[j] += memory[2]
 
     return GKernelTable(
         times=times,

@@ -17,6 +17,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from bohmdec.bath_dynamics import (
     BathSpec,
+    CoherentBathSample,
     SpectralDensity,
     classicality_report,
     cl_m_tilde_asymptote,
@@ -35,7 +36,7 @@ from bohmdec.bath_dynamics import (
     solve_g_kernel,
     weak_coupling_matrices,
 )
-from bohmdec.bath_dynamics._trig import cin, pair_kernel
+from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
 from bohmdec.bath_dynamics import matrices
 from bohmdec.bath_dynamics.matrices import _spectral_norm
 from bohmdec.bohm_velocity import SemiclassicalDecomposition, initial_velocity
@@ -72,6 +73,40 @@ def mp_integral(f, upper: float, rate: float) -> float:
         )
         assert error <= 1e-20 * max(abs(value), 1e-30)
         return value
+
+
+def mp_line_tables(freqs, weights, bare, mass, times) -> np.ndarray:
+    """Memory kernel of a line spectrum and its two derivatives, by 40-digit line sums.
+
+    Each line enters through ``K0, K1, K2`` of its definition, or through
+    their limits where a line sits at ``bare`` itself. Returns shape
+    ``(3, len(times))``.
+    """
+    out = np.empty((3, len(times)))
+    with mp.workdps(40):
+        b = mp.mpf(float(bare))
+        lines = [(mp.mpf(float(a)), mp.mpf(float(w))) for a, w in zip(freqs, weights)]
+        for col, tau in enumerate(times):
+            t = mp.mpf(float(tau))
+            sums = [mp.mpf(0)] * 3
+            for a, w in lines:
+                if a == b:
+                    u = a * t
+                    kernels = (
+                        (mp.sin(u) - u * mp.cos(u)) / (2 * a),
+                        u * mp.sin(u) / 2,
+                        a * (mp.sin(u) + u * mp.cos(u)) / 2,
+                    )
+                else:
+                    split = a * a - b * b
+                    kernels = (
+                        (a * mp.sin(b * t) - b * mp.sin(a * t)) / split,
+                        a * b * (mp.cos(b * t) - mp.cos(a * t)) / split,
+                        a * b * (a * mp.sin(a * t) - b * mp.sin(b * t)) / split,
+                    )
+                sums = [total + w * k for total, k in zip(sums, kernels)]
+            out[:, col] = [float(2 / (mp.mpf(float(mass)) * b) * total) for total in sums]
+    return out
 
 
 def oracle_params() -> CaldeiraLeggettParams:
@@ -157,8 +192,8 @@ class TestClosedForms:
     def test_kernel_tables_match_mpmath(self, bare, cutoff):
         gamma, mass = 1e-2, 1.5
         spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(mass=1.0), gamma, cutoff)
-        times = np.linspace(0.0, 2.5, 501)
-        tables = spectral.kernel_tables(bare, mass, times)
+        times = np.arange(501) * 0.005
+        tables = spectral.kernel_tables(bare, mass, 0.005, 501)
         b = mp.mpf(bare)
         kernels = (
             lambda w, tau: (w * mp.sin(b * tau) - b * mp.sin(w * tau)) / (w * w - b * b),
@@ -237,13 +272,12 @@ class TestClosedForms:
     def test_discretized_bath_converges_at_second_order(self):
         system = OscillatorSystemSpec()
         params = oracle_params()
-        times = np.linspace(0.0, 2.0, 401)
         ohmic = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
-        reference = ohmic.kernel_tables(1.0, 1.0, times)
+        reference = ohmic.kernel_tables(1.0, 1.0, 0.005, 401)
         errors = []
         for n_modes in (64, 128, 256, 512):
             bath = discretize_spectral_density(params, system, n_modes)
-            tables = SpectralDensity.from_bath(bath).kernel_tables(1.0, 1.0, times)
+            tables = SpectralDensity.from_bath(bath).kernel_tables(1.0, 1.0, 0.005, 401)
             errors.append(
                 max(np.abs(a - r).max() / np.abs(r).max() for a, r in zip(tables, reference))
             )
@@ -255,28 +289,47 @@ class TestClosedForms:
         # time would hold about 225 MB
         bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
         spectral = SpectralDensity.from_bath(bath)
-        times = np.linspace(0.0, 20.0, 6401)
         tracemalloc.start()
         try:
-            spectral.kernel_tables(1.0, 1.0, times)
+            spectral.kernel_tables(1.0, 1.0, 1.0 / 320.0, 6401)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 32 * 2**20, peak / 2**20
 
-    def test_line_kernel_tables_match_one_shot_sum(self):
-        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
+    @pytest.mark.parametrize("bare", [1.3, None], ids=["bare", "counterterm"])
+    def test_line_kernel_tables_match_mpmath_line_sum(self, bare):
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 512)
+        if bare is None:
+            bare = counterterm_bare_frequency(bath, system)
         spectral = SpectralDensity.from_bath(bath)
-        freqs, weights = spectral.lines()
+        step, count, mass = 3.0 / 1612.0, 1613, 1.5
+        tables = spectral.kernel_tables(bare, mass, step, count)
+        nodes = np.array([0, 1, 2, 3, 77, 230, 537, 806, 1290, 1612])
+        expected = mp_line_tables(*spectral.lines(), bare, mass, nodes * step)
+        for table, exact in zip(tables, expected):
+            assert np.abs(table[nodes] - exact).max() <= 1e-15 * np.abs(table).max()
+
+    def test_line_kernel_tables_hold_near_the_bare_frequency(self):
+        # lines at the bare frequency, within 2e-8 of it on both sides, at
+        # 1e-4 (inside the 1e-3 cut) and at 5% (outside it): through the
+        # separable sums the tie divides by zero, the next two lose about
+        # 1e-8 of the peak and the line at 1e-4 about 1e-13
         bare, mass = 1.3, 1.5
-        # the lines are summed over blocks of 2**18 // 512 times: three full
-        # blocks and a partial one
-        times = np.linspace(0.0, 3.0, 3 * (2**18 // freqs.size) + 77)
-        tables = spectral.kernel_tables(bare, mass, times)
-        kernels = pair_kernel(freqs[:, None], bare, times[None, :])
-        for table, kernel in zip(tables, kernels):
-            expected = 2.0 / (mass * bare) * (weights @ kernel)
-            assert np.abs(table - expected).max() <= 1e-15 * np.abs(expected).max()
+        bath = BathSpec(
+            masses=np.ones(5),
+            frequencies=bare * np.array([1.0, 1.0 + 1e-9, 1.0 - 2e-8, 1.0 + 1e-4, 1.05]),
+            couplings=np.array([0.1, 0.2, 0.15, 0.25, 0.3]),
+            thermal_energy=1.0,
+        )
+        spectral = SpectralDensity.from_bath(bath)
+        step, count = 1.0 / 64.0, 1601
+        tables = spectral.kernel_tables(bare, mass, step, count)
+        nodes = np.array([0, 1, 2, 3, 50, 333, 800, 1201, 1600])
+        expected = mp_line_tables(*spectral.lines(), bare, mass, nodes * step)
+        for table, exact in zip(tables, expected):
+            assert np.abs(table[nodes] - exact).max() <= 5e-15 * np.abs(table).max()
 
     @pytest.mark.parametrize("log_cut", [3.9, 6.2, 8.0])
     def test_closed_forms_approach_log_asymptotes(self, log_cut):
@@ -315,6 +368,70 @@ class TestSolveGKernel:
         spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
         with pytest.raises(ValueError, match="too coarse"):
             solve_g_kernel(spectral, 1.0, 1.0, 0.01)
+
+    def test_bath_without_modes_gives_the_free_oscillator(self):
+        bare = 1.7
+        bath = BathSpec(
+            masses=np.ones(0), frequencies=np.ones(0), couplings=np.ones(0), thermal_energy=1.0
+        )
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, 3.0, 0.01, mass=1.2)
+        phase = bare * table.times
+        assert np.array_equal(table.values, np.sin(phase))
+        assert np.array_equal(table.first_derivative, bare * np.cos(phase))
+        assert np.array_equal(table.second_derivative, -bare**2 * np.sin(phase))
+
+    @pytest.mark.parametrize("count", [5, 6, 7, 8, 9])
+    def test_short_tables_match_product_integration(self, count):
+        # below seven samples the integrals take the trapezoid, from seven
+        # on Gregory's end corrections; the loop below spells out both
+        bare, mass, step = 1.3, 1.2, 0.05
+        freqs = np.array([0.7, 2.0, 3.1])
+        bath = BathSpec(
+            masses=np.array([1.0, 0.5, 2.0]),
+            frequencies=freqs,
+            couplings=np.array([0.3, -0.4, 0.5]),
+            thermal_energy=1.0,
+        )
+        table = solve_g_kernel(
+            SpectralDensity.from_bath(bath), bare, (count - 1) * step, step, mass=mass
+        )
+        assert table.times.size == count
+        weights = bath.spectral_weights / (freqs**2 - bare**2)
+
+        def kernels(tau):
+            s_b, c_b = np.sin(bare * tau), np.cos(bare * tau)
+            s_a, c_a = np.sin(freqs * tau), np.cos(freqs * tau)
+            return 2.0 / (mass * bare) * np.array(
+                [
+                    weights @ (freqs * s_b - bare * s_a),
+                    weights @ (freqs * bare * (c_b - c_a)),
+                    weights @ (freqs * bare * (freqs * s_a - bare * s_b)),
+                ]
+            )
+
+        expected = np.empty((3, count))
+        for j in range(count):
+            phase = bare * j * step
+            expected[:, j] = [np.sin(phase), bare * np.cos(phase), -bare**2 * np.sin(phase)]
+            if j == 0:
+                continue
+            samples = j + 1
+            if samples >= 7:
+                rule = [3 / 8, 7 / 6, 23 / 24] + [1.0] * (samples - 6) + [23 / 24, 7 / 6, 3 / 8]
+            else:
+                rule = [0.5] + [1.0] * (samples - 2) + [0.5]
+            for k in range(j):
+                expected[:, j] += step * rule[k] * kernels((j - k) * step) * expected[0, k]
+        got = np.array([table.values, table.first_derivative, table.second_derivative])
+        for row, exact in zip(got, expected):
+            assert np.abs(row - exact).max() <= 1e-14 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_node_index_rejects_nonfinite_times(self, t):
+        spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 20.0)
+        table = solve_g_kernel(spectral, 1.0, 1.0, 0.01)
+        with pytest.raises(ValueError, match="not finite"):
+            table.node_index(t)
 
     @pytest.mark.parametrize("shape", [(40, 40), (12, 70), (70, 12)])
     def test_spectral_norm_matches_svd(self, shape):
@@ -469,14 +586,24 @@ class TestBlocks:
         # one node, one whole block (n = 2), and padded last blocks (7, 50, 6401)
         rng = np.random.default_rng(n)
         frequencies = rng.uniform(0.05, 100.0, 64)
-        nodes = np.arange(n) / 320.0
+        step = 1.0 / 320.0
+        nodes = np.arange(n) * step
         moments = rng.standard_normal((n, 2))
         angles = np.multiply.outer(frequencies.astype(np.longdouble), nodes.astype(np.longdouble))
         wide = moments.astype(np.longdouble)
-        sums = matrices._phase_sums(frequencies, nodes, moments)
+        sums = phase_sums(frequencies, step, moments)
         scale = np.abs(moments).sum(axis=0)
         assert np.all(np.abs(sums.real - (np.cos(angles) @ wide)) <= 1e-14 * scale)
         assert np.all(np.abs(sums.imag - (np.sin(angles) @ wide)) <= 1e-14 * scale)
+        # the same phases summed over the lines at each node: each line's
+        # phase rounds by about eps * w tau, which no longer averages out
+        # over thousands of nodes
+        line_weights = rng.standard_normal((frequencies.size, 3))
+        sums = phase_sums(frequencies, step, line_weights, n)
+        wide = line_weights.astype(np.longdouble)
+        scale = (1.0 + angles.T.astype(float)) @ np.abs(line_weights)
+        assert np.all(np.abs(sums.real - (np.cos(angles).T @ wide)) <= 1e-15 * scale)
+        assert np.all(np.abs(sums.imag - (np.sin(angles).T @ wide)) <= 1e-15 * scale)
 
 
 class TestBathSpec:
@@ -539,6 +666,14 @@ class TestSampling:
         assert np.array_equal(again.positions, sample.positions)
         assert np.array_equal(again.momenta, sample.momenta)
         assert not np.array_equal(sample_bath(bath, seed=12).positions, sample.positions)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["positions", "momenta"])
+    def test_rejects_nonfinite_centres(self, field, bad):
+        centres = dict(positions=[0.1, 0.2], momenta=[0.0, -0.3])
+        centres[field] = [0.1, bad]
+        with pytest.raises(ValueError, match="finite"):
+            CoherentBathSample(**centres, seed=1)
 
 
 class TestConditionalVelocity:
