@@ -28,7 +28,7 @@ from ..errors import NumericalFailureError
 from ..phase_space import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
 from .conditional import m_tilde_matrix, sigma3_squared
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, _require_finite_time
 
 __all__ = [
     "ClassicalityReport",
@@ -137,7 +137,7 @@ def classicality_report(
     cl_params : CaldeiraLeggettParams
         Ohmic description of the environment.
     t : float
-        Must be positive.
+        Must be finite and positive.
     x : float, optional
         Probe position strictly inside the turning points; defaults to half
         the orbit amplitude.
@@ -146,6 +146,7 @@ def classicality_report(
     -------
     ClassicalityReport
     """
+    _require_finite_time(t)
     if t <= 0.0:
         raise ValueError("classicality margins are defined for t > 0")
     if x is None:

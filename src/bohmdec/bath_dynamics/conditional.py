@@ -14,6 +14,7 @@ grid is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +36,7 @@ from ..phase_space import (
 from ..quadratic_master import CaldeiraLeggettParams
 from .matrices import BathPropagators, _flip_time
 from .sampling import CoherentBathSample
-from .spectral import BathSpec, SpectralDensity
+from .spectral import BathSpec, SpectralDensity, _require_finite_time
 
 __all__ = [
     "ConditionalKernel",
@@ -62,7 +63,9 @@ def m_tilde_matrix(
     ``M_xx = 4 hbar gamma t^2 Q(X) / (pi m)``, ``M_xp = -4 hbar gamma t R(X) / pi``
     and ``M_pp = 4 hbar m gamma P(X) / pi``; both the closed forms and a line
     sum keep the ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) clean.
+    ``t`` must be finite and non-negative (``ValueError``).
     """
+    _require_finite_time(t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     hbar = system.hbar
@@ -80,8 +83,10 @@ def sigma3_squared(
     """Slice-information precision: the momentum weight the bath slice adds.
 
     For the ohmic density this is ``4 gamma t^2 S(X) / (pi hbar m)`` with
-    ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`).
+    ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`). ``t`` must
+    be finite and non-negative (``ValueError``).
     """
+    _require_finite_time(t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     return float(2.0 / (system.hbar * system.mass**2) * spectral.slice_integrals(t)[3])
@@ -207,7 +212,7 @@ def conditional_kernel(
     bath : BathSpec
     sample : CoherentBathSample
     t : float
-        Must match the time the blocks were assembled at.
+        Must be finite and match the time the blocks were assembled at.
     spectral : SpectralDensity, optional
         Density to integrate the smearing matrix over.
         Defaults to the line spectrum of ``bath``; pass the continuum parent
@@ -219,6 +224,7 @@ def conditional_kernel(
     -------
     ConditionalKernel
     """
+    _require_finite_time(t)
     if props.mode != "weak_coupling" or not props.small_angle:
         raise ValueError(
             "conditioning requires weak-coupling blocks with the small-angle flag"
@@ -303,6 +309,8 @@ def conditional_velocity(
 
     Raises
     ------
+    ValueError
+        If ``x`` or any slice position is NaN or inf.
     DomainValidityError
         Outside the allowed region, inside the turning zone, or when the
         position-spread margin fails.
@@ -312,12 +320,17 @@ def conditional_velocity(
     """
     system = kernel.system
     mass = system.mass
+    x_eval = float(x)
+    if not math.isfinite(x_eval):
+        raise ValueError(f"x = {x_eval:g} is not finite")
+    bath_slice = np.asarray(bath_slice, dtype=float)
+    if not np.isfinite(bath_slice).all():
+        raise ValueError("bath_slice has non-finite entries")
 
     if kernel.degenerate:
         sampler = band_wavefunction(state, system)
-        return float(initial_velocity(sampler, x, system))
+        return float(initial_velocity(sampler, x_eval, system))
 
-    x_eval = float(x)
     amplitude = orbit.amplitude
     if abs(x_eval) >= amplitude:
         raise DomainValidityError(
@@ -338,7 +351,7 @@ def conditional_velocity(
     log_weight, centre, precision = (
         term[:, 0] for term in decomp.gaussian_terms(x_eval)
     )
-    q0, q1, q2 = kernel.slice_quadratic(np.asarray(bath_slice, dtype=float), x_eval)
+    q0, q1, q2 = kernel.slice_quadratic(bath_slice, x_eval)
 
     # Term k times the slice weight is exp(const - curvature p^2 + slope p).
     curvature = precision + q2

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ._trig import one_minus_cos, pair_kernel, phase_sums, t_minus_sin
-from .spectral import BathSpec
+from .spectral import BathSpec, _require_finite_time
 from .volterra import GKernelTable, gregory_weights
 
 __all__ = [
@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Rows of the round trip formed per matrix product. At N = 512 a 128-row
+# panel keeps the temporary at an eighth of a transfer matrix and runs the
+# product within about 10% of one whole-matrix product; 16-row panels take
+# about twice its time (one BLAS thread, 2-vCPU Xeon).
+_PANEL_ROWS = 128
 
 
 def _flip_time(blocks: np.ndarray) -> np.ndarray:
@@ -148,6 +153,76 @@ class BathPropagators:
         return _free_rotation(self.bath.masses, self.bath.frequencies, self.time)
 
 
+def _mode_corrections(
+    bath: BathSpec,
+    stiffness: float,
+    h: np.ndarray,
+    h_dot: np.ndarray,
+    tau_sin: np.ndarray,
+    tau_cos: np.ndarray,
+) -> np.ndarray:
+    """Mode-to-mode corrections ``(N, N, 2, 2)`` at a non-negative time.
+
+    Pair ``(r, s)`` (``r`` along rows) carries
+    ``pair_scale = kappa_r kappa_s / (m omega m_r m_s omega_r omega_s)``
+    times the pair integrals
+
+        f      = (omega_s h_r - omega_r h_s) / (omega_r^2 - omega_s^2)
+        f_dot  = (omega_s h_dot_r - omega_r h_dot_s) / (omega_r^2 - omega_s^2)
+        f_ddot = omega_r omega_s (omega_s h_s - omega_r h_r) / (omega_r^2 - omega_s^2)
+
+    whose tied limits (``omega_r = omega_s``) take the first tau-moments
+    ``tau_sin`` and ``tau_cos`` of row ``r``; ``stiffness`` is ``m omega``.
+    Each plane is written from two N x N work arrays and one N x N scale
+    ``pair_scale / (omega_r^2 - omega_s^2)``; tied pairs (the diagonal and
+    any degenerate lines) are then overwritten by index.
+    """
+    mode_m, mode_w, kappa = bath.masses, bath.frequencies, bath.couplings
+    work = np.subtract.outer(mode_w, mode_w)
+    spare = np.add.outer(mode_w, mode_w)
+    np.abs(work, out=work)
+    spare *= 1e-12
+    rows, cols = np.nonzero(work <= spare)
+
+    mw = mode_m * mode_w
+    scale = np.multiply.outer(kappa / mw, kappa / mw)
+    w_sq = mode_w * mode_w
+    np.subtract.outer(w_sq, w_sq, out=work)
+    work[rows, cols] = 1.0
+    scale /= work
+    scale /= stiffness
+
+    out = np.empty((bath.n_modes, bath.n_modes, 2, 2))
+    # f: omega_s h_r - omega_r h_s
+    np.multiply.outer(h, mode_w, out=work)
+    work -= np.multiply.outer(mode_w, h, out=spare)
+    np.multiply(scale, work, out=out[:, :, 0, 1])
+    # f_dot, carrying m_s into the 00 plane and m_r into the 11 plane
+    np.multiply.outer(h_dot, mode_w, out=work)
+    work -= np.multiply.outer(mode_w, h_dot, out=spare)
+    np.multiply(work, mode_m, out=spare)
+    np.multiply(scale, spare, out=out[:, :, 0, 0])
+    np.multiply(work, mode_m[:, None], out=spare)
+    np.multiply(scale, spare, out=out[:, :, 1, 1])
+    # f_ddot: m_r m_s omega_r omega_s (omega_s h_s - omega_r h_r)
+    wh = mode_w * h
+    np.subtract(wh, wh[:, None], out=work)
+    work *= mw[:, None]
+    work *= mw
+    np.multiply(scale, work, out=out[:, :, 1, 0])
+
+    m_r, m_s, w, h_r, cos_r = mode_m[rows], mode_m[cols], mode_w[rows], h[rows], tau_cos[rows]
+    pair_scale = kappa[rows] * kappa[cols] / (stiffness * m_r * m_s * w * mode_w[cols])
+    f_tie = (-h_r - w * cos_r) / (2.0 * w)
+    f_dot_tie = 0.5 * w * tau_sin[rows]
+    f_ddot_tie = 0.5 * w * (-h_r + w * cos_r)
+    out[rows, cols, 0, 0] = pair_scale * m_s * f_dot_tie
+    out[rows, cols, 0, 1] = pair_scale * f_tie
+    out[rows, cols, 1, 0] = pair_scale * m_r * m_s * f_ddot_tie
+    out[rows, cols, 1, 1] = pair_scale * m_r * f_dot_tie
+    return out
+
+
 def exact_bath_matrices(
     bath: BathSpec,
     system: OscillatorSystemSpec,
@@ -176,9 +251,11 @@ def exact_bath_matrices(
     t : float
     include_d_corrections : bool, optional
         Assemble the ``(N, N, 2, 2)`` mode-to-mode corrections, which
-        :func:`reversibility_residuals` needs. Off by default: their memory
-        cost is quadratic in the mode count. The phase sums are formed once
-        either way.
+        :func:`reversibility_residuals` needs. Off by default: they take
+        ``32 N^2`` bytes, and building them holds three ``N x N`` work
+        arrays more (``24 N^2`` bytes) plus the index list of tied pairs;
+        negative times flip their signs in place. The phase sums are formed
+        once either way.
 
     Returns
     -------
@@ -199,9 +276,7 @@ def exact_bath_matrices(
 
     m = system.mass
     w0 = system.bare_frequency
-    mode_m = bath.masses
     mode_w = bath.frequencies
-    kappa = bath.couplings
 
     weights = gregory_weights(index + 1, g_table.step)
     weighted_g = weights * g_table.values[index::-1]
@@ -224,32 +299,12 @@ def exact_bath_matrices(
 
     d_corrections = None
     if include_d_corrections:
-        # pair (r, s) of the mode sector: r along rows, s along columns
-        w_r, w_s = mode_w[:, None], mode_w[None, :]
-        m_r, m_s = mode_m[:, None], mode_m[None, :]
-        tied = np.abs(w_r - w_s) <= 1e-12 * (w_r + w_s)
-        safe = np.where(tied, 1.0, w_r**2 - w_s**2)
-        f = (w_s * h[:, None] - w_r * h[None, :]) / safe
-        f_dot = (w_s * h_dot[:, None] - w_r * h_dot[None, :]) / safe
-        f_ddot = w_r * w_s * (w_s * h[None, :] - w_r * h[:, None]) / safe
-        f_tie = (-h - mode_w * tau_cos) / (2.0 * mode_w)
-        f_dot_tie = 0.5 * mode_w * tau_sin
-        f_ddot_tie = 0.5 * mode_w * (-h + mode_w * tau_cos)
-        f = np.where(tied, f_tie[:, None], f)
-        f_dot = np.where(tied, f_dot_tie[:, None], f_dot)
-        f_ddot = np.where(tied, f_ddot_tie[:, None], f_ddot)
-
-        pair_scale = (kappa[:, None] * kappa[None, :]) / (m * m_r * m_s * w0 * w_r * w_s)
-        d_corrections = np.empty((bath.n_modes, bath.n_modes, 2, 2))
-        d_corrections[:, :, 0, 0] = pair_scale * m_s * f_dot
-        d_corrections[:, :, 0, 1] = pair_scale * f
-        d_corrections[:, :, 1, 0] = pair_scale * m_r * m_s * f_ddot
-        d_corrections[:, :, 1, 1] = pair_scale * m_r * f_dot
+        d_corrections = _mode_corrections(bath, m * w0, h, h_dot, tau_sin, tau_cos)
 
     if t < 0.0:
         a, b, c = _flip_time(a), _flip_time(b), _flip_time(c)
         if d_corrections is not None:
-            d_corrections = _flip_time(d_corrections)
+            d_corrections *= _FLIP
 
     return BathPropagators(
         time=float(t),
@@ -280,8 +335,10 @@ def weak_coupling_matrices(
 
     A :class:`~bohmdec.errors.CouplingStrengthWarning` is emitted when
     ``max_r kappa_r^2 / (m m_r omega omega_r)`` exceeds one percent of
-    ``omega^2``, the regime bound for dropping the higher orders.
+    ``omega^2``, the regime bound for dropping the higher orders. A NaN or
+    infinite ``t`` raises ``ValueError``.
     """
+    _require_finite_time(t)
     m = system.mass
     w = system.renormalized_frequency
     mode_m = bath.masses
@@ -367,15 +424,23 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
 def _transfer_matrix(props: BathPropagators) -> np.ndarray:
     """Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on ``(x, p, q_1, p_1, ...)``."""
     n = props.n_modes
-    modes = np.transpose(props.d_corrections, (0, 2, 1, 3)).copy()
     diagonal = np.arange(n)
-    modes[diagonal, :, diagonal, :] += props.d_free
+    d_free = props.d_free
     out = np.empty((2 * n + 2, 2 * n + 2))
     out[:2, :2] = props.a
     out[:2, 2:] = np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n)
     out[2:, :2] = props.c.reshape(2 * n, 2)
-    out[2:, 2:] = modes.reshape(2 * n, 2 * n)
+    for i, j in np.ndindex(2, 2):
+        # entry (i, j) of every 2x2 mode block: rows 2 + 2r + i, columns 2 + 2s + j
+        plane = out[2 + i :: 2, 2 + j :: 2]
+        plane[...] = props.d_corrections[:, :, i, j]
+        plane[diagonal, diagonal] += d_free[:, i, j]
     return out
+
+
+def _central_blocks(transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Copies of the ``A``, ``B`` and ``C`` blocks of a dense transfer matrix."""
+    return transfer[:2, :2].copy(), transfer[:2, 2:].copy(), transfer[2:, :2].copy()
 
 
 def _spectral_norm(mat: np.ndarray) -> float:
@@ -423,10 +488,19 @@ def reversibility_residuals(
 
         D(t) Dinv(t) - 1 = R_mm - R_mc A(-t)^-1 B(-t)
 
-    so the cubic products are ``T(t) T(-t)`` and the Gram matrices of the two
-    mode-sized residuals. All values are spectral norms of the residual
-    matrices, each the square root of the top eigenvalue of its smaller Gram
-    matrix, found by Lanczos iteration.
+    and the cross transfer ``B(-t) Dinv(-t)``, with
+    ``Dinv(-t) = D(t) - C(t) A(t)^-1 B(t)``, is taken as
+    ``B(-t) D(t) - (B(-t) C(t)) A(t)^-1 B(t)``, so no inverse mode block is
+    formed. The cubic products are ``T(t) T(-t)`` and the Gram matrices of
+    the two mode-sized residuals. All values are spectral norms of the
+    residual matrices, each the square root of the top eigenvalue of its
+    smaller Gram matrix, found by Lanczos iteration.
+
+    At most two ``(2N + 2)``-square matrices are held at once: ``R``
+    overwrites ``T(t)`` ``_PANEL_ROWS`` rows at a time while ``T(-t)`` is
+    held, ``T(-t)`` is dropped once its two central rows and columns are
+    copied, and the block-inverse residual overwrites ``R_mm`` once that
+    block has its norm, so one Gram matrix lives beside ``R`` at a time.
 
     Raises
     ------
@@ -439,23 +513,32 @@ def reversibility_residuals(
         raise ValueError("reversibility checks need the mode-to-mode corrections")
     if abs(forward.time + backward.time) > 1e-12 * max(1.0, abs(forward.time)):
         raise ValueError("backward blocks must be evaluated at minus the forward time")
-    t_f = _transfer_matrix(forward)
+    round_trip = _transfer_matrix(forward)
+    a_f, b_f, c_f = _central_blocks(round_trip)
     t_b = _transfer_matrix(backward)
-    round_trip = t_f @ t_b
+    a_b, b_b, c_b = _central_blocks(t_b)
+    a_f_inv = np.linalg.inv(a_f)
+    cross = b_b @ round_trip[2:, 2:] - (b_b @ c_f) @ a_f_inv @ b_f
+    for start in range(0, round_trip.shape[0], _PANEL_ROWS):
+        # rows of T(t) T(-t) need only the same rows of T(t)
+        panel = slice(start, start + _PANEL_ROWS)
+        round_trip[panel] = round_trip[panel] @ t_b
+    del t_b
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
 
-    a_f, b_f, c_f, d_f = t_f[:2, :2], t_f[:2, 2:], t_f[2:, :2], t_f[2:, 2:]
-    a_b, b_b, c_b = t_b[:2, :2], t_b[:2, 2:], t_b[2:, :2]
-    a_f_inv = np.linalg.inv(a_f)
-    d_inv_backward = d_f - c_f @ a_f_inv @ b_f
-    cross = b_b @ d_inv_backward
-    residuals = {
-        "round_trip_center": round_trip[:2, :2],
-        "round_trip_modes": round_trip[2:, 2:],
-        "round_trip_center_modes": round_trip[:2, 2:],
-        "round_trip_modes_center": round_trip[2:, :2],
-        "block_inverse": round_trip[2:, 2:] - round_trip[2:, :2] @ np.linalg.solve(a_b, b_b),
-        "inverse_cross_transfer": cross + a_f_inv @ b_f,
-        "inverse_schur_center": a_b - cross @ c_b - a_f_inv,
+    modes = round_trip[2:, 2:]
+    norms = {
+        "round_trip_center": _spectral_norm(round_trip[:2, :2]),
+        "round_trip_modes": _spectral_norm(modes),
+        "round_trip_center_modes": _spectral_norm(round_trip[:2, 2:]),
+        "round_trip_modes_center": _spectral_norm(round_trip[2:, :2]),
     }
-    return {name: _spectral_norm(res) for name, res in residuals.items()}
+    # R_mm - R_mc A(-t)^-1 B(-t), over R_mm
+    update = np.linalg.solve(a_b, b_b)
+    for start in range(0, modes.shape[0], _PANEL_ROWS):
+        panel = slice(start, start + _PANEL_ROWS)
+        modes[panel] -= round_trip[2:, :2][panel] @ update
+    norms["block_inverse"] = _spectral_norm(modes)
+    norms["inverse_cross_transfer"] = _spectral_norm(cross + a_f_inv @ b_f)
+    norms["inverse_schur_center"] = _spectral_norm(a_b - cross @ c_b - a_f_inv)
+    return norms

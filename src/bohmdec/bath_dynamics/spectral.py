@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ _SLICE_SERIES = np.array(
          -1 / 198648450, 1 / 13135122000, -4 / 4396161144375],
     ]
 )
+
+
+def _require_finite_time(t: float) -> None:
+    """Raise ``ValueError`` naming ``t`` when it is NaN or inf."""
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t:g} is not finite")
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDensity
+from .spectral import SpectralDensity, _require_finite_time
 
 __all__ = ["GKernelTable", "solve_g_kernel"]
 
@@ -114,9 +114,8 @@ class GKernelTable:
             If ``t`` is NaN or inf, ``|t|`` exceeds the table span, or it
             misses every node by more than ``1e-9`` of the step.
         """
+        _require_finite_time(t)
         magnitude = abs(float(t))
-        if not np.isfinite(magnitude):
-            raise ValueError(f"t = {t:g} is not finite")
         if magnitude > self.t_max * (1.0 + 1e-12):
             raise ValueError(
                 f"t = {t:g} lies outside the solved span [0, {self.t_max:g}]"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,21 @@ def trapz(y: np.ndarray, x: np.ndarray | None = None, dx: float = 1.0, axis: int
     if x is not None:
         return fn(y, x, axis=axis)
     return fn(y, dx=dx, axis=axis)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, by ``tracemalloc``.
+
+    Only allocations made during the call count, so arrays built beforehand
+    (the inputs) stay out of the peak; the returned result is inside it.
+    """
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def local_average(sampler, x: np.ndarray, window: float, n: int = 61) -> np.ndarray:

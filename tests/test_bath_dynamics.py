@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -55,7 +54,7 @@ from bohmdec.phase_space import (
 )
 from bohmdec.quadratic_master import CaldeiraLeggettParams
 
-from conftest import trapz
+from conftest import traced_peak, trapz
 
 ORACLE_DIGITS = 30
 
@@ -161,6 +160,19 @@ def reversal_pair(t: float) -> tuple:
         exact_bath_matrices(bath, coupled, table, sign * t, include_d_corrections=True)
         for sign in (1.0, -1.0)
     )
+
+
+@functools.lru_cache(maxsize=None)
+def wide_bath_table() -> tuple:
+    """512 oracle modes, the coupled system and a response table reaching t = 0.5."""
+    t = 0.5
+    system = OscillatorSystemSpec()
+    bath = discretize_spectral_density(oracle_params(), system, 512)
+    bare = counterterm_bare_frequency(bath, system)
+    coupled = dataclasses.replace(system, bare_frequency=bare)
+    step = on_grid_step(t, max(bare, bath.frequencies.max()))
+    table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=system.mass)
+    return bath, coupled, table
 
 
 def dense_blocks(props) -> tuple:
@@ -289,12 +301,7 @@ class TestClosedForms:
         # time would hold about 225 MB
         bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
         spectral = SpectralDensity.from_bath(bath)
-        tracemalloc.start()
-        try:
-            spectral.kernel_tables(1.0, 1.0, 1.0 / 320.0, 6401)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(spectral.kernel_tables, 1.0, 1.0, 1.0 / 320.0, 6401)
         assert peak <= 32 * 2**20, peak / 2**20
 
     @pytest.mark.parametrize("bare", [1.3, None], ids=["bare", "counterterm"])
@@ -539,7 +546,7 @@ class TestBlocks:
         with pytest.raises(ValueError, match="exact-mode"):
             reduced_M_from_bath(props, bath)
 
-    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 5.0])
     @pytest.mark.parametrize("key", RESIDUAL_KEYS)
     def test_residuals_match_explicit_construction(self, key, t):
         forward, backward = reversal_pair(t)
@@ -560,7 +567,36 @@ class TestBlocks:
             "inverse_schur_center": a_b - b_b @ schur @ c_b - np.linalg.inv(a_f),
         }[key]
         residual = reversibility_residuals(forward, backward)[key]
-        assert residual == pytest.approx(np.linalg.norm(expected, 2), rel=1e-9, abs=0.0)
+        # block_inverse (a rank-2 update of R_mm) and inverse_cross_transfer
+        # (B(-t) D(t) - (B(-t) C(t)) A(t)^-1 B(t)) take a different route from
+        # the products here and cancel O(1) entries: 1.1e-12 and 2.5e-14
+        # measured; the other five repeat the same products, within 3.4e-16
+        rel = 1e-11 if key in ("block_inverse", "inverse_cross_transfer") else 1e-13
+        assert residual == pytest.approx(np.linalg.norm(expected, 2), rel=rel, abs=0.0)
+
+    def test_residuals_hold_two_transfer_matrices(self):
+        # T(t) T(-t) - 1 overwrites T(t) _PANEL_ROWS rows at a time while
+        # T(-t) is held; after that one Gram matrix lives beside R. A
+        # whole-matrix product, a third transfer-sized array or two Gram
+        # matrices at once take the peak to 3 or more matrices.
+        forward, backward = (
+            exact_bath_matrices(*wide_bath_table(), sign * 0.5, include_d_corrections=True)
+            for sign in (1.0, -1.0)
+        )
+        _, peak = traced_peak(reversibility_residuals, forward, backward)
+        matrix = 8 * (2 * forward.n_modes + 2) ** 2
+        assert peak <= 2.5 * matrix, peak / matrix
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mode_corrections_hold_three_work_planes(self, sign):
+        # the output (N, N, 2, 2) block plus two N x N work arrays and one
+        # N x N scale; per-plane tables of f, f_dot, f_ddot and their tie
+        # fills take it to 2.8 outputs, a flipped copy at negative t to 3.3
+        bath, coupled, table = wide_bath_table()
+        props, peak = traced_peak(exact_bath_matrices, bath, coupled, table, sign * 0.5, True)
+        output = props.d_corrections.nbytes
+        assert output == 32 * bath.n_modes**2
+        assert peak <= 2.0 * output, peak / output
 
     def test_residuals_repeat_bitwise(self):
         forward, backward = reversal_pair(1.0)
@@ -674,6 +710,54 @@ class TestSampling:
         centres[field] = [0.1, bad]
         with pytest.raises(ValueError, match="finite"):
             CoherentBathSample(**centres, seed=1)
+
+
+class TestNonfiniteInput:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "weak_coupling_matrices",
+            "conditional_kernel",
+            "m_tilde_matrix",
+            "sigma3_squared",
+            "classicality_report",
+        ],
+    )
+    def test_times_are_rejected(self, entry, t):
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)
+        bath = discretize_spectral_density(params, system, 16)
+        spectral = SpectralDensity.from_bath(bath)
+        props = weak_coupling_matrices(bath, system, 0.5, small_angle=True)
+        orbit = classical_orbit(build_energy_band_state(50, 8), system)
+        calls = {
+            "weak_coupling_matrices": lambda: weak_coupling_matrices(bath, system, t),
+            "conditional_kernel": lambda: conditional_kernel(
+                props, bath, sample_bath(bath, seed=3), t
+            ),
+            "m_tilde_matrix": lambda: m_tilde_matrix(spectral, system, t),
+            "sigma3_squared": lambda: sigma3_squared(spectral, system, t),
+            "classicality_report": lambda: classicality_report(system, orbit, params, t),
+        }
+        with pytest.raises(ValueError, match=f"t = {t:g} is not finite"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_conditional_velocity_rejects_position(self, x):
+        run = _canonical_conditioning(2.0)
+        bath_slice = run.kernel.conditional_peaks(0.0, 0.0)
+        with pytest.raises(ValueError, match=f"x = {x:g} is not finite"):
+            conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_conditional_velocity_rejects_slice(self, bad):
+        run = _canonical_conditioning(2.0)
+        x = 0.3 * run.orbit.amplitude
+        bath_slice = run.kernel.conditional_peaks(x, float(run.orbit.classical_momentum(x)))
+        bath_slice[5] = bad
+        with pytest.raises(ValueError, match="bath_slice has non-finite entries"):
+            conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
 
 
 class TestConditionalVelocity:

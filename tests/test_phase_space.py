@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,13 @@ from bohmdec.phase_space import (
     wkb_amplitudes,
     wkb_wavefunction,
 )
-from conftest import brute_force_wigner, local_average, momentum_wavefunction, trapz
+from conftest import (
+    brute_force_wigner,
+    local_average,
+    momentum_wavefunction,
+    traced_peak,
+    trapz,
+)
 
 
 def _wide_grid(orbit, pad=7.0, x_step=None, p_step=None):
@@ -440,12 +445,7 @@ class TestWignerTransform:
         def psi(x):
             return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
 
-        tracemalloc.start()
-        try:
-            field = wigner_transform(psi, grid, natural_system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        field, peak = traced_peak(wigner_transform, psi, grid, natural_system)
         note = next(n for n in field.notes if n.startswith("y_step="))
         y_step = float(note.split("=")[1])
         # |psi| > 1e-12 of its peak within sqrt(2 ln 1e12) of x0

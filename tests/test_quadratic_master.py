@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,7 +37,7 @@ from bohmdec.quadratic_master import (
     propagate_wigner,
 )
 
-from conftest import widen_momentum_axis
+from conftest import traced_peak, widen_momentum_axis
 
 
 def default_cl(system: OscillatorSystemSpec) -> MasterEqCoefficients:
@@ -531,12 +530,7 @@ class TestPropagateWigner:
         x, p = symmetric_grid(6.0, 0.02), symmetric_grid(8.0, 0.02)
         field = gaussian_field(x, p, np.array([0.7, -0.4]), 0.5 * np.eye(2))
         prop = GaussianPropagator(1.0, np.array([[1.0, 0.3], [-0.2, 1.0]]), 0.2 * np.eye(2))
-        tracemalloc.start()
-        try:
-            out = propagate_wigner(prop, field, natural_system)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(propagate_wigner, prop, field, natural_system)
         n_x, n_p = map(int, out.notes[-2].split("=")[1].rstrip(")").split("x"))
         # M pads both axes
         assert n_x > x.size + 200 and n_p > p.size + 200
