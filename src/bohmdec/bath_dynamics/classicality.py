@@ -28,7 +28,7 @@ from ..errors import NumericalFailureError
 from ..phase_space import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
 from .conditional import m_tilde_matrix, sigma3_squared
-from .spectral import SpectralDensity, _require_finite_time
+from .spectral import SpectralDensity, _require_finite_scalar
 
 __all__ = [
     "ClassicalityReport",
@@ -146,7 +146,7 @@ def classicality_report(
     -------
     ClassicalityReport
     """
-    _require_finite_time(t)
+    _require_finite_scalar("t", t)
     if t <= 0.0:
         raise ValueError("classicality margins are defined for t > 0")
     if x is None:

@@ -15,7 +15,7 @@ grid is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from ..phase_space import (
 from ..quadratic_master import CaldeiraLeggettParams
 from .matrices import BathPropagators, _flip_time
 from .sampling import CoherentBathSample
-from .spectral import BathSpec, SpectralDensity, _require_finite_time
+from .spectral import BathSpec, SpectralDensity, _require_finite_scalar
 
 __all__ = [
     "ConditionalKernel",
@@ -65,7 +65,7 @@ def m_tilde_matrix(
     sum keep the ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) clean.
     ``t`` must be finite and non-negative (``ValueError``).
     """
-    _require_finite_time(t)
+    _require_finite_scalar("t", t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     hbar = system.hbar
@@ -86,7 +86,7 @@ def sigma3_squared(
     ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`). ``t`` must
     be finite and non-negative (``ValueError``).
     """
-    _require_finite_time(t)
+    _require_finite_scalar("t", t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     return float(2.0 / (system.hbar * system.mass**2) * spectral.slice_integrals(t)[3])
@@ -136,6 +136,12 @@ def cl_sigma3_squared_asymptote(
 class ConditionalKernel:
     """Slice-conditioned smearing data at one time.
 
+    Construction also stores, once per kernel, contiguous per-mode rows that
+    :meth:`conditional_peaks` and :meth:`slice_quadratic` read on every
+    call: the peak offset ``rotated_means[:, 0]``, the x- and p-responses
+    ``response[:, 0, 0]`` and ``response[:, 0, 1]``, the slice scale
+    ``m omega / hbar`` and the x-independent ``q2``.
+
     Attributes
     ----------
     system : OscillatorSystemSpec
@@ -155,6 +161,20 @@ class ConditionalKernel:
     rotated_means: np.ndarray
     response: np.ndarray
     minv: MInverseParams | None
+    _peak_offset: np.ndarray = field(init=False, repr=False, compare=False)
+    _x_response: np.ndarray = field(init=False, repr=False, compare=False)
+    _p_response: np.ndarray = field(init=False, repr=False, compare=False)
+    _slice_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    _q2: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
+        p_response = np.ascontiguousarray(self.response[:, 0, 1])
+        object.__setattr__(self, "_peak_offset", np.ascontiguousarray(self.rotated_means[:, 0]))
+        object.__setattr__(self, "_x_response", np.ascontiguousarray(self.response[:, 0, 0]))
+        object.__setattr__(self, "_p_response", p_response)
+        object.__setattr__(self, "_slice_scale", scale)
+        object.__setattr__(self, "_q2", float(np.dot(scale, p_response**2)))
 
     @property
     def degenerate(self) -> bool:
@@ -162,12 +182,13 @@ class ConditionalKernel:
         return self.minv is None
 
     def conditional_peaks(self, x: float, p: float) -> np.ndarray:
-        """Most likely slice position of every mode given the central point."""
-        return (
-            self.rotated_means[:, 0]
-            - self.response[:, 0, 0] * x
-            - self.response[:, 0, 1] * p
-        )
+        """Most likely slice position of every mode given the central point.
+
+        ``x`` and ``p`` must be finite (``ValueError``).
+        """
+        _require_finite_scalar("x", x)
+        _require_finite_scalar("p", p)
+        return self._peak_offset - self._x_response * x - self._p_response * p
 
     def slice_quadratic(
         self, bath_slice: np.ndarray, x: float
@@ -178,20 +199,22 @@ class ConditionalKernel:
         ``exp[-(q0 + q1 p + q2 p^2)]`` to every momentum integrand at fixed
         central position ``x``; ``q2`` equals the slice precision
         :func:`sigma3_squared` up to discretization of the spectral integral.
+        ``bath_slice`` needs one finite position per mode and ``x`` must be
+        finite (``ValueError``).
         """
+        _require_finite_scalar("x", x)
         bath_slice = np.asarray(bath_slice, dtype=float)
         if bath_slice.shape != (self.bath.n_modes,):
             raise ValueError(
                 f"bath_slice must supply one position per mode "
                 f"({self.bath.n_modes}), got shape {bath_slice.shape}"
             )
-        scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
-        const = bath_slice - self.rotated_means[:, 0] + self.response[:, 0, 0] * x
-        linear = self.response[:, 0, 1]
-        q0 = float(np.dot(scale, const**2))
-        q1 = 2.0 * float(np.dot(scale, const * linear))
-        q2 = float(np.dot(scale, linear**2))
-        return q0, q1, q2
+        if not np.isfinite(bath_slice).all():
+            raise ValueError("bath_slice has non-finite entries")
+        const = bath_slice - self._peak_offset + self._x_response * x
+        q0 = float(np.dot(self._slice_scale, const**2))
+        q1 = 2.0 * float(np.dot(self._slice_scale, const * self._p_response))
+        return q0, q1, self._q2
 
 
 def conditional_kernel(
@@ -224,7 +247,7 @@ def conditional_kernel(
     -------
     ConditionalKernel
     """
-    _require_finite_time(t)
+    _require_finite_scalar("t", t)
     if props.mode != "weak_coupling" or not props.small_angle:
         raise ValueError(
             "conditioning requires weak-coupling blocks with the small-angle flag"
@@ -283,6 +306,14 @@ def conditional_velocity(
     flux and density integrals reduce to closed-form masses and means,
     combined in the log domain.
 
+    Per kernel, the slice rows and ``q2`` are stored when the kernel is
+    built (:class:`ConditionalKernel`). Per point, this reads the branch
+    densities from :meth:`WkbAmplitudes.amplitudes`, evaluates the three
+    terms with the decomposition's elementwise evaluator on a float, forms
+    ``q0`` and ``q1`` from the slice (:meth:`ConditionalKernel.slice_quadratic`)
+    and combines the terms in float arithmetic, so no per-call array of
+    terms is built.
+
     The position-spread margin of the decomposition and the turning-zone
     distance gate the evaluation; the chord margin is computed for diagnosis
     but does not gate, since the interference contribution it controls is
@@ -319,13 +350,9 @@ def conditional_velocity(
         all of them below the representable floor.
     """
     system = kernel.system
-    mass = system.mass
     x_eval = float(x)
-    if not math.isfinite(x_eval):
-        raise ValueError(f"x = {x_eval:g} is not finite")
-    bath_slice = np.asarray(bath_slice, dtype=float)
-    if not np.isfinite(bath_slice).all():
-        raise ValueError("bath_slice has non-finite entries")
+    # also rejects a non-finite x or slice when the kernel is degenerate
+    q0, q1, q2 = kernel.slice_quadratic(bath_slice, x_eval)
 
     if kernel.degenerate:
         sampler = band_wavefunction(state, system)
@@ -347,31 +374,37 @@ def conditional_velocity(
             + ", ".join(f"{k} = {v:.3g}" for k, v in failing.items())
         )
 
+    mod_plus, mod_minus = (abs(g[0]) for g in wkb.amplitudes(x_eval))
     decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
-    log_weight, centre, precision = (
-        term[:, 0] for term in decomp.gaussian_terms(x_eval)
-    )
-    q0, q1, q2 = kernel.slice_quadratic(bath_slice, x_eval)
+    terms = decomp._terms(x_eval, mod_plus * mod_plus, mod_minus * mod_minus)
 
     # Term k times the slice weight is exp(const - curvature p^2 + slope p).
-    curvature = precision + q2
-    slope = 2.0 * precision * centre - q1
-    log_mass = (
-        log_weight - precision * centre**2 - q0 + slope**2 / (4.0 * curvature)
-        + 0.5 * np.log(np.pi / curvature)
-    )
+    # The log mass cancels terms far larger than itself, so it keeps the
+    # steps and order of the array form, with squares as products.
+    log_masses, means = [], []
     # the largest branch mass any slice could leave (its weight centred on the
     # branch); the representable floor is measured from it
-    reference = float(np.max(log_weight[:2] + 0.5 * np.log(np.pi / curvature[:2])))
-    if reference == -np.inf:
+    reference = -math.inf
+    for k, (log_weight, centre, precision) in enumerate(terms):
+        curvature = precision + q2
+        slope = 2.0 * precision * centre - q1
+        log_spread = 0.5 * math.log(math.pi / curvature)
+        log_masses.append(
+            log_weight - precision * (centre * centre) - q0
+            + slope * slope / (4.0 * curvature) + log_spread
+        )
+        means.append(slope / (2.0 * curvature))
+        if k < 2:
+            reference = max(reference, log_weight + log_spread)
+    if reference == -math.inf:
         raise UndefinedVelocityError(
             f"no branch density at x = {x_eval:g}; the conditioned velocity is undefined"
         )
-    top = float(log_mass.max())
+    top = max(log_masses)
     if top < reference - _LOG_MASS_FLOOR:
         raise UndefinedVelocityError(
             "the bath slice suppresses every branch below the representable floor"
         )
-    weights = np.exp(log_mass - top)
-    momentum = float(np.dot(weights, slope / (2.0 * curvature)) / weights.sum())
-    return momentum / mass
+    weights = [math.exp(log_mass - top) for log_mass in log_masses]
+    momentum = sum(w * mean for w, mean in zip(weights, means)) / sum(weights)
+    return float(momentum) / system.mass

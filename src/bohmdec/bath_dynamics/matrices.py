@@ -27,7 +27,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ._trig import one_minus_cos, pair_kernel, phase_sums, t_minus_sin
-from .spectral import BathSpec, _require_finite_time
+from .spectral import BathSpec, _require_finite_scalar
 from .volterra import GKernelTable, gregory_weights
 
 __all__ = [
@@ -338,7 +338,7 @@ def weak_coupling_matrices(
     ``omega^2``, the regime bound for dropping the higher orders. A NaN or
     infinite ``t`` raises ``ValueError``.
     """
-    _require_finite_time(t)
+    _require_finite_scalar("t", t)
     m = system.mass
     w = system.renormalized_frequency
     mode_m = bath.masses

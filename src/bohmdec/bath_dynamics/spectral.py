@@ -39,10 +39,10 @@ _SLICE_SERIES = np.array(
 )
 
 
-def _require_finite_time(t: float) -> None:
-    """Raise ``ValueError`` naming ``t`` when it is NaN or inf."""
-    if not math.isfinite(t):
-        raise ValueError(f"t = {t:g} is not finite")
+def _require_finite_scalar(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming the argument when ``value`` is NaN or inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value:g} is not finite")
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:

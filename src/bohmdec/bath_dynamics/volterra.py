@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDensity, _require_finite_time
+from .spectral import SpectralDensity, _require_finite_scalar
 
 __all__ = ["GKernelTable", "solve_g_kernel"]
 
@@ -114,7 +114,7 @@ class GKernelTable:
             If ``t`` is NaN or inf, ``|t|`` exceeds the table span, or it
             misses every node by more than ``1e-9`` of the step.
         """
-        _require_finite_time(t)
+        _require_finite_scalar("t", t)
         magnitude = abs(float(t))
         if magnitude > self.t_max * (1.0 + 1e-12):
             raise ValueError(

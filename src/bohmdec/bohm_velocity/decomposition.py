@@ -179,14 +179,18 @@ class BranchWidths(NamedTuple):
 class SemiclassicalDecomposition:
     """Branch widths and interference envelope of a smeared band state.
 
-    :meth:`widths` evaluates the five width parameters in one pass and
-    needs only ``minv`` and ``orbit``; the branch densities come from
-    ``wkb``, which :meth:`gaussian_terms` and the phase-space evaluators
-    require. All evaluators accept positions inside the classically allowed
-    region; the phase-space evaluators return zero outside it. The
-    interference phase is never evaluated: only the envelope (the prefactor
-    with the cosine replaced by one) is available, which bounds the
-    oscillating part pointwise.
+    One private elementwise evaluator, :meth:`_terms`, turns the branch
+    densities at a position into the three momentum Gaussians; it takes a
+    float or an array, so a per-point caller pays no array overhead.
+    :meth:`widths` and :meth:`gaussian_terms` are array shells over it that
+    check their positions: both need ``|x| < x_max`` (``DomainValidityError``
+    on or beyond the turning points, ``ValueError`` for NaN or inf).
+    :meth:`widths` needs only ``minv`` and ``orbit``; the branch densities
+    come from ``wkb``, which :meth:`gaussian_terms` and the phase-space
+    evaluators require. The phase-space evaluators return zero outside the
+    turning points. The interference phase is never evaluated: only the
+    envelope (the prefactor with the cosine replaced by one) is available,
+    which bounds the oscillating part pointwise.
     """
 
     minv: MInverseParams
@@ -201,6 +205,67 @@ class SemiclassicalDecomposition:
             )
         return self.wkb
 
+    def _interior(self, x: float | np.ndarray) -> np.ndarray:
+        """``x`` as a 1-D array, checked to lie strictly inside the orbit."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.isfinite(x).all():
+            raise ValueError("x has non-finite entries")
+        reach = float(np.abs(x).max(initial=0.0))
+        if reach >= self.orbit.amplitude:
+            raise DomainValidityError(
+                f"|x| = {reach:g} is not inside the turning points "
+                f"|x| < {self.orbit.amplitude:g}"
+            )
+        return x
+
+    def _branch_widths(self, x: float | np.ndarray) -> BranchWidths:
+        """The five width parameters at interior ``x``, elementwise for a
+        float or an array; :meth:`widths` documents them."""
+        p = self.orbit.classical_momentum_derivative(x)
+        # squares as products: a scalar ``**2`` goes through ``pow`` and can
+        # miss the array square by an ulp, and a float must give the bits of
+        # the array path
+        p2 = p * p
+        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
+        hbar = self.orbit.system.hbar
+        inner = hbar**2 * a * delta + b * p2
+        tilt = a - b * p2
+        envelope = hbar**2 * (tilt * tilt) + (1.0 + hbar**2 * delta) ** 2 * p2
+        return BranchWidths(
+            sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p2)),
+            sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p2)),
+            sigma_1=np.sqrt(delta / inner),
+            sigma_2=np.sqrt(inner / envelope),
+            beta=c * (1.0 + hbar**2 * delta) * p / inner,
+        )
+
+    def _terms(
+        self,
+        x: float | np.ndarray,
+        rho_plus: float | np.ndarray,
+        rho_minus: float | np.ndarray,
+    ) -> tuple:
+        """The three ``(log_weight, centre, precision)`` triples at interior
+        ``x`` from the branch densities there; elementwise, so ``x`` and the
+        densities may be floats or arrays of one shape. A zero density gives
+        weight ``-inf``. :meth:`gaussian_terms` documents the terms.
+        """
+        s_plus, s_minus, s1, s2, beta = self._branch_widths(x)
+        p_cl = self.orbit.classical_momentum(x)
+        hbar = self.orbit.system.hbar
+        with np.errstate(divide="ignore"):
+            log_plus, log_minus = np.log(rho_plus), np.log(rho_minus)
+        envelope_weight = (
+            0.5 * np.log(4.0 * hbar * s1 * s2 * np.sqrt(self.minv.delta) / np.pi)
+            + 0.5 * (log_plus + log_minus)
+            - (s1 * s1) * (p_cl * p_cl)
+        )
+        return (
+            (np.log(s_plus / np.sqrt(np.pi)) + log_plus, p_cl, s_plus * s_plus),
+            (np.log(s_minus / np.sqrt(np.pi)) + log_minus, -p_cl, s_minus * s_minus),
+            (envelope_weight, -beta * p_cl, s2 * s2),
+        )
+
     def widths(self, x: float | np.ndarray) -> BranchWidths:
         """The five width parameters at ``x``, each of shape ``(len(x),)``.
 
@@ -209,20 +274,9 @@ class SemiclassicalDecomposition:
         (``p' = p_cl'(x)``; the expanded quartic regrouped with
         ``delta = a b - c^2``). Both terms are squares and ``a > 0`` for a
         positive-definite kernel, so ``D > 0`` at every position.
+        Positions must lie inside the turning points.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        p = self.orbit.classical_momentum_derivative(x)
-        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
-        hbar = self.orbit.system.hbar
-        inner = hbar**2 * a * delta + b * p**2
-        envelope = hbar**2 * (a - b * p**2) ** 2 + (1.0 + hbar**2 * delta) ** 2 * p**2
-        return BranchWidths(
-            sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p**2)),
-            sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p**2)),
-            sigma_1=np.sqrt(delta / inner),
-            sigma_2=np.sqrt(inner / envelope),
-            beta=c * (1.0 + hbar**2 * delta) * p / inner,
-        )
+        return self._branch_widths(self._interior(x))
 
     def gaussian_terms(
         self, x: float | np.ndarray
@@ -248,24 +302,10 @@ class SemiclassicalDecomposition:
         branch has weight ``-inf``, and the envelope with it.
         Positions must lie inside the turning points.
         """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = self._interior(x)
         g_plus, g_minus = self._require_wkb().amplitudes(x)
-        with np.errstate(divide="ignore"):
-            log_rho = np.log(np.abs(np.stack([g_plus, g_minus])) ** 2)
-        hbar = self.orbit.system.hbar
-        p_cl = self.orbit.classical_momentum(x)
-        s_plus, s_minus, s1, s2, beta = self.widths(x)
-        log_weight = np.stack(
-            [
-                np.log(s_plus / np.sqrt(np.pi)) + log_rho[0],
-                np.log(s_minus / np.sqrt(np.pi)) + log_rho[1],
-                0.5 * np.log(4.0 * hbar * s1 * s2 * np.sqrt(self.minv.delta) / np.pi)
-                + 0.5 * (log_rho[0] + log_rho[1])
-                - s1**2 * p_cl**2,
-            ]
-        )
-        centre = np.stack([p_cl, -p_cl, -beta * p_cl])
-        precision = np.stack([s_plus**2, s_minus**2, s2**2])
+        terms = self._terms(x, np.abs(g_plus) ** 2, np.abs(g_minus) ** 2)
+        log_weight, centre, precision = (np.stack(rows) for rows in zip(*terms))
         return log_weight, centre, precision
 
     def _outer_sum(self, rows: slice, x: np.ndarray, p: np.ndarray) -> np.ndarray:

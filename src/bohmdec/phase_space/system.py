@@ -184,7 +184,7 @@ class ClassicalOrbit:
         x = np.asarray(x, dtype=float)
         m = self.system.mass
         w = self.system.renormalized_frequency
-        inside = np.clip(self.amplitude**2 - x**2, 0.0, None)
+        inside = np.maximum(self.amplitude**2 - x**2, 0.0)
         return m * w * np.sqrt(inside)
 
     def classical_momentum_derivative(self, x: np.ndarray) -> np.ndarray:
@@ -193,9 +193,7 @@ class ClassicalOrbit:
         m = self.system.mass
         w = self.system.renormalized_frequency
         inside = self.amplitude**2 - x**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = -m * w * x / np.sqrt(inside)
-        return np.where(inside > 0.0, out, np.nan)
+        return -m * w * x / np.sqrt(np.where(inside > 0.0, inside, np.nan))
 
     def action(self, x: np.ndarray) -> np.ndarray:
         """Accumulated action from the left turning point plus its quarter-wave
@@ -216,7 +214,7 @@ class ClassicalOrbit:
     def angle(self, x: np.ndarray) -> np.ndarray:
         """Orbit angle ``arcsin(x / x_max)``, clipped to the turning points."""
         x = np.asarray(x, dtype=float)
-        return np.arcsin(np.clip(x / self.amplitude, -1.0, 1.0))
+        return np.arcsin(np.minimum(np.maximum(x / self.amplitude, -1.0), 1.0))
 
 
 def classical_orbit(

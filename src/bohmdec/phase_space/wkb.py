@@ -29,7 +29,7 @@ at the orbit centre moving in the negative-momentum direction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -77,28 +77,34 @@ class WkbAmplitudes:
     to that scale, and both vanish identically outside the classically
     allowed region. Their squared moduli ``rho_plus``/``rho_minus`` are the
     branch position densities; their sum integrates to one over the orbit.
-    :meth:`amplitudes` evaluates both branches from one sum over the band.
+    :meth:`amplitudes` evaluates both branches from one sum over the band,
+    with the band's ``(2, band)`` coefficient rows and ``(band, 1)`` phase
+    rates built once per instance.
     """
 
     state: EnergyBandState
     orbit: ClassicalOrbit
     system: OscillatorSystemSpec
+    _rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def amplitudes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(g_plus, g_minus)`` at ``x``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = np.abs(x) < self.orbit.amplitude
+    def __post_init__(self) -> None:
         r = self.state.offsets
         c = self.state.coefficients
         # g_minus is the conjugate of a sum over conj(c_r) exp(+i r theta), so
         # both branches come from one product with the same phases
-        phases = np.exp(1j * r[:, None] * self.orbit.angle(x)[None, :])
-        plus, conj_minus = np.stack([c * (-1.0) ** r, np.conjugate(c)]) @ phases
+        object.__setattr__(self, "_rows", np.stack([c * (-1.0) ** r, np.conjugate(c)]))
+        object.__setattr__(self, "_rates", 1j * r[:, None])
+
+    def amplitudes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(g_plus, g_minus)`` at ``x``, each of shape ``(len(x),)``."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        plus, conj_minus = self._rows @ np.exp(self._rates * self.orbit.angle(x))
         p = self.orbit.classical_momentum(x)
         m = self.system.mass
         w = self.system.renormalized_frequency
-        with np.errstate(divide="ignore"):
-            scale = np.sqrt(m * w / (2.0 * np.pi * np.where(inside, p, np.inf)))
+        # p vanishes on and beyond the turning points, where both amplitudes do
+        scale = np.sqrt(m * w / (2.0 * np.pi * np.where(p > 0.0, p, np.inf)))
         return scale * plus, scale * np.conjugate(conj_minus)
 
 

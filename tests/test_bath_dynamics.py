@@ -759,6 +759,28 @@ class TestNonfiniteInput:
         with pytest.raises(ValueError, match="bath_slice has non-finite entries"):
             conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_slice_quadratic_rejects_slice(self, bad):
+        run = _canonical_conditioning(2.0)
+        bath_slice = run.kernel.conditional_peaks(0.0, 0.0)
+        bath_slice[5] = bad
+        with pytest.raises(ValueError, match="bath_slice has non-finite entries"):
+            run.kernel.slice_quadratic(bath_slice, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", ["peaks_x", "peaks_p", "slice_x"])
+    def test_kernel_rejects_nonfinite_point(self, call, bad):
+        kernel = _canonical_conditioning(2.0).kernel
+        bath_slice = kernel.conditional_peaks(0.0, 0.0)
+        calls = {
+            "peaks_x": (lambda: kernel.conditional_peaks(bad, 1.0), "x"),
+            "peaks_p": (lambda: kernel.conditional_peaks(0.1, bad), "p"),
+            "slice_x": (lambda: kernel.slice_quadratic(bath_slice, bad), "x"),
+        }
+        evaluate, name = calls[call]
+        with pytest.raises(ValueError, match=f"{name} = {bad:g} is not finite"):
+            evaluate()
+
 
 class TestConditionalVelocity:
     def test_degenerate_kernel_falls_back_to_initial_velocity(self):
@@ -797,6 +819,37 @@ class TestConditionalVelocity:
                     assert abs(v - expected) <= 1e-9 * p_cl / run.system.mass, (
                         x, branch, jitter
                     )
+
+    def test_matches_array_evaluation_of_the_terms(self):
+        # the per-point path (one float evaluation of the terms, combined in
+        # float arithmetic) against the same algebra on the public array rows
+        run = _canonical_conditioning(2.0)
+        decomp = SemiclassicalDecomposition(run.kernel.minv, run.orbit, run.wkb)
+        direction = np.random.default_rng(23).standard_normal(run.kernel.bath.n_modes)
+        for x in np.linspace(-0.8, 0.8, 17) * run.orbit.amplitude:
+            p_cl = float(run.orbit.classical_momentum(x))
+            log_weight, centre, precision = (term[:, 0] for term in decomp.gaussian_terms(x))
+            for branch in (p_cl, -p_cl):
+                for jitter in (0.0, 0.3, 1.0):
+                    bath_slice = (
+                        run.kernel.conditional_peaks(x, branch)
+                        + jitter * run.kernel.bath.coherent_widths * direction
+                    )
+                    q0, q1, q2 = run.kernel.slice_quadratic(bath_slice, x)
+                    curvature = precision + q2
+                    slope = 2.0 * precision * centre - q1
+                    log_mass = (
+                        log_weight - precision * centre**2 - q0
+                        + slope**2 / (4.0 * curvature) + 0.5 * np.log(np.pi / curvature)
+                    )
+                    weights = np.exp(log_mass - log_mass.max())
+                    expected = (
+                        weights @ (slope / (2.0 * curvature)) / weights.sum() / run.system.mass
+                    )
+                    v = conditional_velocity(
+                        run.state, run.orbit, run.wkb, run.kernel, x, bath_slice
+                    )
+                    assert abs(v - expected) <= 1e-13 * abs(expected), (x, branch, jitter)
 
     @pytest.mark.parametrize("absent", [(0,), (1,), (0, 1)], ids=["plus", "minus", "both"])
     def test_absent_branches(self, absent):

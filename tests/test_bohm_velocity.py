@@ -372,6 +372,25 @@ class TestSemiclassicalDecomposition:
             )
             assert value == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("method", ["widths", "gaussian_terms"])
+    @pytest.mark.parametrize(
+        "position, error",
+        [
+            (1.0, DomainValidityError),
+            (-1.0, DomainValidityError),
+            (1.2, DomainValidityError),
+            (np.nan, ValueError),
+            (np.inf, ValueError),
+        ],
+    )
+    def test_positions_off_the_orbit_interior_are_rejected(
+        self, apex_decomposition, method, position, error
+    ):
+        dec = apex_decomposition
+        x = np.array([0.3, position]) * dec.orbit.amplitude
+        with pytest.raises(error):
+            getattr(dec, method)(x)
+
     def test_out_of_validity_is_rejected(self, canonical_cl_run):
         run = canonical_cl_run
         coeffs = assemble_cl_coefficients(run.system, run.params)
