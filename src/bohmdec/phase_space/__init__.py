@@ -1,6 +1,6 @@
 """Oscillator band states and their phase-space representations."""
 
-from .eigenstates import eigenfunction_exact, eigenfunction_table
+from .eigenstates import eigenfunction_table
 from .system import (
     ClassicalOrbit,
     EnergyBandState,
@@ -28,7 +28,6 @@ __all__ = [
     "build_energy_band_state",
     "classical_orbit",
     "density_matrix_from_wigner",
-    "eigenfunction_exact",
     "eigenfunction_table",
     "exact_oscillator_wigner",
     "wigner_transform",

@@ -12,35 +12,10 @@ import numpy as np
 
 from .system import OscillatorSystemSpec
 
-__all__ = ["eigenfunction_exact", "eigenfunction_table"]
+__all__ = ["eigenfunction_table"]
 
 _RESCALE_THRESHOLD = 1e250
 _RESCALE_LOG = np.log(_RESCALE_THRESHOLD)
-
-
-def eigenfunction_exact(
-    n: int, x: np.ndarray, system: OscillatorSystemSpec
-) -> np.ndarray:
-    """Evaluate the normalized level-``n`` eigenfunction at ``x``.
-
-    The level-``n`` row of :func:`eigenfunction_table`.
-
-    Parameters
-    ----------
-    n : int
-        Level index, ``n >= 0``. Arbitrarily high levels are handled by the
-        scale-tracked recurrence.
-    x : array_like
-        Evaluation points.
-    system : OscillatorSystemSpec
-
-    Returns
-    -------
-    numpy.ndarray
-        Real values of the standard (positive leading coefficient) Hermite
-        eigenfunction, unit-normalized in ``x``.
-    """
-    return eigenfunction_table([n], x, system)[0]
 
 
 def eigenfunction_table(
@@ -60,7 +35,9 @@ def eigenfunction_table(
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(len(levels), len(x))``.
+        Array of shape ``(len(levels), len(x))``; row ``i`` holds the real,
+        unit-normalized level-``levels[i]`` eigenfunction with the standard
+        sign (positive leading Hermite coefficient).
     """
     levels = np.asarray(levels)
     if levels.dtype.kind not in "iu" or np.any(levels < 0):

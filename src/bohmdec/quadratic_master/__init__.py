@@ -7,18 +7,15 @@ from .coefficients import (
     assemble_cl_coefficients,
 )
 from .decoherence import nonnegativity_threshold, position_decoherence_factor
-from .pde_oracle import pde_oracle_evolve
-from .propagator import GaussianPropagator, compose, integrate_propagator
+from .propagator import GaussianPropagator, integrate_propagator
 
 __all__ = [
     "CaldeiraLeggettParams",
     "GaussianPropagator",
     "MasterEqCoefficients",
     "assemble_cl_coefficients",
-    "compose",
     "integrate_propagator",
     "nonnegativity_threshold",
-    "pde_oracle_evolve",
     "position_decoherence_factor",
     "propagate_wigner",
 ]

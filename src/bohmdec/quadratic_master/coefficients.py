@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -16,70 +15,57 @@ __all__ = [
     "assemble_cl_coefficients",
 ]
 
-CoefficientLike = Union[float, Callable[[float], float]]
-
-
-def _as_function(name: str, value: CoefficientLike) -> Callable[[float], float]:
-    if callable(value):
-        return value
-    const = float(value)
-    if not math.isfinite(const):
-        raise ValueError(f"MasterEqCoefficients.{name} must be finite, got {const!r}")
-    return lambda t: const
-
 
 @dataclass(frozen=True)
 class MasterEqCoefficients:
-    """Time-dependent coefficients of a quadratic master equation.
+    """Constant coefficients of a quadratic master equation.
 
     The phase-space drift matrix is assembled as
 
-        K(t) = [[-h3(t), -h2(t)], [h1(t), 2 gamma(t) + h3(t)]]
+        K = [[-h3, -h2], [h1, 2 gamma + h3]]
 
     and the symmetric diffusion matrix as ``[[J11, J12], [J12, J22]]``.
-    Constants may be passed in place of callables; they must be finite.
-    ``time_independent`` is derived: true exactly when every coefficient was
-    given as a constant, which lets ``integrate_propagator`` use its closed
-    form, a block matrix exponential (Van Loan 1978) on a short step that
-    is then doubled.
+    Each coefficient is stored as a finite float; a callable is rejected.
     """
 
-    h1: CoefficientLike
-    h2: CoefficientLike
-    h3: CoefficientLike
-    gamma: CoefficientLike
-    j11: CoefficientLike
-    j12: CoefficientLike
-    j22: CoefficientLike
-    time_independent: bool = field(init=False)
+    h1: float
+    h2: float
+    h3: float
+    gamma: float
+    j11: float
+    j12: float
+    j22: float
 
     def __post_init__(self) -> None:
-        names = ("h1", "h2", "h3", "gamma", "j11", "j12", "j22")
-        all_const = all(not callable(getattr(self, n)) for n in names)
-        for n in names:
-            object.__setattr__(self, n, _as_function(n, getattr(self, n)))
-        object.__setattr__(self, "time_independent", all_const)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if callable(value):
+                raise TypeError(
+                    f"MasterEqCoefficients.{f.name} must be a constant, got a callable"
+                )
+            const = float(value)
+            if not math.isfinite(const):
+                raise ValueError(
+                    f"MasterEqCoefficients.{f.name} must be finite, got {const!r}"
+                )
+            object.__setattr__(self, f.name, const)
 
     def drift_matrix(self, t: float) -> np.ndarray:
-        """Drift matrix ``K(t)``."""
+        """Drift matrix ``K``, the same at every ``t``."""
         return np.array(
             [
-                [-self.h3(t), -self.h2(t)],
-                [self.h1(t), 2.0 * self.gamma(t) + self.h3(t)],
+                [-self.h3, -self.h2],
+                [self.h1, 2.0 * self.gamma + self.h3],
             ]
         )
 
     def diffusion_matrix(self, t: float) -> np.ndarray:
-        """Symmetric diffusion matrix ``J(t)``."""
-        j12 = self.j12(t)
-        return np.array([[self.j11(t), j12], [j12, self.j22(t)]])
+        """Symmetric diffusion matrix ``J``, the same at every ``t``."""
+        return np.array([[self.j11, self.j12], [self.j12, self.j22]])
 
     def diffusion_is_zero(self) -> bool:
-        """Whether ``J`` vanishes (probed at several times if callable)."""
-        return all(
-            np.allclose(self.diffusion_matrix(t), 0.0, atol=0.0)
-            for t in (0.0, 0.1, 0.7, 2.3)
-        )
+        """Whether every entry of ``J`` is exactly zero."""
+        return self.j11 == 0.0 and self.j12 == 0.0 and self.j22 == 0.0
 
 
 @dataclass(frozen=True)

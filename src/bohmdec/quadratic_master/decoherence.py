@@ -33,15 +33,24 @@ def position_decoherence_factor(
     cl_params : CaldeiraLeggettParams
     system : OscillatorSystemSpec
     t : float
-        Elapsed time; requires ``omega t < 0.1`` and ``gamma t < 0.1``.
+        Elapsed time, finite and non-negative; requires ``omega t < 0.1``
+        and ``gamma t < 0.1``.
     x, x_prime : array_like
-        Coordinate pairs of the coherence.
+        Finite coordinate pairs of the coherence.
 
     Raises
     ------
+    ValueError
+        For a non-finite or negative ``t``, or non-finite ``x`` or ``x_prime``.
     DomainValidityError
         Outside the short-time window.
     """
+    if not np.isfinite(t) or t < 0.0:
+        raise ValueError(f"elapsed time must be finite and non-negative, got {t!r}")
+    x = np.asarray(x, dtype=float)
+    x_prime = np.asarray(x_prime, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(x_prime).all()):
+        raise ValueError("coordinates x and x_prime must be finite")
     w = system.renormalized_frequency
     if w * t >= _SHORT_TIME_LIMIT or cl_params.damping_rate * t >= _SHORT_TIME_LIMIT:
         raise DomainValidityError(
@@ -50,8 +59,6 @@ def position_decoherence_factor(
             f"(got {w * t:g} and {cl_params.damping_rate * t:g})"
         )
     lam = cl_params.localization_rate(system)
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
     return np.exp(-lam * t * (x - x_prime) ** 2)
 
 
@@ -63,7 +70,9 @@ def nonnegativity_threshold(
 
     Past this time the propagated field of any initial state is bounded
     below by (numerically) zero. The determinant of the smearing matrix is
-    monotone, so the crossing is found by bracketing and bisection.
+    monotone, so the crossing is bracketed by doubling a trial time, at most
+    80 times, from ``1e-6 / max|K|`` until the determinant passes
+    ``hbar^2``, then found by Brent's method on the last doubling interval.
 
     Parameters
     ----------

@@ -6,18 +6,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from ..errors import NumericalFailureError
 from .coefficients import MasterEqCoefficients
 
-__all__ = ["GaussianPropagator", "integrate_propagator", "compose"]
+__all__ = ["GaussianPropagator", "integrate_propagator"]
 
 _COND_LIMIT = 1e12
-# Relative tolerance of the adaptive Runge-Kutta integration (callable
-# coefficients only).
-_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,6 +34,8 @@ class GaussianPropagator:
         Flow matrix; ``A(0)`` is the identity and ``A`` stays invertible.
     m : numpy.ndarray
         Symmetric positive semidefinite smearing matrix, ``M(0) = 0``.
+
+    All three must be finite.
     """
 
     t: float
@@ -49,6 +47,9 @@ class GaussianPropagator:
         m = np.asarray(self.m, dtype=float)
         if a.shape != (2, 2) or m.shape != (2, 2):
             raise ValueError("GaussianPropagator matrices must be 2x2")
+        for name, value in (("t", self.t), ("a", a), ("m", m)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"GaussianPropagator.{name} must be finite")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
             raise ValueError("smearing matrix must be symmetric")
         m = 0.5 * (m + m.T)
@@ -67,14 +68,14 @@ def integrate_propagator(
     """Integrate the flow ``A' = -K A`` and smearing ``M' = 4 A^-1 J A^-T``.
 
     Both are carried as ``A`` and ``S = A M A^T``, which obeys the bounded
-    Lyapunov equation ``S' = -K S - S K^T + 4 J``. For constant coefficients
-    a block exponential gives both in closed form (Van Loan, IEEE Trans.
-    Autom. Control 23, 395 (1978)): ``expm([[-K, 4J], [0, K^T]] h)`` has
-    ``A(h)`` as its top-left block and ``S(h) A(h)^-T`` as its top-right one.
+    Lyapunov equation ``S' = -K S - S K^T + 4 J``. The coefficients are
+    constant, so a block exponential gives both in closed form (Van Loan,
+    IEEE Trans. Autom. Control 23, 395 (1978)): ``expm([[-K, 4J], [0, K^T]]
+    h)`` has ``A(h)`` as its top-left block and ``S(h) A(h)^-T`` as its
+    top-right one.
     It is taken on a short step ``h = t / 2^n`` and doubled up to ``t``, so
     that strong damping, where ``A`` decays while ``e^{K^T t}`` grows, keeps
-    ``A`` accurate. Callable coefficients take an adaptive Runge-Kutta
-    (DOP853) solve.
+    ``A`` accurate.
 
     Parameters
     ----------
@@ -91,9 +92,7 @@ def integrate_propagator(
     NumericalFailureError
         If the flow or smearing matrix overflows, the flow matrix underflows
         or becomes too ill-conditioned to invert reliably (condition number
-        above 1e12), the
-        smearing matrix loses positive semidefiniteness, or the integrator
-        fails.
+        above 1e12), or the smearing matrix loses positive semidefiniteness.
     """
     if not np.isfinite(t):
         raise ValueError(f"propagator time must be finite, got {t!r}")
@@ -104,10 +103,7 @@ def integrate_propagator(
 
     # overflow surfaces as a non-finite matrix and is reported as a failure
     with np.errstate(over="ignore", invalid="ignore"):
-        if coeffs.time_independent:
-            a, forward = _constant_flow(coeffs, t)
-        else:
-            a, forward = _solve_flow(coeffs, t)
+        a, forward = _constant_flow(coeffs, t)
         _require_finite(t, a, forward)
         if np.abs(a).max() < np.finfo(float).tiny:
             raise NumericalFailureError(
@@ -158,47 +154,3 @@ def _constant_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, 
         forward = a @ forward @ a.T + forward
         a = a @ a
     return a, forward
-
-
-def _solve_flow(coeffs: MasterEqCoefficients, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """``A(t)`` and ``S(t) = A M A^T`` for callable coefficients, by DOP853.
-
-    ``M`` itself is stiff under strong damping (its equation carries ``A^-1``
-    twice); ``S`` stays bounded, and ``A`` is inverted once by the caller.
-    """
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        a = y[:4].reshape(2, 2)
-        forward = y[4:].reshape(2, 2)
-        k = coeffs.drift_matrix(s)
-        j = coeffs.diffusion_matrix(s)
-        da = -k @ a
-        ds = -k @ forward - forward @ k.T + 4.0 * j
-        return np.concatenate([da.ravel(), ds.ravel()])
-
-    y0 = np.concatenate([np.eye(2).ravel(), np.zeros(4)])
-    sol = solve_ivp(
-        rhs,
-        (0.0, t),
-        y0,
-        method="DOP853",
-        rtol=_RTOL,
-        atol=_RTOL * 1e-3,
-        dense_output=False,
-    )
-    if not sol.success:
-        raise NumericalFailureError(f"propagator integration failed: {sol.message}")
-    return sol.y[:4, -1].reshape(2, 2), sol.y[4:, -1].reshape(2, 2)
-
-
-def compose(first: GaussianPropagator, second: GaussianPropagator) -> GaussianPropagator:
-    """Propagator equivalent to applying ``first`` then ``second``.
-
-    The flow matrices multiply and the later smearing is pulled back through
-    the earlier flow: ``A = A2 A1``, ``M = M1 + A1^-1 M2 A1^-T``.
-    """
-    a1_inv = np.linalg.inv(first.a)
-    return GaussianPropagator(
-        t=first.t + second.t,
-        a=second.a @ first.a,
-        m=first.m + a1_inv @ second.m @ a1_inv.T,
-    )

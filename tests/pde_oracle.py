@@ -15,9 +15,9 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import NumericalFailureError
-from ..phase_space import WignerField
-from .coefficients import MasterEqCoefficients
+from bohmdec.errors import NumericalFailureError
+from bohmdec.phase_space import WignerField
+from bohmdec.quadratic_master import MasterEqCoefficients
 
 __all__ = ["pde_oracle_evolve"]
 

@@ -16,7 +16,6 @@ from bohmdec.phase_space import (
     build_energy_band_state,
     classical_orbit,
     density_matrix_from_wigner,
-    eigenfunction_exact,
     eigenfunction_table,
     exact_oscillator_wigner,
     wigner_transform,
@@ -127,29 +126,29 @@ class TestClassicalOrbit:
 
 class TestEigenfunctions:
     def test_ground_state_peak(self, natural_system):
-        val = eigenfunction_exact(0, np.array([0.0]), natural_system)[0]
+        val = eigenfunction_table([0], np.array([0.0]), natural_system)[0][0]
         assert val == pytest.approx(np.pi**-0.25, rel=1e-14)
 
     def test_first_excited_node(self, natural_system):
-        assert eigenfunction_exact(1, np.array([0.0]), natural_system)[0] == 0.0
+        assert eigenfunction_table([1], np.array([0.0]), natural_system)[0][0] == 0.0
 
     def test_level_50_normalization(self, natural_system):
         xs = np.linspace(-16.0, 16.0, 40001)
-        dens = eigenfunction_exact(50, xs, natural_system) ** 2
+        dens = eigenfunction_table([50], xs, natural_system)[0] ** 2
         assert trapz(dens, xs) == pytest.approx(1.0, abs=1e-8)
 
     def test_orthogonality(self, natural_system):
         xs = np.linspace(-16.0, 16.0, 40001)
-        a = eigenfunction_exact(50, xs, natural_system)
-        b = eigenfunction_exact(49, xs, natural_system)
+        a = eigenfunction_table([50], xs, natural_system)[0]
+        b = eigenfunction_table([49], xs, natural_system)[0]
         assert abs(trapz(a * b, xs)) < 1e-8
 
     def test_very_high_level_stays_finite(self, natural_system):
-        vals = eigenfunction_exact(20000, np.array([0.0, 50.0, 190.0]), natural_system)
+        vals = eigenfunction_table([20000], np.array([0.0, 50.0, 190.0]), natural_system)[0]
         assert np.all(np.isfinite(vals))
         assert abs(vals[0]) > 1e-3
         # far outside the classical region the value must underflow to ~0
-        tail = eigenfunction_exact(20000, np.array([250.0]), natural_system)
+        tail = eigenfunction_table([20000], np.array([250.0]), natural_system)[0]
         assert abs(tail[0]) < 1e-100
 
     def test_mass_scaling(self):
@@ -157,20 +156,20 @@ class TestEigenfunctions:
         light = OscillatorSystemSpec(mass=1.0)
         # psi_m(x) = m^(1/4) psi_1(sqrt(m) x) for the ground state
         x = np.array([0.3, 0.7])
-        lhs = eigenfunction_exact(0, x, heavy)
-        rhs = 4.0**0.25 * eigenfunction_exact(0, 2.0 * x, light)
+        lhs = eigenfunction_table([0], x, heavy)[0]
+        rhs = 4.0**0.25 * eigenfunction_table([0], 2.0 * x, light)[0]
         assert np.allclose(lhs, rhs, rtol=1e-13)
 
     def test_table_matches_single_level(self, natural_system):
         xs = np.linspace(-8.0, 8.0, 101)
         table = eigenfunction_table(np.array([48, 50, 52]), xs, natural_system)
         for row, n in zip(table, (48, 50, 52)):
-            assert np.allclose(row, eigenfunction_exact(n, xs, natural_system))
+            assert np.allclose(row, eigenfunction_table([n], xs, natural_system)[0])
 
     @pytest.mark.parametrize("level", [-1, 10.7, np.nan, np.inf])
     def test_rejects_invalid_level(self, natural_system, level):
         with pytest.raises(ValueError, match="non-negative integers"):
-            eigenfunction_exact(level, np.array([0.3]), natural_system)
+            eigenfunction_table([level], np.array([0.3]), natural_system)
 
 
 class TestWkb:
@@ -277,7 +276,7 @@ class TestWkb:
         st = build_energy_band_state(50, 0)
         xs = np.linspace(-9.0, 9.0, 401)
         psi = band_wavefunction(st, natural_system)(xs)
-        assert np.allclose(psi, eigenfunction_exact(50, xs, natural_system))
+        assert np.allclose(psi, eigenfunction_table([50], xs, natural_system)[0])
 
 
 def _build_axes(kind, x, p):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -29,15 +32,14 @@ from bohmdec.quadratic_master import (
     GaussianPropagator,
     MasterEqCoefficients,
     assemble_cl_coefficients,
-    compose,
     integrate_propagator,
     nonnegativity_threshold,
-    pde_oracle_evolve,
     position_decoherence_factor,
     propagate_wigner,
 )
 
 from conftest import traced_peak, widen_momentum_axis
+from pde_oracle import pde_oracle_evolve
 
 
 def default_cl(system: OscillatorSystemSpec) -> MasterEqCoefficients:
@@ -61,6 +63,20 @@ def propagators(draw) -> GaussianPropagator:
     chol = np.array([[low[0], 0.0], [low[1], low[2]]])
     t = draw(st.floats(0.0, 3.0))
     return GaussianPropagator(t=t, a=a, m=chol @ chol.T)
+
+
+def compose(first: GaussianPropagator, second: GaussianPropagator) -> GaussianPropagator:
+    """Propagator equivalent to applying ``first`` then ``second``.
+
+    The flow matrices multiply and the later smearing is pulled back through
+    the earlier flow: ``A = A2 A1``, ``M = M1 + A1^-1 M2 A1^-T``.
+    """
+    a1_inv = np.linalg.inv(first.a)
+    return GaussianPropagator(
+        t=first.t + second.t,
+        a=second.a @ first.a,
+        m=first.m + a1_inv @ second.m @ a1_inv.T,
+    )
 
 
 def symmetric_grid(half_span: float, step: float) -> np.ndarray:
@@ -138,22 +154,12 @@ class TestCoefficients:
         )
         j = coeffs.diffusion_matrix(0.0)
         np.testing.assert_allclose(j, j.T, atol=0.0)
-        assert coeffs.time_independent
 
-    def test_time_dependent_coefficients(self):
-        coeffs = MasterEqCoefficients(
-            h1=lambda t: 1.0 + t, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=0.0
-        )
-        assert not coeffs.time_independent
-        assert coeffs.drift_matrix(2.0)[1, 0] == pytest.approx(3.0)
-
-    def test_time_independent_is_derived(self):
-        # a caller-set flag would send time-dependent coefficients to the
-        # closed-form block exponential of integrate_propagator
-        with pytest.raises(TypeError):
+    def test_rejects_callable_coefficient(self):
+        # integrate_propagator's block exponential holds only for constants
+        with pytest.raises(TypeError, match="h1"):
             MasterEqCoefficients(
-                h1=lambda t: 1.0 + t, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=0.0,
-                time_independent=True,
+                h1=lambda t: 1.0 + t, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=0.0
             )
 
     def test_parameter_validation(self):
@@ -213,31 +219,6 @@ class TestIntegratePropagator:
         prop = integrate_propagator(coeffs, t)
         np.testing.assert_allclose(prop.a, expected, atol=1e-12)
         np.testing.assert_allclose(prop.m, np.zeros((2, 2)), atol=1e-12)
-
-    def test_ode_route_matches_matrix_exponential(self):
-        system = OscillatorSystemSpec(
-            mass=2.0, bare_frequency=3.0, renormalized_frequency=3.0
-        )
-        # a callable coefficient forces the adaptive integrator route
-        coeffs = MasterEqCoefficients(
-            h1=lambda t: system.mass * system.renormalized_frequency**2,
-            h2=1.0 / system.mass,
-            h3=0.0,
-            gamma=0.0,
-            j11=0.0,
-            j12=0.0,
-            j22=0.0,
-        )
-        direct = integrate_propagator(
-            assemble_cl_coefficients(
-                system,
-                CaldeiraLeggettParams(damping_rate=0.0, thermal_energy=1.0, cutoff=1.0),
-            ),
-            0.7,
-        )
-        adaptive = integrate_propagator(coeffs, 0.7)
-        np.testing.assert_allclose(adaptive.a, direct.a, atol=1e-8)
-        np.testing.assert_allclose(adaptive.m, direct.m, atol=1e-10)
 
     # t = None stands for five smoothing times of the canonical band
     @pytest.mark.parametrize("t", [None, 2.0, 20.0], ids=["5t_c", "2", "20"])
@@ -388,6 +369,31 @@ class TestIntegratePropagator:
             GaussianPropagator(0.0, np.eye(2), -np.eye(2))
         with pytest.raises(ValueError):
             GaussianPropagator(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "name, t, a, m",
+        [
+            ("t", np.nan, np.eye(2), np.zeros((2, 2))),
+            ("t", np.inf, np.eye(2), np.zeros((2, 2))),
+            ("a", 1.0, np.array([[1.0, np.nan], [0.0, 1.0]]), np.zeros((2, 2))),
+            ("m", 1.0, np.eye(2), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+        ],
+        ids=["t-nan", "t-inf", "a-nan", "m-inf"],
+    )
+    def test_propagator_rejects_nonfinite(self, name, t, a, m):
+        with pytest.raises(ValueError, match=f"GaussianPropagator.{name} must be finite"):
+            GaussianPropagator(t, a, m)
+
+    def test_import_loads_no_ode_solver(self):
+        # the propagator is one closed form; no subpackage needs an ODE solver
+        code = (
+            "import sys\n"
+            "import bohmdec.bath_dynamics, bohmdec.bohm_velocity\n"
+            "import bohmdec.phase_space, bohmdec.quadratic_master\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 class TestPropagateWigner:
@@ -588,8 +594,8 @@ class TestPropagateWigner:
         # oracle runs
         base = default_cl(natural_system)
         coeffs = MasterEqCoefficients(
-            h1=base.h1(0.0), h2=base.h2(0.0), h3=base.h3(0.0), gamma=base.gamma(0.0),
-            j11=j11, j12=j12, j22=base.j22(0.0),
+            h1=base.h1, h2=base.h2, h3=base.h3, gamma=base.gamma,
+            j11=j11, j12=j12, j22=base.j22,
         )
         x = symmetric_grid(6.0, 0.05)
         field = gaussian_field(x, x, np.array([0.7, -0.4]), 0.5 * np.eye(2))
@@ -659,6 +665,27 @@ class TestDecoherenceFactor:
         with pytest.raises(DomainValidityError):
             position_decoherence_factor(
                 strong, natural_system, 0.008, np.array([1.0]), np.array([0.0])
+            )
+
+    @pytest.mark.parametrize(
+        "t, x, x_prime",
+        [
+            (np.nan, 1.0, 0.0),
+            (np.inf, 1.0, 0.0),
+            (-np.inf, 1.0, 0.0),
+            (-0.05, 1.0, 0.0),
+            (0.01, np.nan, 0.0),
+            (0.01, np.inf, 0.0),
+            (0.01, 1.0, np.nan),
+        ],
+    )
+    def test_rejects_bad_time_and_coordinates(self, natural_system, t, x, x_prime):
+        params = CaldeiraLeggettParams(
+            damping_rate=0.05, thermal_energy=1000.0, cutoff=100.0
+        )
+        with pytest.raises(ValueError, match="finite"):
+            position_decoherence_factor(
+                params, natural_system, t, np.array([x]), np.array([x_prime])
             )
 
     def test_matches_density_matrix_oracle(self, natural_system):
