@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
@@ -462,6 +461,9 @@ def _spectral_norm(mat: np.ndarray) -> float:
     gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
     if not gram.any():
         return 0.0
+    # imported here so that importing bohmdec skips its load: about 3.6 MB
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     v0 = np.random.default_rng(0).standard_normal(gram.shape[0])
     try:
         (top,) = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0, return_eigenvectors=False)

@@ -16,6 +16,14 @@ __all__ = ["classical_band_margin", "ensemble_velocity", "initial_velocity"]
 _DENSITY_FLOOR = 1e-12
 
 
+def _finite_array(name: str, values: float | np.ndarray) -> np.ndarray:
+    """``values`` as a 1-D float array, rejected if any entry is NaN or inf."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
 def ensemble_velocity(
     field: WignerField,
     system: OscillatorSystemSpec,
@@ -37,22 +45,26 @@ def ensemble_velocity(
 
     Raises
     ------
+    ValueError
+        If ``x`` has a NaN or infinite entry.
     GridCoverageError
         If a requested position falls outside the sampled grid.
     UndefinedVelocityError
         If the position density at a requested point is below ``1e-12`` of
         its peak (node region).
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _finite_array("x", x)
     grid = field.x_grid
     step = field.dx
-    index = np.rint((x_arr - grid[0]) / step).astype(int)
+    # range-checked as floats, so a far position cannot overflow the cast
+    index = np.rint((x_arr - grid[0]) / step)
     inside = (index >= 0) & (index < grid.size)
     if not np.all(inside):
         raise GridCoverageError(
             f"positions {x_arr[~inside]} fall outside the sampled x-grid "
             f"[{grid[0]:g}, {grid[-1]:g}]"
         )
+    index = index.astype(int)
     if np.any(np.abs(x_arr - grid[index]) > 0.5 * step * (1.0 + 1e-9)):
         raise GridCoverageError("requested position is not near a grid column")
 
@@ -97,11 +109,13 @@ def initial_velocity(
 
     Raises
     ------
+    ValueError
+        If ``x`` has a NaN or infinite entry.
     UndefinedVelocityError
         If ``|psi(x)|^2`` at a requested point is below ``1e-12`` of the
         largest sampled density.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    x_arr = _finite_array("x", x)
     psi_here = np.asarray(psi_sampler(x_arr), dtype=complex)
     density = np.abs(psi_here) ** 2
     floor = _DENSITY_FLOOR * float(density.max())
@@ -155,11 +169,13 @@ def classical_band_margin(
 
     Raises
     ------
+    ValueError
+        If ``v`` or ``x`` has a NaN or infinite entry.
     DomainValidityError
         If any position reaches or exceeds the turning points.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
+    v_arr = _finite_array("v", v)
+    x_arr = _finite_array("x", x)
     if np.any(np.abs(x_arr) >= orbit.amplitude):
         raise DomainValidityError(
             "classical band margin is only defined strictly inside the "

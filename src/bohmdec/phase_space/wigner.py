@@ -102,6 +102,11 @@ class GridSpec:
         Position covers ``x_span * x_max`` each side with spacing at most a
         quarter de Broglie length; momentum covers ``p_span * m omega x_max``
         with spacing at most ``hbar / (4 x_max)``.
+
+        Raises
+        ------
+        ValueError
+            If a span or a given step is not finite and positive.
         """
         sys_ = orbit.system
         p_scale = sys_.mass * sys_.renormalized_frequency * orbit.amplitude
@@ -109,6 +114,11 @@ class GridSpec:
             x_step = orbit.de_broglie / 4.0
         if p_step is None:
             p_step = sys_.hbar / (4.0 * orbit.amplitude)
+        for name, value in (
+            ("x_span", x_span), ("p_span", p_span), ("x_step", x_step), ("p_step", p_step)
+        ):
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         return cls(
             x=_symmetric_axis(x_span * orbit.amplitude, x_step),
             p=_symmetric_axis(p_span * p_scale, p_step),

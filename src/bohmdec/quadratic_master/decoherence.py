@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import DomainValidityError, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
@@ -70,9 +69,11 @@ def nonnegativity_threshold(
 
     Past this time the propagated field of any initial state is bounded
     below by (numerically) zero. The determinant of the smearing matrix is
-    monotone, so the crossing is bracketed by doubling a trial time, at most
-    80 times, from ``1e-6 / max|K|`` until the determinant passes
-    ``hbar^2``, then found by Brent's method on the last doubling interval.
+    monotone and zero at ``t = 0``, so the crossing is bracketed by doubling
+    a trial time, at most 80 times, from ``1e-6 / max|K|`` until the
+    determinant passes ``hbar^2``, then found by Brent's method between the
+    last failing trial (``0`` when the first trial already passes) and the
+    first passing one.
 
     Parameters
     ----------
@@ -94,16 +95,16 @@ def nonnegativity_threshold(
         return float(np.linalg.det(prop.m)) - target
 
     k_scale = float(np.abs(coeffs.drift_matrix(0.0)).max())
-    t = 1e-6 / max(k_scale, 1e-12)
-    hi = None
+    lo, hi = 0.0, 1e-6 / max(k_scale, 1e-12)
     for _ in range(80):
-        if det_gap(t) > 0.0:
-            hi = t
+        if det_gap(hi) > 0.0:
             break
-        t *= 2.0
-    if hi is None:
+        lo, hi = hi, 2.0 * hi
+    else:
         raise NumericalFailureError(
             "smearing determinant never reached hbar^2 within the scan range"
         )
-    lo = hi / 2.0
+    # imported here so that importing bohmdec skips its load: about 12 MB and 0.1 s
+    from scipy.optimize import brentq
+
     return float(brentq(det_gap, lo, hi, rtol=1e-12))

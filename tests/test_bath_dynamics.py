@@ -36,7 +36,6 @@ from bohmdec.bath_dynamics import (
     weak_coupling_matrices,
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
-from bohmdec.bath_dynamics import matrices
 from bohmdec.bath_dynamics.matrices import _spectral_norm
 from bohmdec.bohm_velocity import SemiclassicalDecomposition, initial_velocity
 from bohmdec.errors import (
@@ -613,7 +612,8 @@ class TestBlocks:
         def stalled(*args, **kwargs):
             raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
-        monkeypatch.setattr(matrices, "eigsh", stalled)
+        # _spectral_norm imports eigsh when called, so patch it at its source
+        monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
         with pytest.raises(NumericalFailureError, match="did not converge"):
             _spectral_norm(np.eye(3))
 

@@ -66,6 +66,9 @@ def bulk_columns(run, floor_fraction=0.1, limit=100):
     return cols[:: max(1, len(cols) // limit)]
 
 
+non_finite = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+
+
 class TestMInverseParams:
     def test_from_m_matrix_matches_numpy_inverse(self):
         m = np.array([[1.2264, -0.0899], [-0.0899, 0.8924]])
@@ -160,6 +163,25 @@ class TestEnsembleVelocity:
         with pytest.raises(GridCoverageError):
             ensemble_velocity(field, natural_system, 6.0)
 
+    @pytest.mark.parametrize("x", [-1e300, 1e300])
+    def test_far_position_rejected_before_index_cast(self, natural_system, x):
+        # a grid index this large does not fit an int
+        grid = GridSpec(
+            x=np.linspace(-5.0, 5.0, 101), p=np.linspace(-5.0, 5.0, 101)
+        )
+        field = eigenstate_field(0, grid, natural_system)
+        with pytest.raises(GridCoverageError):
+            ensemble_velocity(field, natural_system, x)
+
+    @non_finite
+    def test_non_finite_position_rejected(self, natural_system, bad):
+        grid = GridSpec(
+            x=np.linspace(-5.0, 5.0, 101), p=np.linspace(-5.0, 5.0, 101)
+        )
+        field = eigenstate_field(0, grid, natural_system)
+        with pytest.raises(ValueError, match="x has non-finite"):
+            ensemble_velocity(field, natural_system, np.array([0.0, bad]))
+
 
 class TestInitialVelocity:
     def test_real_wavefunction_has_zero_velocity(self, natural_system):
@@ -196,6 +218,12 @@ class TestInitialVelocity:
         with pytest.raises(UndefinedVelocityError):
             initial_velocity(psi, 0.0, natural_system)
 
+    @non_finite
+    def test_non_finite_position_rejected(self, natural_system, bad):
+        psi = band_wavefunction(build_energy_band_state(0, 0), natural_system)
+        with pytest.raises(ValueError, match="x has non-finite"):
+            initial_velocity(psi, np.array([0.5, bad]), natural_system)
+
 
 class TestClassicalBandMargin:
     def test_reference_points(self, canonical_cl_run):
@@ -212,6 +240,14 @@ class TestClassicalBandMargin:
         orbit = canonical_cl_run.orbit
         with pytest.raises(DomainValidityError):
             classical_band_margin(0.0, orbit, orbit.amplitude)
+
+    @non_finite
+    @pytest.mark.parametrize("name", ["v", "x"])
+    def test_non_finite_input_rejected(self, canonical_cl_run, bad, name):
+        orbit = canonical_cl_run.orbit
+        args = {"v": 0.0, "x": 0.3 * orbit.amplitude, name: bad}
+        with pytest.raises(ValueError, match=f"{name} has non-finite"):
+            classical_band_margin(args["v"], orbit, args["x"])
 
 
 class TestTimescales:

@@ -297,6 +297,13 @@ class TestGridSpec:
         assert grid.p[-1] == pytest.approx(3.0 * orb.amplitude)
         assert 0.0 in grid.x and 0.0 in grid.p
 
+    @pytest.mark.parametrize("name", ["x_span", "p_span", "x_step", "p_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_for_orbit_rejects_bad_span_or_step(self, natural_system, name, value):
+        orb = classical_orbit(build_energy_band_state(50, 0), natural_system)
+        with pytest.raises(ValueError, match=name):
+            GridSpec.for_orbit(orb, **{name: value})
+
     @pytest.mark.parametrize("kind", ["GridSpec", "WignerField"])
     def test_rejects_nonuniform_axis(self, kind):
         x, p = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0])

@@ -385,12 +385,33 @@ class TestIntegratePropagator:
             GaussianPropagator(t, a, m)
 
     def test_import_loads_no_ode_solver(self):
-        # the propagator is one closed form; no subpackage needs an ODE solver
+        # the propagator is one closed form, so no subpackage needs an ODE
+        # solver; the root finder and the sparse eigensolver are imported
+        # only by the two functions that call them, which the reduced route
+        # does not reach
         code = (
             "import sys\n"
+            "import numpy as np\n"
             "import bohmdec.bath_dynamics, bohmdec.bohm_velocity\n"
             "import bohmdec.phase_space, bohmdec.quadratic_master\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
+            "from bohmdec.bohm_velocity import ensemble_velocity\n"
+            "from bohmdec.phase_space import (GridSpec, OscillatorSystemSpec,\n"
+            "    band_wavefunction, build_energy_band_state, classical_orbit,\n"
+            "    wigner_transform)\n"
+            "from bohmdec.quadratic_master import (CaldeiraLeggettParams,\n"
+            "    assemble_cl_coefficients, integrate_propagator, propagate_wigner)\n"
+            "unused = ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')\n"
+            "assert not [m for m in unused if m in sys.modules]\n"
+            "system = OscillatorSystemSpec()\n"
+            "state = build_energy_band_state(6, 2)\n"
+            "grid = GridSpec.for_orbit(classical_orbit(state, system), 2.0, 2.0)\n"
+            "field = wigner_transform(band_wavefunction(state, system), grid, system)\n"
+            "params = CaldeiraLeggettParams(1e-2, 10.0, 100.0)\n"
+            "prop = integrate_propagator(assemble_cl_coefficients(system, params), 0.5)\n"
+            "out = propagate_wigner(prop, field, system)\n"
+            "assert np.isfinite(ensemble_velocity(out, system, grid.x[grid.x.size // 2]))\n"
+            "loaded = [m for m in unused if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
@@ -758,6 +779,26 @@ class TestNonnegativityThreshold:
         )
         expected_ratio = (3.0 / 16.0) ** 0.25
         assert t_star is not None
+        assert abs(t_star / t_loc - expected_ratio) <= 0.02 * expected_ratio
+
+    @pytest.mark.parametrize("thermal_energy", [1e15, 1e16, 1e18])
+    def test_threshold_when_first_trial_already_passes(self, natural_system, thermal_energy):
+        # the first trial time 1e-6 / max|K| already has det M > hbar^2, so
+        # the crossing lies between 0 and that trial
+        params = CaldeiraLeggettParams(
+            damping_rate=0.01, thermal_energy=thermal_energy, cutoff=1e3
+        )
+        coeffs = assemble_cl_coefficients(natural_system, params)
+        first_trial = 1e-6 / np.abs(coeffs.drift_matrix(0.0)).max()
+        det_first = np.linalg.det(integrate_propagator(coeffs, first_trial).m)
+        assert det_first > natural_system.hbar**2
+        t_star = nonnegativity_threshold(coeffs, natural_system)
+        t_loc = np.sqrt(
+            natural_system.hbar
+            / (natural_system.mass * params.damping_rate * params.thermal_energy)
+        )
+        expected_ratio = (3.0 / 16.0) ** 0.25
+        assert t_star is not None and 0.0 < t_star < first_trial
         assert abs(t_star / t_loc - expected_ratio) <= 0.02 * expected_ratio
 
     def test_threshold_solves_det_condition(self, natural_system):
