@@ -136,21 +136,21 @@ def cl_sigma3_squared_asymptote(
 class ConditionalKernel:
     """Slice-conditioned smearing data at one time.
 
-    Construction also stores, once per kernel, contiguous per-mode rows that
-    :meth:`conditional_peaks` and :meth:`slice_quadratic` read on every
-    call: the peak offset ``rotated_means[:, 0]``, the x- and p-responses
-    ``response[:, 0, 0]`` and ``response[:, 0, 1]``, the slice scale
-    ``m omega / hbar`` and the x-independent ``q2``.
+    Each mode's most likely slice position is affine in the central point,
+    ``peak_offset - x_response x - p_response p``. Construction also stores,
+    once per kernel, the slice scale ``m omega / hbar`` and the
+    x-independent ``q2`` that :meth:`slice_quadratic` reads on every call.
 
     Attributes
     ----------
     system : OscillatorSystemSpec
     bath : BathSpec
-    rotated_means : numpy.ndarray
-        Freely evolved coherent-state centers of the modes, shape ``(N, 2)``.
-    response : numpy.ndarray
-        Sensitivity of each mode's conditional peak to the central point,
-        shape ``(N, 2, 2)``; row 0 is the peak position, row 1 its momentum.
+    peak_offset : numpy.ndarray
+        Position of each mode's freely evolved coherent-state center,
+        shape ``(N,)``.
+    x_response, p_response : numpy.ndarray
+        Sensitivity of each mode's conditional peak position to the central
+        position and momentum, shape ``(N,)``.
     minv : MInverseParams or None
         Inverse of the conditional smearing matrix (:func:`m_tilde_matrix`);
         ``None`` when the kernel is degenerate (no modes, or zero time).
@@ -158,23 +158,17 @@ class ConditionalKernel:
 
     system: OscillatorSystemSpec
     bath: BathSpec
-    rotated_means: np.ndarray
-    response: np.ndarray
+    peak_offset: np.ndarray
+    x_response: np.ndarray
+    p_response: np.ndarray
     minv: MInverseParams | None
-    _peak_offset: np.ndarray = field(init=False, repr=False, compare=False)
-    _x_response: np.ndarray = field(init=False, repr=False, compare=False)
-    _p_response: np.ndarray = field(init=False, repr=False, compare=False)
     _slice_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _q2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
-        p_response = np.ascontiguousarray(self.response[:, 0, 1])
-        object.__setattr__(self, "_peak_offset", np.ascontiguousarray(self.rotated_means[:, 0]))
-        object.__setattr__(self, "_x_response", np.ascontiguousarray(self.response[:, 0, 0]))
-        object.__setattr__(self, "_p_response", p_response)
         object.__setattr__(self, "_slice_scale", scale)
-        object.__setattr__(self, "_q2", float(np.dot(scale, p_response**2)))
+        object.__setattr__(self, "_q2", float(np.dot(scale, self.p_response**2)))
 
     @property
     def degenerate(self) -> bool:
@@ -188,7 +182,7 @@ class ConditionalKernel:
         """
         _require_finite_scalar("x", x)
         _require_finite_scalar("p", p)
-        return self._peak_offset - self._x_response * x - self._p_response * p
+        return self.peak_offset - self.x_response * x - self.p_response * p
 
     def slice_quadratic(
         self, bath_slice: np.ndarray, x: float
@@ -211,9 +205,9 @@ class ConditionalKernel:
             )
         if not np.isfinite(bath_slice).all():
             raise ValueError("bath_slice has non-finite entries")
-        const = bath_slice - self._peak_offset + self._x_response * x
+        const = bath_slice - self.peak_offset + self.x_response * x
         q0 = float(np.dot(self._slice_scale, const**2))
-        q1 = 2.0 * float(np.dot(self._slice_scale, const * self._p_response))
+        q1 = 2.0 * float(np.dot(self._slice_scale, const * self.p_response))
         return q0, q1, self._q2
 
 
@@ -257,9 +251,11 @@ def conditional_kernel(
     if sample.n_modes != bath.n_modes or props.n_modes != bath.n_modes:
         raise ValueError("bath, sample and blocks disagree on the mode count")
 
-    d_free = props.d_free
-    rotated = np.einsum("rij,rj->ri", d_free, sample.vectors())
-    response = np.einsum("rij,rjk->rik", d_free, _flip_time(props.c))
+    # position row of each mode's free rotation, applied to the sampled
+    # center and to the time-reversed center-to-mode block
+    row = props.d_free[:, 0]
+    peak_offset = np.einsum("rj,rj->r", row, sample.vectors())
+    x_response, p_response = np.einsum("rj,rjk->kr", row, _flip_time(props.c), order="C")
 
     if spectral is None:
         spectral = SpectralDensity.from_bath(bath)
@@ -271,8 +267,9 @@ def conditional_kernel(
     return ConditionalKernel(
         system=props.system,
         bath=bath,
-        rotated_means=rotated,
-        response=response,
+        peak_offset=peak_offset,
+        x_response=x_response,
+        p_response=p_response,
         minv=minv,
     )
 

@@ -13,7 +13,8 @@ second solve.
 The coupling convention is ``H = H_S + sum_r H_r + x sum_r kappa_r q_r``:
 the center's momentum is driven by ``-sum_r kappa_r q_r`` and mode ``r``'s by
 ``-kappa_r x``. On ``z = (x, p, q_1, p_1, ...)`` the blocks tile the dense
-transfer matrix ``T(t) = exp(L t)`` of that linear flow.
+transfer matrix ``T(t) = exp(L t)`` of that linear flow, which exact blocks
+hold whole when asked for (:attr:`BathPropagators.transfer`).
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ __all__ = [
 ]
 
 _FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
-# Rows of the round trip formed per matrix product. At N = 512 a 128-row
-# panel keeps the temporary at an eighth of a transfer matrix and runs the
-# product within about 10% of one whole-matrix product; 16-row panels take
-# about twice its time (one BLAS thread, 2-vCPU Xeon).
+# Rows of the round trip and of its block-inverse update formed per matrix
+# product. At N = 512 a 128-row panel keeps the update's temporary at an
+# eighth of a transfer matrix and runs the product within about 10% of one
+# whole-matrix product; 16-row panels take about twice its time (one BLAS
+# thread, 2-vCPU Xeon).
 _PANEL_ROWS = 128
 
 
@@ -113,13 +115,12 @@ class BathPropagators:
         Central 2x2 block.
     b, c : numpy.ndarray
         Mode-to-center and center-to-mode blocks, shape ``(N, 2, 2)``.
-    d_corrections : numpy.ndarray or None
-        Off-diagonal-capable corrections, ``(N, N, 2, 2)``; ``None`` when not
-        assembled (always in weak-coupling mode, and for exact blocks unless
-        requested).
-
-    The mode-to-mode block ``D_rs`` is ``d_free[r]`` on the diagonal plus
-    ``d_corrections[r, s]``; ``d_free`` is derived from the bath and the time.
+    transfer : numpy.ndarray or None
+        Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on
+        ``(x, p, q_1, p_1, ...)``; ``None`` when not assembled (always in
+        weak-coupling mode, and for exact blocks unless requested). Its mode
+        sector is the mode-to-mode block ``D``: ``d_free`` on the diagonal
+        plus the coupling corrections.
     """
 
     time: float
@@ -130,7 +131,7 @@ class BathPropagators:
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    d_corrections: np.ndarray | None
+    transfer: np.ndarray | None
 
     def __post_init__(self) -> None:
         n = self.bath.n_modes
@@ -139,8 +140,8 @@ class BathPropagators:
         for name in ("b", "c"):
             if getattr(self, name).shape != (n, 2, 2):
                 raise ValueError(f"{name} must have shape ({n}, 2, 2)")
-        if self.d_corrections is not None and self.d_corrections.shape != (n, n, 2, 2):
-            raise ValueError(f"d_corrections must have shape ({n}, {n}, 2, 2)")
+        if self.transfer is not None and self.transfer.shape != (2 * n + 2, 2 * n + 2):
+            raise ValueError(f"transfer must have shape ({2 * n + 2}, {2 * n + 2})")
 
     @property
     def n_modes(self) -> int:
@@ -159,10 +160,13 @@ def _mode_corrections(
     h_dot: np.ndarray,
     tau_sin: np.ndarray,
     tau_cos: np.ndarray,
-) -> np.ndarray:
-    """Mode-to-mode corrections ``(N, N, 2, 2)`` at a non-negative time.
+    modes: np.ndarray,
+) -> None:
+    """Write the mode-to-mode corrections at a non-negative time into ``modes``.
 
-    Pair ``(r, s)`` (``r`` along rows) carries
+    ``modes`` is the mode sector of the dense transfer matrix seen as
+    ``(N, 2, N, 2)``, so plane ``modes[:, i, :, j]`` holds entry ``(i, j)``
+    of every 2x2 pair block. Pair ``(r, s)`` (``r`` along rows) carries
     ``pair_scale = kappa_r kappa_s / (m omega m_r m_s omega_r omega_s)``
     times the pair integrals
 
@@ -191,35 +195,33 @@ def _mode_corrections(
     scale /= work
     scale /= stiffness
 
-    out = np.empty((bath.n_modes, bath.n_modes, 2, 2))
     # f: omega_s h_r - omega_r h_s
     np.multiply.outer(h, mode_w, out=work)
     work -= np.multiply.outer(mode_w, h, out=spare)
-    np.multiply(scale, work, out=out[:, :, 0, 1])
+    np.multiply(scale, work, out=modes[:, 0, :, 1])
     # f_dot, carrying m_s into the 00 plane and m_r into the 11 plane
     np.multiply.outer(h_dot, mode_w, out=work)
     work -= np.multiply.outer(mode_w, h_dot, out=spare)
     np.multiply(work, mode_m, out=spare)
-    np.multiply(scale, spare, out=out[:, :, 0, 0])
+    np.multiply(scale, spare, out=modes[:, 0, :, 0])
     np.multiply(work, mode_m[:, None], out=spare)
-    np.multiply(scale, spare, out=out[:, :, 1, 1])
+    np.multiply(scale, spare, out=modes[:, 1, :, 1])
     # f_ddot: m_r m_s omega_r omega_s (omega_s h_s - omega_r h_r)
     wh = mode_w * h
     np.subtract(wh, wh[:, None], out=work)
     work *= mw[:, None]
     work *= mw
-    np.multiply(scale, work, out=out[:, :, 1, 0])
+    np.multiply(scale, work, out=modes[:, 1, :, 0])
 
     m_r, m_s, w, h_r, cos_r = mode_m[rows], mode_m[cols], mode_w[rows], h[rows], tau_cos[rows]
     pair_scale = kappa[rows] * kappa[cols] / (stiffness * m_r * m_s * w * mode_w[cols])
     f_tie = (-h_r - w * cos_r) / (2.0 * w)
     f_dot_tie = 0.5 * w * tau_sin[rows]
     f_ddot_tie = 0.5 * w * (-h_r + w * cos_r)
-    out[rows, cols, 0, 0] = pair_scale * m_s * f_dot_tie
-    out[rows, cols, 0, 1] = pair_scale * f_tie
-    out[rows, cols, 1, 0] = pair_scale * m_r * m_s * f_ddot_tie
-    out[rows, cols, 1, 1] = pair_scale * m_r * f_dot_tie
-    return out
+    modes[rows, 0, cols, 0] = pair_scale * m_s * f_dot_tie
+    modes[rows, 0, cols, 1] = pair_scale * f_tie
+    modes[rows, 1, cols, 0] = pair_scale * m_r * m_s * f_ddot_tie
+    modes[rows, 1, cols, 1] = pair_scale * m_r * f_dot_tie
 
 
 def exact_bath_matrices(
@@ -249,12 +251,14 @@ def exact_bath_matrices(
     g_table : GKernelTable
     t : float
     include_d_corrections : bool, optional
-        Assemble the ``(N, N, 2, 2)`` mode-to-mode corrections, which
-        :func:`reversibility_residuals` needs. Off by default: they take
-        ``32 N^2`` bytes, and building them holds three ``N x N`` work
-        arrays more (``24 N^2`` bytes) plus the index list of tied pairs;
-        negative times flip their signs in place. The phase sums are formed
-        once either way.
+        Assemble the dense transfer matrix ``T(t)`` with its mode-to-mode
+        block (``transfer``), which :func:`reversibility_residuals` needs.
+        Off by default: it takes ``8 (2N + 2)^2`` bytes, and building it
+        holds three ``N x N`` work arrays more (``24 N^2`` bytes) plus the
+        index list of tied pairs. Negative times negate in place the entries
+        whose row and column parities differ, ``T(-t) = P T(t) P`` with
+        ``P = diag(1, -1, 1, -1, ...)``. The phase sums are formed once
+        either way.
 
     Returns
     -------
@@ -296,14 +300,25 @@ def exact_bath_matrices(
     )
     b, c = _cross_blocks(bath, m, w0, h, h_dot, h_ddot)
 
-    d_corrections = None
+    transfer = None
     if include_d_corrections:
-        d_corrections = _mode_corrections(bath, m * w0, h, h_dot, tau_sin, tau_cos)
+        n = bath.n_modes
+        transfer = np.empty((2 * n + 2, 2 * n + 2))
+        transfer[:2, :2] = a
+        transfer[:2, 2:] = np.transpose(b, (1, 0, 2)).reshape(2, 2 * n)
+        transfer[2:, :2] = c.reshape(2 * n, 2)
+        modes = transfer[2:, 2:].reshape(n, 2, n, 2)
+        _mode_corrections(bath, m * w0, h, h_dot, tau_sin, tau_cos, modes)
+        if t < 0.0:
+            # P T P: negate the entries whose row and column parities differ
+            for odd in (transfer[::2, 1::2], transfer[1::2, ::2]):
+                odd *= -1.0
+        # the free rotation at t carries its own parity
+        diagonal = np.arange(n)
+        modes[diagonal, :, diagonal, :] += _free_rotation(bath.masses, mode_w, t)
 
     if t < 0.0:
         a, b, c = _flip_time(a), _flip_time(b), _flip_time(c)
-        if d_corrections is not None:
-            d_corrections *= _FLIP
 
     return BathPropagators(
         time=float(t),
@@ -314,7 +329,7 @@ def exact_bath_matrices(
         a=a,
         b=b,
         c=c,
-        d_corrections=d_corrections,
+        transfer=transfer,
     )
 
 
@@ -380,7 +395,7 @@ def weak_coupling_matrices(
         a=a,
         b=b,
         c=c,
-        d_corrections=None,
+        transfer=None,
     )
 
 
@@ -420,28 +435,6 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
     return a_inv @ core @ a_inv.T
 
 
-def _transfer_matrix(props: BathPropagators) -> np.ndarray:
-    """Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on ``(x, p, q_1, p_1, ...)``."""
-    n = props.n_modes
-    diagonal = np.arange(n)
-    d_free = props.d_free
-    out = np.empty((2 * n + 2, 2 * n + 2))
-    out[:2, :2] = props.a
-    out[:2, 2:] = np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n)
-    out[2:, :2] = props.c.reshape(2 * n, 2)
-    for i, j in np.ndindex(2, 2):
-        # entry (i, j) of every 2x2 mode block: rows 2 + 2r + i, columns 2 + 2s + j
-        plane = out[2 + i :: 2, 2 + j :: 2]
-        plane[...] = props.d_corrections[:, :, i, j]
-        plane[diagonal, diagonal] += d_free[:, i, j]
-    return out
-
-
-def _central_blocks(transfer: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Copies of the ``A``, ``B`` and ``C`` blocks of a dense transfer matrix."""
-    return transfer[:2, :2].copy(), transfer[:2, 2:].copy(), transfer[2:, :2].copy()
-
-
 def _spectral_norm(mat: np.ndarray) -> float:
     """Largest singular value, from the top eigenvalue of the smaller Gram matrix.
 
@@ -477,8 +470,8 @@ def reversibility_residuals(
 ) -> dict[str, float]:
     """Residual norms of the forward/backward closure identities.
 
-    ``forward`` and ``backward`` must be exact-mode blocks (with mode-to-mode
-    corrections assembled) at ``t`` and ``-t``. The first four keys are the
+    ``forward`` and ``backward`` must be exact-mode blocks (with the dense
+    transfer matrix assembled) at ``t`` and ``-t``. The first four keys are the
     blocks of the round trip ``R = T(t) T(-t) - 1``; the rest probe the
     block-inverse construction of the mode sector,
 
@@ -498,11 +491,11 @@ def reversibility_residuals(
     residual matrices, each the square root of the top eigenvalue of its
     smaller Gram matrix, found by Lanczos iteration.
 
-    At most two ``(2N + 2)``-square matrices are held at once: ``R``
-    overwrites ``T(t)`` ``_PANEL_ROWS`` rows at a time while ``T(-t)`` is
-    held, ``T(-t)`` is dropped once its two central rows and columns are
-    copied, and the block-inverse residual overwrites ``R_mm`` once that
-    block has its norm, so one Gram matrix lives beside ``R`` at a time.
+    The inputs are read, never written; their central blocks are views.
+    Beside them, at most two ``(2N + 2)``-square matrices are held at once:
+    ``R`` is written into one new array ``_PANEL_ROWS`` rows at a time, and
+    the block-inverse residual overwrites ``R_mm`` once that block has its
+    norm, so one Gram matrix lives beside ``R`` at a time.
 
     Raises
     ------
@@ -511,21 +504,20 @@ def reversibility_residuals(
     """
     if forward.mode != "exact" or backward.mode != "exact":
         raise ValueError("reversibility checks need exact-mode blocks")
-    if forward.d_corrections is None or backward.d_corrections is None:
-        raise ValueError("reversibility checks need the mode-to-mode corrections")
+    if forward.transfer is None or backward.transfer is None:
+        raise ValueError("reversibility checks need the dense transfer matrices")
     if abs(forward.time + backward.time) > 1e-12 * max(1.0, abs(forward.time)):
         raise ValueError("backward blocks must be evaluated at minus the forward time")
-    round_trip = _transfer_matrix(forward)
-    a_f, b_f, c_f = _central_blocks(round_trip)
-    t_b = _transfer_matrix(backward)
-    a_b, b_b, c_b = _central_blocks(t_b)
+    t_f, t_b = forward.transfer, backward.transfer
+    a_f, b_f, c_f = t_f[:2, :2], t_f[:2, 2:], t_f[2:, :2]
+    a_b, b_b, c_b = t_b[:2, :2], t_b[:2, 2:], t_b[2:, :2]
     a_f_inv = np.linalg.inv(a_f)
-    cross = b_b @ round_trip[2:, 2:] - (b_b @ c_f) @ a_f_inv @ b_f
+    cross = b_b @ t_f[2:, 2:] - (b_b @ c_f) @ a_f_inv @ b_f
+    round_trip = np.empty_like(t_f)
     for start in range(0, round_trip.shape[0], _PANEL_ROWS):
         # rows of T(t) T(-t) need only the same rows of T(t)
         panel = slice(start, start + _PANEL_ROWS)
-        round_trip[panel] = round_trip[panel] @ t_b
-    del t_b
+        np.matmul(t_f[panel], t_b, out=round_trip[panel])
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
 
     modes = round_trip[2:, 2:]

@@ -46,6 +46,13 @@ class OscillatorSystemSpec:
                 raise ValueError(f"OscillatorSystemSpec.{name} must be positive")
 
 
+def _require_integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is a whole number."""
+    if not float(value).is_integer():  # also rejects NaN and inf
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnergyBandState:
     """Superposition of adjacent energy eigenstates around a mean level.
@@ -53,7 +60,8 @@ class EnergyBandState:
     The stored ``coefficients`` are indexed by the level offset
     ``r = -band_width/2 .. +band_width/2``. They obey
     ``sum |c_r|^2 == 1`` to within 1e-12 and the lowest populated level
-    ``mean_level - band_width/2`` may not be negative.
+    ``mean_level - band_width/2`` may not be negative. Both levels must be
+    whole numbers (``ValueError`` otherwise) and are stored as ``int``.
 
     Attributes
     ----------
@@ -71,6 +79,8 @@ class EnergyBandState:
     coefficients: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        for name in ("mean_level", "band_width"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.band_width < 0 or self.band_width % 2 != 0:
             raise ValueError(
                 "EnergyBandState.band_width must be even and non-negative"
@@ -141,12 +151,8 @@ def build_energy_band_state(
         If ``mean_level`` or ``band_width`` is not an integer, or the band
         is invalid (see :class:`EnergyBandState`).
     """
-    for name, value in (("mean_level", mean_level), ("band_width", band_width)):
-        if not float(value).is_integer():
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    mean_level, band_width = int(mean_level), int(band_width)
     if coefficients is None:
-        n = band_width + 1
+        n = _require_integer("band_width", band_width) + 1
         coefficients = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     return EnergyBandState(
         mean_level=mean_level,

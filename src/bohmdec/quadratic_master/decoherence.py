@@ -73,7 +73,8 @@ def nonnegativity_threshold(
     a trial time, at most 80 times, from ``1e-6 / max|K|`` until the
     determinant passes ``hbar^2``, then found by Brent's method between the
     last failing trial (``0`` when the first trial already passes) and the
-    first passing one.
+    first passing one, to ``1e-12`` relative and ``1e-14`` of that
+    passing trial absolute.
 
     Parameters
     ----------
@@ -107,4 +108,6 @@ def nonnegativity_threshold(
     # imported here so that importing bohmdec skips its load: about 12 MB and 0.1 s
     from scipy.optimize import brentq
 
-    return float(brentq(det_gap, lo, hi, rtol=1e-12))
+    # an absolute tolerance on the bracket's scale: scipy's default 2e-12
+    # would dominate at the small crossing times of hot baths
+    return float(brentq(det_gap, lo, hi, xtol=1e-14 * hi, rtol=1e-12))

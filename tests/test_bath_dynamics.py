@@ -147,7 +147,7 @@ RESIDUAL_KEYS = [
 
 @functools.lru_cache(maxsize=None)
 def reversal_pair(t: float) -> tuple:
-    """Exact blocks with mode-to-mode corrections at ``t`` and ``-t`` (32 oracle modes)."""
+    """Exact blocks with the dense transfer matrix at ``t`` and ``-t`` (32 oracle modes)."""
     system = OscillatorSystemSpec()
     bath = discretize_spectral_density(oracle_params(), system, 32)
     bare = counterterm_bare_frequency(bath, system)
@@ -175,18 +175,9 @@ def wide_bath_table() -> tuple:
 
 
 def dense_blocks(props) -> tuple:
-    """``A``, ``B``, ``C`` and ``D`` of the transfer matrix, from the public blocks."""
-    n = props.n_modes
-    d = np.transpose(props.d_corrections, (0, 2, 1, 3)).reshape(2 * n, 2 * n)
-    for r in range(n):
-        d[2 * r : 2 * r + 2, 2 * r : 2 * r + 2] += props.d_free[r]
-    b = np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n)
-    return props.a, b, props.c.reshape(2 * n, 2), d
-
-
-def dense_transfer(props) -> np.ndarray:
-    a, b, c, d = dense_blocks(props)
-    return np.block([[a, b], [c, d]])
+    """``A``, ``B``, ``C`` and ``D`` of the dense transfer matrix."""
+    transfer = props.transfer
+    return transfer[:2, :2], transfer[:2, 2:], transfer[2:, :2], transfer[2:, 2:]
 
 
 class TestClosedForms:
@@ -480,7 +471,6 @@ class TestBlocks:
         bare = counterterm_bare_frequency(bath, system)
         coupled = dataclasses.replace(system, bare_frequency=bare)
         m = system.mass
-        modes = 2 + 2 * np.arange(bath.n_modes)
         gen = bath_generator(bath, bare, m)
         t = 2.0
         errors = []
@@ -493,14 +483,8 @@ class TestBlocks:
                     bath, coupled, table, sign * t, include_d_corrections=True
                 )
                 expected = expm(sign * t * gen)
-                gaps = [np.abs(props.a - expected[:2, :2]).max()]
-                for r, i in enumerate(modes):
-                    gaps.append(np.abs(props.b[r] - expected[:2, i : i + 2]).max())
-                    gaps.append(np.abs(props.c[r] - expected[i : i + 2, :2]).max())
-                    for s, j in enumerate(modes):
-                        d_rs = props.d_corrections[r, s] + (r == s) * props.d_free[r]
-                        gaps.append(np.abs(d_rs - expected[i : i + 2, j : j + 2]).max())
-                worst = max(worst, max(gaps) / np.abs(expected).max())
+                gap = np.abs(props.transfer - expected).max()
+                worst = max(worst, gap / np.abs(expected).max())
             errors.append(worst)
         ratios = np.array(errors[:-1]) / np.array(errors[1:])
         assert np.all(ratios >= 12.0), (errors, ratios)
@@ -552,7 +536,7 @@ class TestBlocks:
         n = forward.n_modes
         a_f, b_f, c_f, d_f = dense_blocks(forward)
         a_b, b_b, c_b, d_b = dense_blocks(backward)
-        round_trip = dense_transfer(forward) @ dense_transfer(backward) - np.eye(2 * n + 2)
+        round_trip = forward.transfer @ backward.transfer - np.eye(2 * n + 2)
         # Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t), and its mirror at -t
         d_inv = d_b - c_b @ np.linalg.inv(a_b) @ b_b
         schur = d_f - c_f @ np.linalg.inv(a_f) @ b_f
@@ -574,10 +558,10 @@ class TestBlocks:
         assert residual == pytest.approx(np.linalg.norm(expected, 2), rel=rel, abs=0.0)
 
     def test_residuals_hold_two_transfer_matrices(self):
-        # T(t) T(-t) - 1 overwrites T(t) _PANEL_ROWS rows at a time while
-        # T(-t) is held; after that one Gram matrix lives beside R. A
-        # whole-matrix product, a third transfer-sized array or two Gram
-        # matrices at once take the peak to 3 or more matrices.
+        # T(t) T(-t) - 1 is written into one new array _PANEL_ROWS rows at a
+        # time, reading both inputs in place; after that one Gram matrix
+        # lives beside R. A copy of either input, a product temporary beside
+        # R or two Gram matrices at once take the peak to 3 or more matrices.
         forward, backward = (
             exact_bath_matrices(*wide_bath_table(), sign * 0.5, include_d_corrections=True)
             for sign in (1.0, -1.0)
@@ -588,20 +572,47 @@ class TestBlocks:
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_mode_corrections_hold_three_work_planes(self, sign):
-        # the output (N, N, 2, 2) block plus two N x N work arrays and one
-        # N x N scale; per-plane tables of f, f_dot, f_ddot and their tie
-        # fills take it to 2.8 outputs, a flipped copy at negative t to 3.3
+        # the dense transfer matrix plus two N x N work arrays and one N x N
+        # scale, about 1.77 outputs; a separate (N, N, 2, 2) corrections
+        # array copied into T, or a parity-flipped copy of T at negative t,
+        # adds a whole output
         bath, coupled, table = wide_bath_table()
         props, peak = traced_peak(exact_bath_matrices, bath, coupled, table, sign * 0.5, True)
-        output = props.d_corrections.nbytes
-        assert output == 32 * bath.n_modes**2
+        output = props.transfer.nbytes
+        assert output == 8 * (2 * bath.n_modes + 2) ** 2
         assert peak <= 2.0 * output, peak / output
+
+    def test_transfer_layout(self):
+        # T(-t) = P T(t) P with P = diag(1, -1, 1, -1, ...), bit for bit, and
+        # the central rows and columns of T are the public blocks
+        forward, backward = reversal_pair(2.0)
+        n = forward.n_modes
+        parity = (-1.0) ** np.arange(2 * n + 2)
+        assert np.array_equal(backward.transfer, parity[:, None] * forward.transfer * parity)
+        for props in (forward, backward):
+            a, b, c, _ = dense_blocks(props)
+            assert np.array_equal(a, props.a)
+            assert np.array_equal(b, np.transpose(props.b, (1, 0, 2)).reshape(2, 2 * n))
+            assert np.array_equal(c, props.c.reshape(2 * n, 2))
+        with pytest.raises(ValueError, match="transfer must have shape"):
+            dataclasses.replace(forward, transfer=forward.transfer[:-1])
+        # not assembled without the flag, nor for weak-coupling blocks
+        bath, coupled, table = wide_bath_table()
+        assert exact_bath_matrices(bath, coupled, table, 0.5).transfer is None
+        with warnings.catch_warnings():
+            # the oracle bath sits above the weak-coupling regime bound
+            warnings.simplefilter("ignore", CouplingStrengthWarning)
+            assert weak_coupling_matrices(bath, coupled, 0.5).transfer is None
 
     def test_residuals_repeat_bitwise(self):
         forward, backward = reversal_pair(1.0)
+        inputs = forward.transfer.copy(), backward.transfer.copy()
         first = reversibility_residuals(forward, backward)
         assert list(first) == RESIDUAL_KEYS
         assert reversibility_residuals(forward, backward) == first
+        # the inputs are read, never written
+        assert np.array_equal(forward.transfer, inputs[0])
+        assert np.array_equal(backward.transfer, inputs[1])
 
     def test_residuals_vanish_at_time_zero(self):
         # T(0) is the identity exactly, so every residual matrix is zero
@@ -954,7 +965,7 @@ def _quadrature_velocity(run, wkb, x, bath_slice):
     bath = kernel.bath
     scale = bath.masses * bath.frequencies / bath.hbar
     offset = bath_slice - kernel.conditional_peaks(x, 0.0)
-    slope = kernel.response[:, 0, 1]
+    slope = kernel.p_response
     exponent = scale @ offset**2 + 2.0 * (scale * offset) @ slope * p + scale @ slope**2 * p**2
     weighted = density * np.exp(exponent.min() - exponent)
     return trapz(p * weighted, p) / trapz(weighted, p) / orbit.system.mass

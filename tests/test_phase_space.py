@@ -9,6 +9,7 @@ from scipy import ndimage
 
 from bohmdec.errors import DomainValidityError, GridCoverageError
 from bohmdec.phase_space import (
+    EnergyBandState,
     GridSpec,
     OscillatorSystemSpec,
     WignerField,
@@ -73,6 +74,22 @@ class TestEnergyBandState:
     def test_rejects_non_integer_levels(self, levels):
         with pytest.raises(ValueError, match="integer"):
             build_energy_band_state(*levels)
+
+    @pytest.mark.parametrize("levels", [(50.5, 2), (50, 2.5)])
+    def test_constructor_rejects_non_integer_levels(self, levels):
+        # rejected when the state is built, not later by band_wavefunction
+        mean_level, band_width = levels
+        with pytest.raises(ValueError, match="integer"):
+            EnergyBandState(
+                mean_level=mean_level, band_width=band_width,
+                coefficients=np.ones(3) / np.sqrt(3),
+            )
+
+    def test_constructor_stores_integer_levels(self):
+        st = EnergyBandState(mean_level=50.0, band_width=np.int64(2),
+                             coefficients=np.ones(3) / np.sqrt(3))
+        assert type(st.mean_level) is int and type(st.band_width) is int
+        assert (st.mean_level, st.band_width) == (50, 2)
 
     def test_rejects_odd_band_width(self):
         with pytest.raises(ValueError, match="even"):

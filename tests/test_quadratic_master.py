@@ -801,6 +801,18 @@ class TestNonnegativityThreshold:
         assert t_star is not None and 0.0 < t_star < first_trial
         assert abs(t_star / t_loc - expected_ratio) <= 0.02 * expected_ratio
 
+    @pytest.mark.parametrize("thermal_energy", [1e14, 1e15, 1e18])
+    def test_threshold_solves_det_condition_when_hot(self, natural_system, thermal_energy):
+        # crossing times of 1e-8 to 1e-6: an absolute bracket tolerance of
+        # 2e-12 left det M / hbar^2 - 1 at up to 2.5e-6 here
+        params = CaldeiraLeggettParams(
+            damping_rate=0.01, thermal_energy=thermal_energy, cutoff=1e3
+        )
+        coeffs = assemble_cl_coefficients(natural_system, params)
+        t_star = nonnegativity_threshold(coeffs, natural_system)
+        det_at_star = np.linalg.det(integrate_propagator(coeffs, t_star).m)
+        assert abs(det_at_star / natural_system.hbar**2 - 1.0) <= 1e-10
+
     def test_threshold_solves_det_condition(self, natural_system):
         coeffs = default_cl(natural_system)
         t_star = nonnegativity_threshold(coeffs, natural_system)
