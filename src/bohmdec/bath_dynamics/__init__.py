@@ -1,11 +1,16 @@
 """Explicit oscillator environments: exact propagation and conditioning.
 
-Everything here treats the environment as a finite set of harmonic modes
-coupled bilinearly to the central oscillator. The memory-kernel solver and
-the block matrices propagate the full Gaussian exactly; the reduced smearing
-matrix, the reversibility residuals, and the slice-conditioned kernel and
-velocity build on those blocks. Spectral descriptions, mode discretization,
-and thermal coherent-state sampling round out the toolkit.
+Everything here treats the environment as harmonic modes coupled bilinearly
+to the central oscillator. A finite bath and the center form one quadratic
+Hamiltonian, so :func:`solve_g_kernel` diagonalizes its mass-weighted
+Hessian once, and the normal modes give the response function and every
+transfer block in closed form at any time (:func:`exact_bath_matrices`).
+The reduced smearing matrix, the reversibility residuals, and the
+slice-conditioned kernel and velocity build on those blocks. The ohmic
+continuum, which has no normal modes, takes its response function from a
+Volterra march over a closed-form memory kernel. Spectral descriptions,
+mode discretization, and thermal coherent-state sampling round out the
+toolkit.
 """
 
 from .classicality import (

@@ -1,15 +1,17 @@
 """Cancellation-safe trigonometric combinations used across the bath modules.
 
-The response integrands repeatedly need ``u - sin(u)``, ``sin(u) - u cos(u)``
-and ``1 - cos(u)``, all of which lose their leading digits for small ``u``
-when evaluated literally, plus the two-frequency ratio family
+``u - sin(u)``, ``sin(u) - u cos(u)`` and ``1 - cos(u)`` lose their leading
+digits for small ``u`` when evaluated literally; the slice integrals and the
+weak-coupling blocks need all three, and the normal-mode flow writes its
+cosine block as ``1 - U (1 - cos Wt) U^T`` so that short times keep their
+digits. Beside them: the two-frequency ratio family
 
     (a sin(b tau) - b sin(a tau)) / (a^2 - b^2)
 
 whose ``a -> b`` limit is finite (a half-angle form removes the 0/0), the
 entire cosine integral ``Cin`` that the ohmic spectral integrals reduce to,
-and the line-by-node phase sums that the exact-bath blocks and the
-line-spectrum memory kernel both reduce to.
+and the phase sums over the normal modes at each node that tabulate a
+finite bath's response function.
 """
 
 from __future__ import annotations
@@ -85,10 +87,7 @@ def pair_kernel(
     rounding of the large phase out of ``K0``. ``K0`` and ``K2`` are odd in
     ``tau``, ``K1`` even.
 
-    The weak-coupling blocks take it for every mode at one time. The
-    line-spectrum memory kernel takes it only for the lines within its
-    near-line cut of the bare frequency; the other lines go through
-    :func:`phase_sums`.
+    The weak-coupling blocks take it for every mode at one time.
     """
     a, b, tau = (np.asarray(v, dtype=float) for v in (a, b, tau))
     total = a + b
@@ -103,34 +102,22 @@ def pair_kernel(
 
 
 def phase_sums(
-    frequencies: np.ndarray, step: float, weights: np.ndarray, count: int | None = None
+    frequencies: np.ndarray, step: float, weights: np.ndarray, count: int
 ) -> np.ndarray:
-    """Sums of ``exp(1j w_r tau_k) weights`` over nodes or over lines, by angle addition.
+    """Sums of ``exp(1j w_r tau_k) weights[r]`` over the lines at each node.
 
-    The nodes are ``tau_k = k step``. Node ``k = j B + i`` with
-    ``B = ceil(sqrt(n))`` has the phase of node ``i`` times that of node
-    ``j B``, so only ``n / B + B`` phases per frequency are evaluated and one
-    matrix product with the fine phases does the rest.
-
-    Without ``count``, ``weights`` has one row per node ``k < n`` and the
-    sum runs over the nodes for each frequency: the result has shape
-    ``(len(frequencies), width)``. With ``count``, ``weights`` has one row per
-    frequency and the sum runs over the lines at each node ``k < count``: the
-    result has shape ``(count, width)``.
+    The nodes are ``tau_k = k step`` for ``k < count`` and ``weights`` has
+    one row per frequency; the result has shape ``(count, width)``. Node
+    ``k = j B + i`` with ``B = ceil(sqrt(count))`` has the phase of node
+    ``i`` times that of node ``j B``, so only ``count / B + B`` phases per
+    frequency are evaluated and one matrix product with the fine phases does
+    the rest (angle addition).
     """
-    over_nodes = count is None
-    n = weights.shape[0] if over_nodes else count
     width = weights.shape[1]
-    block = isqrt(n - 1) + 1
-    rows = -(-n // block)
+    block = isqrt(count - 1) + 1
+    rows = -(-count // block)
     fine = np.exp(1j * np.multiply.outer(frequencies, np.arange(block) * step))
-    coarse = np.exp(1j * np.multiply.outer(frequencies, np.arange(0, n, block) * step))
-    if over_nodes:
-        padded = np.zeros((rows * block, width))
-        padded[:n] = weights
-        stacked = padded.reshape(rows, block, width).transpose(1, 0, 2).reshape(block, rows * width)
-        partial = (fine @ stacked).reshape(frequencies.size, rows, width)
-        return np.einsum("rj,rjc->rc", coarse, partial)
+    coarse = np.exp(1j * np.multiply.outer(frequencies, np.arange(0, count, block) * step))
     spread = (coarse[:, :, None] * weights[:, None, :]).reshape(frequencies.size, rows * width)
     partial = (fine.T @ spread).reshape(block, rows, width)
-    return partial.transpose(1, 0, 2).reshape(rows * block, width)[:n]
+    return partial.transpose(1, 0, 2).reshape(rows * block, width)[:count]

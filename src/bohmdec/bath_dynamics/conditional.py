@@ -34,7 +34,7 @@ from ..phase_space import (
     band_wavefunction,
 )
 from ..quadratic_master import CaldeiraLeggettParams
-from .matrices import BathPropagators, _flip_time
+from .matrices import BathPropagators
 from .sampling import CoherentBathSample
 from .spectral import BathSpec, SpectralDensity, _require_finite_scalar
 
@@ -48,6 +48,8 @@ __all__ = [
     "sigma3_squared",
 ]
 
+# time reversal of a 2x2 transfer block negates its off-diagonal entries
+_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 _LOG_MASS_FLOOR = 700.0
 
 
@@ -154,6 +156,8 @@ class ConditionalKernel:
     minv : MInverseParams or None
         Inverse of the conditional smearing matrix (:func:`m_tilde_matrix`);
         ``None`` when the kernel is degenerate (no modes, or zero time).
+
+    A per-mode row of any other shape than ``(N,)`` raises ``ValueError``.
     """
 
     system: OscillatorSystemSpec
@@ -166,6 +170,9 @@ class ConditionalKernel:
     _q2: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("peak_offset", "x_response", "p_response"):
+            if np.shape(getattr(self, name)) != (self.bath.n_modes,):
+                raise ValueError(f"{name} must have shape ({self.bath.n_modes},), one per mode")
         scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
         object.__setattr__(self, "_slice_scale", scale)
         object.__setattr__(self, "_q2", float(np.dot(scale, self.p_response**2)))
@@ -255,7 +262,7 @@ def conditional_kernel(
     # center and to the time-reversed center-to-mode block
     row = props.d_free[:, 0]
     peak_offset = np.einsum("rj,rj->r", row, sample.vectors())
-    x_response, p_response = np.einsum("rj,rjk->kr", row, _flip_time(props.c), order="C")
+    x_response, p_response = np.einsum("rj,rjk->kr", row, props.c * _FLIP, order="C")
 
     if spectral is None:
         spectral = SpectralDensity.from_bath(bath)

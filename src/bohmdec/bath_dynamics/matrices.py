@@ -3,18 +3,26 @@
 Because the total Hamiltonian is quadratic, phase-space points evolve
 linearly: the central pair picks up ``A(t)`` from itself and ``B_r(t)`` from
 each mode, while mode ``r`` picks up ``C_r(t)`` from the center and
-``D_rs(t)`` from mode ``s``. Every block reduces to the scalar response
-function ``g`` and weighted integrals of it, so a solved
-:class:`~bohmdec.bath_dynamics.volterra.GKernelTable` is all the exact
-assembly needs. Negative times come from the parity of those integrals (odd
-in ``t`` for positions, even for the velocity-like entries) rather than a
-second solve.
+``D_rs(t)`` from mode ``s``. On ``z = (x, p, q_1, p_1, ...)`` the blocks
+tile the transfer matrix ``T(t) = exp(L t)`` of that linear flow, which
+exact blocks hold whole when asked for (:attr:`BathPropagators.transfer`).
+
+The exact blocks come from the normal modes that
+:func:`~bohmdec.bath_dynamics.volterra.solve_g_kernel` stores for a line
+spectrum, ``V = U W^2 U^T`` with ``V`` the mass-weighted Hessian. In the
+coordinates ``y = sqrt(m) q`` and ``v = p / sqrt(m)`` the flow has the blocks
+
+    C = 1 - U (1 - cos Wt) U^T     S = U (sin Wt / W) U^T
+
+with ``y(t) = C y + S v`` and ``v(t) = -V S y + C v``; each block is mapped
+back to ``(q, p)`` by the root masses. The flow is exact at every time, and
+``T(-t) = P T(t) P`` with ``P = diag(1, -1, 1, -1, ...)`` holds bit for bit
+because ``C`` is even and ``S`` odd in ``t``. The weak-coupling blocks are
+closed forms to second order in the couplings.
 
 The coupling convention is ``H = H_S + sum_r H_r + x sum_r kappa_r q_r``:
 the center's momentum is driven by ``-sum_r kappa_r q_r`` and mode ``r``'s by
-``-kappa_r x``. On ``z = (x, p, q_1, p_1, ...)`` the blocks tile the dense
-transfer matrix ``T(t) = exp(L t)`` of that linear flow, which exact blocks
-hold whole when asked for (:attr:`BathPropagators.transfer`).
+``-kappa_r x``.
 """
 
 from __future__ import annotations
@@ -26,9 +34,9 @@ import numpy as np
 
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
-from ._trig import one_minus_cos, pair_kernel, phase_sums, t_minus_sin
+from ._trig import one_minus_cos, pair_kernel, t_minus_sin
 from .spectral import BathSpec, _require_finite_scalar
-from .volterra import GKernelTable, gregory_weights
+from .volterra import GKernelTable, NormalModeBasis
 
 __all__ = [
     "BathPropagators",
@@ -38,18 +46,12 @@ __all__ = [
     "weak_coupling_matrices",
 ]
 
-_FLIP = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Rows of the round trip and of its block-inverse update formed per matrix
 # product. At N = 512 a 128-row panel keeps the update's temporary at an
 # eighth of a transfer matrix and runs the product within about 10% of one
 # whole-matrix product; 16-row panels take about twice its time (one BLAS
 # thread, 2-vCPU Xeon).
 _PANEL_ROWS = 128
-
-
-def _flip_time(blocks: np.ndarray) -> np.ndarray:
-    """Apply the time-reversal parity (negate off-diagonal entries)."""
-    return blocks * _FLIP
 
 
 def _free_rotation(
@@ -104,8 +106,8 @@ class BathPropagators:
     ----------
     time : float
     mode : str
-        ``"exact"`` (from a solved response table) or ``"weak_coupling"``
-        (closed forms, second order in the couplings).
+        ``"exact"`` (from the normal modes of the coupled network) or
+        ``"weak_coupling"`` (closed forms, second order in the couplings).
     small_angle : bool
         Weak-coupling blocks additionally expanded for ``omega t << 1``; the
         central block is then the identity.
@@ -119,8 +121,8 @@ class BathPropagators:
         Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on
         ``(x, p, q_1, p_1, ...)``; ``None`` when not assembled (always in
         weak-coupling mode, and for exact blocks unless requested). Its mode
-        sector is the mode-to-mode block ``D``: ``d_free`` on the diagonal
-        plus the coupling corrections.
+        sector is the mode-to-mode block ``D``, which tends to ``d_free`` as
+        the couplings vanish.
     """
 
     time: float
@@ -153,75 +155,62 @@ class BathPropagators:
         return _free_rotation(self.bath.masses, self.bath.frequencies, self.time)
 
 
-def _mode_corrections(
-    bath: BathSpec,
-    stiffness: float,
-    h: np.ndarray,
-    h_dot: np.ndarray,
-    tau_sin: np.ndarray,
-    tau_cos: np.ndarray,
-    modes: np.ndarray,
-) -> None:
-    """Write the mode-to-mode corrections at a non-negative time into ``modes``.
+def _central_rows(basis: NormalModeBasis, t: float) -> np.ndarray:
+    """Rows ``x`` and ``p`` of ``T(t)``, from the central column of each flow block."""
+    u, w, roots = basis.vectors, basis.frequencies, basis.root_masses
+    phase = w * t
+    sin = np.sin(phase)
+    head = u[0]
+    cos_col = -(u @ (one_minus_cos(phase) * head))
+    cos_col[0] += 1.0
+    sin_col = u @ (sin / w * head)
+    # V S = U (W sin Wt) U^T
+    stiff_col = u @ (w * sin * head)
+    r0 = roots[0]
+    rows = np.empty((2, 2 * roots.size))
+    rows[0, 0::2] = cos_col * roots / r0
+    rows[0, 1::2] = sin_col / roots / r0
+    rows[1, 0::2] = -r0 * stiff_col * roots
+    rows[1, 1::2] = r0 * cos_col / roots
+    return rows
 
-    ``modes`` is the mode sector of the dense transfer matrix seen as
-    ``(N, 2, N, 2)``, so plane ``modes[:, i, :, j]`` holds entry ``(i, j)``
-    of every 2x2 pair block. Pair ``(r, s)`` (``r`` along rows) carries
-    ``pair_scale = kappa_r kappa_s / (m omega m_r m_s omega_r omega_s)``
-    times the pair integrals
 
-        f      = (omega_s h_r - omega_r h_s) / (omega_r^2 - omega_s^2)
-        f_dot  = (omega_s h_dot_r - omega_r h_dot_s) / (omega_r^2 - omega_s^2)
-        f_ddot = omega_r omega_s (omega_s h_s - omega_r h_r) / (omega_r^2 - omega_s^2)
+def _dense_transfer(basis: NormalModeBasis, t: float) -> np.ndarray:
+    """The whole ``T(t)``, from three ``(N + 1)``-cubed products.
 
-    whose tied limits (``omega_r = omega_s``) take the first tau-moments
-    ``tau_sin`` and ``tau_cos`` of row ``r``; ``stiffness`` is ``m omega``.
-    Each plane is written from two N x N work arrays and one N x N scale
-    ``pair_scale / (omega_r^2 - omega_s^2)``; tied pairs (the diagonal and
-    any degenerate lines) are then overwritten by index.
+    Each flow block is written into its strided view of ``T`` in place, so
+    beside ``T`` only one work array and one flow block live at a time.
+    ``V S`` is taken as ``U (W sin Wt) U^T`` rather than through the
+    arrowhead of ``V``: ``V`` and ``U W^2 U^T`` differ by the round-off of
+    the eigensolve, which ``S`` magnifies into the round trip.
     """
-    mode_m, mode_w, kappa = bath.masses, bath.frequencies, bath.couplings
-    work = np.subtract.outer(mode_w, mode_w)
-    spare = np.add.outer(mode_w, mode_w)
-    np.abs(work, out=work)
-    spare *= 1e-12
-    rows, cols = np.nonzero(work <= spare)
-
-    mw = mode_m * mode_w
-    scale = np.multiply.outer(kappa / mw, kappa / mw)
-    w_sq = mode_w * mode_w
-    np.subtract.outer(w_sq, w_sq, out=work)
-    work[rows, cols] = 1.0
-    scale /= work
-    scale /= stiffness
-
-    # f: omega_s h_r - omega_r h_s
-    np.multiply.outer(h, mode_w, out=work)
-    work -= np.multiply.outer(mode_w, h, out=spare)
-    np.multiply(scale, work, out=modes[:, 0, :, 1])
-    # f_dot, carrying m_s into the 00 plane and m_r into the 11 plane
-    np.multiply.outer(h_dot, mode_w, out=work)
-    work -= np.multiply.outer(mode_w, h_dot, out=spare)
-    np.multiply(work, mode_m, out=spare)
-    np.multiply(scale, spare, out=modes[:, 0, :, 0])
-    np.multiply(work, mode_m[:, None], out=spare)
-    np.multiply(scale, spare, out=modes[:, 1, :, 1])
-    # f_ddot: m_r m_s omega_r omega_s (omega_s h_s - omega_r h_r)
-    wh = mode_w * h
-    np.subtract(wh, wh[:, None], out=work)
-    work *= mw[:, None]
-    work *= mw
-    np.multiply(scale, work, out=modes[:, 1, :, 0])
-
-    m_r, m_s, w, h_r, cos_r = mode_m[rows], mode_m[cols], mode_w[rows], h[rows], tau_cos[rows]
-    pair_scale = kappa[rows] * kappa[cols] / (stiffness * m_r * m_s * w * mode_w[cols])
-    f_tie = (-h_r - w * cos_r) / (2.0 * w)
-    f_dot_tie = 0.5 * w * tau_sin[rows]
-    f_ddot_tie = 0.5 * w * (-h_r + w * cos_r)
-    modes[rows, 0, cols, 0] = pair_scale * m_s * f_dot_tie
-    modes[rows, 0, cols, 1] = pair_scale * f_tie
-    modes[rows, 1, cols, 0] = pair_scale * m_r * m_s * f_ddot_tie
-    modes[rows, 1, cols, 1] = pair_scale * m_r * f_dot_tie
+    u, w, roots = basis.vectors, basis.frequencies, basis.root_masses
+    phase = w * t
+    sin = np.sin(phase)
+    size = roots.size
+    transfer = np.empty((2 * size, 2 * size))
+    qq, qp = transfer[0::2, 0::2], transfer[0::2, 1::2]
+    pq, pp = transfer[1::2, 0::2], transfer[1::2, 1::2]
+    # C, scaled to q_i <- q_j by r_j / r_i and to p_i <- p_j by r_i / r_j
+    work = u * one_minus_cos(phase)
+    flow = work @ u.T
+    np.negative(flow, out=flow)
+    flow[np.diag_indices(size)] += 1.0
+    np.multiply(flow, roots, out=qq)
+    qq /= roots[:, None]
+    np.multiply(flow, roots[:, None], out=pp)
+    pp /= roots
+    # S, scaled to q_i <- p_j by 1 / (r_i r_j)
+    np.multiply(u, sin / w, out=work)
+    np.matmul(work, u.T, out=flow)
+    np.divide(flow, roots, out=qp)
+    qp /= roots[:, None]
+    # -V S, scaled to p_i <- q_j by r_i r_j
+    np.multiply(u, w * sin, out=work)
+    np.matmul(work, u.T, out=flow)
+    np.multiply(flow, roots, out=pq)
+    pq *= -roots[:, None]
+    return transfer
 
 
 def exact_bath_matrices(
@@ -231,39 +220,52 @@ def exact_bath_matrices(
     t: float,
     include_d_corrections: bool = False,
 ) -> BathPropagators:
-    """Assemble the exact transfer blocks at time ``t`` from a response table.
+    """Assemble the exact transfer blocks at time ``t`` from the normal modes.
 
-    All integrals of ``g`` against the mode oscillations are evaluated with
-    the same end-corrected product-integration weights used by the solver, so
-    the blocks inherit the table's accuracy. The mode phases at the nodes
-    come from angle addition over blocks of about ``sqrt(n)`` nodes rather
-    than from a modes-by-nodes table of sines and cosines; their round-off
-    stays below 1e-14 of the summed absolute weights, far below the table's
-    fourth-order truncation. ``t`` may be negative (parity handles the sign)
-    but ``|t|`` must land on a table node.
+    The blocks are finite trigonometric sums over the normal-mode basis that
+    ``g_table`` holds, exact to round-off at any finite ``t``, positive or
+    negative; ``t`` need not lie on the table's grid nor within its span.
+    Without the dense matrix only the central column of each flow block is
+    formed, ``O(N^2)`` per time.
 
     Parameters
     ----------
     bath : BathSpec
+        Must have the masses, frequencies and couplings the table was solved
+        for.
     system : OscillatorSystemSpec
         Its bare frequency and mass must match the ones the table was solved
         with.
     g_table : GKernelTable
+        From :func:`~bohmdec.bath_dynamics.volterra.solve_g_kernel` on the
+        bath's line spectrum.
     t : float
     include_d_corrections : bool, optional
-        Assemble the dense transfer matrix ``T(t)`` with its mode-to-mode
-        block (``transfer``), which :func:`reversibility_residuals` needs.
-        Off by default: it takes ``8 (2N + 2)^2`` bytes, and building it
-        holds three ``N x N`` work arrays more (``24 N^2`` bytes) plus the
-        index list of tied pairs. Negative times negate in place the entries
-        whose row and column parities differ, ``T(-t) = P T(t) P`` with
-        ``P = diag(1, -1, 1, -1, ...)``. The phase sums are formed once
-        either way.
+        Assemble the dense transfer matrix ``T(t)`` (``transfer``), which
+        :func:`reversibility_residuals` needs. Off by default: it takes
+        ``8 (2N + 2)^2`` bytes and three ``(N + 1)``-cubed products, and
+        building it holds one and a half transfer matrices at its peak.
 
     Returns
     -------
     BathPropagators
+
+    Raises
+    ------
+    ValueError
+        If ``t`` is NaN or inf, the table has no normal-mode basis (an
+        ohmic table), or the bath, bare frequency or mass differ from the
+        table's.
     """
+    _require_finite_scalar("t", t)
+    basis = g_table.basis
+    if basis is None:
+        raise ValueError("an ohmic table has no normal modes; exact blocks need a line spectrum")
+    if not all(
+        np.array_equal(getattr(bath, name), getattr(basis.bath, name))
+        for name in ("masses", "frequencies", "couplings")
+    ):
+        raise ValueError("bath differs from the one g_table was solved for")
     if abs(g_table.bare_frequency - system.bare_frequency) > 1e-12 * system.bare_frequency:
         raise ValueError(
             "g_table was solved for a different bare frequency than the system's"
@@ -271,54 +273,17 @@ def exact_bath_matrices(
     if abs(g_table.mass - system.mass) > 1e-12 * system.mass:
         raise ValueError("g_table was solved for a different central mass")
 
-    index = g_table.node_index(t)
-    nodes = g_table.times[: index + 1]
-    g_now = g_table.values[index]
-    gdot_now = g_table.first_derivative[index]
-    gddot_now = g_table.second_derivative[index]
-
-    m = system.mass
-    w0 = system.bare_frequency
-    mode_w = bath.frequencies
-
-    weights = gregory_weights(index + 1, g_table.step)
-    weighted_g = weights * g_table.values[index::-1]
-    # the weighted response and its first tau-moment
-    moments = np.stack([weighted_g, nodes * weighted_g], axis=1)
-    sums = phase_sums(mode_w, g_table.step, moments)
-    sin_sum, tau_sin = sums.imag.T
-    cos_sum, tau_cos = sums.real.T
-    h = -sin_sum
-    h_dot = -mode_w * cos_sum
-    h_ddot = -mode_w * g_now - mode_w**2 * h
-
-    a = np.array(
-        [
-            [gdot_now / w0, g_now / (m * w0)],
-            [m * gddot_now / w0, gdot_now / w0],
-        ]
-    )
-    b, c = _cross_blocks(bath, m, w0, h, h_dot, h_ddot)
-
-    transfer = None
-    if include_d_corrections:
-        n = bath.n_modes
-        transfer = np.empty((2 * n + 2, 2 * n + 2))
-        transfer[:2, :2] = a
-        transfer[:2, 2:] = np.transpose(b, (1, 0, 2)).reshape(2, 2 * n)
-        transfer[2:, :2] = c.reshape(2 * n, 2)
-        modes = transfer[2:, 2:].reshape(n, 2, n, 2)
-        _mode_corrections(bath, m * w0, h, h_dot, tau_sin, tau_cos, modes)
-        if t < 0.0:
-            # P T P: negate the entries whose row and column parities differ
-            for odd in (transfer[::2, 1::2], transfer[1::2, ::2]):
-                odd *= -1.0
-        # the free rotation at t carries its own parity
-        diagonal = np.arange(n)
-        modes[diagonal, :, diagonal, :] += _free_rotation(bath.masses, mode_w, t)
-
-    if t < 0.0:
-        a, b, c = _flip_time(a), _flip_time(b), _flip_time(c)
+    n = bath.n_modes
+    transfer = _dense_transfer(basis, t) if include_d_corrections else None
+    rows = _central_rows(basis, t) if transfer is None else transfer[:2]
+    b = rows[:, 2:].reshape(2, n, 2).transpose(1, 0, 2)
+    if transfer is None:
+        # C, S and V S are symmetric, so T_qq and T_pp are transposes of each
+        # other and T_qp, T_pq symmetric: each C_r is B_r reflected about
+        # its anti-diagonal
+        c = b[:, ::-1, ::-1].transpose(0, 2, 1)
+    else:
+        c = transfer[2:, :2].reshape(n, 2, 2)
 
     return BathPropagators(
         time=float(t),
@@ -326,9 +291,9 @@ def exact_bath_matrices(
         small_angle=False,
         system=system,
         bath=bath,
-        a=a,
-        b=b,
-        c=c,
+        a=rows[:, :2].copy(),
+        b=b.copy(),
+        c=c.copy(),
         transfer=transfer,
     )
 

@@ -10,7 +10,7 @@ from scipy.special import sici
 
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
-from ._trig import cin, one_minus_cos, pair_kernel, phase_sums, sin_minus_u_cos, t_minus_sin
+from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
 
 __all__ = [
     "BathSpec",
@@ -20,9 +20,6 @@ __all__ = [
 ]
 
 _SLICE_SERIES_CUT = 0.5
-# Lines within this fraction of the bare frequency skip the separable phase
-# sums, whose 1 / (a^2 - b^2) weights lose digits near the tie.
-_NEAR_LINE_CUT = 1e-3
 # Taylor coefficients of R, Q, P, S in X^4, X^6, ..., X^18: the integrands'
 # series integrated term by term, as exact rationals.
 _SLICE_SERIES = np.array(
@@ -123,10 +120,11 @@ class SpectralDensity:
     linear form ``2 m gamma omega / pi`` on ``[0, cutoff]``, where ``m`` is
     the mass of the central oscillator.
 
-    Every spectral integral the bath modules need is a method here: a line
+    The spectral integrals the bath modules need are methods here: a line
     spectrum sums its lines exactly, and the ohmic form uses closed forms in
-    the sine and cosine integrals (Abramowitz & Stegun 5.2), so no other
-    module depends on the density's shape. The ohmic parameters must be
+    the sine and cosine integrals (Abramowitz & Stegun 5.2). The memory
+    kernel is tabulated for the ohmic form only; a line spectrum's response
+    comes from its normal modes instead. The ohmic parameters must be
     finite; NaN or inf raises ``ValueError``.
     """
 
@@ -180,30 +178,12 @@ class SpectralDensity:
     def kernel_tables(
         self, bare_frequency: float, mass: float, step: float, count: int
     ) -> list[np.ndarray]:
-        """Memory kernel ``chi`` and its first two derivatives at ``k step``, ``k < count``.
+        """Ohmic memory kernel ``chi`` and its first two derivatives at ``k step``, ``k < count``.
 
         ``chi(tau) = 2 / (mass b) integral I(omega) K(omega, b, tau) domega``
         with ``b`` the bare frequency and ``K`` the kernel ``K0`` of
         :func:`~bohmdec.bath_dynamics._trig.pair_kernel`; the derivatives
-        integrate its ``K1`` and ``K2``.
-
-        A line at ``a`` with weight ``w`` contributes through
-        ``alpha = w / (a^2 - b^2)``, so the line sums separate into three
-        phase sums over the lines at each node::
-
-            chi      ~ sin(b tau) sum(alpha a) - b Im sum(alpha e^{i a tau})
-            chi_dot  ~ b (cos(b tau) sum(alpha a) - Re sum(alpha a e^{i a tau}))
-            chi_ddot ~ b (Im sum(alpha a^2 e^{i a tau}) - b sin(b tau) sum(alpha a))
-
-        taken together by :func:`~bohmdec.bath_dynamics._trig.phase_sums`.
-        Lines closer to ``b`` than ``1e-3 b`` would cancel digits in
-        ``alpha``, and a line at ``b`` itself divides by zero, so those few
-        lines are summed through ``pair_kernel``, which holds at the tie.
-        On a 512-line bath with phases ``a tau`` up to 60 the tables agree
-        with a 40-digit line sum to 1e-15 of each table's peak, and lines
-        inside the cut, down to the tie, keep them within 5e-15.
-
-        For the ohmic form, with ``s, c = sin(b tau), cos(b tau)``,
+        integrate its ``K1`` and ``K2``. With ``s, c = sin(b tau), cos(b tau)``,
         ``dCin = Cin((L+b) tau) - Cin(|L-b| tau)`` and
         ``sumSi = Si((L+b) tau) + Si((L-b) tau)`` at cutoff ``L``::
 
@@ -211,7 +191,9 @@ class SpectralDensity:
             chi_dot  = k [L c - b/2 (c dCin - s sumSi) - sin(L tau)/tau]
             chi_ddot = -b^2 chi + k (sin(L tau) - L tau cos(L tau)) / tau^2
 
-        where ``k = 4 gamma / pi`` times the density's mass over ``mass``.
+        where ``k = 4 gamma / pi`` times the density's mass over ``mass``. A
+        line spectrum has no tables here: its response comes from the normal
+        modes (:func:`~bohmdec.bath_dynamics.volterra.solve_g_kernel`).
 
         Parameters
         ----------
@@ -222,28 +204,17 @@ class SpectralDensity:
             Positive spacing of the uniform time grid.
         count : int
             Number of grid nodes, starting at ``tau = 0``.
+
+        Raises
+        ------
+        ValueError
+            For a line spectrum.
         """
+        if self.kind != "ohmic":
+            raise ValueError("only the ohmic density has kernel tables")
         b = bare_frequency
         times = np.arange(count) * step
         s, c = np.sin(b * times), np.cos(b * times)
-        if self.kind == "discrete":
-            freqs, weights = self.lines()
-            near = np.abs(freqs - b) < _NEAR_LINE_CUT * b
-            a = freqs[~near]
-            alpha = weights[~near] / ((a - b) * (a + b))
-            lead = alpha @ a
-            sums = phase_sums(a, step, np.stack([alpha, alpha * a, alpha * a * a], axis=1), count)
-            separable = (
-                s * lead - b * sums[:, 0].imag,
-                b * (c * lead - sums[:, 1].real),
-                b * (sums[:, 2].imag - b * s * lead),
-            )
-            kernels = pair_kernel(freqs[near, None], b, times[None, :])
-            prefactor = 2.0 / (mass * b)
-            return [
-                prefactor * (table + weights[near] @ kernel)
-                for table, kernel in zip(separable, kernels)
-            ]
         k = 4.0 * self.damping_rate / np.pi * (self.mass / mass)
         cut = self.cutoff
         d_cin = cin((cut + b) * times) - cin((cut - b) * times)

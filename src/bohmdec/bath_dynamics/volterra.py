@@ -1,22 +1,31 @@
-"""Response kernel of the coupled system: memory kernel and its Volterra solve.
+"""Response function of the coupled system: normal modes or a Volterra march.
 
-The central oscillator's transfer blocks all reduce to one scalar response
-function solving
+Every central transfer block reduces to the response ``g = m w0 T_xp`` of
+the central position to its own momentum, which solves
 
     g(t) = sin(w0 t) + integral_0^t chi(t - t') g(t') dt'
 
-where the memory kernel ``chi`` is a spectral integral over the environment,
-tabulated by :meth:`~bohmdec.bath_dynamics.spectral.SpectralDensity.kernel_tables`
-on the solver grid (phase sums over the lines for a finite bath, a closed
-form in the sine and cosine integrals for the ohmic density). The solve
-marches the product-integration rule forward; because ``chi(0) = 0`` every
-step is explicit. End-corrected (Gregory) trapezoidal weights keep the global
-error at fourth order: halving the step cuts the exact blocks'
-reversibility residuals by about 16. The first two derivatives of ``g`` are
-evaluated from the differentiated integral equation rather than by finite
-differencing, so they carry the same accuracy as ``g`` itself.
-Each step updates the three newest entries of one weighted-history buffer
-and takes ``g`` and both derivatives from one matrix-vector product.
+for a memory kernel ``chi`` spread over the environment's spectrum.
+
+A finite bath and the center form one quadratic Hamiltonian, so their flow is
+a finite trigonometric sum over the normal modes (Ullersma, Physica 32, 27
+(1966); Haake & Reibold, PRA 32, 2462 (1985)). In the coordinates
+``y = sqrt(m) q`` over ``(x, q_1, ..., q_N)`` the potential is
+``y^T V y / 2`` for the arrowhead Hessian ``V``: ``w0^2`` in the corner,
+``omega_r^2`` on the diagonal and ``kappa_r / sqrt(m m_r)`` on the border.
+One ``eigh`` gives ``V = U W^2 U^T`` and
+``g(t) = w0 sum_k U_0k^2 sin(W_k t) / W_k``; the table keeps the basis, from
+which :func:`~bohmdec.bath_dynamics.matrices.exact_bath_matrices` reads
+every block.
+
+The ohmic continuum has no such basis. Its kernel has a closed form
+(:meth:`~bohmdec.bath_dynamics.spectral.SpectralDensity.kernel_tables`), and
+the solve marches the product-integration rule forward; because
+``chi(0) = 0`` every step is explicit. End-corrected (Gregory) trapezoidal
+weights keep the global error of ``g`` and ``g_dot`` at fourth order in the
+step; ``g_ddot``, taken from the differentiated integral equation, is third
+order. Each step updates the three newest entries of one weighted-history
+buffer and takes ``g`` and both derivatives from one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -25,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDensity, _require_finite_scalar
+from ._trig import phase_sums
+from .spectral import BathSpec, SpectralDensity
 
-__all__ = ["GKernelTable", "solve_g_kernel"]
+__all__ = ["GKernelTable", "NormalModeBasis", "solve_g_kernel"]
 
 _POINTS_PER_PERIOD = 20
 # Gregory end corrections of order 4: the first three weights replace the
@@ -70,6 +80,54 @@ def gregory_weights(n: int, step: float) -> np.ndarray:
     return w * step
 
 
+def _freeze(obj, names: tuple[str, ...]) -> None:
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+@dataclass(frozen=True)
+class NormalModeBasis:
+    """Normal modes of the central oscillator coupled to a finite bath.
+
+    Attributes
+    ----------
+    bath : BathSpec
+        The bath the basis was built for.
+    root_masses : numpy.ndarray
+        ``sqrt`` of ``(m, m_1, ..., m_N)``, mapping ``q`` to ``y = sqrt(m) q``.
+    frequencies : numpy.ndarray
+        Normal-mode frequencies ``W``, ascending, shape ``(N + 1,)``.
+    vectors : numpy.ndarray
+        Orthogonal ``U`` with ``V = U diag(W^2) U^T``; column ``k`` is mode
+        ``k`` over ``(x, q_1, ..., q_N)``.
+    """
+
+    bath: BathSpec
+    root_masses: np.ndarray
+    frequencies: np.ndarray
+    vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze(self, ("root_masses", "frequencies", "vectors"))
+
+
+def _normal_modes(bath: BathSpec, bare_frequency: float, mass: float) -> NormalModeBasis:
+    """Diagonalize the arrowhead Hessian of ``bath`` coupled to the center."""
+    roots = np.sqrt(np.concatenate(([mass], bath.masses)))
+    hessian = np.diag(np.concatenate(([bare_frequency**2], bath.frequencies**2)))
+    hessian[0, 1:] = hessian[1:, 0] = bath.couplings / (roots[0] * roots[1:])
+    squares, vectors = np.linalg.eigh(hessian)
+    if squares[0] <= 0.0:
+        raise ValueError(
+            f"the coupled Hessian is not positive definite: its smallest eigenvalue "
+            f"is {squares[0]:.6g}, so the couplings pull the bare frequency squared "
+            f"below zero (see counterterm_bare_frequency)"
+        )
+    return NormalModeBasis(bath, roots, np.sqrt(squares), vectors)
+
+
 @dataclass(frozen=True)
 class GKernelTable:
     """Sampled response function on a uniform time grid.
@@ -85,6 +143,9 @@ class GKernelTable:
     mass : float
         Central mass entering the kernel prefactor.
     step : float
+    basis : NormalModeBasis or None
+        Normal modes of a line spectrum, which hold the exact flow at every
+        time; ``None`` for the ohmic continuum.
     """
 
     times: np.ndarray
@@ -94,39 +155,10 @@ class GKernelTable:
     bare_frequency: float
     mass: float
     step: float
+    basis: NormalModeBasis | None = None
 
     def __post_init__(self) -> None:
-        for name in ("times", "values", "first_derivative", "second_derivative"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def t_max(self) -> float:
-        return float(self.times[-1])
-
-    def node_index(self, t: float) -> int:
-        """Grid index of ``|t|``, which must land on a node.
-
-        Raises
-        ------
-        ValueError
-            If ``t`` is NaN or inf, ``|t|`` exceeds the table span, or it
-            misses every node by more than ``1e-9`` of the step.
-        """
-        _require_finite_scalar("t", t)
-        magnitude = abs(float(t))
-        if magnitude > self.t_max * (1.0 + 1e-12):
-            raise ValueError(
-                f"t = {t:g} lies outside the solved span [0, {self.t_max:g}]"
-            )
-        index = int(round(magnitude / self.step))
-        index = min(index, self.times.size - 1)
-        if abs(magnitude - self.times[index]) > 1e-9 * self.step:
-            raise ValueError(
-                f"t = {t:g} does not coincide with a solver node (step {self.step:g})"
-            )
-        return index
+        _freeze(self, ("times", "values", "first_derivative", "second_derivative"))
 
 
 def solve_g_kernel(
@@ -137,7 +169,7 @@ def solve_g_kernel(
     *,
     mass: float | None = None,
 ) -> GKernelTable:
-    """March the response function and its derivatives over ``[0, t_max]``.
+    """Tabulate the response function and its derivatives over ``[0, t_max]``.
 
     Parameters
     ----------
@@ -155,17 +187,23 @@ def solve_g_kernel(
     Returns
     -------
     GKernelTable
+        For a line spectrum the table holds the normal-mode basis and the
+        closed-form sums, summed over the modes at each node by
+        :func:`~bohmdec.bath_dynamics._trig.phase_sums`; for the ohmic
+        density, the Volterra march.
 
     Raises
     ------
     ValueError
-        If an argument is NaN or inf, the step is too coarse, or the mass is
-        missing for a line spectrum.
+        If an argument is NaN or inf, the step is too coarse, the mass is
+        missing for a line spectrum, or the coupled Hessian of a line
+        spectrum is not positive definite (the message names its smallest
+        eigenvalue).
 
     Notes
     -----
-    Step ``j`` adds ``sum_{k<j} w_k^(j) g_k K(t_j - t_k)`` for the stack
-    ``K = (chi, chi_dot, chi_ddot)``, with ``w^(j)`` the
+    March step ``j`` adds ``sum_{k<j} w_k^(j) g_k K(t_j - t_k)`` for the
+    stack ``K = (chi, chi_dot, chi_ddot)``, with ``w^(j)`` the
     :func:`gregory_weights` of ``j + 1`` samples. From seven samples on,
     ``w^(j)`` differs from ``w^(j-1)`` only at the three newest nodes, so the
     history ``w_k^(j) g_k`` is updated there alone and holds the same
@@ -194,6 +232,16 @@ def solve_g_kernel(
 
     n = int(np.ceil(t_max / step - 1e-9))
     times = np.arange(n + 1) * step
+    scalars = (float(bare_frequency), float(mass), float(step))
+    if spectral.kind == "discrete":
+        basis = _normal_modes(spectral.bath, bare_frequency, mass)
+        # g = w0 sum_k U_0k^2 sin(W_k t) / W_k, differentiated term by term
+        weight = bare_frequency * basis.vectors[0] ** 2
+        w = basis.frequencies
+        sums = phase_sums(w, step, np.stack([weight / w, weight, -weight * w], axis=1), n + 1)
+        g, g_dot, g_ddot = sums[:, 0].imag, sums[:, 1].real, sums[:, 2].imag
+        return GKernelTable(times, g, g_dot, g_ddot, *scalars, basis)
+
     tables = spectral.kernel_tables(bare_frequency, mass, step, n + 1)
     # column n - j + k holds the kernels at lag j - k, so the lags of step j
     # are the last j columns, in the order of the history
@@ -216,13 +264,4 @@ def solve_g_kernel(
         values[j] += memory[0]
         first[j] += memory[1]
         second[j] += memory[2]
-
-    return GKernelTable(
-        times=times,
-        values=values,
-        first_derivative=first,
-        second_derivative=second,
-        bare_frequency=float(bare_frequency),
-        mass=float(mass),
-        step=float(step),
-    )
+    return GKernelTable(times, values, first, second, *scalars)
