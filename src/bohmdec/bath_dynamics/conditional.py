@@ -23,7 +23,6 @@ from ..bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
     initial_velocity,
-    validity_window,
 )
 from ..errors import DomainValidityError, UndefinedVelocityError
 from ..phase_space import (
@@ -141,7 +140,9 @@ class ConditionalKernel:
     Each mode's most likely slice position is affine in the central point,
     ``peak_offset - x_response x - p_response p``. Construction also stores,
     once per kernel, the slice scale ``m omega / hbar`` and the
-    x-independent ``q2`` that :meth:`slice_quadratic` reads on every call.
+    x-independent ``q2`` that :meth:`slice_quadratic` reads on every call,
+    and the position-spread scale ``m omega (b/delta)^(3/2) / hbar`` of
+    :func:`~bohmdec.bohm_velocity.validity_window` when ``minv`` is set.
 
     Attributes
     ----------
@@ -168,6 +169,7 @@ class ConditionalKernel:
     minv: MInverseParams | None
     _slice_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _q2: float = field(init=False, repr=False, compare=False)
+    _position_spread: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("peak_offset", "x_response", "p_response"):
@@ -176,6 +178,20 @@ class ConditionalKernel:
         scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
         object.__setattr__(self, "_slice_scale", scale)
         object.__setattr__(self, "_q2", float(np.dot(scale, self.p_response**2)))
+        # validity_window's operations in its order, so margins agree bitwise
+        minv, system = self.minv, self.system
+        spread = (
+            math.nan
+            if minv is None
+            else system.mass * system.renormalized_frequency
+            * (minv.b / minv.delta) ** 1.5 / system.hbar
+        )
+        object.__setattr__(self, "_position_spread", spread)
+
+    def _position_margin(self, orbit: ClassicalOrbit) -> float:
+        """The ``position_spread`` margin of ``validity_window`` on ``orbit``."""
+        spread = self._position_spread
+        return orbit.amplitude / spread if spread > 0.0 else math.inf
 
     @property
     def degenerate(self) -> bool:
@@ -310,20 +326,21 @@ def conditional_velocity(
     flux and density integrals reduce to closed-form masses and means,
     combined in the log domain.
 
-    Per kernel, the slice rows and ``q2`` are stored when the kernel is
-    built (:class:`ConditionalKernel`). Per point, this reads the branch
-    densities from :meth:`WkbAmplitudes.amplitudes`, evaluates the three
-    terms with the decomposition's elementwise evaluator on a float, forms
-    ``q0`` and ``q1`` from the slice (:meth:`ConditionalKernel.slice_quadratic`)
-    and combines the terms in float arithmetic, so no per-call array of
-    terms is built.
+    Per kernel, the slice rows, ``q2`` and the position-spread scale are
+    stored when the kernel is built (:class:`ConditionalKernel`). Per point,
+    this reads the branch densities from :meth:`WkbAmplitudes.amplitudes`,
+    evaluates the three terms with the decomposition's elementwise evaluator
+    on a float, forms ``q0`` and ``q1`` from the slice
+    (:meth:`ConditionalKernel.slice_quadratic`) and combines the terms in
+    float arithmetic, so no per-call array of terms is built.
 
     The position-spread margin of the decomposition and the turning-zone
-    distance gate the evaluation; the chord margin is computed for diagnosis
-    but does not gate, since the interference contribution it controls is
-    carried explicitly as a bounded term. Branch amplitudes are those of the
-    initial band state: in the regime where the kernel applies the slow
-    central rotation is absorbed into the conditioning.
+    distance gate the evaluation; the chord margin of
+    :func:`~bohmdec.bohm_velocity.validity_window` does not, since the
+    interference contribution it controls is carried explicitly as a bounded
+    term. Branch amplitudes are those of the initial band state: in the
+    regime where the kernel applies the slow central rotation is absorbed
+    into the conditioning.
 
     Parameters
     ----------
@@ -369,9 +386,9 @@ def conditional_velocity(
         )
     zone = _turning_zone_length(orbit, system)
     turning_margin = (amplitude - abs(x_eval)) / zone
-    margins = validity_window(kernel.minv, orbit, system).margins
-    if margins["position_spread"] < 1.0 or turning_margin < 1.0:
-        failing = {"position_spread": margins["position_spread"], "turning_zone": turning_margin}
+    position_margin = kernel._position_margin(orbit)
+    if position_margin < 1.0 or turning_margin < 1.0:
+        failing = {"position_spread": position_margin, "turning_zone": turning_margin}
         failing = {k: v for k, v in failing.items() if v < 1.0}
         raise DomainValidityError(
             "conditional decomposition margins below 1: "
