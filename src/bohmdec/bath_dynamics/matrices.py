@@ -15,10 +15,12 @@ coordinates ``y = sqrt(m) q`` and ``v = p / sqrt(m)`` the flow has the blocks
     C = 1 - U (1 - cos Wt) U^T     S = U (sin Wt / W) U^T
 
 with ``y(t) = C y + S v`` and ``v(t) = -V S y + C v``; each block is mapped
-back to ``(q, p)`` by the root masses. The flow is exact at every time, and
+back to ``(q, p)`` by the root masses. One evaluator forms either the
+central rows of ``T(t)`` or all of it. The flow is exact at every time, and
 ``T(-t) = P T(t) P`` with ``P = diag(1, -1, 1, -1, ...)`` holds bit for bit
-because ``C`` is even and ``S`` odd in ``t``. The weak-coupling blocks are
-closed forms to second order in the couplings.
+because ``C`` is even and ``S`` odd in ``t``, so the round trip
+``T(t) T(-t) - 1`` shows the round-off of the construction. The
+weak-coupling blocks are closed forms to second order in the couplings.
 
 The coupling convention is ``H = H_S + sum_r H_r + x sum_r kappa_r q_r``:
 the center's momentum is driven by ``-sum_r kappa_r q_r`` and mode ``r``'s by
@@ -45,28 +47,6 @@ __all__ = [
     "reversibility_residuals",
     "weak_coupling_matrices",
 ]
-
-# Rows of the round trip and of its block-inverse update formed per matrix
-# product. At N = 512 a 128-row panel keeps the update's temporary at an
-# eighth of a transfer matrix and runs the product within about 10% of one
-# whole-matrix product; 16-row panels take about twice its time (one BLAS
-# thread, 2-vCPU Xeon).
-_PANEL_ROWS = 128
-
-
-def _free_rotation(
-    masses: np.ndarray, frequencies: np.ndarray, t: float
-) -> np.ndarray:
-    """Stack of single-mode rotations ``exp`` of the harmonic generator."""
-    angle = frequencies * t
-    cos = np.cos(angle)
-    sin = np.sin(angle)
-    out = np.empty((masses.size, 2, 2))
-    out[:, 0, 0] = cos
-    out[:, 0, 1] = sin / (masses * frequencies)
-    out[:, 1, 0] = -masses * frequencies * sin
-    out[:, 1, 1] = cos
-    return out
 
 
 def _cross_blocks(
@@ -136,6 +116,12 @@ class BathPropagators:
     transfer: np.ndarray | None
 
     def __post_init__(self) -> None:
+        if self.mode not in ("exact", "weak_coupling"):
+            raise ValueError(f"mode must be 'exact' or 'weak_coupling', got {self.mode!r}")
+        if self.small_angle and self.mode != "weak_coupling":
+            raise ValueError("only weak-coupling blocks take the small-angle expansion")
+        if self.transfer is not None and self.mode != "exact":
+            raise ValueError("only exact blocks carry the dense transfer matrix")
         n = self.bath.n_modes
         if self.a.shape != (2, 2):
             raise ValueError("central block must be 2x2")
@@ -152,65 +138,52 @@ class BathPropagators:
     @property
     def d_free(self) -> np.ndarray:
         """Diagonal free-rotation part of the mode-to-mode blocks, ``(N, 2, 2)``."""
-        return _free_rotation(self.bath.masses, self.bath.frequencies, self.time)
+        stiff = self.bath.masses * self.bath.frequencies
+        angle = self.bath.frequencies * self.time
+        cos, sin = np.cos(angle), np.sin(angle)
+        return np.stack([cos, sin / stiff, -stiff * sin, cos], axis=-1).reshape(-1, 2, 2)
 
 
-def _central_rows(basis: NormalModeBasis, t: float) -> np.ndarray:
-    """Rows ``x`` and ``p`` of ``T(t)``, from the central column of each flow block."""
-    u, w, roots = basis.vectors, basis.frequencies, basis.root_masses
-    phase = w * t
-    sin = np.sin(phase)
-    head = u[0]
-    cos_col = -(u @ (one_minus_cos(phase) * head))
-    cos_col[0] += 1.0
-    sin_col = u @ (sin / w * head)
-    # V S = U (W sin Wt) U^T
-    stiff_col = u @ (w * sin * head)
-    r0 = roots[0]
-    rows = np.empty((2, 2 * roots.size))
-    rows[0, 0::2] = cos_col * roots / r0
-    rows[0, 1::2] = sin_col / roots / r0
-    rows[1, 0::2] = -r0 * stiff_col * roots
-    rows[1, 1::2] = r0 * cos_col / roots
-    return rows
+def _flow_rows(basis: NormalModeBasis, t: float, sites: slice) -> np.ndarray:
+    """Rows of ``T(t)`` for the pairs ``sites`` of ``(x, p, q_1, p_1, ...)``.
 
-
-def _dense_transfer(basis: NormalModeBasis, t: float) -> np.ndarray:
-    """The whole ``T(t)``, from three ``(N + 1)``-cubed products.
-
-    Each flow block is written into its strided view of ``T`` in place, so
-    beside ``T`` only one work array and one flow block live at a time.
-    ``V S`` is taken as ``U (W sin Wt) U^T`` rather than through the
-    arrowhead of ``V``: ``V`` and ``U W^2 U^T`` differ by the round-off of
-    the eigensolve, which ``S`` magnifies into the round trip.
+    Each flow block's rows come from one product ``U[sites] f(W) U^T``, so
+    ``slice(0, 1)`` gives the central rows in ``O(N^2)`` and ``slice(None)``
+    the whole ``T`` from three ``(N + 1)``-cubed products. Each block is
+    written into its strided view of the output in place, so beside the
+    output only one work array and one flow block live at a time. ``V S`` is
+    taken as ``U (W sin Wt) U^T`` rather than through the arrowhead of
+    ``V``: ``V`` and ``U W^2 U^T`` differ by the round-off of the eigensolve,
+    which ``S`` magnifies into the round trip.
     """
     u, w, roots = basis.vectors, basis.frequencies, basis.root_masses
     phase = w * t
     sin = np.sin(phase)
-    size = roots.size
-    transfer = np.empty((2 * size, 2 * size))
-    qq, qp = transfer[0::2, 0::2], transfer[0::2, 1::2]
-    pq, pp = transfer[1::2, 0::2], transfer[1::2, 1::2]
+    rows, row_roots = u[sites], roots[sites, None]
+    count, size = rows.shape
+    out = np.empty((2 * count, 2 * size))
+    qq, qp = out[0::2, 0::2], out[0::2, 1::2]
+    pq, pp = out[1::2, 0::2], out[1::2, 1::2]
     # C, scaled to q_i <- q_j by r_j / r_i and to p_i <- p_j by r_i / r_j
-    work = u * one_minus_cos(phase)
+    work = rows * one_minus_cos(phase)
     flow = work @ u.T
     np.negative(flow, out=flow)
-    flow[np.diag_indices(size)] += 1.0
+    flow[np.arange(count), np.arange(size)[sites]] += 1.0
     np.multiply(flow, roots, out=qq)
-    qq /= roots[:, None]
-    np.multiply(flow, roots[:, None], out=pp)
+    qq /= row_roots
+    np.multiply(flow, row_roots, out=pp)
     pp /= roots
     # S, scaled to q_i <- p_j by 1 / (r_i r_j)
-    np.multiply(u, sin / w, out=work)
+    np.multiply(rows, sin / w, out=work)
     np.matmul(work, u.T, out=flow)
     np.divide(flow, roots, out=qp)
-    qp /= roots[:, None]
+    qp /= row_roots
     # -V S, scaled to p_i <- q_j by r_i r_j
-    np.multiply(u, w * sin, out=work)
+    np.multiply(rows, w * sin, out=work)
     np.matmul(work, u.T, out=flow)
     np.multiply(flow, roots, out=pq)
-    pq *= -roots[:, None]
-    return transfer
+    pq *= -row_roots
+    return out
 
 
 def exact_bath_matrices(
@@ -225,8 +198,8 @@ def exact_bath_matrices(
     The blocks are finite trigonometric sums over the normal-mode basis that
     ``g_table`` holds, exact to round-off at any finite ``t``, positive or
     negative; ``t`` need not lie on the table's grid nor within its span.
-    Without the dense matrix only the central column of each flow block is
-    formed, ``O(N^2)`` per time.
+    Without the dense matrix only the central rows of ``T(t)`` are formed,
+    ``O(N^2)`` per time.
 
     Parameters
     ----------
@@ -274,9 +247,9 @@ def exact_bath_matrices(
         raise ValueError("g_table was solved for a different central mass")
 
     n = bath.n_modes
-    transfer = _dense_transfer(basis, t) if include_d_corrections else None
-    rows = _central_rows(basis, t) if transfer is None else transfer[:2]
-    b = rows[:, 2:].reshape(2, n, 2).transpose(1, 0, 2)
+    rows = _flow_rows(basis, t, slice(None) if include_d_corrections else slice(0, 1))
+    transfer = rows if include_d_corrections else None
+    b = rows[:2, 2:].reshape(2, n, 2).transpose(1, 0, 2)
     if transfer is None:
         # C, S and V S are symmetric, so T_qq and T_pp are transposes of each
         # other and T_qp, T_pq symmetric: each C_r is B_r reflected about
@@ -291,7 +264,7 @@ def exact_bath_matrices(
         small_angle=False,
         system=system,
         bath=bath,
-        a=rows[:, :2].copy(),
+        a=rows[:2, :2].copy(),
         b=b.copy(),
         c=c.copy(),
         transfer=transfer,
@@ -405,15 +378,17 @@ def _spectral_norm(mat: np.ndarray) -> float:
 
     Taken on the smaller side: with ``R`` the matrix or its transpose,
     whichever has no more columns than rows, it is the square root of the
-    top eigenvalue of ``R^T R``. A side of at most 2 reads that eigenvalue
-    off the small Gram matrix. Otherwise Lanczos iteration (ARPACK, within
-    its default bound of ``10 n`` iterations) applies ``v -> R^T (R v)``, two
-    products with ``R``, so no Gram matrix is formed. The result is within
-    1e-13 relative when the top singular value is separated from the rest;
-    for a cluster (round-off residuals, ``sigma_2 / sigma_1 = 0.9994``) it
-    can fall about 1e-4 short. The start vector is a fixed pseudo-random one,
-    so repeated calls agree bit for bit and no symmetry of a residual makes
-    it orthogonal to the top eigenvector. A zero matrix, which Lanczos
+    top eigenvalue of ``R^T R``. A side of at most 2, as for three of the
+    four round-trip blocks, reads that eigenvalue off the small Gram matrix.
+    The mode block, the one mode-sized norm of each
+    :func:`reversibility_residuals` call, goes to Lanczos iteration (ARPACK,
+    within its default bound of ``10 n`` iterations) on ``v -> R^T (R v)``,
+    two products with ``R``, so no Gram matrix is formed. The result is
+    within 1e-13 relative when the top singular value is separated from the
+    rest; for a cluster (round-off residuals, ``sigma_2 / sigma_1 = 0.9994``)
+    it can fall about 1e-4 short. The start vector is a fixed pseudo-random
+    one, so repeated calls agree bit for bit and no symmetry of a residual
+    makes it orthogonal to the top eigenvector. A zero matrix, which Lanczos
     cannot start from, has norm zero.
 
     Raises
@@ -443,71 +418,31 @@ def _spectral_norm(mat: np.ndarray) -> float:
 def reversibility_residuals(
     forward: BathPropagators, backward: BathPropagators
 ) -> dict[str, float]:
-    """Residual norms of the forward/backward closure identities.
+    """Spectral norms of the four blocks of the round trip ``R = T(t) T(-t) - 1``.
 
     ``forward`` and ``backward`` must be exact-mode blocks (with the dense
-    transfer matrix assembled) at ``t`` and ``-t``. The first four keys are the
-    blocks of the round trip ``R = T(t) T(-t) - 1``; the rest probe the
-    block-inverse construction of the mode sector,
-
-        Dinv(t) = D(-t) - C(-t) A(-t)^-1 B(-t)
-
-    its transfer to the cross block, and the Schur-complement form of the
-    inverse central block. Because ``R_mc = C(t) A(-t) + D(t) C(-t)``, the
-    block-inverse residual is a rank-2 update of the mode block of ``R``,
-
-        D(t) Dinv(t) - 1 = R_mm - R_mc A(-t)^-1 B(-t)
-
-    and the cross transfer ``B(-t) Dinv(-t)``, with
-    ``Dinv(-t) = D(t) - C(t) A(t)^-1 B(t)``, is taken as
-    ``B(-t) D(t) - (B(-t) C(t)) A(t)^-1 B(t)``, so no inverse mode block is
-    formed. The one cubic product is ``T(t) T(-t)``. All values are spectral
-    norms of the residual matrices (:func:`_spectral_norm`); the two
-    mode-sized ones come from Lanczos iteration on products with the
-    residual itself.
-
-    The inputs are read, never written; their central blocks are views.
-    Beside them, one ``(2N + 2)``-square matrix is held, ``R``, and no Gram
-    matrix: ``R`` is written into one new array ``_PANEL_ROWS`` rows at a
-    time, and the block-inverse residual overwrites ``R_mm`` in panels once
-    that block has its norm.
+    transfer matrix assembled) at ``t`` and ``-t``. As ``T(-t) = P T(t) P``
+    bit for bit, ``T(-t) T(t) - 1 = P R P`` adds nothing, and other
+    identities of the blocks are algebraic functions of ``R``. The inputs
+    are read, never written; ``R``, formed by one product, is the only large
+    array held, and :func:`_spectral_norm` takes products with it rather
+    than a Gram matrix.
 
     Raises
     ------
     NumericalFailureError
         If a Lanczos iteration does not converge.
     """
-    if forward.mode != "exact" or backward.mode != "exact":
-        raise ValueError("reversibility checks need exact-mode blocks")
+    # only exact blocks carry a transfer matrix (BathPropagators checks it)
     if forward.transfer is None or backward.transfer is None:
-        raise ValueError("reversibility checks need the dense transfer matrices")
+        raise ValueError("reversibility checks need exact blocks with the dense transfer matrices")
     if abs(forward.time + backward.time) > 1e-12 * max(1.0, abs(forward.time)):
         raise ValueError("backward blocks must be evaluated at minus the forward time")
-    t_f, t_b = forward.transfer, backward.transfer
-    a_f, b_f, c_f = t_f[:2, :2], t_f[:2, 2:], t_f[2:, :2]
-    a_b, b_b, c_b = t_b[:2, :2], t_b[:2, 2:], t_b[2:, :2]
-    a_f_inv = np.linalg.inv(a_f)
-    cross = b_b @ t_f[2:, 2:] - (b_b @ c_f) @ a_f_inv @ b_f
-    round_trip = np.empty_like(t_f)
-    for start in range(0, round_trip.shape[0], _PANEL_ROWS):
-        # rows of T(t) T(-t) need only the same rows of T(t)
-        panel = slice(start, start + _PANEL_ROWS)
-        np.matmul(t_f[panel], t_b, out=round_trip[panel])
+    round_trip = forward.transfer @ backward.transfer
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
-
-    modes = round_trip[2:, 2:]
-    norms = {
+    return {
         "round_trip_center": _spectral_norm(round_trip[:2, :2]),
-        "round_trip_modes": _spectral_norm(modes),
+        "round_trip_modes": _spectral_norm(round_trip[2:, 2:]),
         "round_trip_center_modes": _spectral_norm(round_trip[:2, 2:]),
         "round_trip_modes_center": _spectral_norm(round_trip[2:, :2]),
     }
-    # R_mm - R_mc A(-t)^-1 B(-t), over R_mm
-    update = np.linalg.solve(a_b, b_b)
-    for start in range(0, modes.shape[0], _PANEL_ROWS):
-        panel = slice(start, start + _PANEL_ROWS)
-        modes[panel] -= round_trip[2:, :2][panel] @ update
-    norms["block_inverse"] = _spectral_norm(modes)
-    norms["inverse_cross_transfer"] = _spectral_norm(cross + a_f_inv @ b_f)
-    norms["inverse_schur_center"] = _spectral_norm(a_b - cross @ c_b - a_f_inv)
-    return norms

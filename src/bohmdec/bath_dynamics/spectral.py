@@ -9,6 +9,7 @@ import numpy as np
 from scipy.special import sici
 
 from ..phase_space import OscillatorSystemSpec
+from ..phase_space.system import _require_integer
 from ..quadratic_master import CaldeiraLeggettParams
 from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
 
@@ -169,12 +170,6 @@ class SpectralDensity:
             return 0.0
         return float(self.bath.frequencies.max())
 
-    def lines(self) -> tuple[np.ndarray, np.ndarray]:
-        """Line positions and weights of a discrete density."""
-        if self.kind != "discrete":
-            raise ValueError("an ohmic density has no lines")
-        return self.bath.frequencies, self.bath.spectral_weights
-
     def kernel_tables(
         self, bare_frequency: float, mass: float, step: float, count: int
     ) -> list[np.ndarray]:
@@ -246,7 +241,7 @@ class SpectralDensity:
         Taylor series are summed instead.
         """
         if self.kind == "discrete":
-            freqs, weights = self.lines()
+            freqs, weights = self.bath.frequencies, self.bath.spectral_weights
             u = freqs * t
             integrands = (
                 (t_minus_sin(u) / (freqs * freqs)) ** 2,
@@ -298,11 +293,19 @@ def discretize_spectral_density(
     system : OscillatorSystemSpec
         Supplies the central mass entering the ohmic normalization and hbar.
     n_modes : int
+        A whole number, at least 1; ``3.0`` counts as ``3``.
 
     Returns
     -------
     BathSpec
+
+    Raises
+    ------
+    ValueError
+        If ``n_modes`` is not a whole number of at least 1 (NaN and inf
+        included), or the temperature is not positive.
     """
+    n_modes = _require_integer("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     if cl_params.thermal_energy <= 0.0:
