@@ -37,7 +37,7 @@ from bohmdec.bath_dynamics import (
     weak_coupling_matrices,
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
-from bohmdec.bath_dynamics.matrices import _spectral_norm
+from bohmdec.bath_dynamics.matrices import _flow_rows, _spectral_norm
 from bohmdec.bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
@@ -633,6 +633,39 @@ class TestBlocks:
             # the oracle bath sits above the weak-coupling regime bound
             warnings.simplefilter("ignore", CouplingStrengthWarning)
             assert weak_coupling_matrices(bath, coupled, 0.5).transfer is None
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, -10.0, 20.0])
+    def test_reversed_flow_is_parity_conjugate(self, t):
+        # C is even and S odd in t, so T(-t) = P T(t) P bit for bit at any
+        # time, on and off the table's span, and so are the light blocks
+        bath, coupled, table = wide_bath_table()
+        forward, backward = (
+            exact_bath_matrices(bath, coupled, table, sign * t, include_d_corrections=True)
+            for sign in (1.0, -1.0)
+        )
+        parity = (-1.0) ** np.arange(2 * bath.n_modes + 2)
+        assert np.array_equal(backward.transfer, parity[:, None] * forward.transfer * parity)
+        light, light_back = (
+            exact_bath_matrices(bath, coupled, table, sign * t) for sign in (1.0, -1.0)
+        )
+        assert np.array_equal(light_back.a, parity[:2, None] * light.a * parity[:2])
+        for block in ("b", "c"):
+            flipped = getattr(light, block) * parity[:2, None] * parity[:2]
+            assert np.array_equal(getattr(light_back, block), flipped), block
+
+    @pytest.mark.parametrize("t", [0.5, 5.0, -10.0, 20.0])
+    def test_flow_rows_of_any_sites_match_dense(self, t):
+        # the one evaluator forms the rows of any run of sites; each must be
+        # the same rows of the dense T to round-off of the shorter product
+        bath, _, table = wide_bath_table()
+        dense = _flow_rows(table.basis, t, slice(None))
+        scale = np.abs(dense).max()
+        for sites in (slice(0, 1), slice(3, 40), slice(bath.n_modes - 2, None)):
+            rows = _flow_rows(table.basis, t, sites)
+            start, stop, _ = sites.indices(bath.n_modes + 1)
+            assert rows.shape == (2 * (stop - start), dense.shape[1])
+            gap = np.abs(rows - dense[2 * start : 2 * stop]).max()
+            assert gap <= 1e-14 * scale, sites
 
     def test_propagators_reject_inconsistent_tags(self):
         forward, _ = reversal_pair(2.0)
