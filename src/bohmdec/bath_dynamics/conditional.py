@@ -35,7 +35,7 @@ from ..phase_space import (
 from ..quadratic_master import CaldeiraLeggettParams
 from .matrices import BathPropagators
 from .sampling import CoherentBathSample
-from .spectral import BathSpec, SpectralDensity, _require_finite_scalar
+from .spectral import BathSpec, SpectralDensity, _require_finite_scalar, _require_same_modes
 
 __all__ = [
     "ConditionalKernel",
@@ -250,6 +250,7 @@ def conditional_kernel(
         matrix drops the slow central oscillation, and mixing regimes would
         silently break the branch algebra.
     bath : BathSpec
+        The blocks' bath, at any temperature (other modes: ``ValueError``).
     sample : CoherentBathSample
     t : float
         Must be finite and match the time the blocks were assembled at.
@@ -271,8 +272,9 @@ def conditional_kernel(
         )
     if abs(t - props.time) > 1e-12 * max(1.0, abs(t)):
         raise ValueError("t does not match the time of the supplied blocks")
-    if sample.n_modes != bath.n_modes or props.n_modes != bath.n_modes:
-        raise ValueError("bath, sample and blocks disagree on the mode count")
+    _require_same_modes(bath, props.bath, "the blocks were built for")
+    if sample.n_modes != bath.n_modes:
+        raise ValueError("bath and sample disagree on the mode count")
 
     # position row of each mode's free rotation, applied to the sampled
     # center and to the time-reversed center-to-mode block

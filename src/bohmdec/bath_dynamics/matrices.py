@@ -22,6 +22,11 @@ because ``C`` is even and ``S`` odd in ``t``, so the round trip
 ``T(t) T(-t) - 1`` shows the round-off of the construction. The
 weak-coupling blocks are closed forms to second order in the couplings.
 
+Only ``A``, ``B`` and, when asked for, ``T`` are stored: the center-to-mode
+blocks are read off ``T`` or, as the flow blocks ``C``, ``S`` and ``V S`` are
+symmetric, each ``C_r`` is ``B_r`` reflected about its anti-diagonal; the
+weak-coupling closed forms obey the same reflection entry by entry.
+
 The coupling convention is ``H = H_S + sum_r H_r + x sum_r kappa_r q_r``:
 the center's momentum is driven by ``-sum_r kappa_r q_r`` and mode ``r``'s by
 ``-kappa_r x``.
@@ -37,7 +42,7 @@ import numpy as np
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ._trig import one_minus_cos, pair_kernel, t_minus_sin
-from .spectral import BathSpec, _require_finite_scalar
+from .spectral import BathSpec, _require_finite_scalar, _require_same_modes
 from .volterra import GKernelTable, NormalModeBasis
 
 __all__ = [
@@ -49,33 +54,11 @@ __all__ = [
 ]
 
 
-def _cross_blocks(
-    bath: BathSpec,
-    m: float,
-    w: float,
-    h: np.ndarray,
-    h_dot: np.ndarray,
-    h_ddot: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-to-center and center-to-mode blocks from the response integrals.
-
-    ``h``, ``h_dot`` and ``h_ddot`` are the per-mode response integrals and
-    their time derivatives; ``w`` is the central frequency they were built
-    with.
-    """
-    mode_m = bath.masses
-    scale = bath.couplings / (m * mode_m * w * bath.frequencies)
-    b = np.empty((bath.n_modes, 2, 2))
-    b[:, 0, 0] = scale * mode_m * h_dot
-    b[:, 0, 1] = scale * h
-    b[:, 1, 0] = scale * m * mode_m * h_ddot
-    b[:, 1, 1] = scale * m * h_dot
-    c = np.empty_like(b)
-    c[:, 0, 0] = scale * m * h_dot
-    c[:, 0, 1] = scale * h
-    c[:, 1, 0] = scale * m * mode_m * h_ddot
-    c[:, 1, 1] = scale * mode_m * h_dot
-    return b, c
+def _rotation(stiffness, angle) -> np.ndarray:
+    """Free rotations ``[[cos, sin / k], [-k sin, cos]]``, shape ``angle.shape + (2, 2)``."""
+    cos, sin = np.cos(angle), np.sin(angle)
+    rotation = np.stack([cos, sin / stiffness, -stiffness * sin, cos], axis=-1)
+    return rotation.reshape(np.shape(angle) + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -96,7 +79,8 @@ class BathPropagators:
     a : numpy.ndarray
         Central 2x2 block.
     b, c : numpy.ndarray
-        Mode-to-center and center-to-mode blocks, shape ``(N, 2, 2)``.
+        Mode-to-center and center-to-mode blocks, shape ``(N, 2, 2)``; ``c``
+        is derived from ``transfer`` or ``b`` (see the module notes).
     transfer : numpy.ndarray or None
         Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on
         ``(x, p, q_1, p_1, ...)``; ``None`` when not assembled (always in
@@ -112,7 +96,6 @@ class BathPropagators:
     bath: BathSpec
     a: np.ndarray
     b: np.ndarray
-    c: np.ndarray
     transfer: np.ndarray | None
 
     def __post_init__(self) -> None:
@@ -125,9 +108,8 @@ class BathPropagators:
         n = self.bath.n_modes
         if self.a.shape != (2, 2):
             raise ValueError("central block must be 2x2")
-        for name in ("b", "c"):
-            if getattr(self, name).shape != (n, 2, 2):
-                raise ValueError(f"{name} must have shape ({n}, 2, 2)")
+        if self.b.shape != (n, 2, 2):
+            raise ValueError(f"b must have shape ({n}, 2, 2)")
         if self.transfer is not None and self.transfer.shape != (2 * n + 2, 2 * n + 2):
             raise ValueError(f"transfer must have shape ({2 * n + 2}, {2 * n + 2})")
 
@@ -136,12 +118,18 @@ class BathPropagators:
         return self.bath.n_modes
 
     @property
+    def c(self) -> np.ndarray:
+        """Center-to-mode blocks: a view of ``transfer[2:, :2]`` when that is
+        held, else of ``b`` with each block reflected about its anti-diagonal."""
+        if self.transfer is not None:
+            return self.transfer[2:, :2].reshape(self.n_modes, 2, 2)
+        return self.b[:, ::-1, ::-1].transpose(0, 2, 1)
+
+    @property
     def d_free(self) -> np.ndarray:
         """Diagonal free-rotation part of the mode-to-mode blocks, ``(N, 2, 2)``."""
-        stiff = self.bath.masses * self.bath.frequencies
-        angle = self.bath.frequencies * self.time
-        cos, sin = np.cos(angle), np.sin(angle)
-        return np.stack([cos, sin / stiff, -stiff * sin, cos], axis=-1).reshape(-1, 2, 2)
+        bath = self.bath
+        return _rotation(bath.masses * bath.frequencies, bath.frequencies * self.time)
 
 
 def _flow_rows(basis: NormalModeBasis, t: float, sites: slice) -> np.ndarray:
@@ -234,30 +222,13 @@ def exact_bath_matrices(
     basis = g_table.basis
     if basis is None:
         raise ValueError("an ohmic table has no normal modes; exact blocks need a line spectrum")
-    if not all(
-        np.array_equal(getattr(bath, name), getattr(basis.bath, name))
-        for name in ("masses", "frequencies", "couplings")
-    ):
-        raise ValueError("bath differs from the one g_table was solved for")
+    _require_same_modes(bath, basis.bath, "g_table was solved for")
     if abs(g_table.bare_frequency - system.bare_frequency) > 1e-12 * system.bare_frequency:
-        raise ValueError(
-            "g_table was solved for a different bare frequency than the system's"
-        )
+        raise ValueError("g_table was solved for a different bare frequency than the system's")
     if abs(g_table.mass - system.mass) > 1e-12 * system.mass:
         raise ValueError("g_table was solved for a different central mass")
 
-    n = bath.n_modes
     rows = _flow_rows(basis, t, slice(None) if include_d_corrections else slice(0, 1))
-    transfer = rows if include_d_corrections else None
-    b = rows[:2, 2:].reshape(2, n, 2).transpose(1, 0, 2)
-    if transfer is None:
-        # C, S and V S are symmetric, so T_qq and T_pp are transposes of each
-        # other and T_qp, T_pq symmetric: each C_r is B_r reflected about
-        # its anti-diagonal
-        c = b[:, ::-1, ::-1].transpose(0, 2, 1)
-    else:
-        c = transfer[2:, :2].reshape(n, 2, 2)
-
     return BathPropagators(
         time=float(t),
         mode="exact",
@@ -265,9 +236,8 @@ def exact_bath_matrices(
         system=system,
         bath=bath,
         a=rows[:2, :2].copy(),
-        b=b.copy(),
-        c=c.copy(),
-        transfer=transfer,
+        b=rows[:2, 2:].reshape(2, bath.n_modes, 2).transpose(1, 0, 2).copy(),
+        transfer=rows if include_d_corrections else None,
     )
 
 
@@ -313,16 +283,16 @@ def weak_coupling_matrices(
         h_dot = -w * one_minus_cos(mode_w * t) / mode_w
         h_ddot = -w * np.sin(mode_w * t)
     else:
-        angle = w * t
-        a = np.array(
-            [
-                [np.cos(angle), np.sin(angle) / (m * w)],
-                [-m * w * np.sin(angle), np.cos(angle)],
-            ]
-        )
+        a = _rotation(m * w, w * t)
         h, h_dot, h_ddot = (-kernel for kernel in pair_kernel(mode_w, w, t))
 
-    b, c = _cross_blocks(bath, m, w, h, h_dot, h_ddot)
+    # B from the per-mode response integrals h and their time derivatives
+    scale = kappa / (m * mode_m * w * mode_w)
+    b = np.empty((bath.n_modes, 2, 2))
+    b[:, 0, 0] = scale * mode_m * h_dot
+    b[:, 0, 1] = scale * h
+    b[:, 1, 0] = scale * m * mode_m * h_ddot
+    b[:, 1, 1] = scale * m * h_dot
 
     return BathPropagators(
         time=float(t),
@@ -332,7 +302,6 @@ def weak_coupling_matrices(
         bath=bath,
         a=a,
         b=b,
-        c=c,
         transfer=None,
     )
 
@@ -351,14 +320,14 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the propagators are not exact-mode or the bath does not match.
+        If the propagators are not exact-mode, or ``bath`` has other modes
+        than the blocks' bath (only its temperature may differ).
     NumericalFailureError
         If the central block is numerically singular.
     """
     if props.mode != "exact":
         raise ValueError("the reduced smearing matrix requires exact-mode blocks")
-    if bath.n_modes != props.n_modes:
-        raise ValueError("bath does not match the propagators' mode count")
+    _require_same_modes(bath, props.bath, "the blocks were built for")
     det = float(np.linalg.det(props.a))
     if abs(det) <= 1e-14 * float(np.abs(props.a).max()) ** 2:
         raise NumericalFailureError(

@@ -111,6 +111,15 @@ class BathSpec:
         return self.couplings**2 / (2.0 * self.masses * self.frequencies)
 
 
+def _require_same_modes(bath: BathSpec, reference: BathSpec, what: str) -> None:
+    """``ValueError`` unless masses, frequencies and couplings equal ``reference``'s."""
+    if not all(
+        np.array_equal(getattr(bath, name), getattr(reference, name))
+        for name in ("masses", "frequencies", "couplings")
+    ):
+        raise ValueError(f"bath differs from the one {what}")
+
+
 @dataclass(frozen=True)
 class SpectralDensity:
     """Coupling-weighted density of environment modes.

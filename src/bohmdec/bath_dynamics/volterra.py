@@ -24,8 +24,8 @@ the solve marches the product-integration rule forward; because
 ``chi(0) = 0`` every step is explicit. End-corrected (Gregory) trapezoidal
 weights keep the global error of ``g`` and ``g_dot`` at fourth order in the
 step; ``g_ddot``, taken from the differentiated integral equation, is third
-order. Each step updates the three newest entries of one weighted-history
-buffer and takes ``g`` and both derivatives from one matrix-vector product.
+order. Each step reweights the history with its own Gregory weights and
+takes ``g`` and both derivatives from one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -204,11 +204,10 @@ def solve_g_kernel(
     -----
     March step ``j`` adds ``sum_{k<j} w_k^(j) g_k K(t_j - t_k)`` for the
     stack ``K = (chi, chi_dot, chi_ddot)``, with ``w^(j)`` the
-    :func:`gregory_weights` of ``j + 1`` samples. From seven samples on,
-    ``w^(j)`` differs from ``w^(j-1)`` only at the three newest nodes, so the
-    history ``w_k^(j) g_k`` is updated there alone and holds the same
-    floating-point numbers as a rebuilt one. The cost is ``3 n^2 / 2``
-    multiply-adds for ``n`` steps.
+    :func:`gregory_weights` of ``j + 1`` samples. The weighted history
+    ``w_k^(j) g_k`` is rebuilt at every step, so the march costs about
+    ``5 n^2 / 2`` multiply-adds for ``n`` steps: the three kernel rows of
+    each matrix-vector product and the reweighting.
     """
     if mass is None:
         if spectral.kind != "ohmic":
@@ -246,20 +245,13 @@ def solve_g_kernel(
     # column n - j + k holds the kernels at lag j - k, so the lags of step j
     # are the last j columns, in the order of the history
     lagged = np.stack([table[n:0:-1] for table in tables])
-    # once the table is long enough, the three newest history entries take
-    # the interior weight and the last two end corrections
-    tail = np.array([1.0, *_GREGORY_EDGE[:0:-1]]) * step
 
     values = np.sin(bare_frequency * times)
     first = bare_frequency * np.cos(bare_frequency * times)
     second = -bare_frequency**2 * values
     history = np.empty(n)
     for j in range(1, n + 1):
-        if j < _GREGORY_SAMPLES:
-            # up to the switch from the trapezoid every weight may change
-            history[:j] = gregory_weights(j + 1, step)[:j] * values[:j]
-        else:
-            history[j - 3 : j] = tail * values[j - 3 : j]
+        history[:j] = gregory_weights(j + 1, step)[:j] * values[:j]
         memory = lagged[:, n - j :] @ history[:j]
         values[j] += memory[0]
         first[j] += memory[1]

@@ -120,7 +120,7 @@ def validity_window(
     system : OscillatorSystemSpec
     cl_params : CaldeiraLeggettParams, optional
     time : float, optional
-        Evolution time for the damped-oscillator window.
+        Evolution time for the damped-oscillator window (finite, else ``ValueError``).
 
     Returns
     -------
@@ -130,6 +130,8 @@ def validity_window(
         itself only a factor above its lower bound, so the hard gate stays
         at 1.
     """
+    if time is not None and not np.isfinite(time):
+        raise ValueError(f"time = {time:g} is not finite")
     m = system.mass
     omega = system.renormalized_frequency
     hbar = system.hbar
@@ -365,6 +367,8 @@ def semiclassical_decomposition(
 
     Raises
     ------
+    ValueError
+        If ``time`` is NaN or inf.
     DomainValidityError
         If the validity window does not pass.
     """

@@ -478,7 +478,7 @@ def density_matrix_from_wigner(
     field : WignerField
     system : OscillatorSystemSpec
     x, x_prime : array_like
-        Same-shape coordinate pairs.
+        Same-shape finite coordinate pairs (NaN or inf: ``ValueError``).
 
     Returns
     -------
@@ -489,6 +489,9 @@ def density_matrix_from_wigner(
     x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
     if x.shape != x_prime.shape:
         raise ValueError("x and x_prime must have the same shape")
+    for name, values in (("x", x), ("x_prime", x_prime)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has non-finite entries")
     mid = 0.5 * (x + x_prime)
     sep = x - x_prime
     if np.any(mid < field.x_grid[0]) or np.any(mid > field.x_grid[-1]):

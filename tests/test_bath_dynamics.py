@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from bohmdec.bath_dynamics import (
+    BathPropagators,
     BathSpec,
     CoherentBathSample,
     ConditionalKernel,
@@ -561,6 +562,43 @@ class TestBlocks:
         m = reduced_M_from_bath(exact_bath_matrices(bath, coupled, table, t), bath)
         assert np.abs(m - expected).max() <= 1e-10 * np.abs(expected).max()
 
+    def test_reduced_smearing_needs_the_blocks_bath(self):
+        # only the temperature may differ from the bath the blocks were built
+        # for; any other mode would smear with the wrong B_r without an error
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, 1.0, 0.01, mass=1.0)
+        props = exact_bath_matrices(bath, coupled, table, 1.0)
+        for name in ("masses", "frequencies", "couplings"):
+            values = getattr(bath, name).copy()
+            values[3] *= 1.0 + 1e-9
+            other = dataclasses.replace(bath, **{name: values})
+            with pytest.raises(ValueError, match="bath differs"):
+                reduced_M_from_bath(props, other)
+        hot = dataclasses.replace(bath, thermal_energy=3.0 * bath.thermal_energy)
+        m_hot = reduced_M_from_bath(props, hot)
+        assert np.array_equal(m_hot, reduced_M_from_bath(dataclasses.replace(props, bath=hot), hot))
+        assert m_hot[0, 0] > reduced_M_from_bath(props, bath)[0, 0]
+
+    def test_center_to_mode_blocks_are_derived_views(self):
+        # c is no field: it is read off the dense T, or reflected from b
+        assert "c" not in {f.name for f in dataclasses.fields(BathPropagators)}
+        forward, _ = reversal_pair(2.0)
+        assert np.shares_memory(forward.c, forward.transfer)
+        with warnings.catch_warnings():
+            # the oracle bath sits above the weak-coupling regime bound
+            warnings.simplefilter("ignore", CouplingStrengthWarning)
+            weak = weak_coupling_matrices(forward.bath, forward.system, 2.0)
+        light = dataclasses.replace(forward, transfer=None)
+        for props in (light, weak):
+            assert np.shares_memory(props.c, props.b)
+            assert props.c.shape == props.b.shape
+        # the reflection is the dense block to round-off of the flow rows
+        gap = np.abs(light.c - forward.c).max()
+        assert gap <= 1e-14 * np.abs(forward.transfer).max()
+
     def test_reduced_smearing_rejects_weak_coupling_blocks(self):
         system = OscillatorSystemSpec()
         bath = discretize_spectral_density(oracle_params(), system, 16)
@@ -900,6 +938,27 @@ class TestConditionalVelocity:
         rows[row] = np.ones(length)
         with pytest.raises(ValueError, match=rf"{row} must have shape \(8,\)"):
             ConditionalKernel(system, bath, **rows, minv=None)
+
+    def test_kernel_needs_the_blocks_bath(self):
+        # small-angle blocks of another bath with the same mode count would
+        # give every mode the wrong conditional peak without an error
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)
+        bath = discretize_spectral_density(params, system, 16)
+        sample = sample_bath(bath, seed=3)
+        for name in ("masses", "frequencies", "couplings"):
+            values = getattr(bath, name).copy()
+            values[3] *= 1.0 + 1e-9
+            other = dataclasses.replace(bath, **{name: values})
+            props = weak_coupling_matrices(other, system, 0.5, small_angle=True)
+            with pytest.raises(ValueError, match="bath differs"):
+                conditional_kernel(props, bath, sample, 0.5)
+        hot = dataclasses.replace(bath, thermal_energy=3.0 * bath.thermal_energy)
+        props = weak_coupling_matrices(hot, system, 0.5, small_angle=True)
+        assert conditional_kernel(props, bath, sample, 0.5).bath is bath
+        short = discretize_spectral_density(params, system, 15)
+        with pytest.raises(ValueError, match="disagree on the mode count"):
+            conditional_kernel(props, bath, sample_bath(short, seed=3), 0.5)
 
     def test_degenerate_kernel_falls_back_to_initial_velocity(self):
         system = OscillatorSystemSpec()

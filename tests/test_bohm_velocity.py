@@ -330,6 +330,23 @@ class TestValidityWindow:
         assert not report.passed
         assert report.margins["cl_lower_time"] < 1.0
 
+    @pytest.mark.parametrize("time", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", ["validity_window", "semiclassical_decomposition"])
+    def test_rejects_nonfinite_time(self, canonical_cl_run, entry, time):
+        run = canonical_cl_run
+        minv = MInverseParams.from_m_matrix(run.prop_five.m)
+        wkb = wkb_amplitudes(run.state, run.orbit, run.system)
+        calls = {
+            "validity_window": lambda: validity_window(
+                minv, run.orbit, run.system, cl_params=run.params, time=time
+            ),
+            "semiclassical_decomposition": lambda: semiclassical_decomposition(
+                minv, run.orbit, wkb, 0.0, cl_params=run.params, time=time
+            ),
+        }
+        with pytest.raises(ValueError, match=f"time = {time:g} is not finite"):
+            calls[entry]()
+
     def test_time_window_needs_both_arguments(self, natural_system,
                                               canonical_cl_run):
         minv = MInverseParams(a=1.0, c=0.0, b=1.0, delta=1.0)

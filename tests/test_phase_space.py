@@ -594,6 +594,17 @@ class TestDensityMatrixFromWigner:
         expected = trapz(lines * phase, dx=field.dp, axis=1)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["x", "x_prime"])
+    def test_rejects_nonfinite_position(self, natural_system, name, bad):
+        st = build_energy_band_state(0, 0)
+        grid = _wide_grid(classical_orbit(st, natural_system), x_step=0.05)
+        field = wigner_transform(band_wavefunction(st, natural_system), grid, natural_system)
+        pairs = {"x": np.array([0.0, 0.4]), "x_prime": np.array([0.2, -0.5])}
+        pairs[name][1] = bad
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            density_matrix_from_wigner(field, natural_system, pairs["x"], pairs["x_prime"])
+
     def test_diagonal_recovers_position_density(self, natural_system):
         st = build_energy_band_state(50, 2)
         orb = classical_orbit(st, natural_system)
