@@ -1,0 +1,43 @@
+"""Input guards shared by every subpackage; numpy only, so any module may use them."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming the argument when ``value`` is NaN or inf."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} = {value:g} is not finite")
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an ``int``; ``ValueError`` unless it is a whole number."""
+    if not float(value).is_integer():  # also rejects NaN and inf
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def finite_array(name: str, values: float | np.ndarray) -> np.ndarray:
+    """``values`` as an at-least-1-D float array; ``ValueError`` if an entry is NaN or inf."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return arr
+
+
+def freeze_fields(obj, names: tuple[str, ...]) -> None:
+    """Store each named field of a frozen dataclass as a read-only, at-least-1-D float
+    copy: a copy, so the caller's array stays writeable and cannot reach the stored one."""
+    for name in names:
+        stored = np.array(getattr(obj, name), dtype=float, ndmin=1)
+        stored.flags.writeable = False
+        object.__setattr__(obj, name, stored)
+
+
+def require_symmetric(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``m`` is symmetric to 1e-12 of ``max(1, max|m|)``."""
+    if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
+        raise ValueError("smearing matrix must be symmetric")

@@ -12,23 +12,24 @@ as the reduced-propagator validity window: a margin of 1 is the boundary,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 from scipy.special import lambertw
 
+from .._guards import require_finite
 from ..bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
     TimescaleReport,
     timescales,
 )
+from ..bohm_velocity.decomposition import _margin_report, _require_interior
 from ..errors import NumericalFailureError
 from ..phase_space import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
 from .conditional import m_tilde_matrix, sigma3_squared
-from .spectral import SpectralDensity, _require_finite_scalar
+from .spectral import SpectralDensity
 
 __all__ = [
     "ClassicalityReport",
@@ -139,22 +140,19 @@ def classicality_report(
     t : float
         Must be finite and positive.
     x : float, optional
-        Probe position strictly inside the turning points; defaults to half
-        the orbit amplitude.
+        Probe position strictly inside the turning points (else
+        ``DomainValidityError``); defaults to half the orbit amplitude.
 
     Returns
     -------
     ClassicalityReport
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     if t <= 0.0:
         raise ValueError("classicality margins are defined for t > 0")
     if x is None:
         x = 0.5 * orbit.amplitude
-    if abs(x) >= orbit.amplitude:
-        raise ValueError(
-            "probe position must lie strictly inside the turning points"
-        )
+    _require_interior(x, orbit)
 
     spectral = SpectralDensity.from_ohmic(
         system, cl_params.damping_rate, cl_params.cutoff
@@ -180,15 +178,12 @@ def classicality_report(
             omega * orbit_ratio / (gamma * log_cut) if log_cut > 0.0 else 0.0
         ),
     }
-    values = list(margins.values())
     ts = timescales(system, cl_params, orbit)
     onset = conditional_smearing_time(system, orbit, cl_params)
     return ClassicalityReport(
         time=float(t),
         position=float(x),
-        margins=MappingProxyType(margins),
-        passed=all(v >= 1.0 for v in values),
-        strict_passed=all(v >= 10.0 for v in values),
+        **vars(_margin_report(margins)),
         conditional_smearing_time=onset,
         timescales=ts,
         ordering_ok=ts.t_c < onset,

@@ -19,12 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bohm_velocity import (
+from .._guards import finite_array, require_finite
+from ..bohm_velocity import initial_velocity
+from ..bohm_velocity.decomposition import (
     MInverseParams,
     SemiclassicalDecomposition,
-    initial_velocity,
+    _position_spread,
+    _require_interior,
+    _require_margins,
+    _spread_margin,
 )
-from ..errors import DomainValidityError, UndefinedVelocityError
+from ..errors import UndefinedVelocityError
 from ..phase_space import (
     ClassicalOrbit,
     EnergyBandState,
@@ -35,7 +40,7 @@ from ..phase_space import (
 from ..quadratic_master import CaldeiraLeggettParams
 from .matrices import BathPropagators
 from .sampling import CoherentBathSample
-from .spectral import BathSpec, SpectralDensity, _require_finite_scalar, _require_same_modes
+from .spectral import BathSpec, SpectralDensity, _require_same_modes
 
 __all__ = [
     "ConditionalKernel",
@@ -66,7 +71,7 @@ def m_tilde_matrix(
     sum keep the ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) clean.
     ``t`` must be finite and non-negative (``ValueError``).
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     hbar = system.hbar
@@ -87,7 +92,7 @@ def sigma3_squared(
     ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`). ``t`` must
     be finite and non-negative (``ValueError``).
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     if t < 0.0:
         raise ValueError("the conditional kernel is assembled forward in time")
     return float(2.0 / (system.hbar * system.mass**2) * spectral.slice_integrals(t)[3])
@@ -141,8 +146,8 @@ class ConditionalKernel:
     ``peak_offset - x_response x - p_response p``. Construction also stores,
     once per kernel, the slice scale ``m omega / hbar`` and the
     x-independent ``q2`` that :meth:`slice_quadratic` reads on every call,
-    and the position-spread scale ``m omega (b/delta)^(3/2) / hbar`` of
-    :func:`~bohmdec.bohm_velocity.validity_window` when ``minv`` is set.
+    and, when ``minv`` is set, the position spread whose margin
+    :func:`~bohmdec.bohm_velocity.validity_window` reports.
 
     Attributes
     ----------
@@ -169,7 +174,7 @@ class ConditionalKernel:
     minv: MInverseParams | None
     _slice_scale: np.ndarray = field(init=False, repr=False, compare=False)
     _q2: float = field(init=False, repr=False, compare=False)
-    _position_spread: float = field(init=False, repr=False, compare=False)
+    _spread: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("peak_offset", "x_response", "p_response"):
@@ -178,20 +183,8 @@ class ConditionalKernel:
         scale = self.bath.masses * self.bath.frequencies / self.bath.hbar
         object.__setattr__(self, "_slice_scale", scale)
         object.__setattr__(self, "_q2", float(np.dot(scale, self.p_response**2)))
-        # validity_window's operations in its order, so margins agree bitwise
-        minv, system = self.minv, self.system
-        spread = (
-            math.nan
-            if minv is None
-            else system.mass * system.renormalized_frequency
-            * (minv.b / minv.delta) ** 1.5 / system.hbar
-        )
-        object.__setattr__(self, "_position_spread", spread)
-
-    def _position_margin(self, orbit: ClassicalOrbit) -> float:
-        """The ``position_spread`` margin of ``validity_window`` on ``orbit``."""
-        spread = self._position_spread
-        return orbit.amplitude / spread if spread > 0.0 else math.inf
+        spread = math.nan if self.minv is None else _position_spread(self.minv, self.system)
+        object.__setattr__(self, "_spread", spread)
 
     @property
     def degenerate(self) -> bool:
@@ -203,8 +196,8 @@ class ConditionalKernel:
 
         ``x`` and ``p`` must be finite (``ValueError``).
         """
-        _require_finite_scalar("x", x)
-        _require_finite_scalar("p", p)
+        require_finite("x", x)
+        require_finite("p", p)
         return self.peak_offset - self.x_response * x - self.p_response * p
 
     def slice_quadratic(
@@ -219,15 +212,13 @@ class ConditionalKernel:
         ``bath_slice`` needs one finite position per mode and ``x`` must be
         finite (``ValueError``).
         """
-        _require_finite_scalar("x", x)
-        bath_slice = np.asarray(bath_slice, dtype=float)
-        if bath_slice.shape != (self.bath.n_modes,):
+        require_finite("x", x)
+        if np.shape(bath_slice) != (self.bath.n_modes,):
             raise ValueError(
                 f"bath_slice must supply one position per mode "
-                f"({self.bath.n_modes}), got shape {bath_slice.shape}"
+                f"({self.bath.n_modes}), got shape {np.shape(bath_slice)}"
             )
-        if not np.isfinite(bath_slice).all():
-            raise ValueError("bath_slice has non-finite entries")
+        bath_slice = finite_array("bath_slice", bath_slice)
         const = bath_slice - self.peak_offset + self.x_response * x
         q0 = float(np.dot(self._slice_scale, const**2))
         q1 = 2.0 * float(np.dot(self._slice_scale, const * self.p_response))
@@ -265,7 +256,7 @@ def conditional_kernel(
     -------
     ConditionalKernel
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     if props.mode != "weak_coupling" or not props.small_angle:
         raise ValueError(
             "conditioning requires weak-coupling blocks with the small-angle flag"
@@ -296,17 +287,6 @@ def conditional_kernel(
         x_response=x_response,
         p_response=p_response,
         minv=minv,
-    )
-
-
-def _turning_zone_length(orbit: ClassicalOrbit, system: OscillatorSystemSpec) -> float:
-    """Length scale of the quadratic turning zone at the orbit edge."""
-    return float(
-        (
-            system.hbar**2
-            / (2.0 * system.mass**2 * system.renormalized_frequency**2 * orbit.amplitude)
-        )
-        ** (1.0 / 3.0)
     )
 
 
@@ -381,21 +361,17 @@ def conditional_velocity(
         sampler = band_wavefunction(state, system)
         return float(initial_velocity(sampler, x_eval, system))
 
+    _require_interior(x_eval, orbit)
     amplitude = orbit.amplitude
-    if abs(x_eval) >= amplitude:
-        raise DomainValidityError(
-            f"x = {x_eval:g} lies outside the allowed region |x| < {amplitude:g}"
-        )
-    zone = _turning_zone_length(orbit, system)
-    turning_margin = (amplitude - abs(x_eval)) / zone
-    position_margin = kernel._position_margin(orbit)
-    if position_margin < 1.0 or turning_margin < 1.0:
-        failing = {"position_spread": position_margin, "turning_zone": turning_margin}
-        failing = {k: v for k, v in failing.items() if v < 1.0}
-        raise DomainValidityError(
-            "conditional decomposition margins below 1: "
-            + ", ".join(f"{k} = {v:.3g}" for k, v in failing.items())
-        )
+    # length scale of the quadratic turning zone at the orbit edge
+    zone = (
+        system.hbar**2 / (2.0 * system.mass**2 * system.renormalized_frequency**2 * amplitude)
+    ) ** (1.0 / 3.0)
+    margins = {
+        "position_spread": _spread_margin(amplitude, kernel._spread),
+        "turning_zone": (amplitude - abs(x_eval)) / zone,
+    }
+    _require_margins("conditional decomposition", margins)
 
     mod_plus, mod_minus = (abs(g[0]) for g in wkb.amplitudes(x_eval))
     decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)

@@ -39,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._guards import require_finite
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ._trig import one_minus_cos, pair_kernel, t_minus_sin
-from .spectral import BathSpec, _require_finite_scalar, _require_same_modes
+from .spectral import BathSpec, _require_same_modes
 from .volterra import GKernelTable, NormalModeBasis
 
 __all__ = [
@@ -218,7 +219,7 @@ def exact_bath_matrices(
         ohmic table), or the bath, bare frequency or mass differ from the
         table's.
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     basis = g_table.basis
     if basis is None:
         raise ValueError("an ohmic table has no normal modes; exact blocks need a line spectrum")
@@ -260,7 +261,7 @@ def weak_coupling_matrices(
     ``omega^2``, the regime bound for dropping the higher orders. A NaN or
     infinite ``t`` raises ``ValueError``.
     """
-    _require_finite_scalar("t", t)
+    require_finite("t", t)
     m = system.mass
     w = system.renormalized_frequency
     mode_m = bath.masses

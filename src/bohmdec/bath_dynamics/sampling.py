@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._guards import freeze_fields
 from .spectral import BathSpec
 
 __all__ = ["CoherentBathSample", "sample_bath"]
@@ -30,16 +31,12 @@ class CoherentBathSample:
     seed: int
 
     def __post_init__(self) -> None:
-        positions = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        momenta = np.atleast_1d(np.asarray(self.momenta, dtype=float))
+        freeze_fields(self, ("positions", "momenta"))
+        positions, momenta = self.positions, self.momenta
         if positions.shape != momenta.shape or positions.ndim != 1:
             raise ValueError("positions and momenta must be 1-D and equal length")
         if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(momenta))):
             raise ValueError("coherent-state centres must be finite")
-        positions.flags.writeable = False
-        momenta.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "momenta", momenta)
 
     @property
     def n_modes(self) -> int:

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import sici
 
+from .._guards import freeze_fields, require_integer
 from ..phase_space import OscillatorSystemSpec
-from ..phase_space.system import _require_integer
 from ..quadratic_master import CaldeiraLeggettParams
 from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
 
@@ -37,18 +36,6 @@ _SLICE_SERIES = np.array(
 )
 
 
-def _require_finite_scalar(name: str, value: float) -> None:
-    """Raise ``ValueError`` naming the argument when ``value`` is NaN or inf."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} = {value:g} is not finite")
-
-
-def _readonly(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class BathSpec:
     """A finite collection of harmonic modes bilinearly coupled in position.
@@ -73,9 +60,8 @@ class BathSpec:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        masses = _readonly(np.atleast_1d(self.masses))
-        frequencies = _readonly(np.atleast_1d(self.frequencies))
-        couplings = _readonly(np.atleast_1d(self.couplings))
+        freeze_fields(self, ("masses", "frequencies", "couplings"))
+        masses, frequencies, couplings = self.masses, self.frequencies, self.couplings
         if not masses.shape == frequencies.shape == couplings.shape or masses.ndim != 1:
             raise ValueError("masses, frequencies and couplings must be 1-D and equal length")
         for values in (masses, frequencies, couplings, self.thermal_energy, self.hbar):
@@ -87,9 +73,6 @@ class BathSpec:
             raise ValueError("thermal_energy must be positive")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
-        object.__setattr__(self, "masses", masses)
-        object.__setattr__(self, "frequencies", frequencies)
-        object.__setattr__(self, "couplings", couplings)
 
     @property
     def n_modes(self) -> int:
@@ -314,7 +297,7 @@ def discretize_spectral_density(
         If ``n_modes`` is not a whole number of at least 1 (NaN and inf
         included), or the temperature is not positive.
     """
-    n_modes = _require_integer("n_modes", n_modes)
+    n_modes = require_integer("n_modes", n_modes)
     if n_modes < 1:
         raise ValueError("n_modes must be at least 1")
     if cl_params.thermal_energy <= 0.0:

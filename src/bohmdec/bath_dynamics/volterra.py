@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._guards import freeze_fields
 from ._trig import phase_sums
 from .spectral import BathSpec, SpectralDensity
 
@@ -80,13 +81,6 @@ def gregory_weights(n: int, step: float) -> np.ndarray:
     return w * step
 
 
-def _freeze(obj, names: tuple[str, ...]) -> None:
-    for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(obj, name, arr)
-
-
 @dataclass(frozen=True)
 class NormalModeBasis:
     """Normal modes of the central oscillator coupled to a finite bath.
@@ -110,7 +104,7 @@ class NormalModeBasis:
     vectors: np.ndarray
 
     def __post_init__(self) -> None:
-        _freeze(self, ("root_masses", "frequencies", "vectors"))
+        freeze_fields(self, ("root_masses", "frequencies", "vectors"))
 
 
 def _normal_modes(bath: BathSpec, bare_frequency: float, mass: float) -> NormalModeBasis:
@@ -158,7 +152,7 @@ class GKernelTable:
     basis: NormalModeBasis | None = None
 
     def __post_init__(self) -> None:
-        _freeze(self, ("times", "values", "first_derivative", "second_derivative"))
+        freeze_fields(self, ("times", "values", "first_derivative", "second_derivative"))
 
 
 def solve_g_kernel(

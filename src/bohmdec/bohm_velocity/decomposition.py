@@ -15,6 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .._guards import finite_array, require_finite, require_symmetric
 from ..errors import DomainValidityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..phase_space.wkb import WkbAmplitudes
@@ -65,8 +66,7 @@ class MInverseParams:
         m = np.asarray(m, dtype=float)
         if m.shape != (2, 2):
             raise ValueError("smearing matrix must be 2x2")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise ValueError("smearing matrix must be symmetric")
+        require_symmetric(m)
         det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
         if det <= 0.0 or m[0, 0] <= 0.0:
             raise ValueError(
@@ -94,6 +94,46 @@ class ValidityReport:
     margins: Mapping[str, float]
     passed: bool
     strict_passed: bool
+
+
+def _margin_report(margins: dict[str, float]) -> ValidityReport:
+    """Freeze ``margins`` and read them at 1 (``passed``) and 10 (``strict_passed``)."""
+    values = list(margins.values())
+    return ValidityReport(
+        margins=MappingProxyType(margins),
+        passed=all(v >= 1.0 for v in values),
+        strict_passed=all(v >= 10.0 for v in values),
+    )
+
+
+def _require_margins(what: str, margins: Mapping[str, float]) -> None:
+    """``DomainValidityError`` naming every margin below 1, NaN included."""
+    failing = ", ".join(f"{k} = {v:.3g}" for k, v in margins.items() if not v >= 1.0)
+    if failing:
+        raise DomainValidityError(
+            f"{what} requested outside its validity window; margins below 1: {failing}"
+        )
+
+
+def _require_interior(x: float | np.ndarray, orbit: ClassicalOrbit) -> None:
+    """``DomainValidityError`` unless every ``|x|`` is below the orbit amplitude.
+    NaN passes: each caller has rejected it with ``ValueError`` already."""
+    reach = abs(x) if isinstance(x, float) else float(np.abs(x).max(initial=0.0))
+    if reach >= orbit.amplitude:
+        raise DomainValidityError(
+            f"|x| = {reach:g} is not inside the turning points |x| < {orbit.amplitude:g}"
+        )
+
+
+def _position_spread(minv: MInverseParams, system: OscillatorSystemSpec) -> float:
+    """Position spread ``m omega (b/delta)^(3/2) / hbar`` of the smearing kernel; the
+    conditional kernel caches it, so its margin is bitwise :func:`validity_window`'s."""
+    return system.mass * system.renormalized_frequency * (minv.b / minv.delta) ** 1.5 / system.hbar
+
+
+def _spread_margin(x_max: float, spread: float) -> float:
+    """Margin of ``spread << x_max``; infinite for a vanishing spread."""
+    return x_max / spread if spread > 0.0 else np.inf
 
 
 def validity_window(
@@ -130,34 +170,24 @@ def validity_window(
         itself only a factor above its lower bound, so the hard gate stays
         at 1.
     """
-    if time is not None and not np.isfinite(time):
-        raise ValueError(f"time = {time:g} is not finite")
-    m = system.mass
-    omega = system.renormalized_frequency
-    hbar = system.hbar
-    x_max = orbit.amplitude
-
-    position_spread = m * omega * (minv.b / minv.delta) ** 1.5 / hbar
-    chord_spread = 8.0 * m * omega * hbar**2 * minv.b**1.5
-    margins = {
-        "position_spread": x_max / position_spread if position_spread > 0.0 else np.inf,
-        "chord_spread": x_max / chord_spread if chord_spread > 0.0 else np.inf,
-    }
     if (cl_params is None) != (time is None):
         raise ValueError("cl_params and time must be supplied together")
-    if cl_params is not None and time is not None:
+    omega = system.renormalized_frequency
+    x_max = orbit.amplitude
+    chord_spread = 8.0 * system.mass * omega * system.hbar**2 * minv.b**1.5
+    margins = {
+        "position_spread": _spread_margin(x_max, _position_spread(minv, system)),
+        "chord_spread": _spread_margin(x_max, chord_spread),
+    }
+    if time is not None:
+        require_finite("time", time)
         report = timescales(system, cl_params, orbit)
         reduced = time / report.t_c
         lower = (omega * report.t_loc) ** (4.0 / 3.0)
         upper = (x_max / orbit.de_broglie) ** (4.0 / 9.0)
         margins["cl_lower_time"] = reduced / lower
         margins["cl_upper_time"] = upper / reduced if reduced > 0.0 else np.inf
-    values = list(margins.values())
-    return ValidityReport(
-        margins=MappingProxyType(margins),
-        passed=all(v >= 1.0 for v in values),
-        strict_passed=all(v >= 10.0 for v in values),
-    )
+    return _margin_report(margins)
 
 
 class BranchWidths(NamedTuple):
@@ -209,15 +239,8 @@ class SemiclassicalDecomposition:
 
     def _interior(self, x: float | np.ndarray) -> np.ndarray:
         """``x`` as a 1-D array, checked to lie strictly inside the orbit."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.isfinite(x).all():
-            raise ValueError("x has non-finite entries")
-        reach = float(np.abs(x).max(initial=0.0))
-        if reach >= self.orbit.amplitude:
-            raise DomainValidityError(
-                f"|x| = {reach:g} is not inside the turning points "
-                f"|x| < {self.orbit.amplitude:g}"
-            )
+        x = finite_array("x", x)
+        _require_interior(x, self.orbit)
         return x
 
     def _branch_widths(self, x: float | np.ndarray) -> BranchWidths:
@@ -373,10 +396,5 @@ def semiclassical_decomposition(
         If the validity window does not pass.
     """
     report = validity_window(minv, orbit, orbit.system, cl_params=cl_params, time=time)
-    if not report.passed:
-        failing = {k: round(v, 4) for k, v in report.margins.items() if v < 1.0}
-        raise DomainValidityError(
-            "semiclassical decomposition requested outside its validity "
-            f"window; margins below 1: {failing}"
-        )
+    _require_margins("semiclassical decomposition", report.margins)
     return SemiclassicalDecomposition(minv=minv, orbit=orbit, wkb=wkb)

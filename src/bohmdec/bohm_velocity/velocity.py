@@ -6,22 +6,16 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DomainValidityError, GridCoverageError, UndefinedVelocityError
+from .._guards import finite_array
+from ..errors import GridCoverageError, UndefinedVelocityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..phase_space.wigner import WignerField, _trapezoid
+from .decomposition import _require_interior
 
 __all__ = ["classical_band_margin", "ensemble_velocity", "initial_velocity"]
 
 # Fraction of the peak density below which a velocity is undefined (node region).
 _DENSITY_FLOOR = 1e-12
-
-
-def _finite_array(name: str, values: float | np.ndarray) -> np.ndarray:
-    """``values`` as a 1-D float array, rejected if any entry is NaN or inf."""
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
 
 
 def ensemble_velocity(
@@ -53,7 +47,7 @@ def ensemble_velocity(
         If the position density at a requested point is below ``1e-12`` of
         its peak (node region).
     """
-    x_arr = _finite_array("x", x)
+    x_arr = finite_array("x", x)
     grid = field.x_grid
     step = field.dx
     # range-checked as floats, so a far position cannot overflow the cast
@@ -115,7 +109,7 @@ def initial_velocity(
         If ``|psi(x)|^2`` at a requested point is below ``1e-12`` of the
         largest sampled density.
     """
-    x_arr = _finite_array("x", x)
+    x_arr = finite_array("x", x)
     psi_here = np.asarray(psi_sampler(x_arr), dtype=complex)
     density = np.abs(psi_here) ** 2
     floor = _DENSITY_FLOOR * float(density.max())
@@ -174,13 +168,9 @@ def classical_band_margin(
     DomainValidityError
         If any position reaches or exceeds the turning points.
     """
-    v_arr = _finite_array("v", v)
-    x_arr = _finite_array("x", x)
-    if np.any(np.abs(x_arr) >= orbit.amplitude):
-        raise DomainValidityError(
-            "classical band margin is only defined strictly inside the "
-            f"turning points |x| < {orbit.amplitude:g}"
-        )
+    v_arr = finite_array("v", v)
+    x_arr = finite_array("x", x)
+    _require_interior(x_arr, orbit)
     classical = orbit.classical_momentum(x_arr) / orbit.system.mass
     margin = (classical - np.abs(v_arr)) / classical
     if np.ndim(v) == 0 and np.ndim(x) == 0:

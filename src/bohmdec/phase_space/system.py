@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._guards import require_integer
+
 __all__ = [
     "OscillatorSystemSpec",
     "EnergyBandState",
@@ -46,13 +48,6 @@ class OscillatorSystemSpec:
                 raise ValueError(f"OscillatorSystemSpec.{name} must be positive")
 
 
-def _require_integer(name: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is a whole number."""
-    if not float(value).is_integer():  # also rejects NaN and inf
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class EnergyBandState:
     """Superposition of adjacent energy eigenstates around a mean level.
@@ -80,7 +75,7 @@ class EnergyBandState:
 
     def __post_init__(self) -> None:
         for name in ("mean_level", "band_width"):
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.band_width < 0 or self.band_width % 2 != 0:
             raise ValueError(
                 "EnergyBandState.band_width must be even and non-negative"
@@ -152,7 +147,7 @@ def build_energy_band_state(
         is invalid (see :class:`EnergyBandState`).
     """
     if coefficients is None:
-        n = _require_integer("band_width", band_width) + 1
+        n = require_integer("band_width", band_width) + 1
         coefficients = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
     return EnergyBandState(
         mean_level=mean_level,

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sp_fft
 from scipy import ndimage
 
+from .._guards import finite_array
 from ..errors import GridCoverageError
 from .system import ClassicalOrbit, OscillatorSystemSpec
 
@@ -106,7 +107,7 @@ class GridSpec:
         Raises
         ------
         ValueError
-            If a span or a given step is not finite and positive.
+            If a span or a given step is NaN, infinite or not positive.
         """
         sys_ = orbit.system
         p_scale = sys_.mass * sys_.renormalized_frequency * orbit.amplitude
@@ -218,6 +219,8 @@ def _support_interval(
     for _ in range(12):
         grid = np.arange(lo, hi + probe_step, probe_step)
         env = np.abs(_sample(sampler, grid))
+        if not env.any():
+            raise ValueError(f"wavefunction sampler returned zero everywhere on [{lo:g}, {hi:g}]")
         mask = env > _ENVELOPE_CUTOFF * env.max()
         if mask[0] or mask[-1]:
             width = hi - lo
@@ -306,8 +309,9 @@ def wigner_transform(
         If the grid misses more than ``1e-8`` of the state's norm, or the two
         momentum probes still disagree on the reach after eight halvings.
     ValueError
-        If the sampler returns NaN or inf, or the discarded imaginary residue
-        exceeds 1e-10 of ``||psi||^2 / (pi hbar)``, the bound on ``|W|``.
+        If the sampler returns NaN or inf, or zero at every probe point of the
+        position axis, or the discarded imaginary residue exceeds 1e-10 of
+        ``||psi||^2 / (pi hbar)``, the bound on ``|W|``.
     """
     hbar = system.hbar
     x = grid.x
@@ -485,13 +489,10 @@ def density_matrix_from_wigner(
     numpy.ndarray
         Complex entries, one per pair.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
+    x = finite_array("x", x)
+    x_prime = finite_array("x_prime", x_prime)
     if x.shape != x_prime.shape:
         raise ValueError("x and x_prime must have the same shape")
-    for name, values in (("x", x), ("x_prime", x_prime)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} has non-finite entries")
     mid = 0.5 * (x + x_prime)
     sep = x - x_prime
     if np.any(mid < field.x_grid[0]) or np.any(mid > field.x_grid[-1]):

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .._guards import require_finite
 from ..phase_space import OscillatorSystemSpec
 
 __all__ = [
@@ -44,10 +44,7 @@ class MasterEqCoefficients:
                     f"MasterEqCoefficients.{f.name} must be a constant, got a callable"
                 )
             const = float(value)
-            if not math.isfinite(const):
-                raise ValueError(
-                    f"MasterEqCoefficients.{f.name} must be finite, got {const!r}"
-                )
+            require_finite(f"MasterEqCoefficients.{f.name}", const)
             object.__setattr__(self, f.name, const)
 
     def drift_matrix(self, t: float) -> np.ndarray:
@@ -87,9 +84,8 @@ class CaldeiraLeggettParams:
     cutoff: float
 
     def __post_init__(self) -> None:
-        values = (self.damping_rate, self.thermal_energy, self.cutoff)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"CaldeiraLeggettParams must be finite, got {values!r}")
+        for name in ("damping_rate", "thermal_energy", "cutoff"):
+            require_finite(f"CaldeiraLeggettParams.{name}", getattr(self, name))
         if self.damping_rate < 0.0 or self.thermal_energy < 0.0:
             raise ValueError("damping_rate and thermal_energy must be non-negative")
         if self.cutoff <= 0.0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._guards import require_finite, require_symmetric
 from ..errors import NumericalFailureError
 from .coefficients import MasterEqCoefficients
 
@@ -60,8 +61,7 @@ class GaussianPropagator:
         for name, value in (("t", self.t), ("a", a), ("m", m)):
             if not np.isfinite(value).all():
                 raise ValueError(f"GaussianPropagator.{name} must be finite")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise ValueError("smearing matrix must be symmetric")
+        require_symmetric(m)
         m = 0.5 * (m + m.T)
         eigs = np.linalg.eigvalsh(m)
         if eigs.min() < -1e-10 * max(1.0, eigs.max()):
@@ -106,12 +106,10 @@ def integrate_propagator(
         or becomes too ill-conditioned to invert reliably (condition number
         above 1e12), or the smearing matrix loses positive semidefiniteness.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"propagator time must be finite, got {t!r}")
+    require_finite("t", t)
     if t < 0.0:
         raise ValueError("propagator time must be non-negative")
-    if t == 0.0:
-        return GaussianPropagator(t=0.0, a=np.eye(2), m=np.zeros((2, 2)))
+    t = float(t)
 
     # overflow surfaces as a non-finite matrix and is reported as a failure
     with np.errstate(over="ignore", invalid="ignore"):

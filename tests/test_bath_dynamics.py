@@ -19,6 +19,7 @@ from bohmdec.bath_dynamics import (
     BathSpec,
     CoherentBathSample,
     ConditionalKernel,
+    GKernelTable,
     SpectralDensity,
     classicality_report,
     cl_m_tilde_asymptote,
@@ -39,6 +40,7 @@ from bohmdec.bath_dynamics import (
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
 from bohmdec.bath_dynamics.matrices import _flow_rows, _spectral_norm
+from bohmdec.bath_dynamics.volterra import NormalModeBasis
 from bohmdec.bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
@@ -850,6 +852,45 @@ class TestSampling:
             CoherentBathSample(**centres, seed=1)
 
 
+def _row():
+    return np.array([1.0, 2.0])
+
+
+def _bath_fields():
+    return dict(masses=_row(), frequencies=_row(), couplings=_row(), thermal_energy=1.0)
+
+
+@pytest.mark.parametrize(
+    "cls, arguments",
+    [
+        (CoherentBathSample, lambda: dict(positions=_row(), momenta=_row(), seed=0)),
+        (BathSpec, _bath_fields),
+        (GKernelTable, lambda: dict(
+            times=_row(), values=_row(), first_derivative=_row(), second_derivative=_row(),
+            bare_frequency=1.0, mass=1.0, step=1.0,
+        )),
+        (NormalModeBasis, lambda: dict(
+            bath=BathSpec(**_bath_fields()), root_masses=_row(), frequencies=_row(),
+            vectors=np.eye(2),
+        )),
+    ],
+    ids=["CoherentBathSample", "BathSpec", "GKernelTable", "NormalModeBasis"],
+)
+def test_stored_arrays_are_read_only_copies(cls, arguments):
+    # each class stores read-only copies: the caller's arrays stay writeable,
+    # and writing to them leaves the stored values alone
+    given = arguments()
+    stored = cls(**given)
+    arrays = {name: value for name, value in given.items() if isinstance(value, np.ndarray)}
+    assert arrays
+    for name, array in arrays.items():
+        assert array.flags.writeable
+        assert not getattr(stored, name).flags.writeable
+        before = array.copy()
+        array[...] = 7.0
+        assert np.array_equal(getattr(stored, name), before)
+
+
 class TestNonfiniteInput:
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(
@@ -1053,22 +1094,46 @@ class TestConditionalVelocity:
 
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_position_margin_matches_validity_window(self, t):
-        # the kernel stores validity_window's scale, so the margin is bitwise
-        # its; shrinking M^-1 by s widens the spread by s^-1.5 past the gate
+        # scaling M^-1 by s scales validity_window's position_spread margin by
+        # s^1.5; kernels whose margins straddle 1 by a few ulps fail the
+        # velocity's gate exactly when that margin is below 1
         run = _canonical_conditioning(t)
-        minv = run.kernel.minv
-        margin = run.kernel._position_margin(run.orbit)
-        assert margin == validity_window(minv, run.orbit, run.system).margins["position_spread"]
-        s = (0.5 / margin) ** (2.0 / 3.0)
-        wide = MInverseParams(a=s * minv.a, c=s * minv.c, b=s * minv.b, delta=s * s * minv.delta)
-        kernel = dataclasses.replace(run.kernel, minv=wide)
-        margin = kernel._position_margin(run.orbit)
-        assert margin == validity_window(wide, run.orbit, run.system).margins["position_spread"]
-        assert margin == pytest.approx(0.5, rel=1e-12)
         x = 0.3 * run.orbit.amplitude
-        bath_slice = kernel.conditional_peaks(x, float(run.orbit.classical_momentum(x)))
+        p_cl = float(run.orbit.classical_momentum(x))
+
+        def scaled(s):
+            minv = run.kernel.minv
+            wide = MInverseParams(
+                a=s * minv.a, c=s * minv.c, b=s * minv.b, delta=s * s * minv.delta
+            )
+            margin = validity_window(wide, run.orbit, run.system).margins["position_spread"]
+            kernel = dataclasses.replace(run.kernel, minv=wide)
+            return kernel, kernel.conditional_peaks(x, p_cl), margin
+
+        boundary = scaled(1.0)[2] ** (-2.0 / 3.0)
+        below = 0
+        for k in range(-8, 9):
+            kernel, bath_slice, margin = scaled(boundary * (1.0 + k * 2e-16))
+            if margin < 1.0:
+                below += 1
+                with pytest.raises(DomainValidityError, match="position_spread"):
+                    conditional_velocity(run.state, run.orbit, run.wkb, kernel, x, bath_slice)
+            else:
+                conditional_velocity(run.state, run.orbit, run.wkb, kernel, x, bath_slice)
+        assert 0 < below < 17
+
+        kernel, bath_slice, margin = scaled(boundary * 0.5 ** (2.0 / 3.0))
+        assert margin == pytest.approx(0.5, rel=1e-12)
         with pytest.raises(DomainValidityError, match="position_spread = 0.5"):
             conditional_velocity(run.state, run.orbit, run.wkb, kernel, x, bath_slice)
+
+    @pytest.mark.parametrize("fraction", [1.0, -1.0, 1.5])
+    def test_position_off_the_orbit_interior_is_rejected(self, fraction):
+        run = _canonical_conditioning(2.0)
+        x = fraction * run.orbit.amplitude
+        bath_slice = run.kernel.conditional_peaks(0.0, 0.0)
+        with pytest.raises(DomainValidityError, match="not inside the turning points"):
+            conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
 
     def test_slice_far_from_every_branch_raises(self):
         run = _canonical_conditioning(2.0)
@@ -1186,6 +1251,22 @@ class TestClassicality:
         orbit = classical_orbit(build_energy_band_state(50, 0), system)
         with pytest.raises(NumericalFailureError, match=message):
             conditional_smearing_time(system, orbit, params)
+
+    @pytest.mark.parametrize(
+        "fraction, error, message",
+        [
+            (1.0, DomainValidityError, "not inside the turning points"),
+            (-1.2, DomainValidityError, "not inside the turning points"),
+            (np.nan, ValueError, "x has non-finite entries"),
+        ],
+    )
+    def test_probe_off_the_orbit_interior_is_rejected(self, fraction, error, message):
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        orbit = classical_orbit(build_energy_band_state(50, 0), system)
+        t = conditional_smearing_time(system, orbit, params)
+        with pytest.raises(error, match=message):
+            classicality_report(system, orbit, params, t, x=fraction * orbit.amplitude)
 
     def test_smearing_time_rejects_zero_damping(self):
         system = OscillatorSystemSpec()

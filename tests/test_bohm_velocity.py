@@ -456,6 +456,25 @@ class TestSemiclassicalDecomposition:
                 minv, run.orbit, wkb, 0.0, cl_params=run.params, time=t_early
             )
 
+    def test_failing_margins_are_named_with_their_values(self, canonical_cl_run):
+        # the error lists each margin below 1 as "name = value", as
+        # conditional_velocity's does
+        run = canonical_cl_run
+        coeffs = assemble_cl_coefficients(run.system, run.params)
+        t_early = 0.5 * run.report.t_c
+        minv = MInverseParams.from_m_matrix(integrate_propagator(coeffs, t_early).m)
+        wkb = wkb_amplitudes(run.state, run.orbit, run.system)
+        margins = validity_window(
+            minv, run.orbit, run.system, cl_params=run.params, time=t_early
+        ).margins
+        failing = ", ".join(f"{k} = {v:.3g}" for k, v in margins.items() if v < 1.0)
+        assert failing
+        with pytest.raises(DomainValidityError) as caught:
+            semiclassical_decomposition(
+                minv, run.orbit, wkb, 0.0, cl_params=run.params, time=t_early
+            )
+        assert str(caught.value).endswith(f"margins below 1: {failing}")
+
     def test_velocity_limit_formula(self, canonical_cl_run):
         # with the oscillatory part dropped, the mean velocity collapses to
         # the branch-weighted classical velocity

@@ -519,6 +519,12 @@ class TestWignerTransform:
         with pytest.raises(GridCoverageError, match="could not bracket"):
             wigner_transform(np.ones_like, GridSpec(x=x, p=x), natural_system)
 
+    def test_all_zero_sampler_rejected(self, natural_system):
+        # no sample above zero leaves no support to bracket
+        x = 0.05 * np.arange(-120, 121)
+        with pytest.raises(ValueError, match="wavefunction sampler returned zero everywhere"):
+            wigner_transform(np.zeros_like, GridSpec(x=x, p=x), natural_system)
+
     def test_coverage_precondition(self, natural_system):
         st = build_energy_band_state(0, 0)
         orb = classical_orbit(st, natural_system)

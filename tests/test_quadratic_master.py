@@ -217,6 +217,7 @@ class TestIntegratePropagator:
         prop = integrate_propagator(default_cl(natural_system), 0.0)
         np.testing.assert_allclose(prop.a, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(prop.m, np.zeros((2, 2)), atol=1e-15)
+        assert isinstance(integrate_propagator(default_cl(natural_system), 0).t, float)
 
     def test_unitary_closed_form(self):
         system = OscillatorSystemSpec(
