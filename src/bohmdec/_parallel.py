@@ -1,0 +1,43 @@
+"""Row spans of a 2-D grid stage, one per core, run on threads.
+
+pocketfft and ``scipy.ndimage`` release the interpreter lock, so row blocks
+of a transform run side by side on threads. Every job writes only its own
+rows of an array its caller allocated, so the outputs do not depend on the
+worker count: bitwise where each row is computed alone (the Wigner
+transform), and to round-off where a span shifts the arithmetic (the bicubic
+pullback's offsets).
+"""
+
+from __future__ import annotations
+
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    WORKERS = os.cpu_count() or 1
+
+
+def row_spans(n_rows: int) -> list[tuple[int, int]]:
+    """``range(n_rows)`` cut into contiguous ``(lo, hi)`` spans, one per worker."""
+    count = max(1, min(WORKERS, n_rows))
+    return [(n_rows * k // count, n_rows * (k + 1) // count) for k in range(count)]
+
+
+def run_spans(job, spans: list[tuple[int, int]]) -> list:
+    """``job(k, lo, hi)`` for each span ``k``, results in span order.
+
+    Each span runs on its own thread under a copy of the caller's context, so
+    a caller's ``np.errstate`` holds in the workers; a worker's exception is
+    raised here. One span runs inline.
+    """
+    if len(spans) == 1:
+        return [job(0, *spans[0])]
+    with ThreadPoolExecutor(len(spans)) as pool:
+        futures = [
+            pool.submit(contextvars.copy_context().run, job, k, lo, hi)
+            for k, (lo, hi) in enumerate(spans)
+        ]
+        return [future.result() for future in futures]

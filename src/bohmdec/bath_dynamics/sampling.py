@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import freeze_fields
+from .._guards import finite_array, freeze_fields
 from .spectral import BathSpec
 
 __all__ = ["CoherentBathSample", "sample_bath"]
@@ -35,8 +35,8 @@ class CoherentBathSample:
         positions, momenta = self.positions, self.momenta
         if positions.shape != momenta.shape or positions.ndim != 1:
             raise ValueError("positions and momenta must be 1-D and equal length")
-        if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(momenta))):
-            raise ValueError("coherent-state centres must be finite")
+        for name in ("positions", "momenta"):
+            finite_array(f"CoherentBathSample.{name}", getattr(self, name))
 
     @property
     def n_modes(self) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from .._guards import freeze_fields, require_integer
+from .._guards import finite_array, freeze_fields, require_finite, require_integer
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
 from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
@@ -64,9 +64,10 @@ class BathSpec:
         masses, frequencies, couplings = self.masses, self.frequencies, self.couplings
         if not masses.shape == frequencies.shape == couplings.shape or masses.ndim != 1:
             raise ValueError("masses, frequencies and couplings must be 1-D and equal length")
-        for values in (masses, frequencies, couplings, self.thermal_energy, self.hbar):
-            if not np.all(np.isfinite(values)):
-                raise ValueError("bath parameters must be finite")
+        for name in ("masses", "frequencies", "couplings"):
+            finite_array(f"BathSpec.{name}", getattr(self, name))
+        for name in ("thermal_energy", "hbar"):
+            require_finite(f"BathSpec.{name}", getattr(self, name))
         if np.any(masses <= 0.0) or np.any(frequencies <= 0.0):
             raise ValueError("mode masses and frequencies must be positive")
         if self.thermal_energy <= 0.0:
@@ -132,8 +133,8 @@ class SpectralDensity:
             if self.bath is None:
                 raise ValueError("a discrete density requires a bath")
         elif self.kind == "ohmic":
-            if not np.all(np.isfinite([self.damping_rate, self.cutoff, self.mass])):
-                raise ValueError("ohmic density parameters must be finite")
+            for name in ("damping_rate", "cutoff", "mass"):
+                require_finite(f"SpectralDensity.{name}", getattr(self, name))
             if self.damping_rate < 0.0:
                 raise ValueError("damping_rate must be non-negative")
             if self.cutoff <= 0.0 or self.mass <= 0.0:

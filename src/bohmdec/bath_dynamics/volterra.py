@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import freeze_fields
+from .._guards import freeze_fields, require_finite
 from ._trig import phase_sums
 from .spectral import BathSpec, SpectralDensity
 
@@ -119,7 +119,12 @@ def _normal_modes(bath: BathSpec, bare_frequency: float, mass: float) -> NormalM
             f"is {squares[0]:.6g}, so the couplings pull the bare frequency squared "
             f"below zero (see counterterm_bare_frequency)"
         )
-    return NormalModeBasis(bath, roots, np.sqrt(squares), vectors)
+    basis = NormalModeBasis(bath, roots, np.sqrt(squares), np.empty((0, 0)))
+    # eigh's (N + 1)^2 matrix has no other holder, so it is frozen in place
+    # rather than copied as a caller's array is (2.1 MB at N = 512)
+    vectors.flags.writeable = False
+    object.__setattr__(basis, "vectors", vectors)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -207,8 +212,10 @@ def solve_g_kernel(
         if spectral.kind != "ohmic":
             raise ValueError("a line spectrum requires the central mass")
         mass = spectral.mass
-    if not np.all(np.isfinite([bare_frequency, t_max, step, mass])):
-        raise ValueError("bare_frequency, t_max, step and mass must be finite")
+    for name, value in (
+        ("bare_frequency", bare_frequency), ("t_max", t_max), ("step", step), ("mass", mass)
+    ):
+        require_finite(name, value)
     if bare_frequency <= 0.0:
         raise ValueError("bare_frequency must be positive")
     if t_max <= 0.0 or step <= 0.0:

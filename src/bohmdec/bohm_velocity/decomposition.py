@@ -47,8 +47,8 @@ class MInverseParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite([self.a, self.c, self.b, self.delta])):
-            raise ValueError("MInverseParams fields must be finite")
+        for name in ("a", "c", "b", "delta"):
+            require_finite(f"MInverseParams.{name}", getattr(self, name))
         if self.b <= 0.0:
             raise ValueError("MInverseParams.b must be positive")
         if self.delta <= 0.0:

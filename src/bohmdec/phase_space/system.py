@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._guards import require_integer
+from .._guards import require_finite, require_integer
 
 __all__ = [
     "OscillatorSystemSpec",
@@ -44,7 +44,8 @@ class OscillatorSystemSpec:
 
     def __post_init__(self) -> None:
         for name in ("mass", "bare_frequency", "renormalized_frequency", "hbar"):
-            if not np.isfinite(getattr(self, name)) or getattr(self, name) <= 0.0:
+            require_finite(f"OscillatorSystemSpec.{name}", getattr(self, name))
+            if getattr(self, name) <= 0.0:
                 raise ValueError(f"OscillatorSystemSpec.{name} must be positive")
 
 

@@ -23,6 +23,16 @@ the same bytes. The real-to-complex and complex-to-real passes along ``p``
 and the smearing multiply go ``_BLOCK_ROWS`` rows at a time, and the passes
 along ``x`` run in place, so the propagation holds one buffer and one output
 field at its peak.
+
+The row stages run on every core (:mod:`bohmdec._parallel`): each worker
+takes one contiguous span of rows through the blocked passes along ``p``
+and the multiply, and the passes along ``x`` take scipy's own ``workers``.
+The bicubic pullback runs one ``affine_transform`` per span of output rows,
+each writing its rows of the one output field, its offset shifted by the
+span's first row. Each worker's temporaries are ``_BLOCK_ROWS`` rows, so the
+peak stays one buffer and one output. A row's spectrum and smeared value do
+not depend on the spans; the shifted offsets round differently, so the
+output moves with the worker count by round-off (about 1e-15 of the peak).
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import ndimage
 
+from .. import _parallel
 from ..errors import NumericalFailureError
 from ..phase_space import OscillatorSystemSpec, WignerField
 from .propagator import GaussianPropagator
@@ -40,7 +51,8 @@ __all__ = ["propagate_wigner"]
 _SIGMA_CUT = 8.0
 _NORM_GUARD = 1e-3
 # Rows per pass of the blocked stages, whose temporaries must stay small
-# against the buffer; 4 to 64 rows time alike on a 2880 x 3750 buffer.
+# against the buffer; each worker holds one pass's temporaries at a time.
+# 4 to 64 rows timed alike on a 2880 x 3750 buffer on one core.
 _BLOCK_ROWS = 16
 
 
@@ -48,6 +60,17 @@ def _padded_axis(size: int, width: float) -> tuple[int, int]:
     """Margin and buffer length for ``size`` input cells smeared ``width`` cells wide."""
     margin = 4 + int(np.ceil(_SIGMA_CUT * width))
     return margin, sp_fft.next_fast_len(size + 2 * margin, real=True)
+
+
+def _blocked(job, first: int, last: int) -> None:
+    """``job(rows)`` on each ``_BLOCK_ROWS`` block of rows ``first:last``, one
+    span of blocks per worker."""
+
+    def span(worker: int, lo: int, hi: int) -> None:
+        for start in range(first + lo, first + hi, _BLOCK_ROWS):
+            job(slice(start, min(start + _BLOCK_ROWS, first + hi)))
+
+    _parallel.run_spans(span, _parallel.row_spans(last - first))
 
 
 def propagate_wigner(
@@ -88,30 +111,42 @@ def propagate_wigner(
     source[pad_x : pad_x + x.size, pad_p : pad_p + p.size] = field.values
     kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
     kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
-    # the rows outside the input are zero and transform to zero
-    for start in range(pad_x, pad_x + x.size, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+
+    def forward(rows: slice) -> None:
         spectrum[rows] = sp_fft.rfft(source[rows, :n_p], axis=1)
-    spectrum = sp_fft.fft(spectrum, axis=0, overwrite_x=True)
-    for start in range(0, n_x, _BLOCK_ROWS):
-        rows, k = slice(start, start + _BLOCK_ROWS), kx[start : start + _BLOCK_ROWS]
+
+    def smear(rows: slice) -> None:
+        k = kx[rows]
         spectrum[rows] *= np.exp(
             -0.25 * (m[0, 0] * k**2 + 2.0 * m[0, 1] * k * kp + m[1, 1] * kp**2)
         )
         spectrum[rows] *= 9.0 / ((2.0 + np.cos(k * dx)) * (2.0 + np.cos(kp * dp)))
-    spectrum = sp_fft.ifft(spectrum, axis=0, overwrite_x=True)
-    source = spectrum.view(float)
-    for start in range(0, n_x, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
+
+    def inverse(rows: slice) -> None:
         source[rows, :n_p] = sp_fft.irfft(spectrum[rows], n_p, axis=1)
+
+    # the rows outside the input are zero and transform to zero
+    _blocked(forward, pad_x, pad_x + x.size)
+    spectrum = sp_fft.fft(spectrum, axis=0, overwrite_x=True, workers=_parallel.WORKERS)
+    _blocked(smear, 0, n_x)
+    spectrum = sp_fft.ifft(spectrum, axis=0, overwrite_x=True, workers=_parallel.WORKERS)
+    source = spectrum.view(float)
+    _blocked(inverse, 0, n_x)
+
     # A^-1 in index units: output cell j reads source cell matrix @ j + offset
     step, corner = np.array([dx, dp]), np.array([x[0] / dx, p[0] / dp])
     matrix = np.linalg.inv(a) * step / step[:, None]
     offset = matrix @ corner - corner + (pad_x, pad_p)
-    values = ndimage.affine_transform(
-        source[:, :n_p], matrix, offset, field.values.shape, order=3, mode="constant",
-        prefilter=False,
-    )
+    values = np.empty(field.values.shape)
+
+    def pull_back(worker: int, lo: int, hi: int) -> None:
+        # output row i of the span is row lo + i of the whole field
+        ndimage.affine_transform(
+            source[:, :n_p], matrix, offset + matrix[:, 0] * lo, output=values[lo:hi],
+            order=3, mode="constant", prefilter=False,
+        )
+
+    _parallel.run_spans(pull_back, _parallel.row_spans(x.size))
     values /= det_a
 
     note = f"spectral_smear(buffer={n_x}x{n_p})"

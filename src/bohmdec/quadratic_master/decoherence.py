@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._guards import finite_array, require_finite
 from ..errors import DomainValidityError, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from .coefficients import CaldeiraLeggettParams, MasterEqCoefficients
@@ -44,12 +45,12 @@ def position_decoherence_factor(
     DomainValidityError
         Outside the short-time window.
     """
-    if not np.isfinite(t) or t < 0.0:
+    require_finite("t", t)
+    if t < 0.0:
         raise ValueError(f"elapsed time must be finite and non-negative, got {t!r}")
-    x = np.asarray(x, dtype=float)
-    x_prime = np.asarray(x_prime, dtype=float)
-    if not (np.isfinite(x).all() and np.isfinite(x_prime).all()):
-        raise ValueError("coordinates x and x_prime must be finite")
+    # a scalar pair keeps its 0-d shape
+    x = finite_array("x", x).reshape(np.shape(x))
+    x_prime = finite_array("x_prime", x_prime).reshape(np.shape(x_prime))
     w = system.renormalized_frequency
     if w * t >= _SHORT_TIME_LIMIT or cl_params.damping_rate * t >= _SHORT_TIME_LIMIT:
         raise DomainValidityError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import require_finite, require_symmetric
+from .._guards import finite_array, require_finite, require_symmetric
 from ..errors import NumericalFailureError
 from .coefficients import MasterEqCoefficients
 
@@ -54,13 +54,11 @@ class GaussianPropagator:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        m = np.asarray(self.m, dtype=float)
+        require_finite("GaussianPropagator.t", self.t)
+        a = finite_array("GaussianPropagator.a", self.a)
+        m = finite_array("GaussianPropagator.m", self.m)
         if a.shape != (2, 2) or m.shape != (2, 2):
             raise ValueError("GaussianPropagator matrices must be 2x2")
-        for name, value in (("t", self.t), ("a", a), ("m", m)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"GaussianPropagator.{name} must be finite")
         require_symmetric(m)
         m = 0.5 * (m + m.T)
         eigs = np.linalg.eigvalsh(m)

@@ -40,7 +40,7 @@ from bohmdec.bath_dynamics import (
 )
 from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
 from bohmdec.bath_dynamics.matrices import _flow_rows, _spectral_norm
-from bohmdec.bath_dynamics.volterra import NormalModeBasis
+from bohmdec.bath_dynamics.volterra import NormalModeBasis, _normal_modes
 from bohmdec.bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
@@ -306,6 +306,14 @@ class TestClosedForms:
         spectral = SpectralDensity.from_bath(bath)
         _, peak = traced_peak(lambda: solve_g_kernel(spectral, 1.0, 20.0, 1.0 / 320.0, mass=1.0))
         assert peak <= 32 * 2**20, peak / 2**20
+
+    def test_normal_modes_freeze_eigh_matrix_in_place(self):
+        # the Hessian and eigh's eigenvector matrix are the two (N + 1)^2
+        # arrays; a stored copy of the eigenvectors would be a third
+        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 512)
+        basis, peak = traced_peak(_normal_modes, bath, 1.0, 1.0)
+        assert not basis.vectors.flags.writeable
+        assert peak <= 2.5 * basis.vectors.nbytes, peak / basis.vectors.nbytes
 
     @pytest.mark.parametrize("bare", [1.3, None], ids=["bare", "counterterm"])
     def test_line_table_matches_generator_exponential(self, bare):
@@ -799,7 +807,7 @@ class TestBathSpec:
                 values[field][1] = bad
             else:
                 values[field] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"\b{field}( = \S+ is not finite| has non-finite entries)$"):
             BathSpec(**bath)
             solve_g_kernel(SpectralDensity(**ohmic), **solver)
 
@@ -848,7 +856,7 @@ class TestSampling:
     def test_rejects_nonfinite_centres(self, field, bad):
         centres = dict(positions=[0.1, 0.2], momenta=[0.0, -0.3])
         centres[field] = [0.1, bad]
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=rf"^CoherentBathSample\.{field} has non-finite entries$"):
             CoherentBathSample(**centres, seed=1)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from bohmdec import _parallel
 from bohmdec.errors import DomainValidityError, GridCoverageError
 from bohmdec.phase_space import (
     EnergyBandState,
@@ -50,6 +51,11 @@ class TestSystemSpec:
     def test_rejects_nonpositive(self, field):
         with pytest.raises(ValueError, match=field):
             OscillatorSystemSpec(**{field: 0.0})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match=rf"^OscillatorSystemSpec\.hbar = {bad:g} is not finite$"):
+            OscillatorSystemSpec(hbar=bad)
 
 
 class TestEnergyBandState:
@@ -457,11 +463,24 @@ class TestWignerTransform:
         with pytest.raises(GridCoverageError, match="aliased"):
             wigner_transform(chirp, grid, natural_system)
 
+    def test_field_does_not_depend_on_worker_count(self, canonical_cl_run, monkeypatch):
+        # every row is transformed alone, so any split of the rows into spans
+        # and of the buffer into slices gives the same bits
+        run = canonical_cl_run
+        fields = {}
+        for workers in (1, 3):
+            monkeypatch.setattr(_parallel, "WORKERS", workers)
+            fields[workers] = wigner_transform(run.psi, run.grid, run.system)
+        assert np.array_equal(fields[3].values, fields[1].values)
+        assert fields[3].notes == fields[1].notes
+        assert np.array_equal(run.field0.values, fields[1].values)
+
     def test_one_block_buffer_at_peak(self, natural_system):
-        # Every block is built, zero-padded and transformed in one reused
-        # buffer of at most 512 complex entries per column of the y table,
-        # 8192 bytes per column. A separate table, padded copy and spectrum
-        # per block take the peak above the output to about 2.7 buffers.
+        # Every block is built, zero-padded and transformed in one buffer of
+        # at most 512 complex entries per column of the y table, 8192 bytes
+        # per column, shared out one slice per worker. A separate table,
+        # padded copy and spectrum per block take the peak above the output
+        # to about 2.7 buffers.
         x0, p0 = 1.3, 0.4
         grid = GridSpec(x=np.linspace(-8.0, 8.0, 801), p=np.linspace(-6.0, 6.0, 601))
 

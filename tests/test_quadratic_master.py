@@ -16,6 +16,7 @@ from scipy import ndimage
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
 
+from bohmdec import _parallel
 from bohmdec.bohm_velocity import timescales
 from bohmdec.errors import DomainValidityError, NumericalFailureError
 from bohmdec.phase_space import (
@@ -426,7 +427,8 @@ class TestIntegratePropagator:
         ids=["t-nan", "t-inf", "a-nan", "m-inf"],
     )
     def test_propagator_rejects_nonfinite(self, name, t, a, m):
-        with pytest.raises(ValueError, match=f"GaussianPropagator.{name} must be finite"):
+        message = rf"GaussianPropagator\.{name}( = \S+ is not finite| has non-finite entries)$"
+        with pytest.raises(ValueError, match=message):
             GaussianPropagator(t, a, m)
 
     def test_import_loads_no_ode_solver_or_scipy_linalg(self):
@@ -592,6 +594,28 @@ class TestPropagateWigner:
         _, cov = out.mean_and_covariance()
         np.testing.assert_allclose(cov, np.diag([1.0, 0.5]), atol=1e-5)
         assert out.notes[-2].startswith("spectral_smear")
+
+    def test_field_does_not_depend_on_worker_count(self, canonical_cl_run, monkeypatch):
+        # the spectrum and the smear are row by row; each pullback span shifts
+        # its offset by its first row, which rounds differently
+        run = canonical_cl_run
+        monkeypatch.setattr(_parallel, "WORKERS", 1)
+        serial = propagate_wigner(run.prop_five, run.field0, run.system).values
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        three = propagate_wigner(run.prop_five, run.field0, run.system).values
+        peak = np.max(np.abs(serial))
+        for values in (three, run.field_five.values):
+            assert np.max(np.abs(values - serial)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_caller_float_state_reaches_the_workers(self, canonical_cl_run, monkeypatch, workers):
+        # The smearing factor underflows far out in k. Under the caller's
+        # under="raise" each worker raises as the inline pass does, and the
+        # worker's exception reaches the caller.
+        run = canonical_cl_run
+        monkeypatch.setattr(_parallel, "WORKERS", workers)
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            propagate_wigner(run.prop_five, run.field0, run.system)
 
     def test_one_buffer_and_one_output_at_peak(self, natural_system):
         # Every stage runs in one complex buffer whose float view holds the
