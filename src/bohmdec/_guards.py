@@ -13,6 +13,20 @@ def require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} = {value:g} is not finite")
 
 
+def require_positive(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming the argument unless ``value`` is finite and above 0."""
+    require_finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value:g}")
+
+
+def require_nonnegative(name: str, value: float) -> None:
+    """Raise ``ValueError`` naming the argument unless ``value`` is finite and at least 0."""
+    require_finite(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name} must be non-negative, got {value:g}")
+
+
 def require_integer(name: str, value) -> int:
     """``value`` as an ``int``; ``ValueError`` unless it is a whole number."""
     if not float(value).is_integer():  # also rejects NaN and inf

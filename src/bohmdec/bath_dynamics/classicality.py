@@ -12,19 +12,19 @@ as the reduced-propagator validity window: a margin of 1 is the boundary,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.special import lambertw
 
-from .._guards import require_finite
+from .._guards import require_positive
 from ..bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
     TimescaleReport,
+    ValidityReport,
     timescales,
 )
-from ..bohm_velocity.decomposition import _margin_report, _require_interior
+from ..bohm_velocity.decomposition import _require_interior
 from ..errors import NumericalFailureError
 from ..phase_space import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
@@ -89,37 +89,32 @@ def conditional_smearing_time(
 
 
 @dataclass(frozen=True)
-class ClassicalityReport:
+class ClassicalityReport(ValidityReport):
     """Margins of the slice-conditioned classicality inequalities.
+
+    ``margins``, ``passed`` (every margin at least 1) and ``strict_passed``
+    (at least 10) read as in :class:`ValidityReport`.
 
     Attributes
     ----------
     time : float
     position : float
         Probe position the momentum-scale margins were evaluated at.
-    margins : Mapping[str, float]
-        Each entry is the ratio by which its inequality holds; 1 is the
-        boundary.
-    passed : bool
-        Every margin at least 1.
-    strict_passed : bool
-        Every margin at least 10.
     conditional_smearing_time : float
         Onset time of conditional smearing for these parameters.
     timescales : TimescaleReport
         Unconditioned localization timescales, for the ordering check.
-    ordering_ok : bool
-        Whether unconditioned localization precedes conditional smearing.
     """
 
     time: float
     position: float
-    margins: Mapping[str, float]
-    passed: bool
-    strict_passed: bool
     conditional_smearing_time: float
     timescales: TimescaleReport
-    ordering_ok: bool
+
+    @property
+    def ordering_ok(self) -> bool:
+        """Whether unconditioned localization precedes conditional smearing."""
+        return self.timescales.t_c < self.conditional_smearing_time
 
 
 def classicality_report(
@@ -147,9 +142,7 @@ def classicality_report(
     -------
     ClassicalityReport
     """
-    require_finite("t", t)
-    if t <= 0.0:
-        raise ValueError("classicality margins are defined for t > 0")
+    require_positive("t", t)
     if x is None:
         x = 0.5 * orbit.amplitude
     _require_interior(x, orbit)
@@ -178,13 +171,10 @@ def classicality_report(
             omega * orbit_ratio / (gamma * log_cut) if log_cut > 0.0 else 0.0
         ),
     }
-    ts = timescales(system, cl_params, orbit)
-    onset = conditional_smearing_time(system, orbit, cl_params)
     return ClassicalityReport(
+        margins=margins,
         time=float(t),
         position=float(x),
-        **vars(_margin_report(margins)),
-        conditional_smearing_time=onset,
-        timescales=ts,
-        ordering_ok=ts.t_c < onset,
+        timescales=timescales(system, cl_params, orbit),
+        conditional_smearing_time=conditional_smearing_time(system, orbit, cl_params),
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._guards import finite_array, require_finite
+from .._guards import finite_array, require_finite, require_nonnegative, require_positive
 from ..bohm_velocity import initial_velocity
 from ..bohm_velocity.decomposition import (
     MInverseParams,
@@ -29,7 +29,7 @@ from ..bohm_velocity.decomposition import (
     _require_margins,
     _spread_margin,
 )
-from ..errors import UndefinedVelocityError
+from ..errors import NumericalFailureError, UndefinedVelocityError
 from ..phase_space import (
     ClassicalOrbit,
     EnergyBandState,
@@ -71,9 +71,7 @@ def m_tilde_matrix(
     sum keep the ``t -> 0`` entry orders (``t^6``, ``t^5``, ``t^4``) clean.
     ``t`` must be finite and non-negative (``ValueError``).
     """
-    require_finite("t", t)
-    if t < 0.0:
-        raise ValueError("the conditional kernel is assembled forward in time")
+    require_nonnegative("t", t)
     hbar = system.hbar
     m = system.mass
     jxx, jxp, jpp, _ = spectral.slice_integrals(t)
@@ -92,9 +90,7 @@ def sigma3_squared(
     ``X = cutoff t`` (:meth:`SpectralDensity.slice_integrals`). ``t`` must
     be finite and non-negative (``ValueError``).
     """
-    require_finite("t", t)
-    if t < 0.0:
-        raise ValueError("the conditional kernel is assembled forward in time")
+    require_nonnegative("t", t)
     return float(2.0 / (system.hbar * system.mass**2) * spectral.slice_integrals(t)[3])
 
 
@@ -106,8 +102,9 @@ def cl_m_tilde_asymptote(
     Valid for ``ln(cutoff t) >> 1``. The additive constants are the exact
     tails of the cutoff-oscillation integrals (combinations of the Euler
     constant and ``ln 2``); dropping them costs several percent even at
-    ``ln(cutoff t) = 5``.
+    ``ln(cutoff t) = 5``. ``t`` must be finite and positive (``ValueError``).
     """
+    require_positive("t", t)
     log_cut = np.log(cl_params.cutoff * t)
     if log_cut <= 0.0:
         raise ValueError("the log asymptote needs cutoff * t > 1")
@@ -124,7 +121,9 @@ def cl_m_tilde_asymptote(
 def cl_sigma3_squared_asymptote(
     cl_params: CaldeiraLeggettParams, system: OscillatorSystemSpec, t: float
 ) -> float:
-    """Log-cutoff asymptote of the slice precision for the ohmic density."""
+    """Log-cutoff asymptote of the slice precision for the ohmic density; ``t``
+    must be finite and positive (``ValueError``)."""
+    require_positive("t", t)
     log_cut = np.log(cl_params.cutoff * t)
     if log_cut <= 0.0:
         raise ValueError("the log asymptote needs cutoff * t > 1")
@@ -161,7 +160,7 @@ class ConditionalKernel:
         position and momentum, shape ``(N,)``.
     minv : MInverseParams or None
         Inverse of the conditional smearing matrix (:func:`m_tilde_matrix`);
-        ``None`` when the kernel is degenerate (no modes, or zero time).
+        ``None`` when the matrix is all zeros (no modes or couplings, or t = 0).
 
     A per-mode row of any other shape than ``(N,)`` raises ``ValueError``.
     """
@@ -188,7 +187,7 @@ class ConditionalKernel:
 
     @property
     def degenerate(self) -> bool:
-        """Whether the kernel has no inverse (no modes, or zero time)."""
+        """Whether the smearing matrix is all zeros (no modes or couplings, or t = 0)."""
         return self.minv is None
 
     def conditional_peaks(self, x: float, p: float) -> np.ndarray:
@@ -255,6 +254,8 @@ def conditional_kernel(
     Returns
     -------
     ConditionalKernel
+        Degenerate exactly when the smearing matrix is all zeros; any other
+        matrix without a valid inverse raises ``NumericalFailureError``.
     """
     require_finite("t", t)
     if props.mode != "weak_coupling" or not props.small_angle:
@@ -275,10 +276,13 @@ def conditional_kernel(
 
     if spectral is None:
         spectral = SpectralDensity.from_bath(bath)
+    m_tilde = m_tilde_matrix(spectral, props.system, t)
     try:
-        minv = MInverseParams.from_m_matrix(m_tilde_matrix(spectral, props.system, t))
-    except ValueError:
-        minv = None
+        minv = MInverseParams.from_m_matrix(m_tilde) if m_tilde.any() else None
+    except ValueError as exc:
+        raise NumericalFailureError(
+            f"the conditional smearing matrix at t = {t:g} has no usable inverse: {exc}"
+        ) from exc
 
     return ConditionalKernel(
         system=props.system,

@@ -7,7 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import sici
 
-from .._guards import finite_array, freeze_fields, require_finite, require_integer
+from .._guards import (
+    finite_array, freeze_fields, require_integer, require_nonnegative, require_positive
+)
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
 from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
@@ -67,13 +69,9 @@ class BathSpec:
         for name in ("masses", "frequencies", "couplings"):
             finite_array(f"BathSpec.{name}", getattr(self, name))
         for name in ("thermal_energy", "hbar"):
-            require_finite(f"BathSpec.{name}", getattr(self, name))
+            require_positive(f"BathSpec.{name}", getattr(self, name))
         if np.any(masses <= 0.0) or np.any(frequencies <= 0.0):
             raise ValueError("mode masses and frequencies must be positive")
-        if self.thermal_energy <= 0.0:
-            raise ValueError("thermal_energy must be positive")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
 
     @property
     def n_modes(self) -> int:
@@ -133,12 +131,9 @@ class SpectralDensity:
             if self.bath is None:
                 raise ValueError("a discrete density requires a bath")
         elif self.kind == "ohmic":
-            for name in ("damping_rate", "cutoff", "mass"):
-                require_finite(f"SpectralDensity.{name}", getattr(self, name))
-            if self.damping_rate < 0.0:
-                raise ValueError("damping_rate must be non-negative")
-            if self.cutoff <= 0.0 or self.mass <= 0.0:
-                raise ValueError("ohmic densities need a positive cutoff and mass")
+            require_nonnegative("SpectralDensity.damping_rate", self.damping_rate)
+            for name in ("cutoff", "mass"):
+                require_positive(f"SpectralDensity.{name}", getattr(self, name))
         else:
             raise ValueError(f"unknown spectral density kind {self.kind!r}")
 
@@ -153,15 +148,6 @@ class SpectralDensity:
         return cls(
             kind="ohmic", damping_rate=damping_rate, cutoff=cutoff, mass=system.mass
         )
-
-    @property
-    def max_frequency(self) -> float:
-        """Largest frequency carrying spectral weight."""
-        if self.kind == "ohmic":
-            return self.cutoff
-        if self.bath.n_modes == 0:
-            return 0.0
-        return float(self.bath.frequencies.max())
 
     def kernel_tables(
         self, bare_frequency: float, mass: float, step: float, count: int

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import freeze_fields, require_finite
+from .._guards import freeze_fields, require_positive
 from ._trig import phase_sums
 from .spectral import BathSpec, SpectralDensity
 
@@ -176,8 +176,10 @@ def solve_g_kernel(
     bare_frequency : float
         Uncoupled frequency of the central oscillator.
     t_max, step : float
-        Span and uniform step of the output grid. The step must resolve the
-        fastest frequency present with at least 20 points per period.
+        Span and uniform step of the output grid. For the ohmic density the
+        step must resolve the faster of the bare frequency and the cutoff
+        with at least 20 points per period; a line spectrum's closed-form
+        sums are exact at any step.
     mass : float, optional
         Central oscillator mass. May be omitted for an ohmic density, whose
         stored mass cancels against the kernel prefactor; a discrete density
@@ -194,10 +196,10 @@ def solve_g_kernel(
     Raises
     ------
     ValueError
-        If an argument is NaN or inf, the step is too coarse, the mass is
-        missing for a line spectrum, or the coupled Hessian of a line
-        spectrum is not positive definite (the message names its smallest
-        eigenvalue).
+        If an argument is NaN, inf or not positive, the step is too coarse
+        for the ohmic march, the mass is missing for a line spectrum, or the
+        coupled Hessian of a line spectrum is not positive definite (the
+        message names its smallest eigenvalue).
 
     Notes
     -----
@@ -215,20 +217,7 @@ def solve_g_kernel(
     for name, value in (
         ("bare_frequency", bare_frequency), ("t_max", t_max), ("step", step), ("mass", mass)
     ):
-        require_finite(name, value)
-    if bare_frequency <= 0.0:
-        raise ValueError("bare_frequency must be positive")
-    if t_max <= 0.0 or step <= 0.0:
-        raise ValueError("t_max and step must be positive")
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    fastest = max(bare_frequency, spectral.max_frequency)
-    coarsest = 2.0 * np.pi / (_POINTS_PER_PERIOD * fastest)
-    if step > coarsest * (1.0 + 1e-12):
-        raise ValueError(
-            f"step {step:g} is too coarse: resolving {fastest:g} rad/time with "
-            f"{_POINTS_PER_PERIOD} points per period needs step <= {coarsest:g}"
-        )
+        require_positive(name, value)
 
     n = int(np.ceil(t_max / step - 1e-9))
     times = np.arange(n + 1) * step
@@ -242,6 +231,13 @@ def solve_g_kernel(
         g, g_dot, g_ddot = sums[:, 0].imag, sums[:, 1].real, sums[:, 2].imag
         return GKernelTable(times, g, g_dot, g_ddot, *scalars, basis)
 
+    fastest = max(bare_frequency, spectral.cutoff)
+    coarsest = 2.0 * np.pi / (_POINTS_PER_PERIOD * fastest)
+    if step > coarsest * (1.0 + 1e-12):
+        raise ValueError(
+            f"step {step:g} is too coarse: resolving {fastest:g} rad/time with "
+            f"{_POINTS_PER_PERIOD} points per period needs step <= {coarsest:g}"
+        )
     tables = spectral.kernel_tables(bare_frequency, mass, step, n + 1)
     # column n - j + k holds the kernels at lag j - k, so the lags of step j
     # are the last j columns, in the order of the history

@@ -15,7 +15,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .._guards import finite_array, require_finite, require_symmetric
+from .._guards import finite_array, require_finite, require_positive, require_symmetric
 from ..errors import DomainValidityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..phase_space.wkb import WkbAmplitudes
@@ -47,12 +47,10 @@ class MInverseParams:
     delta: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "c", "b", "delta"):
+        for name in ("a", "c"):
             require_finite(f"MInverseParams.{name}", getattr(self, name))
-        if self.b <= 0.0:
-            raise ValueError("MInverseParams.b must be positive")
-        if self.delta <= 0.0:
-            raise ValueError("MInverseParams.delta must be positive")
+        for name in ("b", "delta"):
+            require_positive(f"MInverseParams.{name}", getattr(self, name))
         product = self.a * self.b - self.c**2
         if abs(product - self.delta) > 1e-10 * abs(self.delta):
             raise ValueError(
@@ -88,22 +86,22 @@ class ValidityReport:
     Each margin is the ratio by which its inequality holds; 1 is the
     boundary. ``passed`` requires every margin to be at least 1 and
     ``strict_passed`` at least 10, the conventional reading of "much
-    smaller than".
+    smaller than". Both are read from ``margins``, which is stored as a
+    read-only view.
     """
 
     margins: Mapping[str, float]
-    passed: bool
-    strict_passed: bool
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "margins", MappingProxyType(self.margins))
 
-def _margin_report(margins: dict[str, float]) -> ValidityReport:
-    """Freeze ``margins`` and read them at 1 (``passed``) and 10 (``strict_passed``)."""
-    values = list(margins.values())
-    return ValidityReport(
-        margins=MappingProxyType(margins),
-        passed=all(v >= 1.0 for v in values),
-        strict_passed=all(v >= 10.0 for v in values),
-    )
+    @property
+    def passed(self) -> bool:
+        return all(v >= 1.0 for v in self.margins.values())
+
+    @property
+    def strict_passed(self) -> bool:
+        return all(v >= 10.0 for v in self.margins.values())
 
 
 def _require_margins(what: str, margins: Mapping[str, float]) -> None:
@@ -187,7 +185,7 @@ def validity_window(
         upper = (x_max / orbit.de_broglie) ** (4.0 / 9.0)
         margins["cl_lower_time"] = reduced / lower
         margins["cl_upper_time"] = upper / reduced if reduced > 0.0 else np.inf
-    return _margin_report(margins)
+    return ValidityReport(margins)
 
 
 class BranchWidths(NamedTuple):

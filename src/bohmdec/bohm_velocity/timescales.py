@@ -21,11 +21,6 @@ class TimescaleReport:
         ``(3 m^2 lambda_B^2 / D)^(1/3)``.
     t_loc : float
         Localization time ``(hbar / (gamma k_B T))^(1/2)``.
-    threshold_time : float
-        ``(3/16)^(1/4) * t_loc``, where the smearing determinant crosses the
-        nonnegativity bound in the weak-damping short-time regime.
-    ratio : float
-        ``t_c / t_loc``.
     localization_rate : float
         ``2 m gamma k_B T / hbar^2``.
     diffusion : float
@@ -34,10 +29,19 @@ class TimescaleReport:
 
     t_c: float
     t_loc: float
-    threshold_time: float
-    ratio: float
     localization_rate: float
     diffusion: float
+
+    @property
+    def threshold_time(self) -> float:
+        """``(3/16)^(1/4) * t_loc``, where the smearing determinant crosses the
+        nonnegativity bound in the weak-damping short-time regime."""
+        return (3.0 / 16.0) ** 0.25 * self.t_loc
+
+    @property
+    def ratio(self) -> float:
+        """``t_c / t_loc``."""
+        return self.t_c / self.t_loc
 
 
 def timescales(
@@ -78,8 +82,6 @@ def timescales(
     return TimescaleReport(
         t_c=t_c,
         t_loc=t_loc,
-        threshold_time=(3.0 / 16.0) ** 0.25 * t_loc,
-        ratio=t_c / t_loc,
         localization_rate=cl_params.localization_rate(system),
         diffusion=diffusion,
     )

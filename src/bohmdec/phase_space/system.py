@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._guards import require_finite, require_integer
+from .._guards import require_integer, require_positive
 
 __all__ = [
     "OscillatorSystemSpec",
@@ -44,9 +45,7 @@ class OscillatorSystemSpec:
 
     def __post_init__(self) -> None:
         for name in ("mass", "bare_frequency", "renormalized_frequency", "hbar"):
-            require_finite(f"OscillatorSystemSpec.{name}", getattr(self, name))
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"OscillatorSystemSpec.{name} must be positive")
+            require_positive(f"OscillatorSystemSpec.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -165,18 +164,24 @@ class ClassicalOrbit:
     ----------
     energy : float
         Orbit energy ``(mean_level + 1/2) * hbar * omega``.
-    amplitude : float
-        Turning point ``x_max = sqrt(2 E / (m omega^2))``.
-    de_broglie : float
-        Local wavelength scale ``hbar / (m omega x_max)``.
     system : OscillatorSystemSpec
         The oscillator the orbit lives on.
     """
 
     energy: float
-    amplitude: float
-    de_broglie: float
     system: OscillatorSystemSpec
+
+    @functools.cached_property
+    def amplitude(self) -> float:
+        """Turning point ``x_max = sqrt(2 E / (m omega^2))``."""
+        m, w = self.system.mass, self.system.renormalized_frequency
+        return float(np.sqrt(2.0 * self.energy / (m * w**2)))
+
+    @functools.cached_property
+    def de_broglie(self) -> float:
+        """Local wavelength scale ``hbar / (m omega x_max)``."""
+        m, w = self.system.mass, self.system.renormalized_frequency
+        return self.system.hbar / (m * w * self.amplitude)
 
     def classical_momentum(self, x: np.ndarray) -> np.ndarray:
         """Positive-branch momentum ``p_cl(x) = m omega sqrt(x_max^2 - x^2)``.
@@ -232,15 +237,7 @@ def classical_orbit(
     Returns
     -------
     ClassicalOrbit
-        With energy ``(mean_level + 1/2) hbar omega``, amplitude
-        ``sqrt(2 E / m omega^2)`` and de Broglie scale
-        ``hbar / (m omega x_max)``.
+        With energy ``(mean_level + 1/2) hbar omega``.
     """
-    m = system.mass
-    w = system.renormalized_frequency
-    energy = (state.mean_level + 0.5) * system.hbar * w
-    amplitude = float(np.sqrt(2.0 * energy / (m * w**2)))
-    de_broglie = system.hbar / (m * w * amplitude)
-    return ClassicalOrbit(
-        energy=energy, amplitude=amplitude, de_broglie=de_broglie, system=system
-    )
+    energy = (state.mean_level + 0.5) * system.hbar * system.renormalized_frequency
+    return ClassicalOrbit(energy=energy, system=system)

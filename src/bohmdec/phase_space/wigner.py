@@ -11,7 +11,7 @@ from scipy import fft as sp_fft
 from scipy import ndimage
 
 from .. import _parallel
-from .._guards import finite_array
+from .._guards import finite_array, require_positive
 from ..errors import GridCoverageError
 from .system import ClassicalOrbit, OscillatorSystemSpec
 
@@ -119,8 +119,7 @@ class GridSpec:
         for name, value in (
             ("x_span", x_span), ("p_span", p_span), ("x_step", x_step), ("p_step", p_step)
         ):
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            require_positive(name, value)
         return cls(
             x=_symmetric_axis(x_span * orbit.amplitude, x_step),
             p=_symmetric_axis(p_span * p_scale, p_step),

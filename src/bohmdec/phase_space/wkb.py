@@ -79,12 +79,11 @@ class WkbAmplitudes:
     branch position densities; their sum integrates to one over the orbit.
     :meth:`amplitudes` evaluates both branches from one sum over the band,
     with the band's ``(2, band)`` coefficient rows and ``(band, 1)`` phase
-    rates built once per instance.
+    rates built once per instance. The oscillator is the orbit's.
     """
 
     state: EnergyBandState
     orbit: ClassicalOrbit
-    system: OscillatorSystemSpec
     _rows: np.ndarray = field(init=False, repr=False, compare=False)
     _rates: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -101,8 +100,8 @@ class WkbAmplitudes:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         plus, conj_minus = self._rows @ np.exp(self._rates * self.orbit.angle(x))
         p = self.orbit.classical_momentum(x)
-        m = self.system.mass
-        w = self.system.renormalized_frequency
+        m = self.orbit.system.mass
+        w = self.orbit.system.renormalized_frequency
         # p vanishes on and beyond the turning points, where both amplitudes do
         scale = np.sqrt(m * w / (2.0 * np.pi * np.where(p > 0.0, p, np.inf)))
         return scale * plus, scale * np.conjugate(conj_minus)
@@ -121,12 +120,15 @@ def wkb_amplitudes(
     orbit : ClassicalOrbit
         Orbit of the state's mean level (see :func:`classical_orbit`).
     system : OscillatorSystemSpec
+        Must be ``orbit.system`` (else ``ValueError``).
 
     Returns
     -------
     WkbAmplitudes
     """
-    return WkbAmplitudes(state=state, orbit=orbit, system=system)
+    if system != orbit.system:
+        raise ValueError("system differs from the orbit's")
+    return WkbAmplitudes(state=state, orbit=orbit)
 
 
 def wkb_wavefunction(

@@ -6,7 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .._guards import require_finite
+from .._guards import require_finite, require_nonnegative, require_positive
 from ..phase_space import OscillatorSystemSpec
 
 __all__ = [
@@ -84,12 +84,9 @@ class CaldeiraLeggettParams:
     cutoff: float
 
     def __post_init__(self) -> None:
-        for name in ("damping_rate", "thermal_energy", "cutoff"):
-            require_finite(f"CaldeiraLeggettParams.{name}", getattr(self, name))
-        if self.damping_rate < 0.0 or self.thermal_energy < 0.0:
-            raise ValueError("damping_rate and thermal_energy must be non-negative")
-        if self.cutoff <= 0.0:
-            raise ValueError("cutoff must be positive")
+        for name in ("damping_rate", "thermal_energy"):
+            require_nonnegative(f"CaldeiraLeggettParams.{name}", getattr(self, name))
+        require_positive("CaldeiraLeggettParams.cutoff", self.cutoff)
 
     def diffusion(self, system: OscillatorSystemSpec) -> float:
         """Momentum diffusion coefficient ``D = 2 m gamma k_B T``.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._guards import finite_array, require_finite
+from .._guards import finite_array, require_nonnegative
 from ..errors import DomainValidityError, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from .coefficients import CaldeiraLeggettParams, MasterEqCoefficients
@@ -45,9 +45,7 @@ def position_decoherence_factor(
     DomainValidityError
         Outside the short-time window.
     """
-    require_finite("t", t)
-    if t < 0.0:
-        raise ValueError(f"elapsed time must be finite and non-negative, got {t!r}")
+    require_nonnegative("t", t)
     # a scalar pair keeps its 0-d shape
     x = finite_array("x", x).reshape(np.shape(x))
     x_prime = finite_array("x_prime", x_prime).reshape(np.shape(x_prime))

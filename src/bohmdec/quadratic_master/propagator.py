@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import finite_array, require_finite, require_symmetric
+from .._guards import finite_array, require_finite, require_nonnegative, require_symmetric
 from ..errors import NumericalFailureError
 from .coefficients import MasterEqCoefficients
 
@@ -104,9 +104,7 @@ def integrate_propagator(
         or becomes too ill-conditioned to invert reliably (condition number
         above 1e12), or the smearing matrix loses positive semidefiniteness.
     """
-    require_finite("t", t)
-    if t < 0.0:
-        raise ValueError("propagator time must be non-negative")
+    require_nonnegative("t", t)
     t = float(t)
 
     # overflow surfaces as a non-finite matrix and is reported as a failure

@@ -360,6 +360,15 @@ class TestClosedForms:
         gap = max(np.abs(m_tilde / m_asym - 1.0).max(), abs(s3 / s3_asym - 1.0))
         assert gap <= 0.25 / np.exp(log_cut)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("asymptote", [cl_m_tilde_asymptote, cl_sigma3_squared_asymptote])
+    def test_log_asymptotes_reject_bad_time(self, asymptote, t):
+        # without the guard the log returns nan or inf entries, and t = -1
+        # only warns
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        with pytest.raises(ValueError, match=r"^t (= \S+ is not finite|must be positive)"):
+            asymptote(params, OscillatorSystemSpec(), t)
+
 
 class TestSolveGKernel:
     def test_reversibility_residuals_reach_round_off(self):
@@ -415,6 +424,20 @@ class TestSolveGKernel:
         assert counterterm_bare_frequency(bath, system) == pytest.approx(1.508, abs=1e-3)
         with pytest.raises(ValueError, match="smallest eigenvalue is -"):
             solve_g_kernel(SpectralDensity.from_bath(bath), 1.0, 1.0, 1e-3, mass=system.mass)
+
+    def test_line_table_is_exact_at_a_coarse_step(self):
+        # the closed-form sums need no points-per-period rule: a step of
+        # 0.05 is three times the 0.0158 that 20 points per period of the
+        # fastest line (19.8) would allow
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 64)
+        bare, mass, step = 1.3, 1.5, 0.05
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, 3.0, step, mass=mass)
+        nodes = np.array([0, 1, 2, 3, 17, 31, 45, 60])
+        expected = normal_mode_oracle(bath, bare, mass, nodes * step)
+        got = np.array([table.values, table.first_derivative, table.second_derivative])
+        for row, exact in zip(got, expected):
+            assert np.abs(row[nodes] - exact).max() <= TOL_LINE * np.abs(row).max()
 
     def test_rejects_too_coarse_step(self):
         # 20 points per period of a cutoff of 100 need a step below 3.1e-3
@@ -811,6 +834,32 @@ class TestBathSpec:
             BathSpec(**bath)
             solve_g_kernel(SpectralDensity(**ohmic), **solver)
 
+    @pytest.mark.parametrize(
+        "field, bad, rule",
+        [
+            ("thermal_energy", 0.0, "positive"), ("hbar", -1.0, "positive"),
+            ("damping_rate", -1e-3, "non-negative"), ("cutoff", 0.0, "positive"),
+            ("mass", -1.0, "positive"), ("bare_frequency", 0.0, "positive"),
+            ("t_max", -1.0, "positive"), ("step", 0.0, "positive"),
+        ],
+    )
+    def test_rejects_out_of_range(self, field, bad, rule):
+        bath = dict(
+            masses=np.ones(3),
+            frequencies=np.array([1.0, 2.0, 3.0]),
+            couplings=np.array([0.1, -0.1, 0.2]),
+            thermal_energy=1.0,
+            hbar=1.0,
+        )
+        ohmic = dict(kind="ohmic", damping_rate=1e-2, cutoff=20.0, mass=1.0)
+        solver = dict(bare_frequency=1.0, t_max=1.0, step=0.01)
+        for values in (bath, ohmic, solver):
+            if field in values:
+                values[field] = bad
+        with pytest.raises(ValueError, match=rf"\b{field} must be {rule}, got {bad:g}$"):
+            BathSpec(**bath)
+            solve_g_kernel(SpectralDensity(**ohmic), **solver)
+
     @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
     def test_discretization_rejects_fractional_mode_count(self, bad):
         with pytest.raises(ValueError, match="n_modes must be an integer"):
@@ -1026,6 +1075,28 @@ class TestConditionalVelocity:
             v = conditional_velocity(state, orbit, wkb, kernel, x, sample.positions)
             assert v == initial_velocity(psi, x, system)
 
+    def test_kernel_is_degenerate_only_for_an_all_zero_matrix(self):
+        # the benchmark's band bath: at t = 1e-4 the smearing matrix has a
+        # condition number of 1.5e17 and its inverse fails the determinant
+        # cross-check; that is a failure, not a degenerate kernel
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        bath = discretize_spectral_density(params, system, 512)
+        sample = sample_bath(bath, seed=11)
+        kernels = {}
+        for t in (0.0, 1e-4, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CouplingStrengthWarning)
+                props = weak_coupling_matrices(bath, system, t, small_angle=True)
+            if t == 1e-4:
+                with pytest.raises(NumericalFailureError, match="t = 0.0001"):
+                    conditional_kernel(props, bath, sample, t)
+            else:
+                kernels[t] = conditional_kernel(props, bath, sample, t)
+        assert kernels[0.0].degenerate
+        m_tilde = m_tilde_matrix(SpectralDensity.from_bath(bath), system, 0.5)
+        assert kernels[0.5].minv == MInverseParams.from_m_matrix(m_tilde)
+
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_matches_momentum_quadrature_of_the_decomposition(self, t):
         run = _canonical_conditioning(t)
@@ -1088,7 +1159,7 @@ class TestConditionalVelocity:
                     for k, g in enumerate(super().amplitudes(x))
                 )
 
-        wkb = Masked(run.state, run.orbit, run.system)
+        wkb = Masked(run.state, run.orbit)
         x = 0.3 * run.orbit.amplitude
         p_cl = float(run.orbit.classical_momentum(x))
         bath_slice = run.kernel.conditional_peaks(x, p_cl)

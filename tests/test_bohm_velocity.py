@@ -11,6 +11,7 @@ from scipy import ndimage
 from bohmdec.bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
+    ValidityReport,
     classical_band_margin,
     ensemble_velocity,
     initial_velocity,
@@ -297,6 +298,14 @@ class TestTimescales:
 
 
 class TestValidityWindow:
+    def test_report_reads_its_margins(self):
+        margins = {"first": 3.0, "second": 12.0}
+        report = ValidityReport(margins)
+        assert report.passed and not report.strict_passed
+        with pytest.raises(TypeError):
+            report.margins["first"] = 20.0
+        assert not ValidityReport({"first": float("nan")}).passed
+
     def test_vanishing_spread_passes_easily(self, natural_system, canonical_cl_run):
         minv = MInverseParams(a=100.0, c=0.0, b=1e-12, delta=1e-10)
         report = validity_window(minv, canonical_cl_run.orbit, natural_system)

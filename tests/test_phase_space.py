@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -146,6 +147,18 @@ class TestClassicalOrbit:
         orb = classical_orbit(build_energy_band_state(50, 0), natural_system)
         assert orb.classical_momentum(1.5 * orb.amplitude) == 0.0
 
+    def test_derived_scales_follow_energy_and_system(self):
+        # amplitude and de_broglie are derived from the two fields, so two
+        # orbits with the same fields agree and a replaced energy moves both
+        system = OscillatorSystemSpec(mass=2.0, renormalized_frequency=3.0, hbar=0.5)
+        orb = classical_orbit(build_energy_band_state(20, 0), system)
+        assert [f.name for f in dataclasses.fields(orb)] == ["energy", "system"]
+        assert orb.amplitude == float(np.sqrt(2.0 * orb.energy / (2.0 * 9.0)))
+        assert orb.de_broglie == 0.5 / (2.0 * 3.0 * orb.amplitude)
+        wider = dataclasses.replace(orb, energy=4.0 * orb.energy)
+        assert wider.amplitude == pytest.approx(2.0 * orb.amplitude, rel=1e-15)
+        assert wider.de_broglie == pytest.approx(0.5 * orb.de_broglie, rel=1e-15)
+
 
 class TestEigenfunctions:
     def test_ground_state_peak(self, natural_system):
@@ -218,6 +231,13 @@ class TestWkb:
         g_plus, g_minus = amp.amplitudes(x)
         assert np.allclose(np.abs(g_plus), expected, rtol=1e-13)
         assert np.allclose(np.abs(g_minus), expected, rtol=1e-13)
+
+    def test_amplitudes_need_the_orbits_system(self, natural_system):
+        st = build_energy_band_state(50, 4)
+        orb = classical_orbit(st, natural_system)
+        assert wkb_amplitudes(st, orb, OscillatorSystemSpec()).orbit is orb
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            wkb_amplitudes(st, orb, OscillatorSystemSpec(mass=2.0))
 
     def test_amplitudes_vanish_outside_orbit(self, natural_system):
         st = build_energy_band_state(50, 4)

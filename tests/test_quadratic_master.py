@@ -641,6 +641,15 @@ class TestPropagateWigner:
         with pytest.raises(NumericalFailureError, match="drifted"):
             propagate_wigner(prop, field, natural_system)
 
+    def test_mass_pushed_off_the_grid_raises(self, natural_system):
+        # x -> 2x carries the centre from 2.5 to 5 and the width from 0.5 to
+        # 1, so 15.9% of the mass lands beyond x = 6: far over the 1e-3 bound
+        x = symmetric_grid(6.0, 0.05)
+        field = gaussian_field(x, x, np.array([2.5, 0.0]), 0.25 * np.eye(2))
+        prop = GaussianPropagator(t=1.0, a=np.diag([2.0, 0.5]), m=np.zeros((2, 2)))
+        with pytest.raises(NumericalFailureError, match="drifted"):
+            propagate_wigner(prop, field, natural_system)
+
     def test_semigroup_field_route(self, natural_system):
         coeffs = default_cl(natural_system)
         x = symmetric_grid(6.0, 0.05)
@@ -773,7 +782,7 @@ class TestDecoherenceFactor:
         params = CaldeiraLeggettParams(
             damping_rate=0.05, thermal_energy=1000.0, cutoff=100.0
         )
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="finite|non-negative"):
             position_decoherence_factor(
                 params, natural_system, t, np.array([x]), np.array([x_prime])
             )
