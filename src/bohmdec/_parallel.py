@@ -3,9 +3,9 @@
 pocketfft and ``scipy.ndimage`` release the interpreter lock, so row blocks
 of a transform run side by side on threads. Every job writes only its own
 rows of an array its caller allocated, so the outputs do not depend on the
-worker count: bitwise where each row is computed alone (the Wigner
-transform), and to round-off where a span shifts the arithmetic (the bicubic
-pullback's offsets).
+worker count: bitwise where each fixed pair of rows is computed alone (the
+Wigner transform), and to round-off where a span shifts the arithmetic (the
+bicubic pullback's offsets).
 """
 
 from __future__ import annotations

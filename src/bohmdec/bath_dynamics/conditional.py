@@ -348,7 +348,8 @@ def conditional_velocity(
     Raises
     ------
     ValueError
-        If ``x`` or any slice position is NaN or inf.
+        If ``x`` or any slice position is NaN or inf, or ``wkb`` is not built
+        on ``orbit`` (checked unless the kernel is degenerate).
     DomainValidityError
         Outside the allowed region, inside the turning zone, or when the
         position-spread margin fails.

@@ -280,12 +280,25 @@ def wigner_transform(
     ``u v = (u^2 + v^2 - (v - u)^2) / 2`` turns it into a pre-chirp, one FFT
     convolution with the kernel ``exp(-i theta (v - u)^2 / 2)``
     (``theta = 2 delta h / hbar``, ``delta = grid.dp``) and a post-chirp, at
-    ``O(Nx (Ny + Np) log(Ny + Np))`` cost. The rows are cut into one
+    ``O(Nx (Ny + Np) log(Ny + Np))`` cost.
+
+    Each row's sum is real: its correlation row ``conj(psi(x_i + y))
+    psi(x_i - y)`` is Hermitian in ``y`` on the symmetric ``u`` lattice. So
+    one chirp-z of ``C_a + i C_b`` returns ``W_a + i W_b``, and two rows cost
+    the FFTs of one (Cooley, Lewis & Welch, J. Sound Vib. 12, 315 (1970));
+    each row picks up only its partner's round-off. Row ``j`` is paired
+    with row ``Nx // 2 + 1 + j``, pairs fixed on the grid. The centre row
+    ``Nx // 2`` goes alone, and so, on a grid with an even row count, does
+    the row below it, so the transform costs the FFTs of ``Nx // 2 + 1``
+    rows. The centre row's imaginary part, discarded elsewhere, is the
+    residue that ``imag_residue=`` records. The pairs are cut into one
     contiguous span per core (:mod:`bohmdec._parallel`), and each worker
-    writes, zero-pads and transforms its blocks of rows in place in its own
-    slice of one buffer; the slices together are no larger than the one
-    buffer a single worker reuses, or one row per worker. Every row is transformed alone, so
-    the field is bitwise the same for any worker count. ``grid.dp`` comes
+    writes, zero-pads and transforms its blocks of pairs in place in its own
+    slice of one buffer, beside a table for the partner rows; the slices
+    together are no larger than the one buffer a single worker reuses, or
+    one pair per worker. Every pair is transformed with the same
+    arithmetic whatever its span, so the field is bitwise the same for any
+    worker count. ``grid.dp`` comes
     from the end points of the momentum axis, not from its first step,
     which carries a rounding that would show at 1e-12 of the peak. On a
     symmetric grid the lattice and the kernel are exactly mirrored, which
@@ -305,7 +318,7 @@ def wigner_transform(
     WignerField
         Stamped at time 0. Its notes record the quadrature step
         (``y_step=``), the measured momentum reach (``p_reach=``) and the
-        largest discarded imaginary part (``imag_residue=``).
+        largest imaginary part of the centre row's sum (``imag_residue=``).
 
     Raises
     ------
@@ -314,8 +327,8 @@ def wigner_transform(
         momentum probes still disagree on the reach after eight halvings.
     ValueError
         If the sampler returns NaN or inf, or zero at every probe point of the
-        position axis, or the discarded imaginary residue exceeds 1e-10 of
-        ``||psi||^2 / (pi hbar)``, the bound on ``|W|``.
+        position axis, or the centre row's imaginary residue exceeds 1e-10
+        of ``||psi||^2 / (pi hbar)``, the bound on ``|W|``.
     """
     hbar = system.hbar
     x = grid.x
@@ -381,40 +394,51 @@ def wigner_transform(
     lag = np.where(lag < p.size, lag, lag - n_fft) + (n_half - 0.5 * (p.size - 1))
     kernel = sp_fft.fft(np.exp(-0.5j * theta * lag**2))
 
-    # Each worker transforms its span of rows in its own slice of one buffer,
+    # Pair j packs row j with row mid + 1 + j; the rows pairs..mid, the
+    # centre and on an even grid the one row below it, go alone.
+    mid = x.size // 2
+    pairs = (x.size - 1) // 2
+    # Each worker transforms its span of pairs in its own slice of one buffer,
     # a block at a time: every block is built, zero-padded and transformed in
-    # that slice, and the slices together hold no more entries than a
-    # 512-column table over y. The output is allocated before the buffer:
-    # in the other order a repeated transform of a 1933 x 2577 grid peaked
-    # 14 MB higher in resident memory, the allocator's heap fragmenting
-    # round the freed buffer.
+    # that slice beside a table for the partner rows, and the slices together
+    # hold no more entries than a 512-column table over y. The output is
+    # allocated before the buffer: in the other order a repeated transform
+    # of a 1933 x 2577 grid peaked 14 MB higher in resident memory, the
+    # allocator's heap fragmenting round the freed buffer.
     values = np.empty((x.size, p.size))
-    spans = _parallel.row_spans(x.size)
-    rows = max(1, 512 * u.size // n_fft // len(spans))
-    buffer = np.empty((len(spans) * rows, n_fft), dtype=complex)
+    spans = _parallel.row_spans(pairs)
+    rows = max(1, 512 * u.size // (n_fft + u.size) // len(spans))
+    buffer = np.empty(len(spans) * rows * (n_fft + u.size), dtype=complex)
 
-    def transform(worker: int, lo: int, hi: int) -> float:
-        """Rows ``lo:hi`` of ``values``; returns their largest ``|imag|``."""
-        own = buffer[worker * rows : (worker + 1) * rows]
-        worst = 0.0
-        for start in range(lo, hi, rows):
-            win = windows[start : min(start + rows, hi)]
-            table = own[: win.shape[0]]
-            np.conjugate(win, out=table[:, : u.size])
-            table[:, : u.size] *= pre
-            table[:, : u.size] *= win[:, ::-1]
-            table[:, u.size :] = 0.0
-            table = sp_fft.fft(table, axis=1, overwrite_x=True)
-            table *= kernel
-            block = sp_fft.ifft(table, axis=1, overwrite_x=True)[:, : p.size]
-            block *= post
-            values[start : start + win.shape[0]] = block.real
-            # max |imag| without a block-sized temporary
-            worst = max(worst, float(block.imag.max()), -float(block.imag.min()))
-        return worst
+    def chirp(worker: int, first: np.ndarray, second: np.ndarray | None) -> np.ndarray:
+        """Post-chirped sums of the windows ``first + 1j * second`` (``second``
+        absent: zero), in worker ``worker``'s slice of the buffer."""
+        n = first.shape[0]
+        own = buffer[worker * rows * (n_fft + u.size) :]
+        table = own[: n * n_fft].reshape(n, n_fft)
+        head = table[:, : u.size]
+        np.conjugate(first, out=head)
+        head *= first[:, ::-1]
+        if second is not None:
+            partner = own[rows * n_fft : rows * n_fft + n * u.size].reshape(n, u.size)
+            np.conjugate(second, out=partner)
+            partner *= second[:, ::-1]
+            partner *= 1j
+            head += partner
+        head *= pre
+        table[:, u.size :] = 0.0
+        table = sp_fft.fft(table, axis=1, overwrite_x=True)
+        table *= kernel
+        block = sp_fft.ifft(table, axis=1, overwrite_x=True)[:, : p.size]
+        block *= post
+        return block
 
-    worst_imag = max(_parallel.run_spans(transform, spans))
-
+    # The lone rows go first, and the centre row, the last of them, is read
+    # for the residue before any pair is transformed.
+    for row in range(pairs, mid + 1):
+        block = chirp(0, windows[row : row + 1], None)
+        values[row] = block[0].real
+    worst_imag = float(np.max(np.abs(block[0].imag)))
     # |W| <= ||psi||^2 / (pi hbar), so the residue is measured against that
     # bound, which does not shrink on a grid that sees only the state's tails.
     bound = norm / (np.pi * hbar)
@@ -423,6 +447,18 @@ def wigner_transform(
             f"imaginary residue {worst_imag:.3e} exceeds 1e-10 of the bound "
             f"||psi||^2/(pi hbar) = {bound:.3e}"
         )
+
+    def transform(worker: int, lo: int, hi: int) -> None:
+        """Pairs ``lo:hi``: real parts to rows ``lo:hi``, imaginary parts to
+        their partners ``mid + 1 + lo : mid + 1 + hi``."""
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            partner = slice(mid + 1 + start, mid + 1 + stop)
+            block = chirp(worker, windows[start:stop], windows[partner])
+            values[start:stop] = block.real
+            values[partner] = block.imag
+
+    _parallel.run_spans(transform, spans)
     return WignerField(
         x_grid=x,
         p_grid=p,

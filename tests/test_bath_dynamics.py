@@ -1077,8 +1077,8 @@ class TestConditionalVelocity:
 
     def test_kernel_is_degenerate_only_for_an_all_zero_matrix(self):
         # the benchmark's band bath: at t = 1e-4 the smearing matrix has a
-        # condition number of 1.5e17 and its inverse fails the determinant
-        # cross-check; that is a failure, not a degenerate kernel
+        # condition number of 1.5e17 and its determinant is lost to
+        # cancellation; that is a failure, not a degenerate kernel
         system = OscillatorSystemSpec()
         params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
         bath = discretize_spectral_density(params, system, 512)
@@ -1096,6 +1096,55 @@ class TestConditionalVelocity:
         assert kernels[0.0].degenerate
         m_tilde = m_tilde_matrix(SpectralDensity.from_bath(bath), system, 0.5)
         assert kernels[0.5].minv == MInverseParams.from_m_matrix(m_tilde)
+
+    def test_cancelled_determinant_is_rejected(self):
+        # the benchmark's band bath at t = 1e-6: m00 m11 / det = 5.8e15 and the
+        # float determinant is 2.8 times the exact 4.34e-64, yet it passed the
+        # determinant cross-check and gave a velocity of -9.59 at 0.3 x_max
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        bath = discretize_spectral_density(params, system, 512)
+        m_tilde = m_tilde_matrix(SpectralDensity.from_bath(bath), system, 1e-6)
+        with pytest.raises(ValueError, match="cancellation"):
+            MInverseParams.from_m_matrix(m_tilde)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CouplingStrengthWarning)
+            props = weak_coupling_matrices(bath, system, 1e-6, small_angle=True)
+        with pytest.raises(NumericalFailureError, match="cancellation"):
+            conditional_kernel(props, bath, sample_bath(bath, seed=11), 1e-6)
+
+    @pytest.mark.parametrize("t", [5e-4, 0.5, 2.0, 4.0])
+    def test_benchmark_times_keep_their_inverse(self, t):
+        # the conditioning times of the benchmark's band bath, and 5e-4 where
+        # the float and the exact determinant still agree, invert as before
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        bath = discretize_spectral_density(params, system, 512)
+        continuum = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
+        for spectral in (SpectralDensity.from_bath(bath), continuum):
+            m = m_tilde_matrix(spectral, system, t)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            assert MInverseParams.from_m_matrix(m) == MInverseParams(
+                a=m[1, 1] / det, c=-m[0, 1] / det, b=m[0, 0] / det, delta=1.0 / det
+            )
+
+    def test_orbit_must_be_the_branch_amplitudes_orbit(self):
+        # the n = 50 band's amplitudes read on the n = 60 band's orbit gave
+        # -1.28 instead of -0.91 at 0.3 x_max, with no error
+        run = _canonical_conditioning(2.0)
+        x = 0.3 * run.orbit.amplitude
+        bath_slice = run.kernel.conditional_peaks(x, float(run.orbit.classical_momentum(x)))
+        other = classical_orbit(build_energy_band_state(60, 8), run.system)
+        with pytest.raises(ValueError, match="another orbit"):
+            SemiclassicalDecomposition(run.kernel.minv, other, run.wkb)
+        with pytest.raises(ValueError, match="another orbit"):
+            conditional_velocity(run.state, other, run.wkb, run.kernel, x, bath_slice)
+        # an equal orbit built apart is the same orbit
+        twin = classical_orbit(run.state, run.system)
+        assert twin is not run.orbit
+        v = conditional_velocity(run.state, twin, run.wkb, run.kernel, x, bath_slice)
+        assert v == conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        assert v == pytest.approx(-0.91, abs=0.005)
 
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_matches_momentum_quadrature_of_the_decomposition(self, t):

@@ -114,6 +114,17 @@ class TestMInverseParams:
         with pytest.raises(ValueError, match="symmetric"):
             MInverseParams.from_m_matrix(np.array([[1.0, 0.3], [0.1, 1.0]]))
 
+    @pytest.mark.parametrize("gap, ok", [(1e-5, True), (1e-7, False)])
+    def test_from_m_matrix_rejects_a_cancelled_determinant(self, gap, ok):
+        # det = 2 gap - gap^2 against m00 m11 = 1: eps / det crosses the 1e-10
+        # bound at gap = 1.1e-6
+        m = np.array([[1.0, 1.0 - gap], [1.0 - gap, 1.0]])
+        if ok:
+            MInverseParams.from_m_matrix(m)
+        else:
+            with pytest.raises(ValueError, match="cancellation"):
+                MInverseParams.from_m_matrix(m)
+
     def test_from_m_matrix_rejects_singular(self):
         with pytest.raises(ValueError, match="positive definite"):
             MInverseParams.from_m_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))

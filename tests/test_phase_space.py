@@ -495,6 +495,46 @@ class TestWignerTransform:
         assert fields[3].notes == fields[1].notes
         assert np.array_equal(run.field0.values, fields[1].values)
 
+    @staticmethod
+    def _two_lobes(x):
+        """Lobes 4.2 inside each edge of x in [-6.5, 6.5], with their own
+        momenta and weights: every row of a grid on that axis reaches at
+        least 5e-9 of the peak, and the two edge rows differ."""
+        g = np.pi**-0.25 * np.exp(-0.5 * (x + 2.3) ** 2 - 1.5j * x)
+        return g + 0.7 * np.pi**-0.25 * np.exp(-0.5 * (x - 2.3) ** 2 + 2j * x)
+
+    @pytest.mark.parametrize("n_x", [2, 3, 4, 5, 160])
+    def test_pairs_match_direct_sum(self, natural_system, n_x):
+        # Row j shares a chirp-z with row n_x // 2 + 1 + j; the centre row and,
+        # on an even grid, the row below it go alone. Every row against a
+        # per-row trapezoid sum over the transform's own y-step.
+        grid = GridSpec(x=np.linspace(-6.5, 6.5, n_x), p=np.linspace(-5.0, 6.0, 111))
+        psi = self._two_lobes
+        field = wigner_transform(psi, grid, natural_system)
+        note = next(n for n in field.notes if n.startswith("y_step="))
+        h = float(note.split("=")[1])
+        # beyond |y| = 20 one of x +- y lies 11 or more from both lobes
+        ys = h * np.arange(-int(20.0 / h), int(20.0 / h) + 1)
+        phase = np.exp((2j / natural_system.hbar) * np.outer(ys, grid.p))
+        ref = np.array([
+            (np.conj(psi(xi + ys)) * psi(xi - ys)) @ phase for xi in grid.x
+        ]).real * h / (np.pi * natural_system.hbar)
+        bound = np.sum(np.abs(psi(ys)) ** 2) * h / (np.pi * natural_system.hbar)
+        assert np.min(np.max(np.abs(ref), axis=1)) > 5e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(field.values - ref)) < 1e-13 * bound
+
+    def test_even_grid_does_not_depend_on_worker_count(self, natural_system, monkeypatch):
+        # an even row count leaves two rows unpaired; the pairs are fixed on
+        # the grid, so any split of them into spans gives the same bits
+        grid = GridSpec(x=np.linspace(-6.5, 6.5, 160), p=np.linspace(-5.0, 6.0, 111))
+        fields = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(_parallel, "WORKERS", workers)
+            fields[workers] = wigner_transform(self._two_lobes, grid, natural_system)
+        for workers in (2, 3):
+            assert np.array_equal(fields[workers].values, fields[1].values)
+            assert fields[workers].notes == fields[1].notes
+
     def test_one_block_buffer_at_peak(self, natural_system):
         # Every block is built, zero-padded and transformed in one buffer of
         # at most 512 complex entries per column of the y table, 8192 bytes
