@@ -331,8 +331,9 @@ def conditional_velocity(
     Parameters
     ----------
     state : EnergyBandState
-        Initial band state; used directly only when the kernel is degenerate
-        and the velocity falls back to the pure-state value.
+        Initial band state; ``wkb`` must be built for it (an equal state
+        built apart counts). It is used directly only when the kernel is
+        degenerate and the velocity falls back to the pure-state value.
     orbit : ClassicalOrbit
     wkb : WkbAmplitudes
         Branch amplitudes of ``state`` on ``orbit``.
@@ -348,8 +349,9 @@ def conditional_velocity(
     Raises
     ------
     ValueError
-        If ``x`` or any slice position is NaN or inf, or ``wkb`` is not built
-        on ``orbit`` (checked unless the kernel is degenerate).
+        If ``x`` or any slice position is NaN or inf, ``wkb`` is not built for
+        ``state``, or (unless the kernel is degenerate) ``wkb`` is not built
+        on ``orbit``.
     DomainValidityError
         Outside the allowed region, inside the turning zone, or when the
         position-spread margin fails.
@@ -361,6 +363,10 @@ def conditional_velocity(
     x_eval = float(x)
     # also rejects a non-finite x or slice when the kernel is degenerate
     q0, q1, q2 = kernel.slice_quadratic(bath_slice, x_eval)
+
+    # identity first, as for the orbit: the velocity is called once per point
+    if wkb.state is not state and wkb.state != state:
+        raise ValueError(f"wkb belongs to another state: {wkb.state!r}, not {state!r}")
 
     if kernel.degenerate:
         sampler = band_wavefunction(state, system)

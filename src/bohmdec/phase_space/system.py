@@ -56,7 +56,8 @@ class EnergyBandState:
     ``r = -band_width/2 .. +band_width/2``. They obey
     ``sum |c_r|^2 == 1`` to within 1e-12 and the lowest populated level
     ``mean_level - band_width/2`` may not be negative. Both levels must be
-    whole numbers (``ValueError`` otherwise) and are stored as ``int``.
+    whole numbers (``ValueError`` otherwise) and are stored as ``int``. Two
+    states are equal when their levels, widths and coefficients are.
 
     Attributes
     ----------
@@ -98,6 +99,16 @@ class EnergyBandState:
                 f"sum |c_r|^2 = {norm!r} differs from 1 by more than 1e-12"
             )
         object.__setattr__(self, "coefficients", coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        # the generated == would take the truth value of an array comparison
+        if not isinstance(other, EnergyBandState):
+            return NotImplemented
+        return (
+            self.mean_level == other.mean_level
+            and self.band_width == other.band_width
+            and np.array_equal(self.coefficients, other.coefficients)
+        )
 
     @property
     def offsets(self) -> np.ndarray:

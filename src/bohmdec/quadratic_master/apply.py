@@ -15,24 +15,48 @@ and reads 0; its true value is below ``e^-32`` of the peak. The smear stays
 exact for a singular ``M``, zero included, where it multiplies by 1 and only
 the bicubic pullback along ``A`` remains.
 
+Only the spectrum that can still move the field is transformed along ``x``
+and multiplied. A half-spectrum cell whose factor is below ``e^-E_c``, with
+``E_c = ln(20 N_in / eps)`` and ``N_in`` the input's cell count, is dropped:
+its mirror has the same factor, and the ``n_x n_p`` cells of the full
+spectrum each move a spline coefficient by at most ``9 e^-E_c / (n_x n_p)``
+times ``sum |w_in| <= N_in max |w_in|`` (9 is the prefilter's largest
+gain), so together they move it by at most ``9 eps / 20 < eps / 2`` times
+``max |w_in|``. The bicubic weights are nonnegative and sum to one, so an
+output value moves by at most ``eps / 2 max |w_in| / det A``. The cut needs
+no tuning: it follows from ``eps`` and the input's size. Row ``kx`` keeps
+the ``kp`` within ``sqrt(4 E_c / m11 - det M kx^2 / m11^2)`` of
+``-m01 kx / m11``, and no row reaches a column with
+``det M kp^2 / (4 m00) > E_c``, the least value of ``k^T M k / 4`` down
+that column. Where ``det M <= 0`` or ``m11 <= 0`` these bounds do not hold,
+and every column (and every cell, for ``m11 <= 0``) a bound cannot exclude
+is kept. For ``canonical_cl_run`` at five smoothing times ``E_c = 53.4`` and
+12% of the columns are kept; at t -> 0 all are, and the calls are those of
+the uncut smear.
+
 Every stage runs in one complex array of shape ``(n_x, n_p // 2 + 1)``. Its
 float view has rows of ``2 (n_p // 2 + 1)`` floats, enough for a padded real
 row of ``n_p``: FFTW's in-place layout for real transforms (Frigo & Johnson,
 Proc. IEEE 93, 216 (2005)), in which a real array and its half spectrum share
-the same bytes. The real-to-complex and complex-to-real passes along ``p``
-and the smearing multiply go ``_BLOCK_ROWS`` rows at a time, and the passes
-along ``x`` run in place, so the propagation holds one buffer and one output
-field at its peak.
+the same bytes. The copy of the field into the buffer, the real-to-complex
+and complex-to-real passes along ``p`` and the smearing multiply go
+``_BLOCK_ROWS`` rows at a time. The passes along ``x`` run in place on the
+strided view of the kept columns (scipy's ``overwrite_x`` writes a strided
+view in place; a copy would be written back), and the multiply covers a
+block's rows up to the furthest column any of them keeps and zeroes the rest
+of the block. So the propagation holds one buffer and one output field at
+its peak.
 
 The row stages run on every core (:mod:`bohmdec._parallel`): each worker
-takes one contiguous span of rows through the blocked passes along ``p``
-and the multiply, and the passes along ``x`` take scipy's own ``workers``.
+takes one contiguous span of rows through the blocked copy, passes along
+``p`` and multiply, and the passes along ``x`` take scipy's own ``workers``.
 The bicubic pullback runs one ``affine_transform`` per span of output rows,
-each writing its rows of the one output field, its offset shifted by the
-span's first row. Each worker's temporaries are ``_BLOCK_ROWS`` rows, so the
-peak stays one buffer and one output. A row's spectrum and smeared value do
-not depend on the spans; the shifted offsets round differently, so the
-output moves with the worker count by round-off (about 1e-15 of the peak).
+each writing and then dividing by ``det A`` its rows of the one output field,
+its offset shifted by the span's first row. Each worker's temporaries are
+``_BLOCK_ROWS`` rows, so the peak stays one buffer and one output. A row's
+spectrum and smeared value do not depend on the spans; the shifted offsets
+round differently, so the output moves with the worker count by round-off
+(about 1e-15 of the peak).
 """
 
 from __future__ import annotations
@@ -62,6 +86,34 @@ def _padded_axis(size: int, width: float) -> tuple[int, int]:
     return margin, sp_fft.next_fast_len(size + 2 * margin, real=True)
 
 
+def _tail_exponent(cells: int) -> float:
+    """``E_c = ln(20 cells / eps)``: a smearing factor below ``e^-E_c`` moves no
+    output of a ``cells``-cell input by half an ulp of its peak (module notes)."""
+    return float(np.log(20.0 * cells / np.finfo(float).eps))
+
+
+def _support(m: np.ndarray, kx: np.ndarray, kp: np.ndarray, tail: float) -> tuple[int, np.ndarray]:
+    """Columns the passes along ``x`` transform, and the columns each row keeps.
+
+    ``kx`` and ``kp`` are the buffer's frequencies, ``kp`` ascending; a cell is
+    kept unless ``k^T M k / 4 > tail``. Each row keeps the columns up to its
+    ellipse's upper ``kp`` edge, and no row keeps a column beyond the first
+    ``keep``.
+    """
+    n = kp.size
+    if not m[1, 1] > 0.0:
+        return n, np.full(kx.size, n)
+    det = m[0, 0] * m[1, 1] - m[0, 1] ** 2
+    keep = n
+    if det > 0.0:
+        keep = int(np.searchsorted(kp, np.sqrt(4.0 * tail * m[0, 0] / det), side="right"))
+    spread = 4.0 * tail / m[1, 1] - det * kx**2 / m[1, 1] ** 2
+    edge = np.where(
+        spread >= 0.0, np.sqrt(np.maximum(spread, 0.0)) - m[0, 1] * kx / m[1, 1], -np.inf
+    )
+    return keep, np.minimum(np.searchsorted(kp, edge, side="right"), keep)
+
+
 def _blocked(job, first: int, last: int) -> None:
     """``job(rows)`` on each ``_BLOCK_ROWS`` block of rows ``first:last``, one
     span of blocks per worker."""
@@ -89,7 +141,13 @@ def propagate_wigner(
     buffer in FFTW's in-place real layout (see the module notes), and the
     bicubic pullback reads the first ``n_p`` floats of each of its rows. The
     memory this costs is that buffer, ``16 n_x (n_p // 2 + 1)`` bytes, plus
-    the output field.
+    the output field. Spectrum cells whose smearing factor is below
+    ``e^-E_c``, ``E_c = ln(20 N_in / eps)`` for an input of ``N_in`` cells,
+    are dropped: the passes along ``x`` run in place on the first columns
+    that any row keeps, and the multiply on each row block stops at its
+    furthest kept column and zeroes the rest. That moves each output value
+    by at most ``eps / 2 max |w_in| / det A`` (see the module notes). The
+    copy into the buffer and the division by ``det A`` run in the row stages.
 
     Raises
     ------
@@ -108,29 +166,37 @@ def propagate_wigner(
     pad_p, n_p = _padded_axis(p.size, np.sqrt(0.5 * max(m[1, 1], 0.0)) / dp)
     spectrum = np.zeros((n_x, n_p // 2 + 1), dtype=complex)
     source = spectrum.view(float)  # rows of 2 (n_p // 2 + 1) >= n_p floats
-    source[pad_x : pad_x + x.size, pad_p : pad_p + p.size] = field.values
-    kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)[:, None]
-    kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)[None, :]
+    kx = 2.0 * np.pi * sp_fft.fftfreq(n_x, dx)
+    kp = 2.0 * np.pi * sp_fft.rfftfreq(n_p, dp)
+    keep, reach = _support(m, kx, kp, _tail_exponent(field.values.size))
+    kx, kp = kx[:, None], kp[None, :]
 
     def forward(rows: slice) -> None:
+        source[rows, pad_p : pad_p + p.size] = field.values[rows.start - pad_x : rows.stop - pad_x]
         spectrum[rows] = sp_fft.rfft(source[rows, :n_p], axis=1)
 
+    def along_x(transform) -> None:
+        kept = spectrum[:, :keep]
+        out = transform(kept, axis=0, overwrite_x=True, workers=_parallel.WORKERS)
+        if not np.may_share_memory(out, kept):
+            kept[...] = out
+
     def smear(rows: slice) -> None:
-        k = kx[rows]
-        spectrum[rows] *= np.exp(
-            -0.25 * (m[0, 0] * k**2 + 2.0 * m[0, 1] * k * kp + m[1, 1] * kp**2)
-        )
-        spectrum[rows] *= 9.0 / ((2.0 + np.cos(k * dx)) * (2.0 + np.cos(kp * dp)))
+        k, cols = kx[rows], reach[rows].max()
+        q = kp[:, :cols]
+        block = spectrum[rows, :cols]
+        block *= np.exp(-0.25 * (m[0, 0] * k**2 + 2.0 * m[0, 1] * k * q + m[1, 1] * q**2))
+        block *= 9.0 / ((2.0 + np.cos(k * dx)) * (2.0 + np.cos(q * dp)))
+        spectrum[rows, cols:] = 0.0
 
     def inverse(rows: slice) -> None:
         source[rows, :n_p] = sp_fft.irfft(spectrum[rows], n_p, axis=1)
 
     # the rows outside the input are zero and transform to zero
     _blocked(forward, pad_x, pad_x + x.size)
-    spectrum = sp_fft.fft(spectrum, axis=0, overwrite_x=True, workers=_parallel.WORKERS)
+    along_x(sp_fft.fft)
     _blocked(smear, 0, n_x)
-    spectrum = sp_fft.ifft(spectrum, axis=0, overwrite_x=True, workers=_parallel.WORKERS)
-    source = spectrum.view(float)
+    along_x(sp_fft.ifft)
     _blocked(inverse, 0, n_x)
 
     # A^-1 in index units: output cell j reads source cell matrix @ j + offset
@@ -145,9 +211,9 @@ def propagate_wigner(
             source[:, :n_p], matrix, offset + matrix[:, 0] * lo, output=values[lo:hi],
             order=3, mode="constant", prefilter=False,
         )
+        values[lo:hi] /= det_a
 
     _parallel.run_spans(pull_back, _parallel.row_spans(x.size))
-    values /= det_a
 
     note = f"spectral_smear(buffer={n_x}x{n_p})"
     out = WignerField(x, p, values, field.time_stamp + propagator.t, tuple(field.notes) + (note,))

@@ -1146,6 +1146,25 @@ class TestConditionalVelocity:
         assert v == conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
         assert v == pytest.approx(-0.91, abs=0.005)
 
+    @pytest.mark.parametrize("t", [0.0, 2.0])
+    def test_state_must_be_the_branch_amplitudes_state(self, t):
+        # the n = 60 band's state with the n = 50 band's amplitudes gave
+        # -11.438 at t = 0 and 0.3 x_max, where the matched pair gives -10.188
+        run = _canonical_conditioning(t)
+        x = 0.3 * run.orbit.amplitude
+        bath_slice = run.kernel.conditional_peaks(x, float(run.orbit.classical_momentum(x)))
+        assert run.kernel.degenerate == (t == 0.0)
+        other = build_energy_band_state(60, 8)
+        with pytest.raises(ValueError, match="another state"):
+            conditional_velocity(other, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        # an equal state built apart is the same state
+        twin = build_energy_band_state(50, 8)
+        assert twin is not run.state
+        v = conditional_velocity(twin, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        assert v == conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        if t == 0.0:
+            assert v == pytest.approx(-10.188, abs=5e-4)
+
     @pytest.mark.parametrize("t", [2.0, 4.0])
     def test_matches_momentum_quadrature_of_the_decomposition(self, t):
         run = _canonical_conditioning(t)

@@ -117,6 +117,17 @@ class TestEnergyBandState:
         with pytest.raises(ValueError, match="coefficients"):
             build_energy_band_state(50, 4, [1.0, 0.0])
 
+    def test_equality_compares_levels_and_coefficients(self):
+        # the generated == raised "truth value of an array is ambiguous"
+        # for two states of the same width
+        state = build_energy_band_state(50, 2)
+        assert state == build_energy_band_state(50, 2)
+        assert state != build_energy_band_state(52, 2)
+        assert state != build_energy_band_state(50, 4)
+        assert state != build_energy_band_state(50, 2, [0.6, 0.8, 0.0])
+        assert state != build_energy_band_state(50, 2, -state.coefficients)
+        assert state != (50, 2, state.coefficients)
+
 
 class TestClassicalOrbit:
     def test_mean_level_50_values(self, natural_system):

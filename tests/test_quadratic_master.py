@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy import ndimage
 from scipy.integrate import solve_ivp
 from scipy.linalg import solve_continuous_lyapunov
@@ -39,6 +40,7 @@ from bohmdec.quadratic_master import (
     position_decoherence_factor,
     propagate_wigner,
 )
+from bohmdec.quadratic_master import apply
 from bohmdec.quadratic_master.propagator import _exp_series
 
 from conftest import traced_peak, widen_momentum_axis
@@ -111,6 +113,45 @@ def gaussian_field(
     quad = inv[0, 0] * xx**2 + 2.0 * inv[0, 1] * xx * pp + inv[1, 1] * pp**2
     values = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov)))
     return WignerField(x_grid=x, p_grid=p, values=values)
+
+
+def smear_reference(
+    prop: GaussianPropagator, field: WignerField, tail: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Uncut smear, and the part of it read from spectrum cells past ``tail``.
+
+    A zero buffer covering the input grid and every pulled-back point is
+    smeared in Fourier space and read with map_coordinates' own bicubic
+    prefilter, as in ``test_matches_bounding_box_reference``. The second
+    field is read from the cells with ``k^T M k / 4 > tail`` alone.
+    """
+    x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
+    a_inv = np.linalg.inv(prop.a)
+    rows = (a_inv[0, 0] * x[:, None] + a_inv[0, 1] * p - x[0]) / dx
+    cols = (a_inv[1, 0] * x[:, None] + a_inv[1, 1] * p - p[0]) / dp
+
+    def span(index, size, width):
+        margin = 4 + int(np.ceil(8.0 * width))
+        lo = min(int(np.floor(index.min())), 0) - margin
+        return lo, max(int(np.ceil(index.max())), size - 1) + margin + 1 - lo
+
+    m = prop.m
+    lo_x, n_x = span(rows, x.size, np.sqrt(0.5 * m[0, 0]) / dx)
+    lo_p, n_p = span(cols, p.size, np.sqrt(0.5 * m[1, 1]) / dp)
+    buffer = np.zeros((n_x, n_p))
+    buffer[-lo_x : x.size - lo_x, -lo_p : p.size - lo_p] = field.values
+    kx = 2.0 * np.pi * np.fft.fftfreq(n_x, dx)[:, None]
+    kp = 2.0 * np.pi * np.fft.rfftfreq(n_p, dp)[None, :]
+    exponent = 0.25 * (m[0, 0] * kx**2 + 2.0 * m[0, 1] * kx * kp + m[1, 1] * kp**2)
+    spectrum = np.fft.rfft2(buffer) * np.exp(-exponent)
+
+    def read(cells):
+        smeared = np.fft.irfft2(cells, s=buffer.shape)
+        return ndimage.map_coordinates(
+            smeared, [rows - lo_x, cols - lo_p], order=3, mode="constant"
+        ) / np.linalg.det(prop.a)
+
+    return read(spectrum), read(np.where(exponent > tail, spectrum, 0.0))
 
 
 def evolve_moments(
@@ -608,14 +649,94 @@ class TestPropagateWigner:
             assert np.max(np.abs(values - serial)) <= 1e-14 * peak
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_caller_float_state_reaches_the_workers(self, canonical_cl_run, monkeypatch, workers):
-        # The smearing factor underflows far out in k. Under the caller's
-        # under="raise" each worker raises as the inline pass does, and the
-        # worker's exception reaches the caller.
-        run = canonical_cl_run
+    def test_caller_float_state_reaches_the_workers(self, monkeypatch, workers):
+        # A row-stage job that underflows: under the caller's under="raise"
+        # each worker raises as the inline pass does, and the worker's
+        # exception reaches the caller.
         monkeypatch.setattr(_parallel, "WORKERS", workers)
-        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
-            propagate_wigner(run.prop_five, run.field0, run.system)
+        spans = _parallel.row_spans(2 * workers)
+        assert len(spans) == workers
+        tiny = np.full(2 * workers, 1e-300)
+
+        def caught(worker, lo, hi):
+            try:
+                tiny[lo:hi] * 1e-300
+            except FloatingPointError:
+                return True
+            return False
+
+        def underflow(worker, lo, hi):
+            return tiny[lo:hi] * 1e-300
+
+        with np.errstate(under="raise"):
+            assert _parallel.run_spans(caught, spans) == [True] * workers
+            with pytest.raises(FloatingPointError, match="underflow"):
+                _parallel.run_spans(underflow, spans)
+        assert _parallel.run_spans(caught, spans) == [False] * workers
+
+    def test_smear_evaluates_no_underflowing_factor(self, canonical_cl_run):
+        # The cut drops every factor below e^-E_c (E_c = 53.4 here) before it
+        # is evaluated, so the 5 t_c smear runs under under="raise", bitwise
+        # as under the default float state
+        run = canonical_cl_run
+        with np.errstate(under="raise"):
+            out = propagate_wigner(run.prop_five, run.field0, run.system)
+        np.testing.assert_array_equal(out.values, run.field_five.values)
+
+    @pytest.mark.parametrize("case", ["band_five_t_c", "tilted_one_t_c", "one_cell"])
+    def test_cut_moves_no_value_by_half_an_ulp(self, canonical_cl_run, monkeypatch, case):
+        # Dropping the spectrum cells whose smearing factor is below e^-E_c,
+        # E_c = ln(20 N_in / eps), moves an output value by at most
+        # eps/2 max|w_in| / det A. A single cell has a flat spectrum, the
+        # worst case for the bound.
+        run = canonical_cl_run
+        field = run.field0
+        if case == "band_five_t_c":
+            prop = run.prop_five
+        elif case == "tilted_one_t_c":
+            prop = integrate_propagator(
+                assemble_cl_coefficients(run.system, run.params), run.report.t_c
+            )
+            assert abs(prop.m[0, 1]) > 0.8 * np.sqrt(prop.m[0, 0] * prop.m[1, 1])
+        else:
+            x = symmetric_grid(6.0, 0.05)
+            values = np.zeros((x.size, x.size))
+            values[x.size // 2, x.size // 2] = 1.0 / 0.05**2
+            field = WignerField(x, x, values)
+            prop = GaussianPropagator(1.0, np.array([[1.0, 0.3], [-0.2, 1.0]]), 0.1 * np.eye(2))
+        eps = np.finfo(float).eps
+        bound = 0.5 * eps * np.abs(field.values).max() / np.linalg.det(prop.a)
+        out = propagate_wigner(prop, field, run.system).values
+        # the uncut smear runs the calls of a smear that drops nothing
+        monkeypatch.setattr(apply, "_tail_exponent", lambda cells: np.inf)
+        uncut = propagate_wigner(prop, field, run.system).values
+        assert np.max(np.abs(out - uncut)) <= bound
+        # the reference's own cells beyond E_c move it by less than the bound,
+        # and the cut field matches the whole reference to round-off
+        whole, dropped = smear_reference(prop, field, np.log(20.0 * field.values.size / eps))
+        assert np.max(np.abs(dropped)) <= bound
+        assert np.max(np.abs(out - whole)) <= 1e-13 * np.abs(whole).max()
+
+    def test_passes_along_x_take_only_the_kept_columns(self, canonical_cl_run, monkeypatch):
+        # At 5 t_c most columns of the half spectrum are below e^-E_c in every
+        # row and are never transformed along x; as t -> 0, M shrinks, the
+        # factor stays near 1 out to the last column, and every column is kept.
+        run = canonical_cl_run
+        widths = []
+        fft = sp_fft.fft
+
+        def recording(values, *args, **kwargs):
+            widths.append(values.shape[1])
+            return fft(values, *args, **kwargs)
+
+        monkeypatch.setattr(sp_fft, "fft", recording)
+        coeffs = assemble_cl_coefficients(run.system, run.params)
+        for t, cut in ((run.t_five, True), (1e-3 * run.report.t_c, False)):
+            widths.clear()
+            out = propagate_wigner(integrate_propagator(coeffs, t), run.field0, run.system)
+            n_p = int(out.notes[-2].rstrip(")").split("x")[1])
+            assert len(widths) == 1
+            assert (widths[0] < n_p // 2 + 1) if cut else (widths[0] == n_p // 2 + 1)
 
     def test_one_buffer_and_one_output_at_peak(self, natural_system):
         # Every stage runs in one complex buffer whose float view holds the
