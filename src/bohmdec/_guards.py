@@ -34,6 +34,20 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_orbit_system(system, orbit) -> None:
+    """Raise ``ValueError`` unless ``system`` has the mass, renormalized
+    frequency and hbar of ``orbit``'s oscillator, the only fields an orbit
+    reads: an oscillator that differs in its bare frequency alone, as the
+    counterterm-shifted one of an explicit bath does, is the same to the
+    orbit. Identity is tried first, as a per-point caller passes the orbit's
+    own."""
+    own = orbit.system
+    if system is not own and (system.mass, system.renormalized_frequency, system.hbar) != (
+        own.mass, own.renormalized_frequency, own.hbar
+    ):
+        raise ValueError("system differs from the orbit's")
+
+
 def finite_array(name: str, values: float | np.ndarray) -> np.ndarray:
     """``values`` as an at-least-1-D float array; ``ValueError`` if an entry is NaN or inf."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))

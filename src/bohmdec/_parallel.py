@@ -1,11 +1,12 @@
 """Row spans of a 2-D grid stage, one per core, run on threads.
 
 pocketfft and ``scipy.ndimage`` release the interpreter lock, so row blocks
-of a transform run side by side on threads. Every job writes only its own
-rows of an array its caller allocated, so the outputs do not depend on the
-worker count: bitwise where each fixed pair of rows is computed alone (the
-Wigner transform), and to round-off where a span shifts the arithmetic (the
-bicubic pullback's offsets).
+of a transform run side by side on threads, a whole span (:func:`run_spans`)
+or a block of rows (:func:`run_blocks`) per call. Every job writes only its
+own rows of an array its caller allocated, so the outputs do not depend on
+the worker count: bitwise where each fixed pair of rows is computed alone
+(the Wigner transform), and to round-off where a span shifts the arithmetic
+(the bicubic pullback's offsets).
 """
 
 from __future__ import annotations
@@ -20,9 +21,15 @@ except AttributeError:  # no affinity call on this platform
     WORKERS = os.cpu_count() or 1
 
 
+def span_count(n_rows: int) -> int:
+    """Number of spans, and so of workers, that :func:`row_spans` cuts
+    ``range(n_rows)`` into."""
+    return max(1, min(WORKERS, n_rows))
+
+
 def row_spans(n_rows: int) -> list[tuple[int, int]]:
     """``range(n_rows)`` cut into contiguous ``(lo, hi)`` spans, one per worker."""
-    count = max(1, min(WORKERS, n_rows))
+    count = span_count(n_rows)
     return [(n_rows * k // count, n_rows * (k + 1) // count) for k in range(count)]
 
 
@@ -41,3 +48,15 @@ def run_spans(job, spans: list[tuple[int, int]]) -> list:
             for k, (lo, hi) in enumerate(spans)
         ]
         return [future.result() for future in futures]
+
+
+def run_blocks(job, first: int, last: int, block: int) -> None:
+    """``job(worker, rows)`` on each ``block``-row slice ``rows`` of
+    ``first:last``, one span of slices per worker (:func:`row_spans`); the
+    worker indices are ``range(span_count(last - first))``."""
+
+    def span(worker: int, lo: int, hi: int) -> None:
+        for start in range(first + lo, first + hi, block):
+            job(worker, slice(start, min(start + block, first + hi)))
+
+    run_spans(span, row_spans(last - first))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .._guards import require_positive
+from .._guards import require_orbit_system, require_positive
 from ..bohm_velocity import (
     MInverseParams,
     SemiclassicalDecomposition,
@@ -62,10 +62,12 @@ def conditional_smearing_time(
     Raises
     ------
     ValueError
-        If the damping rate is not positive.
+        If ``system`` is not the orbit's oscillator, or the damping rate is
+        not positive.
     NumericalFailureError
         If the window is empty or the root lies outside it.
     """
+    require_orbit_system(system, orbit)
     omega = system.renormalized_frequency
     gamma = cl_params.damping_rate
     if gamma <= 0.0:
@@ -129,6 +131,8 @@ def classicality_report(
     Parameters
     ----------
     system : OscillatorSystemSpec
+        Must share ``orbit.system``'s mass, renormalized frequency and hbar
+        (else ``ValueError``).
     orbit : ClassicalOrbit
     cl_params : CaldeiraLeggettParams
         Ohmic description of the environment.
@@ -142,6 +146,7 @@ def classicality_report(
     -------
     ClassicalityReport
     """
+    require_orbit_system(system, orbit)
     require_positive("t", t)
     if x is None:
         x = 0.5 * orbit.amplitude

@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._guards import finite_array, require_finite, require_nonnegative, require_positive
+from .._guards import (
+    finite_array,
+    require_finite,
+    require_nonnegative,
+    require_orbit_system,
+    require_positive,
+)
 from ..bohm_velocity import initial_velocity
 from ..bohm_velocity.decomposition import (
     MInverseParams,
@@ -335,6 +341,7 @@ def conditional_velocity(
         built apart counts). It is used directly only when the kernel is
         degenerate and the velocity falls back to the pure-state value.
     orbit : ClassicalOrbit
+        Built on ``kernel.system``'s mass, renormalized frequency and hbar.
     wkb : WkbAmplitudes
         Branch amplitudes of ``state`` on ``orbit``.
     kernel : ConditionalKernel
@@ -349,9 +356,9 @@ def conditional_velocity(
     Raises
     ------
     ValueError
-        If ``x`` or any slice position is NaN or inf, ``wkb`` is not built for
-        ``state``, or (unless the kernel is degenerate) ``wkb`` is not built
-        on ``orbit``.
+        If ``x`` or any slice position is NaN or inf, ``orbit`` is not built
+        on the kernel's oscillator, ``wkb`` is not built for ``state``, or
+        (unless the kernel is degenerate) ``wkb`` is not built on ``orbit``.
     DomainValidityError
         Outside the allowed region, inside the turning zone, or when the
         position-spread margin fails.
@@ -364,6 +371,7 @@ def conditional_velocity(
     # also rejects a non-finite x or slice when the kernel is degenerate
     q0, q1, q2 = kernel.slice_quadratic(bath_slice, x_eval)
 
+    require_orbit_system(system, orbit)
     # identity first, as for the orbit: the velocity is called once per point
     if wkb.state is not state and wkb.state != state:
         raise ValueError(f"wkb belongs to another state: {wkb.state!r}, not {state!r}")

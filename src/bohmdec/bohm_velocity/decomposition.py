@@ -15,7 +15,13 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .._guards import finite_array, require_finite, require_positive, require_symmetric
+from .._guards import (
+    finite_array,
+    require_finite,
+    require_orbit_system,
+    require_positive,
+    require_symmetric,
+)
 from ..errors import DomainValidityError
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..phase_space.wkb import WkbAmplitudes
@@ -176,6 +182,8 @@ def validity_window(
     minv : MInverseParams
     orbit : ClassicalOrbit
     system : OscillatorSystemSpec
+        Must share ``orbit.system``'s mass, renormalized frequency and hbar
+        (else ``ValueError``).
     cl_params : CaldeiraLeggettParams, optional
     time : float, optional
         Evolution time for the damped-oscillator window (finite, else ``ValueError``).
@@ -190,6 +198,7 @@ def validity_window(
     """
     if (cl_params is None) != (time is None):
         raise ValueError("cl_params and time must be supplied together")
+    require_orbit_system(system, orbit)
     omega = system.renormalized_frequency
     x_max = orbit.amplitude
     chord_spread = 8.0 * system.mass * omega * system.hbar**2 * minv.b**1.5

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._guards import require_orbit_system
 from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master.coefficients import CaldeiraLeggettParams
 
@@ -54,6 +55,7 @@ def timescales(
     Parameters
     ----------
     system : OscillatorSystemSpec
+        Must share ``orbit.system``'s mass, renormalized frequency and hbar.
     cl_params : CaldeiraLeggettParams
         Must be dissipative (positive damping and temperature).
     orbit : ClassicalOrbit
@@ -66,9 +68,11 @@ def timescales(
     Raises
     ------
     ValueError
-        If the diffusion coefficient vanishes; a closed system has no
-        finite smearing or localization time.
+        If ``system`` is not the orbit's oscillator, or the diffusion
+        coefficient vanishes; a closed system has no finite smearing or
+        localization time.
     """
+    require_orbit_system(system, orbit)
     diffusion = cl_params.diffusion(system)
     if diffusion <= 0.0:
         raise ValueError(

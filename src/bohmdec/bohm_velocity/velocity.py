@@ -87,8 +87,10 @@ def initial_velocity(
 
     The derivative is a fourth-order central difference with a step of one
     percent of the local wavelength: a first pass at one percent of the
-    ground-state length estimates the local wavenumber and the stencil is
-    re-evaluated at ``min(h0, hbar / (100 m |v|))``.
+    ground-state length, ``h0``, estimates the local wavenumber and the
+    stencil is re-evaluated at ``min(h0, hbar / (100 m |v|))``. Each point is
+    judged against its own first-pass samples, so its velocity does not
+    depend on the other points requested.
 
     Parameters
     ----------
@@ -106,38 +108,42 @@ def initial_velocity(
     ValueError
         If ``x`` has a NaN or infinite entry.
     UndefinedVelocityError
-        If ``|psi(x)|^2`` at a requested point is below ``1e-12`` of the
-        largest sampled density.
+        If ``|psi(x)|^2`` at a requested point is at most ``1e-12`` of the
+        largest ``|psi|^2`` among its first-pass samples ``psi(x +- h0)`` and
+        ``psi(x +- 2 h0)``.
     """
     x_arr = finite_array("x", x)
     psi_here = np.asarray(psi_sampler(x_arr), dtype=complex)
     density = np.abs(psi_here) ** 2
-    floor = _DENSITY_FLOOR * float(density.max())
-    if np.any(density <= floor):
-        dead = x_arr[density <= floor]
-        raise UndefinedVelocityError(
-            f"|psi|^2 below {_DENSITY_FLOOR:g} of peak at x = {dead}; "
-            "velocity is undefined in node regions"
-        )
-
     scale = system.hbar / system.mass
 
-    def stencil(h: np.ndarray) -> np.ndarray:
-        upper = 8.0 * psi_sampler(x_arr + h) - psi_sampler(x_arr + 2.0 * h)
-        lower = 8.0 * psi_sampler(x_arr - h) - psi_sampler(x_arr - 2.0 * h)
-        derivative = (upper - lower) / (12.0 * h)
-        return scale * np.imag(np.conj(psi_here) * derivative) / density
+    def stencil(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(hbar/m) Im(psi* psi')`` with the step ``h``, and the largest
+        ``|psi|^2`` among the stencil's samples."""
+        near_up, far_up, near_down, far_down = (
+            psi_sampler(x_arr + s * h) for s in (1.0, 2.0, -1.0, -2.0)
+        )
+        derivative = ((8.0 * near_up - far_up) - (8.0 * near_down - far_down)) / (12.0 * h)
+        nearby = np.abs([near_up, far_up, near_down, far_down]) ** 2
+        return scale * np.imag(np.conj(psi_here) * derivative), nearby.max(axis=0)
 
     ground_length = np.sqrt(system.hbar / (system.mass * system.renormalized_frequency))
     h0 = np.full_like(x_arr, ground_length / 100.0)
-    probe = stencil(h0)
+    flux, nearby = stencil(h0)
+    dead = density <= _DENSITY_FLOOR * nearby
+    if np.any(dead):
+        raise UndefinedVelocityError(
+            f"|psi|^2 below {_DENSITY_FLOOR:g} of its neighbours' at x = {x_arr[dead]}; "
+            "velocity is undefined in node regions"
+        )
+    probe = flux / density
     wavenumber = system.mass * np.abs(probe) / system.hbar
     refined = np.where(
         wavenumber > 0.0,
         np.minimum(h0, 1.0 / (100.0 * np.maximum(wavenumber, 1e-300))),
         h0,
     )
-    velocity = stencil(refined)
+    velocity = stencil(refined)[0] / density
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(velocity[0])
     return velocity

@@ -28,8 +28,9 @@ __all__ = [
 _ENVELOPE_CUTOFF = 1e-12
 _COVERAGE_TOL = 1e-8
 # Halvings of the momentum probe's step allowed before an aliased reach is
-# reported as an error.
-_REACH_HALVINGS = 8
+# reported as an error: the finest step is the support probe's over 2^10,
+# and the largest reach it can measure is 2^10 pi hbar over that probe step.
+_REACH_HALVINGS = 10
 
 
 def _trapezoid(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
@@ -209,16 +210,18 @@ def _support_interval(
     probe_lo: float,
     probe_hi: float,
     probe_step: float,
-) -> tuple[float, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Locate where ``|psi|`` exceeds ``_ENVELOPE_CUTOFF`` times its peak.
 
     The probe window is widened until the envelope is below threshold at both
-    ends. Returns ``(lo, hi)``.
+    ends. Returns the probe points from the first to the last above the
+    threshold, ``lo`` to ``hi``, and the samples there.
     """
     lo, hi = probe_lo, probe_hi
     for _ in range(12):
         grid = np.arange(lo, hi + probe_step, probe_step)
-        env = np.abs(_sample(sampler, grid))
+        samples = _sample(sampler, grid)
+        env = np.abs(samples)
         if not env.any():
             raise ValueError(f"wavefunction sampler returned zero everywhere on [{lo:g}, {hi:g}]")
         mask = env > _ENVELOPE_CUTOFF * env.max()
@@ -228,17 +231,18 @@ def _support_interval(
             hi += 0.5 * width
             continue
         idx = np.nonzero(mask)[0]
-        return float(grid[idx[0]]), float(grid[idx[-1]])
+        support = slice(idx[0], idx[-1] + 1)
+        return grid[support], samples[support]
     raise GridCoverageError("could not bracket the wavefunction support")
 
 
-def _momentum_reach(samples: np.ndarray, step: float, hbar: float) -> tuple[float, float]:
-    """Largest ``|p|`` where the FFT of ``samples`` exceeds ``_ENVELOPE_CUTOFF``
-    of its peak, and the spacing of its momentum modes."""
+def _momentum_band(samples: np.ndarray, step: float, hbar: float) -> tuple[np.ndarray, float]:
+    """Least and largest ``p`` where the FFT of ``samples`` exceeds
+    ``_ENVELOPE_CUTOFF`` of its peak, and the spacing of its momentum modes."""
     spectrum = np.abs(sp_fft.fft(samples))
     p_modes = (2.0 * np.pi * hbar) * sp_fft.fftfreq(samples.size, step)
-    reach = float(np.max(np.abs(p_modes[spectrum > _ENVELOPE_CUTOFF * spectrum.max()])))
-    return reach, 2.0 * np.pi * hbar / (samples.size * step)
+    present = p_modes[spectrum > _ENVELOPE_CUTOFF * spectrum.max()]
+    return np.array([present.min(), present.max()]), 2.0 * np.pi * hbar / (samples.size * step)
 
 
 def wigner_transform(
@@ -262,16 +266,18 @@ def wigner_transform(
     reach ``P``, so the sum is exact to round-off once
     ``pi hbar / h > max|p_grid| + P``; ``k`` is the smallest integer with
     ``k >= dx (max|p_grid| + P) / (pi hbar)``. ``P`` is measured, not
-    estimated: it is the largest ``|p|`` at which the FFT of the coverage
-    probe's samples (step ``s = dx / 4``) exceeds ``1e-12`` of its peak. The
-    probe sees momenta within ``+-pi hbar / s`` only and folds a larger
-    reach back into that band, so a second probe at step ``3 s / 4``
-    measures it again: a reach inside both bands reads the same in both, to
-    within two mode spacings, while an aliased one lands at different
-    momenta. While the two disagree both steps are halved, at most eight
-    times. On :meth:`GridSpec.for_orbit` grids with the default step
-    ``dx = hbar / (4 m omega x_max)`` the first band is
-    ``+-16 pi m omega x_max``, far beyond a band state's reach of about
+    estimated: it is the largest ``|p|`` at which the FFT of the support
+    probe's samples (step ``s <= dx``) exceeds ``1e-12`` of its peak. The
+    probe sees momenta within ``+-pi hbar / s`` only and folds a band of
+    momenta beyond them back into that range, so a check probe at step
+    ``3 s / 16`` measures the band again. A band inside both ranges reads the
+    same in both, to within two mode spacings at each end, while a folded
+    one lands at other momenta unless it lies within ``pi hbar / s`` of a
+    common multiple of the two fold periods, the first of which is
+    ``32 pi hbar / s``. While the two disagree both steps are halved, at
+    most ten times. On :meth:`GridSpec.for_orbit` grids with the default
+    step ``dx = hbar / (4 m omega x_max)`` the probe's range is
+    ``+-4 pi m omega x_max``, about 9 times a band state's reach of about
     ``1.4 m omega x_max``, and ``k = 1`` for any ``p_span`` below about 11.
 
     The momentum grid is uniform, so the sum over ``y`` is a chirp-z
@@ -324,7 +330,7 @@ def wigner_transform(
     ------
     GridCoverageError
         If the grid misses more than ``1e-8`` of the state's norm, or the two
-        momentum probes still disagree on the reach after eight halvings.
+        momentum probes still disagree on the reach after ten halvings.
     ValueError
         If the sampler returns NaN or inf, or zero at every probe point of the
         position axis, or the centre row's imaginary residue exceeds 1e-10
@@ -334,38 +340,46 @@ def wigner_transform(
     x = grid.x
     p = grid.p
 
-    probe_step = min(grid.dx, 0.05 * (x[-1] - x[0]))
-    lo, hi = _support_interval(wavefunction_sampler, float(x[0]), float(x[-1]), probe_step)
+    step = min(grid.dx, 0.05 * (x[-1] - x[0]))
+    points, samples = _support_interval(wavefunction_sampler, float(x[0]), float(x[-1]), step)
+    lo, hi = float(points[0]), float(points[-1])
 
-    fine_step = probe_step / 4.0
-    fine = np.arange(lo, hi + fine_step, fine_step)
-    psi_fine = _sample(wavefunction_sampler, fine)
-    dens = np.abs(psi_fine) ** 2
-    inside = np.where((fine >= x[0]) & (fine <= x[-1]), dens, 0.0)
-    norm = _trapezoid(dens, fine_step)
-    leak = 1.0 - _trapezoid(inside, fine_step) / norm
-    if leak > _COVERAGE_TOL:
-        raise GridCoverageError(
-            f"position grid misses {leak:.3e} of the state's norm "
-            f"(allowed {_COVERAGE_TOL:g})"
-        )
-
-    # The state's momentum reach, read off the spectrum of the same samples
-    # and of a second probe at 3/4 of their step. A reach beyond a probe's
-    # band aliases to different momenta in the two bands, so while the two
-    # reaches disagree both steps are halved.
-    step, samples = fine_step, psi_fine
+    # The state's momentum band, read off the spectrum of the support probe's
+    # samples and of a check probe at 3/16 of their step. A band beyond a
+    # probe's range folds back into it, to the same momenta in both probes
+    # only near a common multiple of their fold periods, so while the two
+    # disagree at either end both steps are halved.
     for _ in range(1 + _REACH_HALVINGS):
-        p_reach, spacing = _momentum_reach(samples, step, hbar)
-        check_step = 0.75 * step
-        check = _sample(wavefunction_sampler, np.arange(lo, hi + check_step, check_step))
-        if abs(_momentum_reach(check, check_step, hbar)[0] - p_reach) <= 2.0 * spacing:
+        band, spacing = _momentum_band(samples, step, hbar)
+        check_step = 3.0 * step / 16.0
+        check_points = np.arange(lo, hi + check_step, check_step)
+        check = _sample(wavefunction_sampler, check_points)
+        if np.all(np.abs(_momentum_band(check, check_step, hbar)[0] - band) <= 2.0 * spacing):
             break
         step *= 0.5
         samples = _sample(wavefunction_sampler, np.arange(lo, hi + step, step))
     else:
         raise GridCoverageError(
             f"momentum reach still aliased at a probe step of {2.0 * step:.3e}"
+        )
+    p_reach = float(np.max(np.abs(band)))
+
+    # Beyond the reach P the spectrum of psi is below 1e-12 of its peak, so
+    # |psi|^2 has none beyond 2 P / hbar, and the accepted steps keep
+    # P < pi hbar / step < pi hbar / check_step: by Poisson summation the
+    # trapezoid sum of |psi|^2 over the check samples has no alias and is the
+    # norm to round-off, bar the tails outside [lo, hi], below 1e-24 of the
+    # peak density. The on-grid share reads the running sum at the two ends
+    # of the position axis, interpolated between samples.
+    dens = np.abs(check) ** 2
+    mass = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])) * check_step))
+    norm = mass[-1]
+    inside = np.interp([x[0], x[-1]], check_points, mass)
+    leak = 1.0 - (inside[1] - inside[0]) / norm
+    if leak > _COVERAGE_TOL:
+        raise GridCoverageError(
+            f"position grid misses {leak:.3e} of the state's norm "
+            f"(allowed {_COVERAGE_TOL:g})"
         )
     # the y-step that keeps every alias of W off the momentum grid
     k = int(np.ceil(grid.dx * (np.max(np.abs(p)) + p_reach) / (np.pi * hbar)))
@@ -406,9 +420,9 @@ def wigner_transform(
     # of a 1933 x 2577 grid peaked 14 MB higher in resident memory, the
     # allocator's heap fragmenting round the freed buffer.
     values = np.empty((x.size, p.size))
-    spans = _parallel.row_spans(pairs)
-    rows = max(1, 512 * u.size // (n_fft + u.size) // len(spans))
-    buffer = np.empty(len(spans) * rows * (n_fft + u.size), dtype=complex)
+    workers = _parallel.span_count(pairs)
+    rows = max(1, 512 * u.size // (n_fft + u.size) // workers)
+    buffer = np.empty(workers * rows * (n_fft + u.size), dtype=complex)
 
     def chirp(worker: int, first: np.ndarray, second: np.ndarray | None) -> np.ndarray:
         """Post-chirped sums of the windows ``first + 1j * second`` (``second``
@@ -448,17 +462,15 @@ def wigner_transform(
             f"||psi||^2/(pi hbar) = {bound:.3e}"
         )
 
-    def transform(worker: int, lo: int, hi: int) -> None:
-        """Pairs ``lo:hi``: real parts to rows ``lo:hi``, imaginary parts to
-        their partners ``mid + 1 + lo : mid + 1 + hi``."""
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            partner = slice(mid + 1 + start, mid + 1 + stop)
-            block = chirp(worker, windows[start:stop], windows[partner])
-            values[start:stop] = block.real
-            values[partner] = block.imag
+    def transform(worker: int, pair_rows: slice) -> None:
+        """Pairs ``pair_rows``: real parts to those rows, imaginary parts to
+        their partners ``mid + 1`` rows on."""
+        partner = slice(mid + 1 + pair_rows.start, mid + 1 + pair_rows.stop)
+        block = chirp(worker, windows[pair_rows], windows[partner])
+        values[pair_rows] = block.real
+        values[partner] = block.imag
 
-    _parallel.run_spans(transform, spans)
+    _parallel.run_blocks(transform, 0, pairs, rows)
     return WignerField(
         x_grid=x,
         p_grid=p,

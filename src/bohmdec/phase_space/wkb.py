@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._guards import require_orbit_system
 from ..errors import DomainValidityError
 from .eigenstates import eigenfunction_table
 from .system import ClassicalOrbit, EnergyBandState, OscillatorSystemSpec
@@ -120,14 +121,14 @@ def wkb_amplitudes(
     orbit : ClassicalOrbit
         Orbit of the state's mean level (see :func:`classical_orbit`).
     system : OscillatorSystemSpec
-        Must be ``orbit.system`` (else ``ValueError``).
+        Must share ``orbit.system``'s mass, renormalized frequency and hbar
+        (else ``ValueError``).
 
     Returns
     -------
     WkbAmplitudes
     """
-    if system != orbit.system:
-        raise ValueError("system differs from the orbit's")
+    require_orbit_system(system, orbit)
     return WkbAmplitudes(state=state, orbit=orbit)
 
 

@@ -49,7 +49,9 @@ its peak.
 
 The row stages run on every core (:mod:`bohmdec._parallel`): each worker
 takes one contiguous span of rows through the blocked copy, passes along
-``p`` and multiply, and the passes along ``x`` take scipy's own ``workers``.
+``p`` and multiply, ``_BLOCK_ROWS`` rows at a time by
+:func:`~bohmdec._parallel.run_blocks`, and the passes along ``x`` take
+scipy's own ``workers``.
 The bicubic pullback runs one ``affine_transform`` per span of output rows,
 each writing and then dividing by ``det A`` its rows of the one output field,
 its offset shifted by the span's first row. Each worker's temporaries are
@@ -114,17 +116,6 @@ def _support(m: np.ndarray, kx: np.ndarray, kp: np.ndarray, tail: float) -> tupl
     return keep, np.minimum(np.searchsorted(kp, edge, side="right"), keep)
 
 
-def _blocked(job, first: int, last: int) -> None:
-    """``job(rows)`` on each ``_BLOCK_ROWS`` block of rows ``first:last``, one
-    span of blocks per worker."""
-
-    def span(worker: int, lo: int, hi: int) -> None:
-        for start in range(first + lo, first + hi, _BLOCK_ROWS):
-            job(slice(start, min(start + _BLOCK_ROWS, first + hi)))
-
-    _parallel.run_spans(span, _parallel.row_spans(last - first))
-
-
 def propagate_wigner(
     propagator: GaussianPropagator, field: WignerField, system: OscillatorSystemSpec
 ) -> WignerField:
@@ -171,7 +162,7 @@ def propagate_wigner(
     keep, reach = _support(m, kx, kp, _tail_exponent(field.values.size))
     kx, kp = kx[:, None], kp[None, :]
 
-    def forward(rows: slice) -> None:
+    def forward(worker: int, rows: slice) -> None:
         source[rows, pad_p : pad_p + p.size] = field.values[rows.start - pad_x : rows.stop - pad_x]
         spectrum[rows] = sp_fft.rfft(source[rows, :n_p], axis=1)
 
@@ -181,7 +172,7 @@ def propagate_wigner(
         if not np.may_share_memory(out, kept):
             kept[...] = out
 
-    def smear(rows: slice) -> None:
+    def smear(worker: int, rows: slice) -> None:
         k, cols = kx[rows], reach[rows].max()
         q = kp[:, :cols]
         block = spectrum[rows, :cols]
@@ -189,15 +180,15 @@ def propagate_wigner(
         block *= 9.0 / ((2.0 + np.cos(k * dx)) * (2.0 + np.cos(q * dp)))
         spectrum[rows, cols:] = 0.0
 
-    def inverse(rows: slice) -> None:
+    def inverse(worker: int, rows: slice) -> None:
         source[rows, :n_p] = sp_fft.irfft(spectrum[rows], n_p, axis=1)
 
     # the rows outside the input are zero and transform to zero
-    _blocked(forward, pad_x, pad_x + x.size)
+    _parallel.run_blocks(forward, pad_x, pad_x + x.size, _BLOCK_ROWS)
     along_x(sp_fft.fft)
-    _blocked(smear, 0, n_x)
+    _parallel.run_blocks(smear, 0, n_x, _BLOCK_ROWS)
     along_x(sp_fft.ifft)
-    _blocked(inverse, 0, n_x)
+    _parallel.run_blocks(inverse, 0, n_x, _BLOCK_ROWS)
 
     # A^-1 in index units: output cell j reads source cell matrix @ j + offset
     step, corner = np.array([dx, dp]), np.array([x[0] / dx, p[0] / dp])

@@ -445,6 +445,14 @@ class TestSolveGKernel:
         with pytest.raises(ValueError, match="too coarse"):
             solve_g_kernel(spectral, 1.0, 1.0, 0.01)
 
+    def test_points_per_period_is_pinned(self):
+        # a step of 0.004 gives a cutoff of 100 only 15.7 points per period,
+        # which 8 points per period would let through; 0.003 gives 20.9
+        spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
+        with pytest.raises(ValueError, match="too coarse"):
+            solve_g_kernel(spectral, 1.0, 0.3, 0.004)
+        assert solve_g_kernel(spectral, 1.0, 0.3, 0.003).times.size == 101
+
     def test_bath_without_modes_gives_the_free_oscillator(self):
         # an ohmic density with no damping couples nothing to the center
         bare = 1.7
@@ -614,6 +622,19 @@ class TestBlocks:
         m_hot = reduced_M_from_bath(props, hot)
         assert np.array_equal(m_hot, reduced_M_from_bath(dataclasses.replace(props, bath=hot), hot))
         assert m_hot[0, 0] > reduced_M_from_bath(props, bath)[0, 0]
+
+    def test_reduced_smearing_rejects_a_singular_central_block(self):
+        # det A = 1e-15 of |A|^2: without the guard the inverse returns
+        # entries near 1.9e29
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, 1.0, 0.01, mass=1.0)
+        props = exact_bath_matrices(bath, coupled, table, 1.0)
+        singular = dataclasses.replace(props, a=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
+        with pytest.raises(NumericalFailureError, match="singular"):
+            reduced_M_from_bath(singular, bath)
 
     def test_center_to_mode_blocks_are_derived_views(self):
         # c is no field: it is read off the dense T, or reflected from b
@@ -1146,6 +1167,47 @@ class TestConditionalVelocity:
         assert v == conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
         assert v == pytest.approx(-0.91, abs=0.005)
 
+    def test_kernel_needs_the_orbits_system(self):
+        # the canonical kernel rebuilt on a mass-2 oscillator read -2.121 at
+        # 0.3 x_max of the mass-1 orbit, at its own conditional peaks, where
+        # the matched kernel reads -0.914
+        run = _canonical_conditioning(2.0)
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+
+        def kernel_on(system):
+            bath = discretize_spectral_density(params, system, 64)
+            continuum = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
+            with warnings.catch_warnings():
+                # the canonical-parameter bath sits above the weak-coupling bound
+                warnings.simplefilter("ignore", CouplingStrengthWarning)
+                props = weak_coupling_matrices(bath, system, 2.0, small_angle=True)
+            return conditional_kernel(
+                props, bath, sample_bath(bath, seed=17), 2.0, spectral=continuum
+            )
+
+        x = 0.3 * run.orbit.amplitude
+        p_cl = float(run.orbit.classical_momentum(x))
+        heavy = kernel_on(OscillatorSystemSpec(mass=2.0))
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            conditional_velocity(
+                run.state, run.orbit, run.wkb, heavy, x, heavy.conditional_peaks(x, p_cl)
+            )
+        # a kernel on an equal oscillator built apart is the run's kernel
+        twin = kernel_on(OscillatorSystemSpec())
+        assert twin.system is not run.orbit.system
+        bath_slice = run.kernel.conditional_peaks(x, p_cl)
+        v = conditional_velocity(run.state, run.orbit, run.wkb, twin, x, bath_slice)
+        assert v == conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+        assert v == pytest.approx(-0.914, abs=5e-4)
+        # the counterterm-shifted oscillator of the explicit bath differs from
+        # the orbit's in its bare frequency alone, which no orbit reads
+        bare = counterterm_bare_frequency(
+            discretize_spectral_density(params, run.system, 64), run.system
+        )
+        coupled = kernel_on(dataclasses.replace(run.system, bare_frequency=bare))
+        assert coupled.system.bare_frequency != run.orbit.system.bare_frequency
+        assert conditional_velocity(run.state, run.orbit, run.wkb, coupled, x, bath_slice) == v
+
     @pytest.mark.parametrize("t", [0.0, 2.0])
     def test_state_must_be_the_branch_amplitudes_state(self, t):
         # the n = 60 band's state with the n = 50 band's amplitudes gave
@@ -1414,6 +1476,34 @@ class TestClassicality:
         t = conditional_smearing_time(system, orbit, params)
         with pytest.raises(error, match=message):
             classicality_report(system, orbit, params, t, x=fraction * orbit.amplitude)
+
+    def test_needs_the_orbits_system(self):
+        # on the mass-1 band's orbit, an omega = 1.2 oscillator moved the
+        # onset from 3.484 to 3.197 and a mass-2 one the slice precision at
+        # t = 2 from 0.390 to 0.276, with no error
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        orbit = classical_orbit(build_energy_band_state(50, 8), system)
+        fast = OscillatorSystemSpec(bare_frequency=1.2, renormalized_frequency=1.2)
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            conditional_smearing_time(fast, orbit, params)
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            classicality_report(OscillatorSystemSpec(mass=2.0), orbit, params, 2.0)
+        # an equal oscillator built apart is the same oscillator
+        twin = OscillatorSystemSpec()
+        assert conditional_smearing_time(twin, orbit, params) == pytest.approx(3.484, abs=5e-4)
+        assert conditional_smearing_time(twin, orbit, params) == conditional_smearing_time(
+            system, orbit, params
+        )
+        report = classicality_report(twin, orbit, params, 2.0)
+        assert report == classicality_report(system, orbit, params, 2.0)
+        assert report.margins["slice_precision"] == pytest.approx(0.390, abs=5e-4)
+        # the orbit reads no bare frequency
+        shifted = OscillatorSystemSpec(bare_frequency=0.5)
+        assert conditional_smearing_time(shifted, orbit, params) == conditional_smearing_time(
+            system, orbit, params
+        )
+        assert classicality_report(shifted, orbit, params, 2.0) == report
 
     def test_smearing_time_rejects_zero_damping(self):
         system = OscillatorSystemSpec()

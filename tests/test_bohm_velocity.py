@@ -26,6 +26,7 @@ from bohmdec.errors import (
 )
 from bohmdec.phase_space import (
     GridSpec,
+    OscillatorSystemSpec,
     WignerField,
     band_wavefunction,
     build_energy_band_state,
@@ -167,6 +168,16 @@ class TestEnsembleVelocity:
         with pytest.raises(UndefinedVelocityError, match="node"):
             ensemble_velocity(field, natural_system, 9.0)
 
+    def test_density_floor_is_pinned(self, natural_system):
+        # the ground state's density exp(-x^2) / sqrt(pi) falls to 9.6e-14 of
+        # its peak at x = 5.475, a column a 1e-15 floor would let through;
+        # at x = 5, 1.4e-11 of the peak, a 1e-10 floor would reject it
+        grid = GridSpec(x=np.linspace(-7.0, 7.0, 561), p=np.linspace(-7.0, 7.0, 281))
+        field = eigenstate_field(0, grid, natural_system)
+        with pytest.raises(UndefinedVelocityError, match="node"):
+            ensemble_velocity(field, natural_system, 5.475)
+        assert abs(ensemble_velocity(field, natural_system, 5.0)) < 1e-9
+
     def test_off_grid_position_rejected(self, natural_system):
         grid = GridSpec(
             x=np.linspace(-5.0, 5.0, 101), p=np.linspace(-5.0, 5.0, 101)
@@ -229,6 +240,20 @@ class TestInitialVelocity:
         psi = band_wavefunction(build_energy_band_state(1, 0), natural_system)
         with pytest.raises(UndefinedVelocityError):
             initial_velocity(psi, 0.0, natural_system)
+
+    def test_point_does_not_depend_on_the_others(self, natural_system):
+        # |psi|^2 at x = 8 is 9e-22 of the band's peak, yet no node: beside
+        # x = 0.5 it once fell below a floor set by the largest density among
+        # the requested points and raised, while alone it read -0.02498
+        psi = band_wavefunction(build_energy_band_state(3, 2), natural_system)
+        xs = np.array([8.0, 0.5])
+        both = initial_velocity(psi, xs, natural_system)
+        alone = [initial_velocity(psi, x, natural_system) for x in xs]
+        # the sampler rounds a batch and a single point differently
+        assert both == pytest.approx(alone, rel=1e-12)
+        # the closed-form derivative of the Hermite functions gives
+        # -0.0249848 at x = 8; the stencil reads it to 5e-6
+        assert alone[0] == pytest.approx(-0.0249848, rel=1e-4)
 
     @non_finite
     def test_non_finite_position_rejected(self, natural_system, bad):
@@ -300,6 +325,19 @@ class TestTimescales:
         assert report.localization_rate == pytest.approx(100.0)
         assert report.diffusion == pytest.approx(100.0)
 
+    def test_needs_the_orbits_system(self, canonical_cl_run):
+        # a mass-2 oscillator on the mass-1 orbit read t_c 0.667, not 0.530
+        run = canonical_cl_run
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            timescales(OscillatorSystemSpec(mass=2.0), run.params, run.orbit)
+        # an equal oscillator built apart is the same oscillator
+        twin = OscillatorSystemSpec()
+        assert twin is not run.orbit.system
+        assert timescales(twin, run.params, run.orbit) == run.report
+        # the orbit reads no bare frequency
+        shifted = OscillatorSystemSpec(bare_frequency=0.5)
+        assert timescales(shifted, run.params, run.orbit) == run.report
+
     def test_closed_system_rejected(self, natural_system, canonical_cl_run):
         params = CaldeiraLeggettParams(
             damping_rate=0.0, thermal_energy=1e3, cutoff=1e3
@@ -337,6 +375,26 @@ class TestValidityWindow:
         # under the factor-ten reading of the asymptotic inequalities this
         # regime sits inside the window but not deep inside it
         assert not report.strict_passed
+
+    def test_needs_the_orbits_system(self, canonical_cl_run):
+        # a mass-2 oscillator on the mass-1 orbit halved both spread margins
+        # (7.40 -> 3.70, 1.047 -> 0.524) and failed the window; the spread
+        # margins alone need no time, so no timescale is read
+        run = canonical_cl_run
+        minv = MInverseParams.from_m_matrix(run.prop_five.m)
+        with pytest.raises(ValueError, match="system differs from the orbit's"):
+            validity_window(minv, run.orbit, OscillatorSystemSpec(mass=2.0))
+        twin = OscillatorSystemSpec()
+        assert twin is not run.orbit.system
+        report = validity_window(minv, run.orbit, twin, cl_params=run.params, time=run.t_five)
+        expected = validity_window(
+            minv, run.orbit, run.system, cl_params=run.params, time=run.t_five
+        )
+        assert dict(report.margins) == dict(expected.margins)
+        # the orbit reads no bare frequency
+        shifted = OscillatorSystemSpec(bare_frequency=0.5)
+        report = validity_window(minv, run.orbit, shifted, cl_params=run.params, time=run.t_five)
+        assert dict(report.margins) == dict(expected.margins)
 
     def test_early_time_fails_lower_bound(self, canonical_cl_run):
         run = canonical_cl_run

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import ndimage
+from scipy import ndimage, special
 
 from bohmdec import _parallel
 from bohmdec.errors import DomainValidityError, GridCoverageError
@@ -249,6 +249,9 @@ class TestWkb:
         assert wkb_amplitudes(st, orb, OscillatorSystemSpec()).orbit is orb
         with pytest.raises(ValueError, match="system differs from the orbit's"):
             wkb_amplitudes(st, orb, OscillatorSystemSpec(mass=2.0))
+        # the orbit reads no bare frequency
+        shifted = OscillatorSystemSpec(bare_frequency=0.5)
+        assert wkb_amplitudes(st, orb, shifted).orbit is orb
 
     def test_amplitudes_vanish_outside_orbit(self, natural_system):
         st = build_energy_band_state(50, 4)
@@ -432,7 +435,7 @@ class TestWignerTransform:
 
     def test_samples_one_lattice(self, natural_system):
         # every point x_i +- y_j lies on one lattice, sampled in one call
-        # after the support probe, the coverage pass and the reach check
+        # after the support probe and the reach check
         st = build_energy_band_state(50, 8)
         grid = GridSpec.for_orbit(classical_orbit(st, natural_system))
         psi = band_wavefunction(st, natural_system)
@@ -443,7 +446,7 @@ class TestWignerTransform:
             return psi(x)
 
         wigner_transform(counted, grid, natural_system)
-        assert len(sizes) == 4
+        assert len(sizes) == 3
         assert sum(sizes) < 50_000
 
     @pytest.mark.parametrize(
@@ -457,8 +460,8 @@ class TestWignerTransform:
             (-25.0, 39.0, 257, 33.0),
             # p0 = 30: the grid sees only the tails, where |W| ~ 1e-16
             (-5.0, 5.0, 201, 30.0),
-            # p0 = 300 lies beyond the first probe's band of +-251, which
-            # aliases it to -203: the reach is read after one halving
+            # p0 = 300 lies beyond the first probe's band of +-62.8, which
+            # aliases it: the reach is read after three halvings
             (280.0, 320.0, 401, 0.0),
             (-25.0, 50.0, 301, 287.5),
         ],
@@ -484,7 +487,7 @@ class TestWignerTransform:
         assert float(note.split("=")[1]) == pytest.approx(reach, abs=0.5)
 
     def test_unresolved_momentum_reach_raises(self, natural_system):
-        # local momentum 2e6 x: aliased in every probe band up to 2^8 times
+        # local momentum 2e6 x: aliased in every probe band up to 2^10 times
         # the first, so the two probes never agree on the reach
         grid = GridSpec(x=np.linspace(-8.0, 8.0, 321), p=np.linspace(-5.0, 5.0, 201))
 
@@ -622,6 +625,56 @@ class TestWignerTransform:
         with pytest.raises(GridCoverageError, match="norm"):
             wigner_transform(band_wavefunction(st, natural_system), grid,
                              natural_system)
+
+    def test_coverage_tolerance_is_pinned(self, natural_system):
+        # the ground state misses erfc(3.75) = 1.14e-7 of its norm on
+        # [-3.75, 3.75], which a 1e-6 tolerance would pass, and erfc(4.2) =
+        # 2.9e-9 on [-4.2, 4.2], which a 1e-9 tolerance would reject
+        psi = band_wavefunction(build_energy_band_state(0, 0), natural_system)
+        p = np.linspace(-8.0, 8.0, 161)
+        with pytest.raises(GridCoverageError, match="misses 1.1"):
+            wigner_transform(psi, GridSpec(x=np.linspace(-3.75, 3.75, 151), p=p),
+                             natural_system)
+        wigner_transform(psi, GridSpec(x=np.linspace(-4.2, 4.2, 169), p=p), natural_system)
+
+    @pytest.mark.parametrize(
+        "a, n", [(4.0, 21), (4.0, 23), (3.9, 27)]
+    )
+    def test_coverage_reads_the_leak_on_a_coarse_grid(self, natural_system, a, n):
+        # on [-a, a] with dx = 0.30 to 0.40 the ground state misses erfc(a),
+        # 1.5e-8 to 3.5e-8, above the 1e-8 tolerance; a share that placed each
+        # axis end to half a probe step read 2.3e-8 to 5.5e-8 here, and one
+        # that weighted the edge samples in full would read below the tolerance
+        psi = band_wavefunction(build_energy_band_state(0, 0), natural_system)
+        grid = GridSpec(x=np.linspace(-a, a, n), p=np.linspace(-8.0, 8.0, 161))
+        with pytest.raises(GridCoverageError, match="misses") as caught:
+            wigner_transform(psi, grid, natural_system)
+        leak = float(str(caught.value).split("misses ")[1].split()[0])
+        assert leak == pytest.approx(special.erfc(a), rel=0.1)
+
+    @pytest.mark.parametrize(
+        "p0", [80.0 * np.pi, 160.0 * np.pi, 320.0 * np.pi, 620.0 * np.pi / 3.0]
+    )
+    def test_reach_check_step_is_pinned(self, natural_system, p0):
+        # The support probe's step s = 0.05 folds momenta with period 40 pi,
+        # and a check at step r s with period 40 pi / r. For r = 1/2, 3/4 and
+        # 3/8, p0 = 80 pi, 160 pi and 320 pi is a common multiple of the two
+        # periods: both fold the band to the probe's reach of 7.2, and W's
+        # alias at p = 0 lands on the grid at 1 / pi; for r = 3/16 the first
+        # common multiple is 640 pi. At p0 = 620 pi / 3 the 3 s / 16 check
+        # folds the band to -21 where the probe folds it to +21: compared by
+        # |p| alone the two agree on 28.3 and an alias lands at 0.41 / pi.
+        x0 = 1.3
+        grid = GridSpec(x=np.linspace(-8.0, 8.0, 321), p=np.linspace(-20.0, 20.0, 201))
+
+        def psi(x):
+            return np.pi**-0.25 * np.exp(-0.5 * (x - x0) ** 2 + 1j * p0 * x)
+
+        field = wigner_transform(psi, grid, natural_system)
+        assert np.max(np.abs(field.values)) < 1e-12 / np.pi
+        note = next(n for n in field.notes if n.startswith("p_reach="))
+        reach = p0 + np.sqrt(2.0 * np.log(1e12))
+        assert float(note.split("=")[1]) == pytest.approx(reach, abs=0.5)
 
 
 class TestExactOscillatorWigner:
