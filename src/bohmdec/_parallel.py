@@ -1,12 +1,14 @@
 """Row spans of a 2-D grid stage, one per core, run on threads.
 
 pocketfft and ``scipy.ndimage`` release the interpreter lock, so row blocks
-of a transform run side by side on threads, a whole span (:func:`run_spans`)
-or a block of rows (:func:`run_blocks`) per call. Every job writes only its
-own rows of an array its caller allocated, so the outputs do not depend on
-the worker count: bitwise where each fixed pair of rows is computed alone
-(the Wigner transform), and to round-off where a span shifts the arithmetic
-(the bicubic pullback's offsets).
+of a transform run side by side on threads. Every grid stage goes through
+:func:`run_blocks`, one block of rows per call; a block as long as the grid
+makes each worker's whole span one call (the bicubic pullback). Every job
+writes only its own rows of an array its caller allocated, so the outputs do
+not depend on the worker count: bitwise where each fixed pair of rows is
+computed alone (the Wigner transform), and to round-off where a span shifts
+the arithmetic (the bicubic pullback's offsets). :func:`run_spans` is the
+thread pool under it.
 """
 
 from __future__ import annotations

@@ -16,15 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import lambertw
 
-from .._guards import require_orbit_system, require_positive
-from ..bohm_velocity import (
-    MInverseParams,
-    SemiclassicalDecomposition,
-    TimescaleReport,
-    ValidityReport,
-    timescales,
-)
-from ..bohm_velocity.decomposition import _require_interior
+from .._guards import finite_array, require_orbit_system, require_positive
+from ..bohm_velocity import MInverseParams, TimescaleReport, ValidityReport, timescales
+from ..bohm_velocity.decomposition import _branch_widths, _require_interior
 from ..errors import NumericalFailureError
 from ..phase_space import ClassicalOrbit, OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
@@ -140,7 +134,8 @@ def classicality_report(
         Must be finite and positive.
     x : float, optional
         Probe position strictly inside the turning points (else
-        ``DomainValidityError``); defaults to half the orbit amplitude.
+        ``DomainValidityError``; NaN or inf raises ``ValueError``); defaults
+        to half the orbit amplitude.
 
     Returns
     -------
@@ -150,13 +145,14 @@ def classicality_report(
     require_positive("t", t)
     if x is None:
         x = 0.5 * orbit.amplitude
-    _require_interior(x, orbit)
+    probe = finite_array("x", x)
+    _require_interior(probe, orbit)
 
     spectral = SpectralDensity.from_ohmic(
         system, cl_params.damping_rate, cl_params.cutoff
     )
     minv = MInverseParams.from_m_matrix(m_tilde_matrix(spectral, system, t))
-    widths = SemiclassicalDecomposition(minv, orbit).widths(x)
+    widths = _branch_widths(minv, orbit, probe)
     p_cl = float(orbit.classical_momentum(x))
     slice_width = float(np.sqrt(sigma3_squared(spectral, system, t)))
 

@@ -242,9 +242,9 @@ def conditional_kernel(
     Parameters
     ----------
     props : BathPropagators
-        Must be weak-coupling blocks with the small-angle flag: the kernel
-        matrix drops the slow central oscillation, and mixing regimes would
-        silently break the branch algebra.
+        Must be of kind ``"small_angle"``: the kernel matrix drops the slow
+        central oscillation, and mixing regimes would silently break the
+        branch algebra.
     bath : BathSpec
         The blocks' bath, at any temperature (other modes: ``ValueError``).
     sample : CoherentBathSample
@@ -264,10 +264,8 @@ def conditional_kernel(
         matrix without a valid inverse raises ``NumericalFailureError``.
     """
     require_finite("t", t)
-    if props.mode != "weak_coupling" or not props.small_angle:
-        raise ValueError(
-            "conditioning requires weak-coupling blocks with the small-angle flag"
-        )
+    if props.kind != "small_angle":
+        raise ValueError("conditioning requires small-angle weak-coupling blocks")
     if abs(t - props.time) > 1e-12 * max(1.0, abs(t)):
         raise ValueError("t does not match the time of the supplied blocks")
     _require_same_modes(bath, props.bath, "the blocks were built for")

@@ -69,12 +69,11 @@ class BathPropagators:
     Attributes
     ----------
     time : float
-    mode : str
-        ``"exact"`` (from the normal modes of the coupled network) or
-        ``"weak_coupling"`` (closed forms, second order in the couplings).
-    small_angle : bool
-        Weak-coupling blocks additionally expanded for ``omega t << 1``; the
-        central block is then the identity.
+    kind : str
+        How the blocks were formed: ``"exact"`` (from the normal modes of the
+        coupled network), ``"weak_coupling"`` (closed forms, second order in
+        the couplings) or ``"small_angle"`` (the weak-coupling forms further
+        expanded for ``omega t << 1``, with the identity as central block).
     system : OscillatorSystemSpec
     bath : BathSpec
     a : numpy.ndarray
@@ -84,15 +83,14 @@ class BathPropagators:
         is derived from ``transfer`` or ``b`` (see the module notes).
     transfer : numpy.ndarray or None
         Dense ``(2N + 2)``-square transfer matrix ``T(t)`` on
-        ``(x, p, q_1, p_1, ...)``; ``None`` when not assembled (always in
-        weak-coupling mode, and for exact blocks unless requested). Its mode
-        sector is the mode-to-mode block ``D``, which tends to ``d_free`` as
-        the couplings vanish.
+        ``(x, p, q_1, p_1, ...)``; always ``None`` unless exact, and for
+        exact blocks ``None`` unless requested (``ValueError`` otherwise). Its
+        mode sector is the mode-to-mode block ``D``, which tends to
+        ``d_free`` as the couplings vanish.
     """
 
     time: float
-    mode: str
-    small_angle: bool
+    kind: str
     system: OscillatorSystemSpec
     bath: BathSpec
     a: np.ndarray
@@ -100,11 +98,9 @@ class BathPropagators:
     transfer: np.ndarray | None
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exact", "weak_coupling"):
-            raise ValueError(f"mode must be 'exact' or 'weak_coupling', got {self.mode!r}")
-        if self.small_angle and self.mode != "weak_coupling":
-            raise ValueError("only weak-coupling blocks take the small-angle expansion")
-        if self.transfer is not None and self.mode != "exact":
+        if self.kind not in ("exact", "weak_coupling", "small_angle"):
+            raise ValueError(f"kind must be exact, weak_coupling or small_angle, got {self.kind!r}")
+        if self.transfer is not None and self.kind != "exact":
             raise ValueError("only exact blocks carry the dense transfer matrix")
         n = self.bath.n_modes
         if self.a.shape != (2, 2):
@@ -232,8 +228,7 @@ def exact_bath_matrices(
     rows = _flow_rows(basis, t, slice(None) if include_d_corrections else slice(0, 1))
     return BathPropagators(
         time=float(t),
-        mode="exact",
-        small_angle=False,
+        kind="exact",
         system=system,
         bath=bath,
         a=rows[:2, :2].copy(),
@@ -297,8 +292,7 @@ def weak_coupling_matrices(
 
     return BathPropagators(
         time=float(t),
-        mode="weak_coupling",
-        small_angle=small_angle,
+        kind="small_angle" if small_angle else "weak_coupling",
         system=system,
         bath=bath,
         a=a,
@@ -321,12 +315,12 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the propagators are not exact-mode, or ``bath`` has other modes
+        If the propagators are not exact, or ``bath`` has other modes
         than the blocks' bath (only its temperature may differ).
     NumericalFailureError
         If the central block is numerically singular.
     """
-    if props.mode != "exact":
+    if props.kind != "exact":
         raise ValueError("the reduced smearing matrix requires exact-mode blocks")
     _require_same_modes(bath, props.bath, "the blocks were built for")
     det = float(np.linalg.det(props.a))
@@ -390,7 +384,7 @@ def reversibility_residuals(
 ) -> dict[str, float]:
     """Spectral norms of the four blocks of the round trip ``R = T(t) T(-t) - 1``.
 
-    ``forward`` and ``backward`` must be exact-mode blocks (with the dense
+    ``forward`` and ``backward`` must be exact blocks (with the dense
     transfer matrix assembled) at ``t`` and ``-t``. As ``T(-t) = P T(t) P``
     bit for bit, ``T(-t) T(t) - 1 = P R P`` adds nothing, and other
     identities of the blocks are algebraic functions of ``R``. The inputs

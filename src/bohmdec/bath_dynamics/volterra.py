@@ -49,8 +49,8 @@ _GREGORY_EDGE = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 _GREGORY_SAMPLES = 7
 
 
-def gregory_weights(n: int, step: float) -> np.ndarray:
-    """Weights for integrating a table of ``n`` equally spaced samples.
+def _gregory_weights(n: int, step: float) -> np.ndarray:
+    """Weights for integrating a table of ``n >= 2`` equally spaced samples.
 
     Parameters
     ----------
@@ -67,10 +67,6 @@ def gregory_weights(n: int, step: float) -> np.ndarray:
         trapezoid, which is exact enough for the vanishing-at-origin
         integrands it is used on.
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if n == 1:
-        return np.zeros(1)
     w = np.ones(n)
     if n >= _GREGORY_SAMPLES:
         w[:3] = _GREGORY_EDGE
@@ -205,7 +201,7 @@ def solve_g_kernel(
     -----
     March step ``j`` adds ``sum_{k<j} w_k^(j) g_k K(t_j - t_k)`` for the
     stack ``K = (chi, chi_dot, chi_ddot)``, with ``w^(j)`` the
-    :func:`gregory_weights` of ``j + 1`` samples. The weighted history
+    :func:`_gregory_weights` of ``j + 1`` samples. The weighted history
     ``w_k^(j) g_k`` is rebuilt at every step, so the march costs about
     ``5 n^2 / 2`` multiply-adds for ``n`` steps: the three kernel rows of
     each matrix-vector product and the reweighting.
@@ -248,7 +244,7 @@ def solve_g_kernel(
     second = -bare_frequency**2 * values
     history = np.empty(n)
     for j in range(1, n + 1):
-        history[:j] = gregory_weights(j + 1, step)[:j] * values[:j]
+        history[:j] = _gregory_weights(j + 1, step)[:j] * values[:j]
         memory = lagged[:, n - j :] @ history[:j]
         values[j] += memory[0]
         first[j] += memory[1]

@@ -234,71 +234,67 @@ class BranchWidths(NamedTuple):
     beta: np.ndarray
 
 
+def _branch_widths(
+    minv: MInverseParams, orbit: ClassicalOrbit, x: float | np.ndarray
+) -> BranchWidths:
+    """The five width parameters at interior ``x``, elementwise for a float or
+    an array; :meth:`SemiclassicalDecomposition.widths` documents them."""
+    p = orbit.classical_momentum_derivative(x)
+    # squares as products: a scalar ``**2`` goes through ``pow`` and can miss
+    # the array square by an ulp, and a float must give the bits of the array
+    # path
+    p2 = p * p
+    a, b, c, delta = minv.a, minv.b, minv.c, minv.delta
+    hbar = orbit.system.hbar
+    inner = hbar**2 * a * delta + b * p2
+    tilt = a - b * p2
+    envelope = hbar**2 * (tilt * tilt) + (1.0 + hbar**2 * delta) ** 2 * p2
+    return BranchWidths(
+        sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p2)),
+        sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p2)),
+        sigma_1=np.sqrt(delta / inner),
+        sigma_2=np.sqrt(inner / envelope),
+        beta=c * (1.0 + hbar**2 * delta) * p / inner,
+    )
+
+
 @dataclass(frozen=True)
 class SemiclassicalDecomposition:
     """Branch widths and interference envelope of a smeared band state.
 
-    One private elementwise evaluator, :meth:`_terms`, turns the branch
-    densities at a position into the three momentum Gaussians; it takes a
-    float or an array, so a per-point caller pays no array overhead.
-    :meth:`widths` and :meth:`gaussian_terms` are array shells over it that
-    check their positions: both need ``|x| < x_max`` (``DomainValidityError``
-    on or beyond the turning points, ``ValueError`` for NaN or inf).
-    :meth:`widths` needs only ``minv`` and ``orbit``; the branch densities
-    come from ``wkb``, which :meth:`gaussian_terms` and the phase-space
-    evaluators require; it must be built on ``orbit`` (else ``ValueError``).
-    The phase-space evaluators return zero outside the turning points. The
-    interference phase is never evaluated: only the envelope (the prefactor
-    with the cosine replaced by one) is available, which bounds the
-    oscillating part pointwise.
+    Built from the inverse smearing matrix ``minv``, the band's ``orbit`` and
+    its branch amplitudes ``wkb``, which must be built on ``orbit`` (an equal
+    orbit built apart counts; another raises ``ValueError``). One private
+    elementwise evaluator, :meth:`_terms`, turns the branch densities at a
+    position into the three momentum Gaussians; it takes a float or an array,
+    so a per-point caller pays no array overhead. :meth:`widths` and
+    :meth:`gaussian_terms` are array shells over it that check their
+    positions: both need ``|x| < x_max`` (``DomainValidityError`` on or
+    beyond the turning points, ``ValueError`` for NaN or inf). The widths
+    read only ``minv`` and ``orbit`` (:func:`_branch_widths`). The phase-space
+    evaluators return zero outside the turning points. The interference phase
+    is never evaluated: only the envelope (the prefactor with the cosine
+    replaced by one) is available, which bounds the oscillating part
+    pointwise.
     """
 
     minv: MInverseParams
     orbit: ClassicalOrbit
-    wkb: WkbAmplitudes | None = None
+    wkb: WkbAmplitudes
 
     def __post_init__(self) -> None:
         # identity first: the conditional velocity builds one per point
-        own = None if self.wkb is None else self.wkb.orbit
-        if own is not None and own is not self.orbit and own != self.orbit:
+        own = self.wkb.orbit
+        if own is not self.orbit and own != self.orbit:
             raise ValueError(
                 f"wkb belongs to another orbit: {own!r}, not {self.orbit!r}"
             )
-
-    def _require_wkb(self) -> WkbAmplitudes:
-        if self.wkb is None:
-            raise ValueError(
-                "branch amplitudes were not supplied; construct the "
-                "decomposition with wkb= to evaluate densities"
-            )
-        return self.wkb
 
     def _interior(self, x: float | np.ndarray) -> np.ndarray:
         """``x`` as a 1-D array, checked to lie strictly inside the orbit."""
         x = finite_array("x", x)
         _require_interior(x, self.orbit)
         return x
-
-    def _branch_widths(self, x: float | np.ndarray) -> BranchWidths:
-        """The five width parameters at interior ``x``, elementwise for a
-        float or an array; :meth:`widths` documents them."""
-        p = self.orbit.classical_momentum_derivative(x)
-        # squares as products: a scalar ``**2`` goes through ``pow`` and can
-        # miss the array square by an ulp, and a float must give the bits of
-        # the array path
-        p2 = p * p
-        a, b, c, delta = self.minv.a, self.minv.b, self.minv.c, self.minv.delta
-        hbar = self.orbit.system.hbar
-        inner = hbar**2 * a * delta + b * p2
-        tilt = a - b * p2
-        envelope = hbar**2 * (tilt * tilt) + (1.0 + hbar**2 * delta) ** 2 * p2
-        return BranchWidths(
-            sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p2)),
-            sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p2)),
-            sigma_1=np.sqrt(delta / inner),
-            sigma_2=np.sqrt(inner / envelope),
-            beta=c * (1.0 + hbar**2 * delta) * p / inner,
-        )
 
     def _terms(
         self,
@@ -311,7 +307,7 @@ class SemiclassicalDecomposition:
         densities may be floats or arrays of one shape. A zero density gives
         weight ``-inf``. :meth:`gaussian_terms` documents the terms.
         """
-        s_plus, s_minus, s1, s2, beta = self._branch_widths(x)
+        s_plus, s_minus, s1, s2, beta = _branch_widths(self.minv, self.orbit, x)
         p_cl = self.orbit.classical_momentum(x)
         hbar = self.orbit.system.hbar
         with np.errstate(divide="ignore"):
@@ -337,7 +333,7 @@ class SemiclassicalDecomposition:
         positive-definite kernel, so ``D > 0`` at every position.
         Positions must lie inside the turning points.
         """
-        return self._branch_widths(self._interior(x))
+        return _branch_widths(self.minv, self.orbit, self._interior(x))
 
     def gaussian_terms(
         self, x: float | np.ndarray
@@ -364,7 +360,7 @@ class SemiclassicalDecomposition:
         Positions must lie inside the turning points.
         """
         x = self._interior(x)
-        g_plus, g_minus = self._require_wkb().amplitudes(x)
+        g_plus, g_minus = self.wkb.amplitudes(x)
         terms = self._terms(x, np.abs(g_plus) ** 2, np.abs(g_minus) ** 2)
         log_weight, centre, precision = (np.stack(rows) for rows in zip(*terms))
         return log_weight, centre, precision

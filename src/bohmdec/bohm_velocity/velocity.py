@@ -28,10 +28,11 @@ def ensemble_velocity(
     Parameters
     ----------
     field : WignerField
-        Sampled distribution; ``x`` is matched to the nearest grid column.
+        Sampled distribution; each position is read at the grid column its
+        offset from the first rounds to, so a midpoint takes either neighbour.
     system : OscillatorSystemSpec
     x : float or array_like
-        Positions, each within half a grid step of a sampled column.
+        Positions within half a grid step of the sampled x-range.
 
     Returns
     -------
@@ -42,7 +43,7 @@ def ensemble_velocity(
     ValueError
         If ``x`` has a NaN or infinite entry.
     GridCoverageError
-        If a requested position falls outside the sampled grid.
+        If a requested position rounds to no column of the sampled grid.
     UndefinedVelocityError
         If the position density at a requested point is below ``1e-12`` of
         its peak (node region).
@@ -59,8 +60,6 @@ def ensemble_velocity(
             f"[{grid[0]:g}, {grid[-1]:g}]"
         )
     index = index.astype(int)
-    if np.any(np.abs(x_arr - grid[index]) > 0.5 * step * (1.0 + 1e-9)):
-        raise GridCoverageError("requested position is not near a grid column")
 
     density = _trapezoid(field.values, field.dp)
     floor = _DENSITY_FLOOR * float(density.max())

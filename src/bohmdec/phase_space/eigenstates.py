@@ -3,7 +3,11 @@
 The normalized three-term recurrence is carried with a per-point exponent
 offset so that arbitrarily high levels can be evaluated without overflow or
 premature underflow: values are represented as ``mantissa * exp(offset)`` and
-the Gaussian factor is folded in only at the end.
+the Gaussian factor is folded in only at the end. A step grows the mantissas
+by at most ``sqrt(2) |xi| + 1``, so before each step one above
+``max_float / (4 (1 + |xi|) max(1, sqrt(alpha)))`` is scaled exactly by a
+power of two into ``[1/2, 1)``; the step and the final product with
+``sqrt(alpha)`` then stay finite at every ``xi``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from .system import OscillatorSystemSpec
 
 __all__ = ["eigenfunction_table"]
 
-_RESCALE_THRESHOLD = 1e250
-_RESCALE_LOG = np.log(_RESCALE_THRESHOLD)
+_HUGE = np.finfo(float).max
 
 
 def eigenfunction_table(
@@ -44,7 +47,12 @@ def eigenfunction_table(
         raise ValueError("level indices must be non-negative integers")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
-    xi = alpha * x
+    gain = max(1.0, np.sqrt(alpha))
+    reach = _HUGE / (16.0 * gain)
+    # every level is 0 beyond |xi| = reach, where clipping keeps bound >= 2
+    with np.errstate(over="ignore"):
+        xi = np.clip(alpha * x, -reach, reach)
+    bound = _HUGE / (4.0 * (1.0 + np.abs(xi)) * gain)
     wanted = set(int(k) for k in levels)
     top = max(wanted) if wanted else 0
 
@@ -55,19 +63,22 @@ def eigenfunction_table(
     log_scale = np.zeros_like(xi)
 
     def _store(k: int, mantissa: np.ndarray) -> None:
-        with np.errstate(under="ignore"):
+        # xi**2 may overflow far out, where the Gaussian factor is then 0
+        with np.errstate(under="ignore", over="ignore"):
             rows[k] = np.sqrt(alpha) * mantissa * np.exp(log_scale - 0.5 * xi**2)
 
     if 0 in wanted:
         _store(0, cur)
     for k in range(top):
+        # prev was last step's cur, so checking cur keeps both within bound
+        big = np.abs(cur) > bound
+        if np.any(big):
+            shift = np.frexp(cur[big])[1]
+            cur[big] = np.ldexp(cur[big], -shift)
+            prev[big] = np.ldexp(prev[big], -shift)
+            log_scale[big] += shift * np.log(2.0)
         nxt = np.sqrt(2.0 / (k + 1)) * xi * cur - np.sqrt(k / (k + 1)) * prev
         prev, cur = cur, nxt
-        big = np.abs(cur) > _RESCALE_THRESHOLD
-        if np.any(big):
-            prev[big] /= _RESCALE_THRESHOLD
-            cur[big] /= _RESCALE_THRESHOLD
-            log_scale[big] += _RESCALE_LOG
         if (k + 1) in wanted:
             _store(k + 1, cur)
     return np.stack([rows[int(k)] for k in levels], axis=0)

@@ -516,7 +516,7 @@ def exact_oscillator_wigner(
     z = 4.0 * energy / (hbar * w)
     with np.errstate(under="ignore"):
         t_prev = np.zeros_like(z)
-        t_cur = np.exp(-0.5 * np.minimum(z, 1500.0))
+        t_cur = np.exp(-0.5 * z)
         for k in range(n):
             t_next = ((2 * k + 1 - z) * t_cur - k * t_prev) / (k + 1)
             t_prev, t_cur = t_cur, t_next

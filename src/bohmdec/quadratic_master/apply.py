@@ -47,14 +47,14 @@ block's rows up to the furthest column any of them keeps and zeroes the rest
 of the block. So the propagation holds one buffer and one output field at
 its peak.
 
-The row stages run on every core (:mod:`bohmdec._parallel`): each worker
-takes one contiguous span of rows through the blocked copy, passes along
-``p`` and multiply, ``_BLOCK_ROWS`` rows at a time by
-:func:`~bohmdec._parallel.run_blocks`, and the passes along ``x`` take
-scipy's own ``workers``.
-The bicubic pullback runs one ``affine_transform`` per span of output rows,
-each writing and then dividing by ``det A`` its rows of the one output field,
-its offset shifted by the span's first row. Each worker's temporaries are
+The row stages run on every core, each through
+:func:`~bohmdec._parallel.run_blocks`: each worker takes one contiguous span
+of rows through the blocked copy, passes along ``p`` and multiply,
+``_BLOCK_ROWS`` rows at a time, and the passes along ``x`` take scipy's own
+``workers``. The bicubic pullback takes each span as one block: one
+``affine_transform`` per span of output rows, each writing and then dividing
+by ``det A`` its rows of the one output field, its offset shifted by the
+span's first row. Each worker's temporaries are
 ``_BLOCK_ROWS`` rows, so the peak stays one buffer and one output. A row's
 spectrum and smeared value do not depend on the spans; the shifted offsets
 round differently, so the output moves with the worker count by round-off
@@ -196,15 +196,16 @@ def propagate_wigner(
     offset = matrix @ corner - corner + (pad_x, pad_p)
     values = np.empty(field.values.shape)
 
-    def pull_back(worker: int, lo: int, hi: int) -> None:
-        # output row i of the span is row lo + i of the whole field
+    def pull_back(worker: int, rows: slice) -> None:
+        # output row i of the span is row rows.start + i of the whole field
         ndimage.affine_transform(
-            source[:, :n_p], matrix, offset + matrix[:, 0] * lo, output=values[lo:hi],
+            source[:, :n_p], matrix, offset + matrix[:, 0] * rows.start, output=values[rows],
             order=3, mode="constant", prefilter=False,
         )
-        values[lo:hi] /= det_a
+        values[rows] /= det_a
 
-    _parallel.run_spans(pull_back, _parallel.row_spans(x.size))
+    # a block as long as the field, so each worker's span is one block
+    _parallel.run_blocks(pull_back, 0, x.size, x.size)
 
     note = f"spectral_smear(buffer={n_x}x{n_p})"
     out = WignerField(x, p, values, field.time_stamp + propagator.t, tuple(field.notes) + (note,))

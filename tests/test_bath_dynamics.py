@@ -765,18 +765,18 @@ class TestBlocks:
             # the oracle bath sits above the weak-coupling regime bound
             warnings.simplefilter("ignore", CouplingStrengthWarning)
             weak = weak_coupling_matrices(forward.bath, forward.system, 2.0)
-        with pytest.raises(ValueError, match="mode must be"):
-            dataclasses.replace(weak, mode="exakt")
-        with pytest.raises(ValueError, match="small-angle"):
-            dataclasses.replace(forward, small_angle=True)
+        with pytest.raises(ValueError, match="kind must be"):
+            dataclasses.replace(weak, kind="exakt")
+        with pytest.raises(ValueError, match="dense transfer"):
+            dataclasses.replace(forward, kind="small_angle")
         with pytest.raises(ValueError, match="dense transfer"):
             dataclasses.replace(weak, transfer=forward.transfer)
         with pytest.raises(ValueError, match="dense transfer"):
-            dataclasses.replace(forward, mode="weak_coupling")
+            dataclasses.replace(forward, kind="weak_coupling")
         with pytest.raises(ValueError, match="need exact blocks"):
             reversibility_residuals(weak, weak)
         # the combinations the builders make are accepted
-        dataclasses.replace(weak, small_angle=True)
+        dataclasses.replace(weak, kind="small_angle")
         dataclasses.replace(forward, transfer=None)
 
     def test_residuals_repeat_bitwise(self):
@@ -819,6 +819,114 @@ class TestBlocks:
         scale = (1.0 + angles.T.astype(float)) @ np.abs(line_weights)
         assert np.all(np.abs(sums.real - (np.cos(angles).T @ wide)) <= 1e-15 * scale)
         assert np.all(np.abs(sums.imag - (np.sin(angles).T @ wide)) <= 1e-15 * scale)
+
+
+def _rejection(case):
+    """``(call, message)`` for one input that an entry point of the bath route rejects."""
+    system = OscillatorSystemSpec()
+    params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)
+    bath = discretize_spectral_density(params, system, 16)
+    forward, _ = reversal_pair(2.0)
+    props = weak_coupling_matrices(bath, system, 0.5, small_angle=True)
+    sample = sample_bath(bath, seed=3)
+    rows = dict(masses=np.ones(3), frequencies=np.ones(3), couplings=np.ones(3), thermal_energy=1.0)
+    flat = {name: np.ones((1, 3)) for name in ("masses", "frequencies", "couplings")}
+
+    def table():
+        spectral = SpectralDensity.from_bath(forward.bath)
+        bare = forward.system.bare_frequency
+        return solve_g_kernel(spectral, bare, 0.1, 1e-3, mass=forward.system.mass)
+
+    def blocks(**changes):
+        system = dataclasses.replace(forward.system, **changes)
+        return exact_bath_matrices(forward.bath, system, table(), 1.0)
+
+    cases = {
+        "bath-lengths": (
+            lambda: BathSpec(**{**rows, "frequencies": np.ones(2)}),
+            "masses, frequencies and couplings must be 1-D and equal length",
+        ),
+        "bath-2d": (
+            lambda: BathSpec(**{**rows, **flat}),
+            "masses, frequencies and couplings must be 1-D and equal length",
+        ),
+        "bath-sign": (
+            lambda: BathSpec(**{**rows, "frequencies": np.array([1.0, -2.0, 3.0])}),
+            "mode masses and frequencies must be positive",
+        ),
+        "sample-lengths": (
+            lambda: CoherentBathSample(positions=[0.1, 0.2], momenta=[0.0], seed=1),
+            "positions and momenta must be 1-D and equal length",
+        ),
+        "density-without-bath": (
+            lambda: SpectralDensity("discrete"), "a discrete density requires a bath"
+        ),
+        "density-kind": (
+            lambda: SpectralDensity("lorentzian"), "unknown spectral density kind 'lorentzian'"
+        ),
+        "no-modes": (
+            lambda: discretize_spectral_density(params, system, 0), "n_modes must be at least 1"
+        ),
+        "cold-bath": (
+            lambda: discretize_spectral_density(
+                dataclasses.replace(params, thermal_energy=0.0), system, 16
+            ),
+            "a sampled bath needs a positive temperature",
+        ),
+        "line-without-mass": (
+            lambda: solve_g_kernel(SpectralDensity.from_bath(bath), 1.0, 0.1, 1e-3),
+            "a line spectrum requires the central mass",
+        ),
+        "blocks-bare-frequency": (
+            lambda: blocks(bare_frequency=1.1 * forward.system.bare_frequency),
+            "g_table was solved for a different bare frequency than the system's",
+        ),
+        "blocks-mass": (
+            lambda: blocks(mass=2.0), "g_table was solved for a different central mass"
+        ),
+        "residuals-time": (
+            lambda: reversibility_residuals(forward, forward),
+            "backward blocks must be evaluated at minus the forward time",
+        ),
+        "kernel-kind": (
+            lambda: conditional_kernel(
+                weak_coupling_matrices(bath, system, 0.5), bath, sample, 0.5
+            ),
+            "conditioning requires small-angle weak-coupling blocks",
+        ),
+        "kernel-time": (
+            lambda: conditional_kernel(props, bath, sample, 0.6),
+            "t does not match the time of the supplied blocks",
+        ),
+        "slice-length": (
+            lambda: conditional_kernel(props, bath, sample, 0.5).slice_quadratic(np.zeros(3), 0.0),
+            r"bath_slice must supply one position per mode \(16\), got shape \(3,\)",
+        ),
+        "m-tilde-asymptote": (
+            lambda: cl_m_tilde_asymptote(params, system, 0.01),
+            r"the log asymptote needs cutoff \* t > 1",
+        ),
+        "sigma3-asymptote": (
+            lambda: cl_sigma3_squared_asymptote(params, system, 0.005),
+            r"the log asymptote needs cutoff \* t > 1",
+        ),
+    }
+    return cases[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "bath-lengths", "bath-2d", "bath-sign", "sample-lengths", "density-without-bath",
+        "density-kind", "no-modes", "cold-bath", "line-without-mass",
+        "blocks-bare-frequency", "blocks-mass", "residuals-time", "kernel-kind",
+        "kernel-time", "slice-length", "m-tilde-asymptote", "sigma3-asymptote",
+    ],
+)
+def test_inconsistent_input_is_rejected(case):
+    call, message = _rejection(case)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 class TestBathSpec:
@@ -1352,6 +1460,20 @@ class TestConditionalVelocity:
         bath_slice = run.kernel.conditional_peaks(x, p_cl) + 10.0 * widths
         with pytest.raises(UndefinedVelocityError, match="representable floor"):
             conditional_velocity(run.state, run.orbit, run.wkb, run.kernel, x, bath_slice)
+
+    def test_log_mass_floor_is_pinned(self):
+        # A slice 3 coherent widths past every peak leaves the largest branch
+        # mass within e^-700 of the reference: it reads 11.346. At 4 widths
+        # it does not; a floor of 1400 let that slice read 13.819, and a floor
+        # of 350 rejects both.
+        run = _canonical_conditioning(2.0)
+        x = 0.3 * run.orbit.amplitude
+        peaks = run.kernel.conditional_peaks(x, float(run.orbit.classical_momentum(x)))
+        widths = run.kernel.bath.coherent_widths
+        args = run.state, run.orbit, run.wkb, run.kernel, x
+        assert conditional_velocity(*args, peaks + 3.0 * widths) == pytest.approx(11.346, abs=1e-3)
+        with pytest.raises(UndefinedVelocityError, match="representable floor"):
+            conditional_velocity(*args, peaks + 4.0 * widths)
 
     def test_tiny_envelope_keeps_its_share(self):
         # The slice sits where the envelope's slice-weighted peak is 1e-7 of

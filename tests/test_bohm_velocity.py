@@ -126,6 +126,11 @@ class TestMInverseParams:
             with pytest.raises(ValueError, match="cancellation"):
                 MInverseParams.from_m_matrix(m)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (1, 2), (2, 2, 1)])
+    def test_from_m_matrix_rejects_a_misshapen_matrix(self, shape):
+        with pytest.raises(ValueError, match="^smearing matrix must be 2x2$"):
+            MInverseParams.from_m_matrix(np.ones(shape))
+
     def test_from_m_matrix_rejects_singular(self):
         with pytest.raises(ValueError, match="positive definite"):
             MInverseParams.from_m_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -185,6 +190,19 @@ class TestEnsembleVelocity:
         field = eigenstate_field(0, grid, natural_system)
         with pytest.raises(GridCoverageError):
             ensemble_velocity(field, natural_system, 6.0)
+
+    def test_midpoints_read_a_neighbouring_column(self, natural_system):
+        # At x ~ 1e7 a midpoint's offset from the first column rounds to
+        # about 1e-9 of a step past half a step; it is read at one of its two
+        # columns, while a check of |x - x_j| <= dx/2 (1 + 1e-9) rejected 20
+        # of these 100 midpoints.
+        columns = np.arange(-50, 51)
+        x = 1e7 + 0.1 * columns
+        p = np.linspace(-20.0, 20.0, 401)
+        field = WignerField(x, p, np.exp(-((p[None, :] - 0.1 * columns[:, None]) ** 2)))
+        on_column = ensemble_velocity(field, natural_system, x)
+        midway = ensemble_velocity(field, natural_system, 0.5 * (x[:-1] + x[1:]))
+        assert np.all((midway == on_column[:-1]) | (midway == on_column[1:]))
 
     @pytest.mark.parametrize("x", [-1e300, 1e300])
     def test_far_position_rejected_before_index_cast(self, natural_system, x):
@@ -254,6 +272,13 @@ class TestInitialVelocity:
         # the closed-form derivative of the Hermite functions gives
         # -0.0249848 at x = 8; the stencil reads it to 5e-6
         assert alone[0] == pytest.approx(-0.0249848, rel=1e-4)
+
+    @pytest.mark.parametrize("x", [6.65182753e59, 1e300, -1.7e308])
+    def test_far_tail_is_undefined(self, canonical_cl_run, x):
+        # the band's sampler read NaN here once its Hermite recurrence
+        # overflowed, and the velocity came back NaN with only a warning
+        with pytest.raises(UndefinedVelocityError, match="node regions"):
+            initial_velocity(canonical_cl_run.psi, x, canonical_cl_run.system)
 
     @non_finite
     def test_non_finite_position_rejected(self, natural_system, bad):

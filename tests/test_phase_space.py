@@ -198,6 +198,19 @@ class TestEigenfunctions:
         tail = eigenfunction_table([20000], np.array([250.0]), natural_system)[0]
         assert abs(tail[0]) < 1e-100
 
+    @pytest.mark.parametrize("mass", [1.0, 1e6, 1e20])
+    def test_levels_stay_finite_at_every_finite_position(self, mass):
+        # A step grows a mantissa by up to sqrt(2)|xi| + 1, so a fixed rescale
+        # threshold of 1e250 let the recurrence overflow once |xi| > 1e58: the
+        # canonical band read NaN from x = 6.7e59 on. A heavy oscillator's
+        # sqrt(alpha) prefactor must fit under the bound too. Far out every
+        # level is 0.
+        far = np.concatenate([np.logspace(1.0, 300.0, 61), [1.7e308, np.finfo(float).max]])
+        x = np.concatenate([-far, [0.0], far])
+        table = eigenfunction_table(np.arange(5001), x, OscillatorSystemSpec(mass=mass))
+        assert np.all(np.isfinite(table))
+        assert not table[:, np.abs(x) > 200.0].any()
+
     def test_mass_scaling(self):
         heavy = OscillatorSystemSpec(mass=4.0)
         light = OscillatorSystemSpec(mass=1.0)
@@ -753,6 +766,35 @@ class TestDensityMatrixFromWigner:
         pairs[name][1] = bad
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
             density_matrix_from_wigner(field, natural_system, pairs["x"], pairs["x_prime"])
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            (
+                "values-shape", ValueError,
+                r"WignerField\.values must have shape \(len\(x_grid\), len\(p_grid\)\)",
+            ),
+            ("axis-2d", ValueError, r"WignerField\.x_grid must be a 1-D grid"),
+            ("axis-one-cell", ValueError, r"WignerField\.p_grid must be a 1-D grid"),
+            ("pair-shapes", ValueError, "x and x_prime must have the same shape"),
+            ("midpoint", GridCoverageError, "midpoint outside the field's position grid"),
+        ],
+    )
+    def test_misshapen_field_or_pairs_rejected(self, natural_system, case, error, message):
+        axis = np.linspace(-1.0, 1.0, 5)
+        field = WignerField(axis, axis, np.ones((5, 5)))
+        calls = {
+            "values-shape": lambda: WignerField(axis, axis, np.ones((5, 4))),
+            "axis-2d": lambda: WignerField(axis[None, :], axis, np.ones((5, 5))),
+            "axis-one-cell": lambda: WignerField(axis, [0.0], np.ones((5, 1))),
+            "pair-shapes": lambda: density_matrix_from_wigner(
+                field, natural_system, [0.0, 0.1], [0.0]
+            ),
+            # only the midpoint is read, and 1.1 lies past the grid's last column
+            "midpoint": lambda: density_matrix_from_wigner(field, natural_system, [0.9], [1.3]),
+        }
+        with pytest.raises(error, match=f"^{message}$"):
+            calls[case]()
 
     def test_diagonal_recovers_position_density(self, natural_system):
         st = build_energy_band_state(50, 2)

@@ -394,6 +394,16 @@ class TestIntegratePropagator:
         with pytest.raises(NumericalFailureError):
             integrate_propagator(coeffs, 0.3)
 
+    def test_condition_limit_is_pinned(self, natural_system):
+        # gamma = 10, kT = 1, cutoff 100: cond A reads 2.4e10 at t = 1.2 and
+        # 9.3e12 at t = 1.5; a limit of 1e16 let t = 1.5 through with M
+        # entries of 2e26
+        params = CaldeiraLeggettParams(damping_rate=10.0, thermal_energy=1.0, cutoff=100.0)
+        coeffs = assemble_cl_coefficients(natural_system, params)
+        assert np.linalg.cond(integrate_propagator(coeffs, 1.2).a) > 1e10
+        with pytest.raises(NumericalFailureError, match="condition number exceeds 1e\\+12"):
+            integrate_propagator(coeffs, 1.5)
+
     @pytest.mark.parametrize("warning_filter", ["error", "default"])
     @pytest.mark.parametrize(
         "damping_rate, t, message",
@@ -456,6 +466,28 @@ class TestIntegratePropagator:
             GaussianPropagator(0.0, np.eye(2), -np.eye(2))
         with pytest.raises(ValueError):
             GaussianPropagator(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "case, error, message",
+        [
+            ("flow-3x3", ValueError, "GaussianPropagator matrices must be 2x2"),
+            ("smear-row", ValueError, "GaussianPropagator matrices must be 2x2"),
+            ("reflection", NumericalFailureError, "flow matrix must preserve orientation"),
+        ],
+    )
+    def test_misshapen_or_reflecting_flow_is_rejected(self, natural_system, case, error, message):
+        x = symmetric_grid(2.0, 0.1)
+        field = gaussian_field(x, x, np.zeros(2), 0.5 * np.eye(2))
+        calls = {
+            "flow-3x3": lambda: GaussianPropagator(0.0, np.eye(3), np.zeros((2, 2))),
+            "smear-row": lambda: GaussianPropagator(0.0, np.eye(2), np.zeros(2)),
+            "reflection": lambda: propagate_wigner(
+                GaussianPropagator(0.0, np.diag([1.0, -1.0]), np.zeros((2, 2))),
+                field, natural_system,
+            ),
+        }
+        with pytest.raises(error, match=f"^{message}$"):
+            calls[case]()
 
     @pytest.mark.parametrize(
         "name, t, a, m",
