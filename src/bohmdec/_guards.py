@@ -34,6 +34,12 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_close(what: str, value: float, reference: float) -> None:
+    """Raise ``ValueError(what)`` unless ``value`` is ``reference`` to 1e-12 relative."""
+    if not abs(value - reference) <= 1e-12 * abs(reference):
+        raise ValueError(what)
+
+
 def require_orbit_system(system, orbit) -> None:
     """Raise ``ValueError`` unless ``system`` has the mass, renormalized
     frequency and hbar of ``orbit``'s oscillator, the only fields an orbit

@@ -21,6 +21,7 @@ import numpy as np
 
 from .._guards import (
     finite_array,
+    require_close,
     require_finite,
     require_nonnegative,
     require_orbit_system,
@@ -266,8 +267,7 @@ def conditional_kernel(
     require_finite("t", t)
     if props.kind != "small_angle":
         raise ValueError("conditioning requires small-angle weak-coupling blocks")
-    if abs(t - props.time) > 1e-12 * max(1.0, abs(t)):
-        raise ValueError("t does not match the time of the supplied blocks")
+    require_close("t does not match the time of the supplied blocks", props.time, t)
     _require_same_modes(bath, props.bath, "the blocks were built for")
     if sample.n_modes != bath.n_modes:
         raise ValueError("bath and sample disagree on the mode count")

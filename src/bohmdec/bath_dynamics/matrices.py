@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import require_finite
+from .._guards import require_close, require_finite
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
+from ..quadratic_master.propagator import _COND_LIMIT
 from ._trig import one_minus_cos, pair_kernel, t_minus_sin
 from .spectral import BathSpec, _require_same_modes
 from .volterra import GKernelTable, NormalModeBasis
@@ -220,10 +221,9 @@ def exact_bath_matrices(
     if basis is None:
         raise ValueError("an ohmic table has no normal modes; exact blocks need a line spectrum")
     _require_same_modes(bath, basis.bath, "g_table was solved for")
-    if abs(g_table.bare_frequency - system.bare_frequency) > 1e-12 * system.bare_frequency:
-        raise ValueError("g_table was solved for a different bare frequency than the system's")
-    if abs(g_table.mass - system.mass) > 1e-12 * system.mass:
-        raise ValueError("g_table was solved for a different central mass")
+    require_close("g_table was solved for a different bare frequency than the system's",
+                  g_table.bare_frequency, system.bare_frequency)
+    require_close("g_table was solved for a different central mass", g_table.mass, system.mass)
 
     rows = _flow_rows(basis, t, slice(None) if include_d_corrections else slice(0, 1))
     return BathPropagators(
@@ -318,13 +318,13 @@ def reduced_M_from_bath(props: BathPropagators, bath: BathSpec) -> np.ndarray:
         If the propagators are not exact, or ``bath`` has other modes
         than the blocks' bath (only its temperature may differ).
     NumericalFailureError
-        If the central block is numerically singular.
+        If the central block's condition number exceeds 1e12, the limit of
+        :func:`~bohmdec.quadratic_master.integrate_propagator`'s flow matrix.
     """
     if props.kind != "exact":
         raise ValueError("the reduced smearing matrix requires exact-mode blocks")
     _require_same_modes(bath, props.bath, "the blocks were built for")
-    det = float(np.linalg.det(props.a))
-    if abs(det) <= 1e-14 * float(np.abs(props.a).max()) ** 2:
+    if np.linalg.cond(props.a) > _COND_LIMIT:
         raise NumericalFailureError(
             "central transfer block is singular; the reduced map is not invertible here"
         )
@@ -400,8 +400,8 @@ def reversibility_residuals(
     # only exact blocks carry a transfer matrix (BathPropagators checks it)
     if forward.transfer is None or backward.transfer is None:
         raise ValueError("reversibility checks need exact blocks with the dense transfer matrices")
-    if abs(forward.time + backward.time) > 1e-12 * max(1.0, abs(forward.time)):
-        raise ValueError("backward blocks must be evaluated at minus the forward time")
+    require_close("backward blocks must be evaluated at minus the forward time",
+                  -backward.time, forward.time)
     round_trip = forward.transfer @ backward.transfer
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
     return {

@@ -137,11 +137,8 @@ def initial_velocity(
         )
     probe = flux / density
     wavenumber = system.mass * np.abs(probe) / system.hbar
-    refined = np.where(
-        wavenumber > 0.0,
-        np.minimum(h0, 1.0 / (100.0 * np.maximum(wavenumber, 1e-300))),
-        h0,
-    )
+    with np.errstate(divide="ignore"):  # no wavenumber: h0
+        refined = np.minimum(h0, 1.0 / (100.0 * wavenumber))
     velocity = stencil(refined)[0] / density
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(velocity[0])

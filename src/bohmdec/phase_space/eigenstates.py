@@ -8,6 +8,9 @@ by at most ``sqrt(2) |xi| + 1``, so before each step one above
 ``max_float / (4 (1 + |xi|) max(1, sqrt(alpha)))`` is scaled exactly by a
 power of two into ``[1/2, 1)``; the step and the final product with
 ``sqrt(alpha)`` then stay finite at every ``xi``.
+Where ``sqrt(alpha) pi^-1/4 (sqrt(2) (1 + |xi|))^k exp(-xi^2 / 2)``, a bound on
+levels to ``k``, is below a quarter of the least subnormal, every level rounds to
+zero, so the point skips the recurrence and reads a zero of sign ``sign(xi)^k``.
 """
 
 from __future__ import annotations
@@ -47,14 +50,18 @@ def eigenfunction_table(
         raise ValueError("level indices must be non-negative integers")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
-    gain = max(1.0, np.sqrt(alpha))
-    reach = _HUGE / (16.0 * gain)
-    # every level is 0 beyond |xi| = reach, where clipping keeps bound >= 2
-    with np.errstate(over="ignore"):
-        xi = np.clip(alpha * x, -reach, reach)
-    bound = _HUGE / (4.0 * (1.0 + np.abs(xi)) * gain)
     wanted = set(int(k) for k in levels)
     top = max(wanted) if wanted else 0
+    # below the floor where head + top ln(sqrt(2) (1 + |xi|)) < xi^2 / 2: |xi| > sqrt(2 head)
+    head = (0.5 * np.log(alpha) - 0.25 * np.log(np.pi)
+            + np.log(4.0) - np.log(np.finfo(float).smallest_subnormal))
+    with np.errstate(over="ignore"):
+        full = np.clip(alpha * x, -_HUGE, _HUGE)
+        dead = np.abs(full) > np.sqrt(2.0 * head)  # NaN is not; x = inf clips to finite
+        far = full[dead]
+        dead[dead] = head + top * (0.5 * np.log(2.0) + np.log1p(np.abs(far))) < 0.5 * far**2
+    xi = full[~dead] if dead.any() else full
+    bound = _HUGE / (4.0 * (1.0 + np.abs(xi)) * max(1.0, np.sqrt(alpha)))
 
     # The mantissas carry pi**-0.25 H_k(xi) / sqrt(2^k k!) times exp(-log_scale).
     rows: dict[int, np.ndarray] = {}
@@ -63,9 +70,12 @@ def eigenfunction_table(
     log_scale = np.zeros_like(xi)
 
     def _store(k: int, mantissa: np.ndarray) -> None:
-        # xi**2 may overflow far out, where the Gaussian factor is then 0
-        with np.errstate(under="ignore", over="ignore"):
+        with np.errstate(under="ignore"):
             rows[k] = np.sqrt(alpha) * mantissa * np.exp(log_scale - 0.5 * xi**2)
+        if xi is not full:
+            row = np.copysign(0.0, full) if k % 2 else np.zeros_like(full)
+            row[~dead] = rows[k]
+            rows[k] = row
 
     if 0 in wanted:
         _store(0, cur)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._guards import require_integer, require_positive
+from .._guards import require_close, require_integer, require_positive
 
 __all__ = [
     "OscillatorSystemSpec",
@@ -93,11 +93,8 @@ class EnergyBandState:
                 f"got shape {coeffs.shape}"
             )
         norm = float(np.sum(np.abs(coeffs) ** 2))
-        if not abs(norm - 1.0) <= 1e-12:  # also rejects NaN and inf
-            raise ValueError(
-                "EnergyBandState coefficients must be normalized: "
-                f"sum |c_r|^2 = {norm!r} differs from 1 by more than 1e-12"
-            )
+        require_close("EnergyBandState coefficients must be normalized: "
+                      f"sum |c_r|^2 = {norm!r} differs from 1 by more than 1e-12", norm, 1.0)
         object.__setattr__(self, "coefficients", coeffs)
 
     def __eq__(self, other: object) -> bool:
@@ -185,13 +182,15 @@ class ClassicalOrbit:
     @functools.cached_property
     def amplitude(self) -> float:
         """Turning point ``x_max = sqrt(2 E / (m omega^2))``."""
-        m, w = self.system.mass, self.system.renormalized_frequency
+        m = self.system.mass
+        w = self.system.renormalized_frequency
         return float(np.sqrt(2.0 * self.energy / (m * w**2)))
 
     @functools.cached_property
     def de_broglie(self) -> float:
         """Local wavelength scale ``hbar / (m omega x_max)``."""
-        m, w = self.system.mass, self.system.renormalized_frequency
+        m = self.system.mass
+        w = self.system.renormalized_frequency
         return self.system.hbar / (m * w * self.amplitude)
 
     def classical_momentum(self, x: np.ndarray) -> np.ndarray:

@@ -68,12 +68,12 @@ def nonnegativity_threshold(
 
     Past this time the propagated field of any initial state is bounded
     below by (numerically) zero. The determinant of the smearing matrix is
-    monotone and zero at ``t = 0``, so the crossing is bracketed by doubling
-    a trial time, at most 80 times, from ``1e-6 / max|K|`` until the
-    determinant passes ``hbar^2``, then found by Brent's method between the
-    last failing trial (``0`` when the first trial already passes) and the
-    first passing one, to ``1e-12`` relative and ``1e-14`` of that
-    passing trial absolute.
+    monotone and zero at ``t = 0``, so the crossing is bracketed within a
+    factor of two from the drift's time scale ``1 / max|K|`` (1 without
+    drift): a trial is halved while half of it passes ``hbar^2`` (``t = 0``
+    never does), then doubled, at most 80 times, until it passes. Brent's
+    method finds it to ``4 eps`` relative and ``eps`` of that trial
+    absolute, so to a few ulps however short the crossing time.
 
     Parameters
     ----------
@@ -94,12 +94,13 @@ def nonnegativity_threshold(
         prop = integrate_propagator(coeffs, t)
         return float(np.linalg.det(prop.m)) - target
 
-    k_scale = float(np.abs(coeffs.drift_matrix(0.0)).max())
-    lo, hi = 0.0, 1e-6 / max(k_scale, 1e-12)
+    hi = 1.0 / (float(np.abs(coeffs.drift_matrix(0.0)).max()) or 1.0)
+    while det_gap(0.5 * hi) > 0.0:
+        hi *= 0.5
     for _ in range(80):
         if det_gap(hi) > 0.0:
             break
-        lo, hi = hi, 2.0 * hi
+        hi *= 2.0
     else:
         raise NumericalFailureError(
             "smearing determinant never reached hbar^2 within the scan range"
@@ -107,6 +108,5 @@ def nonnegativity_threshold(
     # imported here so that importing bohmdec skips its load: about 12 MB and 0.1 s
     from scipy.optimize import brentq
 
-    # an absolute tolerance on the bracket's scale: scipy's default 2e-12
-    # would dominate at the small crossing times of hot baths
-    return float(brentq(det_gap, lo, hi, xtol=1e-14 * hi, rtol=1e-12))
+    # scipy's least rtol, and an xtol on the bracket's scale (2e-12 swamps hot baths)
+    return float(brentq(det_gap, 0.5 * hi, hi, xtol=np.finfo(float).eps * hi))

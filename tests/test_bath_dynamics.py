@@ -453,6 +453,25 @@ class TestSolveGKernel:
             solve_g_kernel(spectral, 1.0, 0.3, 0.004)
         assert solve_g_kernel(spectral, 1.0, 0.3, 0.003).times.size == 101
 
+    @pytest.mark.parametrize("excess, coarse", [(1e-13, False), (1e-11, True)])
+    def test_coarsest_step_is_held_to_1e_12(self, excess, coarse):
+        # 20 points per period of the cutoff, to 1e-12 relative
+        spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
+        step = 2.0 * np.pi / (20 * 100.0) * (1.0 + excess)
+        if coarse:
+            with pytest.raises(ValueError, match="too coarse"):
+                solve_g_kernel(spectral, 1.0, 0.1, step)
+        else:
+            assert solve_g_kernel(spectral, 1.0, 0.1, step).times.size == 33
+
+    @pytest.mark.parametrize("excess, steps", [(1e-10, 100), (1e-8, 101)])
+    def test_span_within_1e_9_steps_of_a_node_ends_there(self, excess, steps):
+        # t_max / step carries the rounding of both; within 1e-9 of a whole
+        # step count the table ends at that node, past it a step covers t_max
+        spectral = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
+        table = solve_g_kernel(spectral, 1.0, (100.0 + excess) * 0.003, 0.003)
+        assert table.times.size == steps + 1
+
     def test_bath_without_modes_gives_the_free_oscillator(self):
         # an ohmic density with no damping couples nothing to the center
         bare = 1.7
@@ -635,6 +654,23 @@ class TestBlocks:
         singular = dataclasses.replace(props, a=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
         with pytest.raises(NumericalFailureError, match="singular"):
             reduced_M_from_bath(singular, bath)
+
+    @pytest.mark.parametrize("delta, singular", [(1e-11, False), (1e-12, True)])
+    def test_reduced_smearing_holds_the_flow_condition_limit(self, delta, singular):
+        # A = [[1, 1], [1, 1 + delta]] has condition number about 4 / delta;
+        # the central block is held to integrate_propagator's limit of 1e12
+        system = OscillatorSystemSpec()
+        bath = discretize_spectral_density(oracle_params(), system, 16)
+        bare = counterterm_bare_frequency(bath, system)
+        coupled = dataclasses.replace(system, bare_frequency=bare)
+        table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, 1.0, 0.01, mass=1.0)
+        props = exact_bath_matrices(bath, coupled, table, 1.0)
+        near = dataclasses.replace(props, a=np.array([[1.0, 1.0], [1.0, 1.0 + delta]]))
+        if singular:
+            with pytest.raises(NumericalFailureError, match="singular"):
+                reduced_M_from_bath(near, bath)
+        else:
+            assert np.isfinite(reduced_M_from_bath(near, bath)).all()
 
     def test_center_to_mode_blocks_are_derived_views(self):
         # c is no field: it is read off the dense T, or reflected from b
@@ -927,6 +963,34 @@ def test_inconsistent_input_is_rejected(case):
     call, message = _rejection(case)
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("strength, warns", [(0.005, False), (0.02, True)])
+def test_coupling_warning_starts_at_one_percent(strength, warns):
+    # one mode of unit mass and frequency: the coupling measure is kappa^2
+    bath = BathSpec(
+        masses=[1.0], frequencies=[1.0], couplings=[np.sqrt(strength)], thermal_energy=1.0
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        weak_coupling_matrices(bath, OscillatorSystemSpec(), 0.5)
+    assert any(issubclass(w.category, CouplingStrengthWarning) for w in caught) is warns
+
+
+@pytest.mark.parametrize("excess, valid", [(4e-13, True), (4e-12, False)])
+def test_matching_times_are_held_to_1e_12(excess, valid):
+    # the blocks' and the kernel's times must agree to 1e-12 relative, the
+    # one rule every matched time, mass and frequency of the bath route obeys
+    system = OscillatorSystemSpec()
+    params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)
+    bath = discretize_spectral_density(params, system, 16)
+    props = weak_coupling_matrices(bath, system, 0.5, small_angle=True)
+    sample = sample_bath(bath, seed=3)
+    if valid:
+        conditional_kernel(props, bath, sample, 0.5 * (1.0 + excess))
+    else:
+        with pytest.raises(ValueError, match="t does not match the time"):
+            conditional_kernel(props, bath, sample, 0.5 * (1.0 + excess))
 
 
 class TestBathSpec:

@@ -273,6 +273,25 @@ class TestInitialVelocity:
         # -0.0249848 at x = 8; the stencil reads it to 5e-6
         assert alone[0] == pytest.approx(-0.0249848, rel=1e-4)
 
+    @pytest.mark.parametrize("level, width, x", [(50, 8, 0.5), (50, 8, 5.0), (3, 2, 8.0)])
+    def test_steps_are_one_percent_of_the_lengths(self, natural_system, level, width, x):
+        # The first pass steps one percent of the ground-state length (1
+        # here), the second min(that, 1 / (100 k)) with k = m |v| / hbar from
+        # the first pass: k is about 12 and 7 on the canonical band, and
+        # 0.025 at x = 8 on band (3, 2), where the first step stays
+        psi = band_wavefunction(build_energy_band_state(level, width), natural_system)
+        offsets = []
+
+        def recording(points):
+            offsets.append(float(points[0] - x))
+            return psi(points)
+
+        v = initial_velocity(recording, x, natural_system)
+        step = min(0.01, 0.01 / abs(v))
+        np.testing.assert_allclose(offsets[1:5], [0.01, 0.02, -0.01, -0.02], rtol=1e-9)
+        # the first pass reads k to its truncation error, about 1e-6 here
+        np.testing.assert_allclose(offsets[5:], np.array([1, 2, -1, -2]) * step, rtol=1e-4)
+
     @pytest.mark.parametrize("x", [6.65182753e59, 1e300, -1.7e308])
     def test_far_tail_is_undefined(self, canonical_cl_run, x):
         # the band's sampler read NaN here once its Hermite recurrence
@@ -379,6 +398,11 @@ class TestValidityWindow:
         with pytest.raises(TypeError):
             report.margins["first"] = 20.0
         assert not ValidityReport({"first": float("nan")}).passed
+
+    @pytest.mark.parametrize("margin, strict", [(9.99, False), (10.0, True)])
+    def test_strict_reading_is_a_factor_of_ten(self, margin, strict):
+        report = ValidityReport({"first": 20.0, "second": margin})
+        assert report.passed and report.strict_passed is strict
 
     def test_vanishing_spread_passes_easily(self, natural_system, canonical_cl_run):
         minv = MInverseParams(a=100.0, c=0.0, b=1e-12, delta=1e-10)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import ndimage, special
 
 from bohmdec import _parallel
@@ -71,6 +73,19 @@ class TestEnergyBandState:
         assert np.allclose(np.abs(st.coefficients), 1.0 / np.sqrt(5.0))
         assert list(st.offsets) == [-2, -1, 0, 1, 2]
         assert list(st.levels) == [48, 49, 50, 51, 52]
+
+    @pytest.mark.parametrize("excess, valid", [(4e-13, True), (4e-12, False)])
+    def test_normalization_is_held_to_1e_12(self, excess, valid):
+        coefficients = np.sqrt((1.0 + excess) / 3.0) * np.ones(3)
+        if valid:
+            build_energy_band_state(5, 2, coefficients)
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                build_energy_band_state(5, 2, coefficients)
+
+    @pytest.mark.parametrize("level, ok", [(40, True), (39, False)])
+    def test_narrow_band_needs_ten_levels_per_width(self, level, ok):
+        assert build_energy_band_state(level, 4).semiclassical_ok is ok
 
     def test_narrow_band_flag(self):
         assert build_energy_band_state(50, 4).semiclassical_ok
@@ -210,6 +225,32 @@ class TestEigenfunctions:
         table = eigenfunction_table(np.arange(5001), x, OscillatorSystemSpec(mass=mass))
         assert np.all(np.isfinite(table))
         assert not table[:, np.abs(x) > 200.0].any()
+
+    def test_points_below_every_subnormal_skip_the_recurrence(self, natural_system, monkeypatch):
+        # At |x| >= 1e3 the growth bound (sqrt(2) (1 + |xi|))^5000 exp(-xi^2/2)
+        # is below the smallest subnormal, so no point there is ever rescaled
+        seen = []
+        frexp = np.frexp
+
+        def counting(values, *args, **kwargs):
+            seen.append(np.size(values))
+            return frexp(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "frexp", counting)
+        far = np.logspace(3.0, 300.0, 10000)
+        table = eigenfunction_table([5000], np.concatenate([-far, far]), natural_system)
+        assert sum(seen) == 0
+        assert not table.any()
+
+    def test_ground_state_keeps_its_subnormal_tail(self, natural_system):
+        # The ground state meets the growth bound, and where its Gaussian
+        # rounds to a subnormal it must still be computed: the skip takes only
+        # points whose bound is below a quarter of the smallest subnormal
+        x = np.linspace(37.5, 38.9, 1401)
+        with np.errstate(under="ignore"):
+            expected = np.pi**-0.25 * np.exp(-0.5 * x**2)
+        assert expected[-1] == 0.0 and expected[expected > 0.0].min() == 5e-324
+        np.testing.assert_array_equal(eigenfunction_table([0], x, natural_system)[0], expected)
 
     def test_mass_scaling(self):
         heavy = OscillatorSystemSpec(mass=4.0)
@@ -379,6 +420,18 @@ class TestGridSpec:
         x, p = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="uniform"):
             _build_axes(kind, x, p)
+
+    @pytest.mark.parametrize("kind", ["GridSpec", "WignerField"])
+    @pytest.mark.parametrize("shift, uniform", [(3.0, True), (6.0, False)])
+    def test_steps_may_scatter_by_four_eps(self, kind, shift, uniform):
+        # moving one point by shift * eps max|axis| moves two steps by as much
+        axis = np.arange(-50.0, 51.0)
+        axis[80] += shift * np.finfo(float).eps * 50.0
+        if uniform:
+            _build_axes(kind, axis, axis)
+        else:
+            with pytest.raises(ValueError, match="uniform"):
+                _build_axes(kind, axis, axis)
 
     @pytest.mark.parametrize("level", [600, 800, 1000])
     def test_large_orbit_grids_build(self, natural_system, level):
@@ -625,6 +678,27 @@ class TestWignerTransform:
         with pytest.raises(GridCoverageError, match="could not bracket"):
             wigner_transform(np.ones_like, GridSpec(x=x, p=x), natural_system)
 
+    def test_support_probe_widens_at_most_twelve_times(self, natural_system):
+        # The probe doubles its window up to 12 times, to 4096 times the axis.
+        # A Gaussian whose support spans 190 times the axis takes 8 doublings,
+        # and the grid then misses its norm; a constant amplitude is given up
+        # after 81,912 probe points, before 100,000.
+        axis = np.linspace(-1.0, 1.0, 21)
+        grid = GridSpec(x=axis, p=axis)
+        with pytest.raises(GridCoverageError, match="misses 9.5"):
+            wigner_transform(
+                lambda x: np.exp(-0.5 * (x / 25.0) ** 2).astype(complex), grid, natural_system
+            )
+        seen = []
+
+        def flat(x):
+            seen.append(x.size)
+            assert sum(seen) < 100_000, "the probe kept widening"
+            return np.ones_like(x)
+
+        with pytest.raises(GridCoverageError, match="could not bracket"):
+            wigner_transform(flat, grid, natural_system)
+
     def test_all_zero_sampler_rejected(self, natural_system):
         # no sample above zero leaves no support to bracket
         x = 0.05 * np.arange(-120, 121)
@@ -690,6 +764,27 @@ class TestWignerTransform:
         assert float(note.split("=")[1]) == pytest.approx(reach, abs=0.5)
 
 
+    @pytest.mark.parametrize("residue, raises", [(0.5e-10, False), (2e-10, True)])
+    def test_imaginary_residue_bound_is_pinned(self, natural_system, monkeypatch, residue, raises):
+        # An imaginary offset on every inverse transform reaches the centre
+        # row's sum at p = 0 whole, against the bound ||psi||^2 / (pi hbar) =
+        # 1 / pi of the ground state
+        psi = band_wavefunction(build_energy_band_state(0, 0), natural_system)
+        axis = np.linspace(-8.0, 8.0, 161)
+        ifft = sp_fft.ifft
+
+        def offset(*args, **kwargs):
+            return ifft(*args, **kwargs) + 1j * residue / np.pi
+
+        monkeypatch.setattr(sp_fft, "ifft", offset)
+        if raises:
+            with pytest.raises(ValueError, match="imaginary residue"):
+                wigner_transform(psi, GridSpec(x=axis, p=axis), natural_system)
+        else:
+            field = wigner_transform(psi, GridSpec(x=axis, p=axis), natural_system)
+            assert f"imag_residue={residue / np.pi:.3e}" in field.notes
+
+
 class TestExactOscillatorWigner:
     def test_first_excited_central_value(self, natural_system):
         val = exact_oscillator_wigner(1, 0.0, 0.0, natural_system)
@@ -708,6 +803,22 @@ class TestExactOscillatorWigner:
 
     def test_underflow_guard_returns_zero(self, natural_system):
         assert exact_oscillator_wigner(3, 40.0, 0.0, natural_system) == 0.0
+
+    @pytest.mark.parametrize("n, x, p", [(0, 1e200, 0.0), (3, 0.0, 1e160), (3, np.inf, 0.0)])
+    def test_far_points_read_zero_without_warning(self, natural_system, n, x, p):
+        # the energy saturates to inf, and the z > 1400 clamp turns the
+        # recurrence's inf * 0 = NaN into 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_oscillator_wigner(n, x, p, natural_system) == 0.0
+
+    def test_clamp_starts_at_z_1400(self, natural_system):
+        # z = 2 x^2 here; W_200 at z = 1399 against mpmath (50 digits), while
+        # at z = 1401 its 7.8e-66 is clamped to 0
+        x = np.sqrt(np.array([1399.0, 1401.0]) / 2.0)
+        values = exact_oscillator_wigner(200, x, 0.0, natural_system)
+        assert values[0] == pytest.approx(1.5016726951772017e-65, rel=1e-12)
+        assert values[1] == 0.0
 
     @pytest.mark.parametrize("n", [2.5, np.nan, np.inf, -1])
     def test_rejects_invalid_level(self, natural_system, n):

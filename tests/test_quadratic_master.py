@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -454,6 +455,28 @@ class TestIntegratePropagator:
         with pytest.raises(NumericalFailureError, match="positive semidefiniteness"):
             integrate_propagator(coeffs, 1.0)
 
+    @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+    def test_one_psd_tolerance(self, factor):
+        # With no drift the integration gives M = 4 J t exactly, so at t = 1/4
+        # M = J, whose least eigenvalue sits at factor * 1e-10 of the largest:
+        # within the one tolerance both the integration and the construction
+        # accept it, past it both reject it
+        j22 = -factor * 1e-10 * 100.0
+        coeffs = MasterEqCoefficients(
+            h1=0.0, h2=0.0, h3=0.0, gamma=0.0, j11=100.0, j12=0.0, j22=j22
+        )
+        m = np.diag([100.0, j22])
+        if factor < 1.0:
+            np.testing.assert_array_equal(
+                integrate_propagator(coeffs, 0.25).m, np.diag([100.0, 0.0])
+            )
+            GaussianPropagator(0.25, np.eye(2), m)
+        else:
+            with pytest.raises(NumericalFailureError, match="positive semidefiniteness"):
+                integrate_propagator(coeffs, 0.25)
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                GaussianPropagator(0.25, np.eye(2), m)
+
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_time(self, natural_system, t):
         with pytest.raises(ValueError, match="finite"):
@@ -466,6 +489,16 @@ class TestIntegratePropagator:
             GaussianPropagator(0.0, np.eye(2), -np.eye(2))
         with pytest.raises(ValueError):
             GaussianPropagator(0.0, np.zeros((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("skew, symmetric", [(4e-13, True), (4e-12, False)])
+    def test_symmetry_is_held_to_1e_12(self, skew, symmetric):
+        # off-diagonal entries may differ by 1e-12 of max(1, max|M|)
+        m = np.array([[3.0, 0.5 + skew], [0.5, 2.0]])
+        if symmetric:
+            GaussianPropagator(0.0, np.eye(2), m)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                GaussianPropagator(0.0, np.eye(2), m)
 
     @pytest.mark.parametrize(
         "case, error, message",
@@ -645,6 +678,40 @@ class TestPropagateWigner:
         peak = np.abs(expected).max()
         assert np.max(np.abs(out.values - expected)) <= 1e-13 * peak
 
+    @pytest.mark.parametrize("x0", [5.5, -5.5])
+    def test_stencil_pad_is_pinned(self, natural_system, x0):
+        # A Gaussian with 0.08 of its peak at the grid's edge, turned by 1e-3
+        # and not smeared: the bicubic read at the edge takes coefficients two
+        # cells past it. With the pad at that reach the field matches the
+        # reference to 8.9e-10 of the peak; a one-cell pad read 9.0e-6.
+        x = symmetric_grid(6.0, 0.05)
+        field = gaussian_field(x, x, np.array([x0, 0.0]), 0.05 * np.eye(2))
+        turn = np.array([[1.0, 1e-3], [-1e-3, 1.0]])
+        prop = GaussianPropagator(0.0, turn, np.zeros((2, 2)))
+        expected, _ = smear_reference(prop, field, np.inf)
+        out = propagate_wigner(prop, field, natural_system)
+        assert np.max(np.abs(out.values - expected)) <= 1e-8 * expected.max()
+
+    def test_buffer_pads_the_stencil_reach_and_eight_widths(self, natural_system):
+        # each side takes the stencil's 2 cells and 8 smearing widths
+        # sqrt(M / 2) / step, beyond which a point reads below e^-32 of the
+        # peak; the length is then the next fast FFT length
+        x = symmetric_grid(6.0, 0.05)
+        field = gaussian_field(x, x, np.zeros(2), 0.5 * np.eye(2))
+        prop = GaussianPropagator(1.0, np.eye(2), 0.2 * np.eye(2))
+        out = propagate_wigner(prop, field, natural_system)
+        margin = 2 + int(np.ceil(8.0 * np.sqrt(0.1) / 0.05))
+        size = sp_fft.next_fast_len(x.size + 2 * margin, real=True)
+        assert out.notes[-2] == f"spectral_smear(buffer={size}x{size})"
+
+    @pytest.mark.parametrize("cells", [1, 241**2, 1053 * 1617, 10**12])
+    def test_tail_exponent_meets_its_bound(self, cells):
+        # The module notes' bound: the cells dropped below e^-E_c move a spline
+        # coefficient by at most 9 N e^-E_c max|w_in|, which must stay within
+        # eps / 2 of it
+        eps = np.finfo(float).eps
+        assert 9.0 * cells * np.exp(-apply._tail_exponent(cells)) <= 0.5 * eps
+
     def test_shear_does_not_grow_buffer(self, natural_system):
         x = symmetric_grid(6.0, 0.05)
         mean0, cov0 = np.array([0.7, -0.4]), 0.5 * np.eye(2)
@@ -679,6 +746,32 @@ class TestPropagateWigner:
         peak = np.max(np.abs(serial))
         for values in (three, run.field_five.values):
             assert np.max(np.abs(values - serial)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_without_an_affinity_call(self, monkeypatch, cpus, workers):
+        # Without os.sched_getaffinity (macOS) the worker count is the CPU
+        # count, or one when that is unknown
+        before = _parallel.WORKERS
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        try:
+            assert importlib.reload(_parallel).WORKERS == workers
+        finally:
+            monkeypatch.undo()
+            importlib.reload(_parallel)
+        assert _parallel.WORKERS == before
+
+    @pytest.mark.parametrize("rows", [1, 64])
+    def test_field_does_not_depend_on_block_rows(self, canonical_cl_run, monkeypatch, rows):
+        # _BLOCK_ROWS sets how many rows a pass takes at a time; a block's
+        # multiply keeps the columns of its furthest-reaching row, so other
+        # blocks keep a few cells below e^-E_c, within the cut's bound
+        run = canonical_cl_run
+        monkeypatch.setattr(apply, "_BLOCK_ROWS", rows)
+        out = propagate_wigner(run.prop_five, run.field0, run.system).values
+        eps = np.finfo(float).eps
+        bound = 0.5 * eps * np.abs(run.field0.values).max() / np.linalg.det(run.prop_five.a)
+        assert np.max(np.abs(out - run.field_five.values)) <= bound
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_caller_float_state_reaches_the_workers(self, monkeypatch, workers):
@@ -793,6 +886,28 @@ class TestPropagateWigner:
         prop = integrate_propagator(default_cl(natural_system), 0.1)
         with pytest.raises(NumericalFailureError, match="drifted"):
             propagate_wigner(prop, field, natural_system)
+
+    @pytest.mark.parametrize("widths, drifts", [(3.2, False), (2.5, True)])
+    def test_mass_guard_is_1e_3(self, natural_system, widths, drifts):
+        # a smeared Gaussian whose centre ends 3.2 widths inside the upper x
+        # edge loses 6.9e-4 of its mass past it, and 6.2e-3 at 2.5 widths
+        x = symmetric_grid(6.0, 0.05)
+        mean = np.array([x[-1] - widths * np.sqrt(1.25), 0.0])
+        field = gaussian_field(x, x, mean, 0.25 * np.eye(2))
+        prop = GaussianPropagator(1.0, np.eye(2), 2.0 * np.eye(2))
+        if drifts:
+            with pytest.raises(NumericalFailureError, match="drifted by 6.2"):
+                propagate_wigner(prop, field, natural_system)
+        else:
+            out = propagate_wigner(prop, field, natural_system)
+            assert float(out.notes[-1].split("=")[1]) == pytest.approx(6.9e-4, rel=0.01)
+
+    def test_zero_field_stays_zero(self, natural_system):
+        # no mass in, no mass out: a residual of 0, not 0 / 0
+        x = symmetric_grid(6.0, 0.05)
+        prop = GaussianPropagator(1.0, np.eye(2), 0.2 * np.eye(2))
+        out = propagate_wigner(prop, WignerField(x, x, np.zeros((x.size, x.size))), natural_system)
+        assert not out.values.any() and out.notes[-1] == "mass_residual=0.000e+00"
 
     def test_mass_pushed_off_the_grid_raises(self, natural_system):
         # x -> 2x carries the centre from 2.5 to 5 and the width from 0.5 to
@@ -1014,8 +1129,8 @@ class TestNonnegativityThreshold:
 
     @pytest.mark.parametrize("thermal_energy", [1e15, 1e16, 1e18])
     def test_threshold_when_first_trial_already_passes(self, natural_system, thermal_energy):
-        # the first trial time 1e-6 / max|K| already has det M > hbar^2, so
-        # the crossing lies between 0 and that trial
+        # det M > hbar^2 already at 1e-6 / max|K|, so the search halves its
+        # trial from the drift's time scale 1 / max|K| down to the crossing
         params = CaldeiraLeggettParams(
             damping_rate=0.01, thermal_energy=thermal_energy, cutoff=1e3
         )
@@ -1032,10 +1147,12 @@ class TestNonnegativityThreshold:
         assert t_star is not None and 0.0 < t_star < first_trial
         assert abs(t_star / t_loc - expected_ratio) <= 0.02 * expected_ratio
 
-    @pytest.mark.parametrize("thermal_energy", [1e14, 1e15, 1e18])
+    @pytest.mark.parametrize("thermal_energy", [1e14, 1e15, 1e18, 1e22, 1e24])
     def test_threshold_solves_det_condition_when_hot(self, natural_system, thermal_energy):
-        # crossing times of 1e-8 to 1e-6: an absolute bracket tolerance of
-        # 2e-12 left det M / hbar^2 - 1 at up to 2.5e-6 here
+        # crossing times of 7e-12 to 1e-6: an absolute bracket tolerance of
+        # 2e-12 left det M / hbar^2 - 1 at up to 2.5e-6 here, and a bracket
+        # from 0 to a fixed first trial of 1e-6 / max|K| left it at 1.9e-10
+        # for kT = 1e24 (6.7e-7 at 1e22 for a trial of 1e-2 / max|K|)
         params = CaldeiraLeggettParams(
             damping_rate=0.01, thermal_energy=thermal_energy, cutoff=1e3
         )
@@ -1050,6 +1167,26 @@ class TestNonnegativityThreshold:
         assert t_star is not None
         det_at_star = np.linalg.det(integrate_propagator(coeffs, t_star).m)
         assert det_at_star == pytest.approx(natural_system.hbar**2, rel=1e-6)
+
+    def test_slow_diffusion_crosses_after_many_doublings(self, natural_system):
+        # undamped with D = 1e-5: det M reaches hbar^2 at t = 5e4, 16
+        # doublings past the drift's time scale of 1
+        coeffs = MasterEqCoefficients(
+            h1=1.0, h2=1.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=1e-5
+        )
+        t_star = nonnegativity_threshold(coeffs, natural_system)
+        assert 2.0**15 < t_star < 2.0**16
+        det_at_star = np.linalg.det(integrate_propagator(coeffs, t_star).m)
+        assert det_at_star == pytest.approx(natural_system.hbar**2, rel=1e-10)
+
+    def test_determinant_that_never_grows_raises(self, natural_system):
+        # no drift and diffusion in p alone: M = 4 J t keeps det M = 0 through
+        # the 80 doublings, up to t = 2^80
+        coeffs = MasterEqCoefficients(
+            h1=0.0, h2=0.0, h3=0.0, gamma=0.0, j11=0.0, j12=0.0, j22=1.0
+        )
+        with pytest.raises(NumericalFailureError, match="never reached"):
+            nonnegativity_threshold(coeffs, natural_system)
 
     def test_zero_diffusion_reports_no_threshold(self, natural_system):
         params = CaldeiraLeggettParams(damping_rate=0.0, thermal_energy=10.0, cutoff=10.0)
