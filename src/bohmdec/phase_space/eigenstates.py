@@ -52,15 +52,13 @@ def eigenfunction_table(
     alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
     wanted = set(int(k) for k in levels)
     top = max(wanted) if wanted else 0
-    # below the floor where head + top ln(sqrt(2) (1 + |xi|)) < xi^2 / 2: |xi| > sqrt(2 head)
+    # every level rounds to 0 where head + top ln(sqrt(2) (1 + |xi|)) < xi^2 / 2
     head = (0.5 * np.log(alpha) - 0.25 * np.log(np.pi)
             + np.log(4.0) - np.log(np.finfo(float).smallest_subnormal))
     with np.errstate(over="ignore"):
-        full = np.clip(alpha * x, -_HUGE, _HUGE)
-        dead = np.abs(full) > np.sqrt(2.0 * head)  # NaN is not; x = inf clips to finite
-        far = full[dead]
-        dead[dead] = head + top * (0.5 * np.log(2.0) + np.log1p(np.abs(far))) < 0.5 * far**2
-    xi = full[~dead] if dead.any() else full
+        full = np.clip(alpha * x, -_HUGE, _HUGE)  # x = inf clips to finite
+        live = ~(head + top * (0.5 * np.log(2.0) + np.log1p(np.abs(full))) < 0.5 * full**2)
+    xi = full[live]
     bound = _HUGE / (4.0 * (1.0 + np.abs(xi)) * max(1.0, np.sqrt(alpha)))
 
     # The mantissas carry pi**-0.25 H_k(xi) / sqrt(2^k k!) times exp(-log_scale).
@@ -70,12 +68,9 @@ def eigenfunction_table(
     log_scale = np.zeros_like(xi)
 
     def _store(k: int, mantissa: np.ndarray) -> None:
+        rows[k] = np.copysign(0.0, full) if k % 2 else np.zeros_like(full)
         with np.errstate(under="ignore"):
-            rows[k] = np.sqrt(alpha) * mantissa * np.exp(log_scale - 0.5 * xi**2)
-        if xi is not full:
-            row = np.copysign(0.0, full) if k % 2 else np.zeros_like(full)
-            row[~dead] = rows[k]
-            rows[k] = row
+            rows[k][live] = np.sqrt(alpha) * mantissa * np.exp(log_scale - 0.5 * xi**2)
 
     if 0 in wanted:
         _store(0, cur)

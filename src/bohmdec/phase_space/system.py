@@ -182,15 +182,13 @@ class ClassicalOrbit:
     @functools.cached_property
     def amplitude(self) -> float:
         """Turning point ``x_max = sqrt(2 E / (m omega^2))``."""
-        m = self.system.mass
-        w = self.system.renormalized_frequency
+        m, w = self.system.mass, self.system.renormalized_frequency
         return float(np.sqrt(2.0 * self.energy / (m * w**2)))
 
     @functools.cached_property
     def de_broglie(self) -> float:
         """Local wavelength scale ``hbar / (m omega x_max)``."""
-        m = self.system.mass
-        w = self.system.renormalized_frequency
+        m, w = self.system.mass, self.system.renormalized_frequency
         return self.system.hbar / (m * w * self.amplitude)
 
     def classical_momentum(self, x: np.ndarray) -> np.ndarray:

@@ -225,10 +225,14 @@ def _support_interval(
         if not env.any():
             raise ValueError(f"wavefunction sampler returned zero everywhere on [{lo:g}, {hi:g}]")
         mask = env > _ENVELOPE_CUTOFF * env.max()
-        if not (mask[0] or mask[-1]):
-            idx = np.nonzero(mask)[0]
-            return grid[idx[0] : idx[-1] + 1], samples[idx[0] : idx[-1] + 1]
-        lo, hi = lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo)
+        if mask[0] or mask[-1]:
+            width = hi - lo
+            lo -= 0.5 * width
+            hi += 0.5 * width
+            continue
+        idx = np.nonzero(mask)[0]
+        support = slice(idx[0], idx[-1] + 1)
+        return grid[support], samples[support]
     raise GridCoverageError("could not bracket the wavefunction support")
 
 
@@ -267,13 +271,12 @@ def wigner_transform(
     probe sees momenta within ``+-pi hbar / s`` only and folds a band of
     momenta beyond them back into that range, so a check probe at step
     ``3 s / 16`` measures the band again. A band inside both ranges reads the
-    same in both, each end to within one mode spacing of each probe (the
-    last mode above the cutoff), while a folded one lands at other momenta
-    unless it lies within ``pi hbar / s`` of a common multiple of the two
-    fold periods, the first of which is ``32 pi hbar / s``. While the two
-    disagree both steps are halved, at most ten times. On
-    :meth:`GridSpec.for_orbit` grids with the default step
-    ``dx = hbar / (4 m omega x_max)`` the probe's range is
+    same in both, to within two mode spacings at each end, while a folded
+    one lands at other momenta unless it lies within ``pi hbar / s`` of a
+    common multiple of the two fold periods, the first of which is
+    ``32 pi hbar / s``. While the two disagree both steps are halved, at
+    most ten times. On :meth:`GridSpec.for_orbit` grids with the default
+    step ``dx = hbar / (4 m omega x_max)`` the probe's range is
     ``+-4 pi m omega x_max``, about 9 times a band state's reach of about
     ``1.4 m omega x_max``, and ``k = 1`` for any ``p_span`` below about 11.
 
@@ -285,28 +288,27 @@ def wigner_transform(
     (``theta = 2 delta h / hbar``, ``delta = grid.dp``) and a post-chirp, at
     ``O(Nx (Ny + Np) log(Ny + Np))`` cost.
 
-    Each row's sum is real: its correlation row
-    ``conj(psi(x_i + y)) psi(x_i - y)`` is Hermitian in ``y`` on the
-    symmetric ``u`` lattice. So one chirp-z of ``C_a + i C_b`` returns
-    ``W_a + i W_b``, and two rows cost the FFTs of one (Cooley, Lewis &
-    Welch, J. Sound Vib. 12, 315 (1970)); each row picks up only its
-    partner's round-off. Row ``j`` is paired with row ``Nx // 2 + 1 + j``,
-    pairs fixed on the grid. The centre row ``Nx // 2`` goes alone, and so,
-    on a grid with an even row count, does the row below it, so the
-    transform costs the FFTs of ``Nx // 2 + 1`` rows. The centre row's
-    imaginary part, discarded elsewhere, is the residue that
-    ``imag_residue=`` records: round-off, 3e-15 of the bound on ``|W|`` on a
-    1933 x 2577 grid, and an error past 1e-10 of it. The pairs are cut into
-    one contiguous span per core (:mod:`bohmdec._parallel`), and each worker
+    Each row's sum is real: its correlation row ``conj(psi(x_i + y))
+    psi(x_i - y)`` is Hermitian in ``y`` on the symmetric ``u`` lattice. So
+    one chirp-z of ``C_a + i C_b`` returns ``W_a + i W_b``, and two rows cost
+    the FFTs of one (Cooley, Lewis & Welch, J. Sound Vib. 12, 315 (1970));
+    each row picks up only its partner's round-off. Row ``j`` is paired
+    with row ``Nx // 2 + 1 + j``, pairs fixed on the grid. The centre row
+    ``Nx // 2`` goes alone, and so, on a grid with an even row count, does
+    the row below it, so the transform costs the FFTs of ``Nx // 2 + 1``
+    rows. The centre row's imaginary part, discarded elsewhere, is the
+    residue that ``imag_residue=`` records. The pairs are cut into one
+    contiguous span per core (:mod:`bohmdec._parallel`), and each worker
     writes, zero-pads and transforms its blocks of pairs in place in its own
     slice of one buffer, beside a table for the partner rows; the slices
     together are no larger than the one buffer a single worker reuses, or
-    one pair per worker. Every pair is transformed with the same arithmetic
-    whatever its span, so the field is bitwise the same for any worker
-    count. ``grid.dp`` comes from the end points of the momentum axis, not
-    from its first step, which carries a rounding that would show at 1e-12
-    of the peak. On a symmetric grid the lattice and the kernel are exactly
-    mirrored, which keeps the field's parity exact.
+    one pair per worker. Every pair is transformed with the same
+    arithmetic whatever its span, so the field is bitwise the same for any
+    worker count. ``grid.dp`` comes
+    from the end points of the momentum axis, not from its first step,
+    which carries a rounding that would show at 1e-12 of the peak. On a
+    symmetric grid the lattice and the kernel are exactly mirrored, which
+    keeps the field's parity exact.
 
     Parameters
     ----------
@@ -342,14 +344,17 @@ def wigner_transform(
     points, samples = _support_interval(wavefunction_sampler, float(x[0]), float(x[-1]), step)
     lo, hi = float(points[0]), float(points[-1])
 
-    # the momentum band from two probes, halving both steps while they disagree
+    # The state's momentum band, read off the spectrum of the support probe's
+    # samples and of a check probe at 3/16 of their step. A band beyond a
+    # probe's range folds back into it, to the same momenta in both probes
+    # only near a common multiple of their fold periods, so while the two
+    # disagree at either end both steps are halved.
     for _ in range(1 + _REACH_HALVINGS):
         band, spacing = _momentum_band(samples, step, hbar)
         check_step = 3.0 * step / 16.0
         check_points = np.arange(lo, hi + check_step, check_step)
         check = _sample(wavefunction_sampler, check_points)
-        check_band, check_spacing = _momentum_band(check, check_step, hbar)
-        if np.all(np.abs(check_band - band) <= spacing + check_spacing):
+        if np.all(np.abs(_momentum_band(check, check_step, hbar)[0] - band) <= 2.0 * spacing):
             break
         step *= 0.5
         samples = _sample(wavefunction_sampler, np.arange(lo, hi + step, step))
@@ -403,13 +408,17 @@ def wigner_transform(
     lag = np.where(lag < p.size, lag, lag - n_fft) + (n_half - 0.5 * (p.size - 1))
     kernel = sp_fft.fft(np.exp(-0.5j * theta * lag**2))
 
-    # Pair j packs row j with row mid + 1 + j (see above). The worker slices
-    # together hold no more entries than a 512-column table over y. The output
-    # is allocated before the buffer: in the other order a repeated transform
-    # of a 1933 x 2577 grid peaked 14 MB higher in resident memory, the
-    # allocator's heap fragmenting round the freed buffer.
+    # Pair j packs row j with row mid + 1 + j; the rows pairs..mid, the
+    # centre and on an even grid the one row below it, go alone.
     mid = x.size // 2
     pairs = (x.size - 1) // 2
+    # Each worker transforms its span of pairs in its own slice of one buffer,
+    # a block at a time: every block is built, zero-padded and transformed in
+    # that slice beside a table for the partner rows, and the slices together
+    # hold no more entries than a 512-column table over y. The output is
+    # allocated before the buffer: in the other order a repeated transform
+    # of a 1933 x 2577 grid peaked 14 MB higher in resident memory, the
+    # allocator's heap fragmenting round the freed buffer.
     values = np.empty((x.size, p.size))
     workers = _parallel.span_count(pairs)
     rows = max(1, 512 * u.size // (n_fft + u.size) // workers)

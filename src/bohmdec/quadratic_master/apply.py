@@ -1,19 +1,20 @@
 """Apply a Gaussian propagator to a sampled Wigner field.
 
 In the pulled-back frame the propagator smears the initial field with the
-normalized Gaussian of covariance ``M / 2`` and reads it at ``A^-1 eta``. The
-smear is exact in Fourier space, where it multiplies the transform by
+normalized Gaussian of covariance ``M / 2`` and reads it at ``A^-1 eta``.
+The smear is exact in Fourier space, where it multiplies the transform by
 ``exp(-k^T M k / 4)``: the action of a Gaussian channel on the characteristic
-function (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), Sec. III). The same
-multiply divides by the cubic B-spline symbol ``(2 + cos kx dx)(2 + cos kp dp)
-/ 9``, the exact bicubic prefilter on a periodic buffer (Unser, IEEE Signal
-Proc. Mag. 16(6), 22 (1999)). The buffer is the input grid zero-padded by the
-bicubic stencil's reach of two cells plus ``_SIGMA_CUT`` smearing widths on
-each side, so mass smeared past one edge cannot wrap round into values read
-near the other. A point that pulls back outside the buffer is that far from
-every input cell and reads 0; its true value is below ``e^-32`` of the peak.
-The smear stays exact for a singular ``M``, zero included, where it multiplies
-by 1 and only the bicubic pullback along ``A`` remains.
+function (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012), Sec. III). The
+same multiply divides by the cubic B-spline symbol ``(2 + cos kx dx)(2 + cos
+kp dp) / 9``, the exact bicubic prefilter on a periodic buffer (Unser, IEEE
+Signal Proc. Mag. 16(6), 22 (1999)). The buffer is the input grid zero-padded
+by the bicubic stencil's reach, two cells, plus ``_SIGMA_CUT`` smearing
+widths on each side, so mass smeared past one edge cannot wrap round into
+values read near the other.
+A point that pulls back outside the buffer is that far from every input cell
+and reads 0; its true value is below ``e^-32`` of the peak. The smear stays
+exact for a singular ``M``, zero included, where it multiplies by 1 and only
+the bicubic pullback along ``A`` remains.
 
 Only the spectrum that can still move the field is transformed along ``x``
 and multiplied. A half-spectrum cell whose factor is below ``e^-E_c``, with
@@ -47,14 +48,18 @@ block's rows up to the furthest column any of them keeps and zeroes the rest
 of the block. So the propagation holds one buffer and one output field at
 its peak.
 
-The row stages, the copy in, the passes along ``p``, the multiply and the
-bicubic pullback, each run through :func:`~bohmdec._parallel.run_blocks`, one
-contiguous span of rows per core, and the passes along ``x`` take scipy's own
-``workers``. Each worker's temporaries are ``_BLOCK_ROWS`` rows, and the
-pullback writes its span's rows of the one output field, so the peak stays
-one buffer and one output. A row's spectrum does not depend on the spans; the
-pullback's offsets, shifted by each span's first row, round differently, so
-the output moves with the worker count by about 1e-15 of the peak.
+The row stages run on every core, each through
+:func:`~bohmdec._parallel.run_blocks`: each worker takes one contiguous span
+of rows through the blocked copy, passes along ``p`` and multiply,
+``_BLOCK_ROWS`` rows at a time, and the passes along ``x`` take scipy's own
+``workers``. The bicubic pullback takes each span as one block: one
+``affine_transform`` per span of output rows, each writing and then dividing
+by ``det A`` its rows of the one output field, its offset shifted by the
+span's first row. Each worker's temporaries are
+``_BLOCK_ROWS`` rows, so the peak stays one buffer and one output. A row's
+spectrum and smeared value do not depend on the spans; the shifted offsets
+round differently, so the output moves with the worker count by round-off
+(about 1e-15 of the peak).
 """
 
 from __future__ import annotations
@@ -124,11 +129,17 @@ def propagate_wigner(
     notes record the path (``spectral_smear`` with the buffer shape, set by the
     grid and ``M`` alone) and the mass residual.
 
-    The memory this costs is one complex buffer, ``16 n_x (n_p // 2 + 1)``
-    bytes, plus the output field. Spectrum cells whose smearing factor is
-    below ``e^-E_c``, ``E_c = ln(20 N_in / eps)`` for an input of ``N_in``
-    cells, are dropped, which moves each output value by at most
-    ``eps / 2 max |w_in| / det A`` (module notes).
+    The padded field, its spectrum and the smeared field share one complex
+    buffer in FFTW's in-place real layout (see the module notes), and the
+    bicubic pullback reads the first ``n_p`` floats of each of its rows. The
+    memory this costs is that buffer, ``16 n_x (n_p // 2 + 1)`` bytes, plus
+    the output field. Spectrum cells whose smearing factor is below
+    ``e^-E_c``, ``E_c = ln(20 N_in / eps)`` for an input of ``N_in`` cells,
+    are dropped: the passes along ``x`` run in place on the first columns
+    that any row keeps, and the multiply on each row block stops at its
+    furthest kept column and zeroes the rest. That moves each output value
+    by at most ``eps / 2 max |w_in| / det A`` (see the module notes). The
+    copy into the buffer and the division by ``det A`` run in the row stages.
 
     Raises
     ------

@@ -70,10 +70,10 @@ def nonnegativity_threshold(
     below by (numerically) zero. The determinant of the smearing matrix is
     monotone and zero at ``t = 0``, so the crossing is bracketed within a
     factor of two from the drift's time scale ``1 / max|K|`` (1 without
-    drift): a trial is halved while half of it passes ``hbar^2`` (``t = 0``
-    never does), then doubled, at most 80 times, until it passes. Brent's
-    method finds it to ``4 eps`` relative and ``eps`` of that trial
-    absolute, so to a few ulps however short the crossing time.
+    drift): a passing trial is halved while half of it passes ``hbar^2``
+    (``t = 0`` never does), a failing one doubled, at most 80 times, until it
+    passes. Brent's method finds it to ``4 eps`` relative and ``eps`` of
+    that trial absolute, so to a few ulps however short the crossing time.
 
     Parameters
     ----------
@@ -95,16 +95,18 @@ def nonnegativity_threshold(
         return float(np.linalg.det(prop.m)) - target
 
     hi = 1.0 / (float(np.abs(coeffs.drift_matrix(0.0)).max()) or 1.0)
-    while det_gap(0.5 * hi) > 0.0:
-        hi *= 0.5
-    for _ in range(80):
-        if det_gap(hi) > 0.0:
-            break
-        hi *= 2.0
+    if det_gap(hi) > 0.0:
+        while det_gap(0.5 * hi) > 0.0:
+            hi *= 0.5
     else:
-        raise NumericalFailureError(
-            "smearing determinant never reached hbar^2 within the scan range"
-        )
+        for _ in range(80):
+            hi *= 2.0
+            if det_gap(hi) > 0.0:
+                break
+        else:
+            raise NumericalFailureError(
+                "smearing determinant never reached hbar^2 within the scan range"
+            )
     # imported here so that importing bohmdec skips its load: about 12 MB and 0.1 s
     from scipy.optimize import brentq
 
