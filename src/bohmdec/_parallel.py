@@ -1,14 +1,17 @@
-"""Row spans of a 2-D grid stage, one per core, run on threads.
+"""Row spans of a 2-D grid stage or dense product, one per core, run on threads.
 
-pocketfft and ``scipy.ndimage`` release the interpreter lock, so row blocks
-of a transform run side by side on threads. Every grid stage goes through
-:func:`run_blocks`, one block of rows per call; a block as long as the grid
-makes each worker's whole span one call (the bicubic pullback). Every job
-writes only its own rows of an array its caller allocated, so the outputs do
-not depend on the worker count: bitwise where each fixed pair of rows is
-computed alone (the Wigner transform), and to round-off where a span shifts
-the arithmetic (the bicubic pullback's offsets). :func:`run_spans` is the
-thread pool under it.
+pocketfft, ``scipy.ndimage`` and BLAS release the interpreter lock, so row
+blocks of a transform or a matrix product run side by side on threads. Every
+grid stage goes through :func:`run_blocks`, one block of rows per call; a
+block as long as the grid makes each worker's whole span one call (the
+bicubic pullback). The dense products of the explicit bath, the transfer
+matrix ``T(t)`` of its exact blocks and the round trip ``T(t) T(-t)``, take
+one span of rows per worker from :func:`run_spans`, the thread pool under
+``run_blocks``. Every job writes only its own rows of an array its caller
+allocated, so the outputs do not depend on the worker count: bitwise where
+each fixed pair of rows is computed alone (the Wigner transform), and to
+round-off where a span shifts the arithmetic (the bicubic pullback's offsets,
+and the products, whose rounding depends on the rows in one BLAS call).
 """
 
 from __future__ import annotations

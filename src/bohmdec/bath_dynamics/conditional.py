@@ -318,11 +318,15 @@ def conditional_velocity(
 
     Per kernel, the slice rows, ``q2`` and the position-spread scale are
     stored when the kernel is built (:class:`ConditionalKernel`). Per point,
-    this reads the branch densities from :meth:`WkbAmplitudes.amplitudes`,
-    evaluates the three terms with the decomposition's elementwise evaluator
-    on a float, forms ``q0`` and ``q1`` from the slice
-    (:meth:`ConditionalKernel.slice_quadratic`) and combines the terms in
-    float arithmetic, so no per-call array of terms is built.
+    numpy forms only ``q0`` and ``q1`` from the slice
+    (:meth:`ConditionalKernel.slice_quadratic`) and the sum over the band in
+    :meth:`WkbAmplitudes.amplitudes`. The rest runs on Python floats: the
+    branch widths and the three terms come from the decomposition's
+    elementwise formulas, which take their functions from :mod:`math` for a
+    float, and the terms are combined in the log domain, so no per-call
+    array of terms is built. The velocity is the same algebra's on the
+    array terms to round-off: ``math`` and numpy may differ in the last bit
+    of a ``log`` or ``arcsin``.
 
     The position-spread margin of the decomposition and the turning-zone
     distance gate the evaluation; the chord margin of
@@ -390,7 +394,7 @@ def conditional_velocity(
     }
     _require_margins("conditional decomposition", margins)
 
-    mod_plus, mod_minus = (abs(g[0]) for g in wkb.amplitudes(x_eval))
+    mod_plus, mod_minus = (float(abs(g)) for g in wkb.amplitudes(x_eval))
     decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
     terms = decomp._terms(x_eval, mod_plus * mod_plus, mod_minus * mod_minus)
 

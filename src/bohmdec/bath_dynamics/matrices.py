@@ -15,9 +15,14 @@ coordinates ``y = sqrt(m) q`` and ``v = p / sqrt(m)`` the flow has the blocks
     C = 1 - U (1 - cos Wt) U^T     S = U (sin Wt / W) U^T
 
 with ``y(t) = C y + S v`` and ``v(t) = -V S y + C v``; each block is mapped
-back to ``(q, p)`` by the root masses. One evaluator forms either the
-central rows of ``T(t)`` or all of it. The flow is exact at every time, and
-``T(-t) = P T(t) P`` with ``P = diag(1, -1, 1, -1, ...)`` holds bit for bit
+back to ``(q, p)`` by the root masses. One evaluator forms the rows of
+any run of sites: the central rows of ``T(t)`` inline, or all of it in one
+span of sites per CPU in the process's affinity mask (the threads of
+:mod:`bohmdec._parallel`), and the round trip ``T(t) T(-t)`` is one product
+per span of its rows. A span's products round differently from the whole
+one, so ``T`` and the round trip move with the worker count by round-off.
+The flow is exact at every time, and ``T(-t) = P T(t) P`` with
+``P = diag(1, -1, 1, -1, ...)`` holds bit for bit at any worker count
 because ``C`` is even and ``S`` odd in ``t``, so the round trip
 ``T(t) T(-t) - 1`` shows the round-off of the construction. The
 weak-coupling blocks are closed forms to second order in the couplings.
@@ -40,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._guards import require_close, require_finite
+from .._parallel import row_spans, run_spans
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master.propagator import _COND_LIMIT
@@ -130,15 +136,16 @@ class BathPropagators:
         return _rotation(bath.masses * bath.frequencies, bath.frequencies * self.time)
 
 
-def _flow_rows(basis: NormalModeBasis, t: float, sites: slice) -> np.ndarray:
-    """Rows of ``T(t)`` for the pairs ``sites`` of ``(x, p, q_1, p_1, ...)``.
+def _flow_rows(basis: NormalModeBasis, t: float, sites: slice, out: np.ndarray) -> None:
+    """Write the rows of ``T(t)`` for the pairs ``sites`` of ``(x, p, q_1, p_1, ...)``
+    into ``out``, of shape ``(2 len(sites), 2N + 2)``.
 
     Each flow block's rows come from one product ``U[sites] f(W) U^T``, so
     ``slice(0, 1)`` gives the central rows in ``O(N^2)`` and ``slice(None)``
     the whole ``T`` from three ``(N + 1)``-cubed products. Each block is
-    written into its strided view of the output in place, so beside the
-    output only one work array and one flow block live at a time. ``V S`` is
-    taken as ``U (W sin Wt) U^T`` rather than through the arrowhead of
+    written into its strided view of ``out`` in place, so beside it only one
+    work array and one flow block of the sites' rows live at a time. ``V S``
+    is taken as ``U (W sin Wt) U^T`` rather than through the arrowhead of
     ``V``: ``V`` and ``U W^2 U^T`` differ by the round-off of the eigensolve,
     which ``S`` magnifies into the round trip.
     """
@@ -147,7 +154,6 @@ def _flow_rows(basis: NormalModeBasis, t: float, sites: slice) -> np.ndarray:
     sin = np.sin(phase)
     rows, row_roots = u[sites], roots[sites, None]
     count, size = rows.shape
-    out = np.empty((2 * count, 2 * size))
     qq, qp = out[0::2, 0::2], out[0::2, 1::2]
     pq, pp = out[1::2, 0::2], out[1::2, 1::2]
     # C, scaled to q_i <- q_j by r_j / r_i and to p_i <- p_j by r_i / r_j
@@ -169,7 +175,6 @@ def _flow_rows(basis: NormalModeBasis, t: float, sites: slice) -> np.ndarray:
     np.matmul(work, u.T, out=flow)
     np.multiply(flow, roots, out=pq)
     pq *= -row_roots
-    return out
 
 
 def exact_bath_matrices(
@@ -202,8 +207,11 @@ def exact_bath_matrices(
     include_d_corrections : bool, optional
         Assemble the dense transfer matrix ``T(t)`` (``transfer``), which
         :func:`reversibility_residuals` needs. Off by default: it takes
-        ``8 (2N + 2)^2`` bytes and three ``(N + 1)``-cubed products, and
-        building it holds one and a half transfer matrices at its peak.
+        ``8 (2N + 2)^2`` bytes and three ``(N + 1)``-cubed products, run on
+        one thread per CPU in the affinity mask, each over its own span of
+        rows. Building it holds one and a half transfer matrices at its
+        peak at any worker count, as each worker's work array and flow
+        block cover only its rows.
 
     Returns
     -------
@@ -225,7 +233,13 @@ def exact_bath_matrices(
                   g_table.bare_frequency, system.bare_frequency)
     require_close("g_table was solved for a different central mass", g_table.mass, system.mass)
 
-    rows = _flow_rows(basis, t, slice(None) if include_d_corrections else slice(0, 1))
+    # one span of site pairs per worker; the central pair alone runs inline
+    sites = bath.n_modes + 1 if include_d_corrections else 1
+    rows = np.empty((2 * sites, 2 * bath.n_modes + 2))
+    run_spans(
+        lambda worker, lo, hi: _flow_rows(basis, t, slice(lo, hi), rows[2 * lo : 2 * hi]),
+        row_spans(sites),
+    )
     return BathPropagators(
         time=float(t),
         kind="exact",
@@ -388,9 +402,10 @@ def reversibility_residuals(
     transfer matrix assembled) at ``t`` and ``-t``. As ``T(-t) = P T(t) P``
     bit for bit, ``T(-t) T(t) - 1 = P R P`` adds nothing, and other
     identities of the blocks are algebraic functions of ``R``. The inputs
-    are read, never written; ``R``, formed by one product, is the only large
-    array held, and :func:`_spectral_norm` takes products with it rather
-    than a Gram matrix.
+    are read, never written; ``R``, formed by one product per span of its
+    rows on the threads of :mod:`bohmdec._parallel`, each written into its
+    rows in place, is the only large array held, and :func:`_spectral_norm`
+    takes products with it rather than a Gram matrix.
 
     Raises
     ------
@@ -402,7 +417,13 @@ def reversibility_residuals(
         raise ValueError("reversibility checks need exact blocks with the dense transfer matrices")
     require_close("backward blocks must be evaluated at minus the forward time",
                   -backward.time, forward.time)
-    round_trip = forward.transfer @ backward.transfer
+    round_trip = np.empty_like(forward.transfer)
+    run_spans(
+        lambda worker, lo, hi: np.matmul(
+            forward.transfer[lo:hi], backward.transfer, out=round_trip[lo:hi]
+        ),
+        row_spans(len(round_trip)),
+    )
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
     return {
         "round_trip_center": _spectral_norm(round_trip[:2, :2]),

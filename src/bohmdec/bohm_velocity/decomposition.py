@@ -9,12 +9,14 @@ split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .._elementwise import elementwise
 from .._guards import (
     finite_array,
     require_finite,
@@ -238,7 +240,9 @@ def _branch_widths(
     minv: MInverseParams, orbit: ClassicalOrbit, x: float | np.ndarray
 ) -> BranchWidths:
     """The five width parameters at interior ``x``, elementwise for a float or
-    an array; :meth:`SemiclassicalDecomposition.widths` documents them."""
+    an array (:func:`~bohmdec._elementwise.elementwise`);
+    :meth:`SemiclassicalDecomposition.widths` documents them."""
+    lib, x = elementwise(x)
     p = orbit.classical_momentum_derivative(x)
     # squares as products: a scalar ``**2`` goes through ``pow`` and can miss
     # the array square by an ulp, and a float must give the bits of the array
@@ -250,12 +254,21 @@ def _branch_widths(
     tilt = a - b * p2
     envelope = hbar**2 * (tilt * tilt) + (1.0 + hbar**2 * delta) ** 2 * p2
     return BranchWidths(
-        sigma_plus=np.sqrt(delta / (a + 2.0 * c * p + b * p2)),
-        sigma_minus=np.sqrt(delta / (a - 2.0 * c * p + b * p2)),
-        sigma_1=np.sqrt(delta / inner),
-        sigma_2=np.sqrt(inner / envelope),
+        sigma_plus=lib.sqrt(delta / (a + 2.0 * c * p + b * p2)),
+        sigma_minus=lib.sqrt(delta / (a - 2.0 * c * p + b * p2)),
+        sigma_1=lib.sqrt(delta / inner),
+        sigma_2=lib.sqrt(inner / envelope),
         beta=c * (1.0 + hbar**2 * delta) * p / inner,
     )
+
+
+def _log_density(lib, rho: float | np.ndarray) -> float | np.ndarray:
+    """``log rho`` with ``-inf`` for an absent branch's zero density, which
+    ``math.log`` raises on and numpy warns on."""
+    if lib is np:
+        with np.errstate(divide="ignore"):
+            return np.log(rho)
+    return math.log(rho) if rho > 0.0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -304,22 +317,24 @@ class SemiclassicalDecomposition:
     ) -> tuple:
         """The three ``(log_weight, centre, precision)`` triples at interior
         ``x`` from the branch densities there; elementwise, so ``x`` and the
-        densities may be floats or arrays of one shape. A zero density gives
-        weight ``-inf``. :meth:`gaussian_terms` documents the terms.
+        densities may be floats or arrays of one shape, and a float ``x``
+        takes the float functions of :func:`~bohmdec._elementwise.elementwise`.
+        A zero density gives weight ``-inf``. :meth:`gaussian_terms`
+        documents the terms.
         """
+        lib, x = elementwise(x)
         s_plus, s_minus, s1, s2, beta = _branch_widths(self.minv, self.orbit, x)
         p_cl = self.orbit.classical_momentum(x)
         hbar = self.orbit.system.hbar
-        with np.errstate(divide="ignore"):
-            log_plus, log_minus = np.log(rho_plus), np.log(rho_minus)
+        log_plus, log_minus = _log_density(lib, rho_plus), _log_density(lib, rho_minus)
         envelope_weight = (
-            0.5 * np.log(4.0 * hbar * s1 * s2 * np.sqrt(self.minv.delta) / np.pi)
+            0.5 * lib.log(4.0 * hbar * s1 * s2 * lib.sqrt(self.minv.delta) / lib.pi)
             + 0.5 * (log_plus + log_minus)
             - (s1 * s1) * (p_cl * p_cl)
         )
         return (
-            (np.log(s_plus / np.sqrt(np.pi)) + log_plus, p_cl, s_plus * s_plus),
-            (np.log(s_minus / np.sqrt(np.pi)) + log_minus, -p_cl, s_minus * s_minus),
+            (lib.log(s_plus / lib.sqrt(lib.pi)) + log_plus, p_cl, s_plus * s_plus),
+            (lib.log(s_minus / lib.sqrt(lib.pi)) + log_minus, -p_cl, s_minus * s_minus),
             (envelope_weight, -beta * p_cl, s2 * s2),
         )
 

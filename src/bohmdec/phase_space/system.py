@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._elementwise import elementwise
 from .._guards import require_close, require_integer, require_positive
 
 __all__ = [
@@ -174,6 +175,10 @@ class ClassicalOrbit:
         Orbit energy ``(mean_level + 1/2) * hbar * omega``.
     system : OscillatorSystemSpec
         The oscillator the orbit lives on.
+
+    :meth:`classical_momentum`, :meth:`classical_momentum_derivative` and
+    :meth:`angle` take a Python float to a float, with the functions of
+    :func:`~bohmdec._elementwise.elementwise`, and anything else to an array.
     """
 
     energy: float
@@ -191,24 +196,24 @@ class ClassicalOrbit:
         m, w = self.system.mass, self.system.renormalized_frequency
         return self.system.hbar / (m * w * self.amplitude)
 
-    def classical_momentum(self, x: np.ndarray) -> np.ndarray:
+    def classical_momentum(self, x: float | np.ndarray) -> float | np.ndarray:
         """Positive-branch momentum ``p_cl(x) = m omega sqrt(x_max^2 - x^2)``.
 
         Zero beyond the turning points.
         """
-        x = np.asarray(x, dtype=float)
+        lib, x = elementwise(x)
         m = self.system.mass
         w = self.system.renormalized_frequency
-        inside = np.maximum(self.amplitude**2 - x**2, 0.0)
-        return m * w * np.sqrt(inside)
+        inside = lib.maximum(self.amplitude**2 - x * x, 0.0)
+        return m * w * lib.sqrt(inside)
 
-    def classical_momentum_derivative(self, x: np.ndarray) -> np.ndarray:
+    def classical_momentum_derivative(self, x: float | np.ndarray) -> float | np.ndarray:
         """First derivative ``p_cl'(x)``; diverges at the turning points."""
-        x = np.asarray(x, dtype=float)
+        lib, x = elementwise(x)
         m = self.system.mass
         w = self.system.renormalized_frequency
-        inside = self.amplitude**2 - x**2
-        return -m * w * x / np.sqrt(np.where(inside > 0.0, inside, np.nan))
+        inside = self.amplitude**2 - x * x
+        return -m * w * x / lib.sqrt(lib.where(inside > 0.0, inside, lib.nan))
 
     def action(self, x: np.ndarray) -> np.ndarray:
         """Accumulated action from the left turning point plus its quarter-wave
@@ -226,10 +231,10 @@ class ClassicalOrbit:
         core = 0.5 * xc * np.sqrt(np.clip(a**2 - xc**2, 0.0, None)) + 0.5 * a**2 * theta
         return m * w * (core + 0.25 * np.pi * a**2) + 0.25 * np.pi * self.system.hbar
 
-    def angle(self, x: np.ndarray) -> np.ndarray:
+    def angle(self, x: float | np.ndarray) -> float | np.ndarray:
         """Orbit angle ``arcsin(x / x_max)``, clipped to the turning points."""
-        x = np.asarray(x, dtype=float)
-        return np.arcsin(np.minimum(np.maximum(x / self.amplitude, -1.0), 1.0))
+        lib, x = elementwise(x)
+        return lib.arcsin(lib.minimum(lib.maximum(x / self.amplitude, -1.0), 1.0))
 
 
 def classical_orbit(

@@ -31,6 +31,9 @@ _COVERAGE_TOL = 1e-8
 # reported as an error: the finest step is the support probe's over 2^10,
 # and the largest reach it can measure is 2^10 pi hbar over that probe step.
 _REACH_HALVINGS = 10
+# Highest level exact_oscillator_wigner evaluates: up to it the z > 1400 clamp
+# drops below 1.4e-13 of the peak, and at 350 it drops 0.043.
+_MAX_EXACT_LEVEL = 300
 
 
 def _trapezoid(values: np.ndarray, step: float, axis: int = -1) -> np.ndarray:
@@ -491,12 +494,13 @@ def exact_oscillator_wigner(
     ``W_n = ((-1)^n / (pi hbar)) exp(-z/2) L_n(z)`` with
     ``z = 4 H(x, p) / (hbar omega)``. Points with ``z/2 > 700`` return zero,
     infinite ones included: there ``exp(-z/2) |L_n(z)|`` is below 1.4e-13
-    for ``n <= 300``, but not for higher levels (0.043 at ``n = 350``).
+    for ``n <= 300``. Higher levels raise, as the clamp would cut into their
+    classically allowed region ``z < 4n + 2`` (0.043 at ``n = 350``).
 
     Parameters
     ----------
     n : int
-        Level index.
+        Level index, at most 300.
     x, p : array_like
         Broadcastable position and momentum samples.
     system : OscillatorSystemSpec
@@ -504,9 +508,19 @@ def exact_oscillator_wigner(
     Returns
     -------
     numpy.ndarray
+
+    Raises
+    ------
+    ValueError
+        If ``n`` is not an integer in ``0..300``.
     """
     if np.asarray(n).dtype.kind not in "iu" or n < 0:
         raise ValueError("level index must be a non-negative integer")
+    if n > _MAX_EXACT_LEVEL:
+        raise ValueError(
+            f"level {n} is above {_MAX_EXACT_LEVEL}, where the z > 1400 clamp "
+            "would return zeros inside the classically allowed region"
+        )
     m = system.mass
     w = system.renormalized_frequency
     hbar = system.hbar

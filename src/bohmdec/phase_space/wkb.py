@@ -34,6 +34,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._elementwise import elementwise
 from .._guards import require_orbit_system
 from ..errors import DomainValidityError
 from .eigenstates import eigenfunction_table
@@ -79,7 +80,7 @@ class WkbAmplitudes:
     allowed region. Their squared moduli ``rho_plus``/``rho_minus`` are the
     branch position densities; their sum integrates to one over the orbit.
     :meth:`amplitudes` evaluates both branches from one sum over the band,
-    with the band's ``(2, band)`` coefficient rows and ``(band, 1)`` phase
+    with the band's ``(2, band)`` coefficient rows and ``(band,)`` phase
     rates built once per instance. The oscillator is the orbit's.
     """
 
@@ -94,17 +95,22 @@ class WkbAmplitudes:
         # g_minus is the conjugate of a sum over conj(c_r) exp(+i r theta), so
         # both branches come from one product with the same phases
         object.__setattr__(self, "_rows", np.stack([c * (-1.0) ** r, np.conjugate(c)]))
-        object.__setattr__(self, "_rates", 1j * r[:, None])
+        object.__setattr__(self, "_rates", 1j * r)
 
-    def amplitudes(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(g_plus, g_minus)`` at ``x``, each of shape ``(len(x),)``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        plus, conj_minus = self._rows @ np.exp(self._rates * self.orbit.angle(x))
+    def amplitudes(self, x: float | np.ndarray) -> tuple:
+        """``(g_plus, g_minus)`` at ``x``, each of shape ``(len(x),)``; for a
+        Python float, two complex scalars, with float arithmetic for all but
+        the sum over the band."""
+        lib, x = elementwise(x)
+        if lib is np:
+            x = np.atleast_1d(x)
+        phases = np.exp(np.multiply.outer(self._rates, self.orbit.angle(x)))
+        plus, conj_minus = self._rows @ phases
         p = self.orbit.classical_momentum(x)
         m = self.orbit.system.mass
         w = self.orbit.system.renormalized_frequency
         # p vanishes on and beyond the turning points, where both amplitudes do
-        scale = np.sqrt(m * w / (2.0 * np.pi * np.where(p > 0.0, p, np.inf)))
+        scale = lib.sqrt(m * w / (2.0 * lib.pi * lib.where(p > 0.0, p, np.inf)))
         return scale * plus, scale * np.conjugate(conj_minus)
 
 

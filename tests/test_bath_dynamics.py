@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.sparse.linalg import ArpackNoConvergence
 
+from bohmdec import _parallel
 from bohmdec.bath_dynamics import (
     BathPropagators,
     BathSpec,
@@ -181,6 +183,21 @@ def wide_bath_table() -> tuple:
     coupled = dataclasses.replace(system, bare_frequency=bare)
     step = on_grid_step(t, max(bare, bath.frequencies.max()))
     table = solve_g_kernel(SpectralDensity.from_bath(bath), bare, t, step, mass=system.mass)
+    return bath, coupled, table
+
+
+@functools.lru_cache(maxsize=None)
+def route_bath_table() -> tuple:
+    """The benchmark's explicit bath (512 modes, gamma = 1e-2, kT = 10, cutoff
+    100), the coupled system and a response table reaching its last block time."""
+    system = OscillatorSystemSpec()
+    params = CaldeiraLeggettParams(damping_rate=1e-2, thermal_energy=10.0, cutoff=100.0)
+    bath = discretize_spectral_density(params, system, 512)
+    bare = counterterm_bare_frequency(bath, system)
+    coupled = dataclasses.replace(system, bare_frequency=bare)
+    table = solve_g_kernel(
+        SpectralDensity.from_bath(bath), bare, 20.0, 1.0 / 320.0, mass=system.mass
+    )
     return bath, coupled, table
 
 
@@ -372,16 +389,8 @@ class TestClosedForms:
 
 class TestSolveGKernel:
     def test_reversibility_residuals_reach_round_off(self):
-        # the benchmark's explicit bath: 512 modes, gamma = 1e-2, kT = 10,
-        # cutoff 100, at its block times
-        system = OscillatorSystemSpec()
-        params = CaldeiraLeggettParams(damping_rate=1e-2, thermal_energy=10.0, cutoff=100.0)
-        bath = discretize_spectral_density(params, system, 512)
-        bare = counterterm_bare_frequency(bath, system)
-        coupled = dataclasses.replace(system, bare_frequency=bare)
-        table = solve_g_kernel(
-            SpectralDensity.from_bath(bath), bare, 20.0, 1.0 / 320.0, mass=system.mass
-        )
+        # the benchmark's explicit bath at its block times
+        bath, coupled, table = route_bath_table()
         for t in (5.0, 10.0, 20.0):
             forward = exact_bath_matrices(bath, coupled, table, t, include_d_corrections=True)
             backward = exact_bath_matrices(bath, coupled, table, -t, include_d_corrections=True)
@@ -781,18 +790,56 @@ class TestBlocks:
             flipped = getattr(light, block) * parity[:2, None] * parity[:2]
             assert np.array_equal(getattr(light_back, block), flipped), block
 
+    @pytest.mark.parametrize("t", [5.0, 20.0])
+    def test_dense_products_hold_at_any_worker_count(self, monkeypatch, t):
+        # T(t), T(-t) and the round trip on the benchmark's bath, cut into
+        # 1, 2 and 3 row spans: a span's products round differently from the
+        # whole one, so T moves by round-off, but the parity conjugation is
+        # exact at every count and the round trip stays at round-off. Three
+        # workers outnumber the cores, and a short switch interval interleaves
+        # them, so a span written to another's rows would show.
+        bath, coupled, table = route_bath_table()
+        parity = (-1.0) ** np.arange(2 * bath.n_modes + 2)
+        single = None
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(_parallel, "WORKERS", workers)
+                forward, backward = (
+                    exact_bath_matrices(bath, coupled, table, sign * t, include_d_corrections=True)
+                    for sign in (1.0, -1.0)
+                )
+                assert np.array_equal(
+                    backward.transfer, parity[:, None] * forward.transfer * parity
+                )
+                residuals = reversibility_residuals(forward, backward)
+                assert max(residuals.values()) <= 1e-12, (workers, residuals)
+                if single is None:
+                    single = forward.transfer
+                gap = np.abs(forward.transfer - single).max()
+                assert gap <= 1e-15 * np.abs(single).max(), (workers, gap)
+        finally:
+            sys.setswitchinterval(interval)
+
     @pytest.mark.parametrize("t", [0.5, 5.0, -10.0, 20.0])
     def test_flow_rows_of_any_sites_match_dense(self, t):
         # the one evaluator forms the rows of any run of sites; each must be
         # the same rows of the dense T to round-off of the shorter product
         bath, _, table = wide_bath_table()
-        dense = _flow_rows(table.basis, t, slice(None))
+        size = bath.n_modes + 1
+
+        def flow_rows(sites):
+            start, stop, _ = sites.indices(size)
+            out = np.empty((2 * (stop - start), 2 * size))
+            _flow_rows(table.basis, t, sites, out)
+            return out
+
+        dense = flow_rows(slice(None))
         scale = np.abs(dense).max()
         for sites in (slice(0, 1), slice(3, 40), slice(bath.n_modes - 2, None)):
-            rows = _flow_rows(table.basis, t, sites)
-            start, stop, _ = sites.indices(bath.n_modes + 1)
-            assert rows.shape == (2 * (stop - start), dense.shape[1])
-            gap = np.abs(rows - dense[2 * start : 2 * stop]).max()
+            start, stop, _ = sites.indices(size)
+            gap = np.abs(flow_rows(sites) - dense[2 * start : 2 * stop]).max()
             assert gap <= 1e-14 * scale, sites
 
     def test_propagators_reject_inconsistent_tags(self):
@@ -1420,35 +1467,53 @@ class TestConditionalVelocity:
                     )
 
     def test_matches_array_evaluation_of_the_terms(self):
-        # the per-point path (one float evaluation of the terms, combined in
-        # float arithmetic) against the same algebra on the public array rows
+        # the per-point path (the terms evaluated and combined in float
+        # arithmetic) against the same algebra on the public array rows
         run = _canonical_conditioning(2.0)
-        decomp = SemiclassicalDecomposition(run.kernel.minv, run.orbit, run.wkb)
         direction = np.random.default_rng(23).standard_normal(run.kernel.bath.n_modes)
         for x in np.linspace(-0.8, 0.8, 17) * run.orbit.amplitude:
             p_cl = float(run.orbit.classical_momentum(x))
-            log_weight, centre, precision = (term[:, 0] for term in decomp.gaussian_terms(x))
             for branch in (p_cl, -p_cl):
                 for jitter in (0.0, 0.3, 1.0):
                     bath_slice = (
                         run.kernel.conditional_peaks(x, branch)
                         + jitter * run.kernel.bath.coherent_widths * direction
                     )
-                    q0, q1, q2 = run.kernel.slice_quadratic(bath_slice, x)
-                    curvature = precision + q2
-                    slope = 2.0 * precision * centre - q1
-                    log_mass = (
-                        log_weight - precision * centre**2 - q0
-                        + slope**2 / (4.0 * curvature) + 0.5 * np.log(np.pi / curvature)
-                    )
-                    weights = np.exp(log_mass - log_mass.max())
-                    expected = (
-                        weights @ (slope / (2.0 * curvature)) / weights.sum() / run.system.mass
-                    )
+                    expected = _array_velocity(run.kernel, run.orbit, run.wkb, x, bath_slice)
                     v = conditional_velocity(
                         run.state, run.orbit, run.wkb, run.kernel, x, bath_slice
                     )
                     assert abs(v - expected) <= 1e-13 * abs(expected), (x, branch, jitter)
+
+    @pytest.mark.parametrize("t", [0.5, 2.0, 4.0])
+    def test_matches_array_evaluation_on_the_benchmark_bath(self, t):
+        # the benchmark's conditioning: 512 canonical-parameter modes, line
+        # and continuum smearing, 41 positions in 0.8 x_max, each slice the
+        # conditional peaks of the point jittered by 0.1 coherent widths
+        system = OscillatorSystemSpec()
+        params = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)
+        bath = discretize_spectral_density(params, system, 512)
+        continuum = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)
+        state = build_energy_band_state(50, 8)
+        orbit = classical_orbit(state, system)
+        wkb = wkb_amplitudes(state, orbit, system)
+        with warnings.catch_warnings():
+            # the canonical-parameter bath sits above the weak-coupling bound
+            warnings.simplefilter("ignore", CouplingStrengthWarning)
+            props = weak_coupling_matrices(bath, system, t, small_angle=True)
+        rng = np.random.default_rng(29)
+        x_all = np.linspace(-0.8, 0.8, 41) * orbit.amplitude
+        p_all = orbit.classical_momentum(x_all)
+        for spectral in (None, continuum):
+            kernel = conditional_kernel(
+                props, bath, sample_bath(bath, seed=31), t, spectral=spectral
+            )
+            jitter = 0.1 * bath.coherent_widths * rng.standard_normal((x_all.size, bath.n_modes))
+            for x, p_cl, kick in zip(x_all, p_all, jitter):
+                bath_slice = kernel.conditional_peaks(x, p_cl) + kick
+                expected = _array_velocity(kernel, orbit, wkb, x, bath_slice)
+                v = conditional_velocity(state, orbit, wkb, kernel, x, bath_slice)
+                assert abs(v - expected) <= 1e-13 * abs(expected), (spectral, x)
 
     @pytest.mark.parametrize("absent", [(0,), (1,), (0, 1)], ids=["plus", "minus", "both"])
     def test_absent_branches(self, absent):
@@ -1584,6 +1649,22 @@ def _canonical_conditioning(t, damping_rate=1e-4):
         wkb=wkb_amplitudes(state, orbit, system),
         slice_precision=sigma3_squared(continuum, system, t),
     )
+
+
+def _array_velocity(kernel, orbit, wkb, x, bath_slice):
+    """The conditioned velocity by the per-point path's algebra, on the array
+    rows of :meth:`SemiclassicalDecomposition.gaussian_terms`."""
+    decomp = SemiclassicalDecomposition(kernel.minv, orbit, wkb)
+    log_weight, centre, precision = (term[:, 0] for term in decomp.gaussian_terms(x))
+    q0, q1, q2 = kernel.slice_quadratic(bath_slice, x)
+    curvature = precision + q2
+    slope = 2.0 * precision * centre - q1
+    log_mass = (
+        log_weight - precision * centre**2 - q0
+        + slope**2 / (4.0 * curvature) + 0.5 * np.log(np.pi / curvature)
+    )
+    weights = np.exp(log_mass - log_mass.max())
+    return weights @ (slope / (2.0 * curvature)) / weights.sum() / orbit.system.mass
 
 
 def _quadrature_velocity(run, wkb, x, bath_slice):

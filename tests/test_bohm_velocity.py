@@ -19,6 +19,7 @@ from bohmdec.bohm_velocity import (
     timescales,
     validity_window,
 )
+from bohmdec.bohm_velocity.decomposition import _branch_widths
 from bohmdec.errors import (
     DomainValidityError,
     GridCoverageError,
@@ -523,6 +524,29 @@ class TestSemiclassicalDecomposition:
         assert widths.sigma_1 ** 2 == pytest.approx(0.5, rel=1e-12)
         assert widths.sigma_2 ** 2 == pytest.approx(0.5, rel=1e-12)
         assert widths.beta == pytest.approx(0.0, abs=1e-15)
+
+    def test_float_terms_match_array_terms(self, apex_decomposition):
+        # a Python float takes math's functions: the widths, square roots and
+        # arithmetic alone, keep the array bits; the terms' logs may differ
+        # from numpy's in the last bit, and a zero density reads -inf in both
+        dec = SemiclassicalDecomposition(
+            MInverseParams(a=2.0, c=0.3, b=0.5, delta=0.91),
+            apex_decomposition.orbit, apex_decomposition.wkb,
+        )
+        xs = np.linspace(-0.95, 0.95, 39) * dec.orbit.amplitude
+        rho = np.abs(np.stack(dec.wkb.amplitudes(xs))) ** 2
+        rho[0, 5] = rho[1, 7] = 0.0
+        widths = dec.widths(xs)
+        terms = dec._terms(xs, *rho)
+        for i, x in enumerate(xs.tolist()):
+            assert _branch_widths(dec.minv, dec.orbit, x) == tuple(w[i] for w in widths)
+            point = dec._terms(x, *rho[:, i].tolist())
+            for row, values in zip(terms, point):
+                for array, value in zip(row, values):
+                    assert type(value) is float
+                    assert value == pytest.approx(array[i], rel=1e-15, abs=1e-15)
+        absent = dec._terms(xs.tolist()[5], *rho[:, 5].tolist())
+        assert absent[0][0] == -np.inf == terms[0][0][5]
 
     def test_classical_part_nonnegative_and_confined(self, apex_decomposition):
         xs = np.linspace(-14.0, 14.0, 301)

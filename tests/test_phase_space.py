@@ -307,6 +307,31 @@ class TestWkb:
         shifted = OscillatorSystemSpec(bare_frequency=0.5)
         assert wkb_amplitudes(st, orb, shifted).orbit is orb
 
+    def test_float_points_match_array_points(self, natural_system):
+        # a Python float takes math's functions: the momentum and its
+        # derivative, square roots and arithmetic alone, keep the array bits
+        # (NaN on and beyond the turning points included); arcsin and the
+        # band sum may differ in the last bit, the sum's of the larger branch
+        # when it cancels to a small one (3.8e-15 of the smaller measured)
+        st = build_energy_band_state(50, 8)
+        orb = classical_orbit(st, natural_system)
+        amp = wkb_amplitudes(st, orb, natural_system)
+        fractions = [-np.inf, -1.2, -1.0, -0.7, 0.0, 0.31, 0.99, 1.0, 1.5, np.nan]
+        xs = np.array(fractions) * orb.amplitude
+        momentum = orb.classical_momentum(xs)
+        slope = orb.classical_momentum_derivative(xs)
+        angle = orb.angle(xs)
+        g_plus, g_minus = amp.amplitudes(xs)
+        for i, x in enumerate(xs.tolist()):
+            assert type(orb.classical_momentum(x)) is float
+            np.testing.assert_array_equal(orb.classical_momentum(x), momentum[i])
+            np.testing.assert_array_equal(orb.classical_momentum_derivative(x), slope[i])
+            np.testing.assert_allclose(orb.angle(x), angle[i], rtol=2e-16, atol=0.0)
+            plus, minus = amp.amplitudes(x)
+            assert np.ndim(plus) == np.ndim(minus) == 0
+            bound = 1e-15 * (abs(g_plus[i]) + abs(g_minus[i]))
+            np.testing.assert_allclose([plus, minus], [g_plus[i], g_minus[i]], rtol=0.0, atol=bound)
+
     def test_amplitudes_vanish_outside_orbit(self, natural_system):
         st = build_energy_band_state(50, 4)
         orb = classical_orbit(st, natural_system)
@@ -824,6 +849,17 @@ class TestExactOscillatorWigner:
     def test_rejects_invalid_level(self, natural_system, n):
         with pytest.raises(ValueError, match="non-negative integer"):
             exact_oscillator_wigner(n, 0.0, 0.0, natural_system)
+
+    def test_levels_stop_at_300(self, natural_system):
+        # at n = 300 the clamp drops below 1.4e-13 of the peak 1/pi; above it
+        # the clamp would cut into the allowed region z < 4n + 2 (at n = 1000
+        # it read 1.87e-3 at z = 1399 and 0 at z = 1401, where the exact value
+        # is -5.0e-3), so the level is rejected rather than silently zeroed
+        assert exact_oscillator_wigner(300, 0.0, 0.0, natural_system) == pytest.approx(
+            1.0 / np.pi, rel=1e-12
+        )
+        with pytest.raises(ValueError, match="level 301 is above 300"):
+            exact_oscillator_wigner(301, 0.0, 0.0, natural_system)
 
 
 class TestDensityMatrixFromWigner:
