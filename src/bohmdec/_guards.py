@@ -28,8 +28,8 @@ def require_nonnegative(name: str, value: float) -> None:
 
 
 def require_integer(name: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is a whole number."""
-    if not float(value).is_integer():  # also rejects NaN and inf
+    """``value`` as an ``int``; ``ValueError`` unless it is a whole number, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():  # or NaN, inf
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -40,18 +40,18 @@ def require_close(what: str, value: float, reference: float) -> None:
         raise ValueError(what)
 
 
-def require_orbit_system(system, orbit) -> None:
+def require_orbit_system(system, orbit, owner: str = "orbit") -> None:
     """Raise ``ValueError`` unless ``system`` has the mass, renormalized
-    frequency and hbar of ``orbit``'s oscillator, the only fields an orbit
-    reads: an oscillator that differs in its bare frequency alone, as the
-    counterterm-shifted one of an explicit bath does, is the same to the
-    orbit. Identity is tried first, as a per-point caller passes the orbit's
-    own."""
+    frequency and hbar of ``orbit``'s (or a band sampler's, as ``owner``) oscillator,
+    the only fields an orbit reads: an oscillator that differs in its bare
+    frequency alone, as the counterterm-shifted one of an explicit bath does, is
+    the same to the orbit. Identity is tried first, as a per-point caller passes
+    the orbit's own."""
     own = orbit.system
     if system is not own and (system.mass, system.renormalized_frequency, system.hbar) != (
         own.mass, own.renormalized_frequency, own.hbar
     ):
-        raise ValueError("system differs from the orbit's")
+        raise ValueError(f"system differs from the {owner}'s")
 
 
 def finite_array(name: str, values: float | np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import finite_array, freeze_fields
+from .._guards import finite_array, freeze_fields, require_integer, require_nonnegative
 from .spectral import BathSpec
 
 __all__ = ["CoherentBathSample", "sample_bath"]
@@ -57,7 +57,10 @@ def sample_bath(bath: BathSpec, seed: int) -> CoherentBathSample:
     counter-based generator, all positions first and then all momenta, so a
     fixed seed reproduces the stream exactly. As the temperature approaches
     zero the occupancy underflows and every center collapses to the origin.
+    ``seed`` must be a non-negative whole number (``ValueError`` otherwise).
     """
+    seed = require_integer("seed", seed)
+    require_nonnegative("seed", seed)
     rng = np.random.Generator(np.random.Philox(seed))
     with np.errstate(over="ignore"):
         occupancy = 1.0 / np.expm1(bath.thermal_ratios)
@@ -65,4 +68,4 @@ def sample_bath(bath: BathSpec, seed: int) -> CoherentBathSample:
     spread = np.sqrt(occupancy)
     positions = rng.standard_normal(bath.n_modes) * width * spread
     momenta = rng.standard_normal(bath.n_modes) * (bath.hbar / width) * spread
-    return CoherentBathSample(positions=positions, momenta=momenta, seed=int(seed))
+    return CoherentBathSample(positions=positions, momenta=momenta, seed=seed)

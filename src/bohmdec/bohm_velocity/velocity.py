@@ -6,15 +6,16 @@ from typing import Callable
 
 import numpy as np
 
-from .._guards import finite_array
+from .._guards import finite_array, require_orbit_system
 from ..errors import GridCoverageError, UndefinedVelocityError
-from ..phase_space.system import ClassicalOrbit, OscillatorSystemSpec
+from ..phase_space.system import ClassicalOrbit, EnergyBandState, OscillatorSystemSpec
 from ..phase_space.wigner import WignerField, _trapezoid
+from ..phase_space.wkb import _band_psi
 from .decomposition import _require_interior
 
 __all__ = ["classical_band_margin", "ensemble_velocity", "initial_velocity"]
 
-# Fraction of the peak density below which a velocity is undefined (node region).
+# Fraction of the reference density below which a velocity is undefined (node region).
 _DENSITY_FLOOR = 1e-12
 
 
@@ -82,21 +83,19 @@ def initial_velocity(
     x: float | np.ndarray,
     system: OscillatorSystemSpec,
 ) -> float | np.ndarray:
-    """Guidance velocity ``(hbar/m) Im(psi* psi') / |psi|^2`` from a wavefunction.
+    """Guidance velocity ``(hbar/m) Im(psi* psi') / |psi|^2`` of a band state.
 
-    The derivative is a fourth-order central difference with a step of one
-    percent of the local wavelength: a first pass at one percent of the
-    ground-state length, ``h0``, estimates the local wavenumber and the
-    stencil is re-evaluated at ``min(h0, hbar / (100 m |v|))``. Each point is
-    judged against its own first-pass samples, so its velocity does not
-    depend on the other points requested.
+    ``psi`` and ``psi'`` come in closed form from the band the sampler
+    carries; the sampler is never called, and no point depends on another.
 
     Parameters
     ----------
     psi_sampler : callable
-        Vectorized wavefunction sampler.
+        A :func:`~bohmdec.phase_space.band_wavefunction` sampler, or a wrapper
+        that copies its ``state`` and ``system`` (as ``functools.wraps`` does).
     x : float or array_like
     system : OscillatorSystemSpec
+        With the sampler's mass, renormalized frequency and hbar.
 
     Returns
     -------
@@ -105,41 +104,26 @@ def initial_velocity(
     Raises
     ------
     ValueError
-        If ``x`` has a NaN or infinite entry.
+        If ``psi_sampler`` carries no band state, ``system`` is another
+        oscillator, or ``x`` has a NaN or infinite entry.
     UndefinedVelocityError
-        If ``|psi(x)|^2`` at a requested point is at most ``1e-12`` of the
-        largest ``|psi|^2`` among its first-pass samples ``psi(x +- h0)`` and
-        ``psi(x +- 2 h0)``.
+        If ``|psi(x)|^2`` at a requested point is at most ``1e-12`` of
+        ``sum_r |w_r phi_r(x)|^2``, the density its levels carry one by one.
     """
+    state = getattr(psi_sampler, "state", None)
+    if not isinstance(state, EnergyBandState):
+        raise ValueError("psi_sampler carries no band state; pass a band_wavefunction sampler")
+    require_orbit_system(system, psi_sampler, "sampler")
     x_arr = finite_array("x", x)
-    psi_here = np.asarray(psi_sampler(x_arr), dtype=complex)
-    density = np.abs(psi_here) ** 2
-    scale = system.hbar / system.mass
-
-    def stencil(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(hbar/m) Im(psi* psi')`` with the step ``h``, and the largest
-        ``|psi|^2`` among the stencil's samples."""
-        near_up, far_up, near_down, far_down = (
-            psi_sampler(x_arr + s * h) for s in (1.0, 2.0, -1.0, -2.0)
-        )
-        derivative = ((8.0 * near_up - far_up) - (8.0 * near_down - far_down)) / (12.0 * h)
-        nearby = np.abs([near_up, far_up, near_down, far_down]) ** 2
-        return scale * np.imag(np.conj(psi_here) * derivative), nearby.max(axis=0)
-
-    ground_length = np.sqrt(system.hbar / (system.mass * system.renormalized_frequency))
-    h0 = np.full_like(x_arr, ground_length / 100.0)
-    flux, nearby = stencil(h0)
-    dead = density <= _DENSITY_FLOOR * nearby
+    psi, slope, levels_density = _band_psi(state, system, x_arr, with_slope=True)
+    density = np.abs(psi) ** 2
+    dead = density <= _DENSITY_FLOOR * levels_density
     if np.any(dead):
         raise UndefinedVelocityError(
-            f"|psi|^2 below {_DENSITY_FLOOR:g} of its neighbours' at x = {x_arr[dead]}; "
+            f"|psi|^2 below {_DENSITY_FLOOR:g} of its levels' at x = {x_arr[dead]}; "
             "velocity is undefined in node regions"
         )
-    probe = flux / density
-    wavenumber = system.mass * np.abs(probe) / system.hbar
-    with np.errstate(divide="ignore"):  # no wavenumber: h0
-        refined = np.minimum(h0, 1.0 / (100.0 * wavenumber))
-    velocity = stencil(refined)[0] / density
+    velocity = system.hbar / system.mass * np.imag(np.conj(psi) * slope) / density
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(velocity[0])
     return velocity

@@ -52,7 +52,7 @@ def _symmetric_axis(extent: float, max_step: float) -> np.ndarray:
 
 
 def _uniform_axis(name: str, values: np.ndarray) -> np.ndarray:
-    """``values`` as a 1-D float axis, rejected unless uniformly spaced.
+    """``values`` as a 1-D float axis, rejected unless uniformly spaced and increasing.
 
     Every step may differ from the end-point step by at most
     ``4 eps max|axis|``. Building an axis as ``start + i * step`` (``arange``
@@ -66,6 +66,8 @@ def _uniform_axis(name: str, values: np.ndarray) -> np.ndarray:
     slack = np.abs(np.diff(axis) - _step(axis))
     if not np.all(slack <= 4.0 * np.finfo(float).eps * np.max(np.abs(axis))):
         raise ValueError(f"{name} must be uniformly spaced")
+    if not _step(axis) > 0.0:
+        raise ValueError(f"{name} must be increasing")
     return axis
 
 
@@ -512,7 +514,8 @@ def exact_oscillator_wigner(
     Raises
     ------
     ValueError
-        If ``n`` is not an integer in ``0..300``.
+        If ``n`` is not an integer in ``0..300``, or ``x`` or ``p`` has a
+        NaN entry.
     """
     if np.asarray(n).dtype.kind not in "iu" or n < 0:
         raise ValueError("level index must be a non-negative integer")
@@ -526,6 +529,9 @@ def exact_oscillator_wigner(
     hbar = system.hbar
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
+    for name, values in (("x", x), ("p", p)):
+        if np.isnan(values).any():
+            raise ValueError(f"{name} has NaN entries")
     # far out z saturates to inf, and inf * 0 to NaN; the clamp writes 0 there
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         energy = p**2 / (2.0 * m) + 0.5 * m * w**2 * x**2

@@ -56,17 +56,33 @@ def band_wavefunction(
     """Exact wavefunction sampler for a band state.
 
     Returns a vectorized callable evaluating
-    ``psi(x) = sum_r c_r (-i)^r phi_{mean_level + r}(x)``.
+    ``psi(x) = sum_r c_r (-i)^r phi_{mean_level + r}(x)``, with the band as its
+    ``state`` and ``system`` attributes.
     """
-    levels = state.levels
-    phases = (-1j) ** state.offsets
-    weights = state.coefficients * phases
 
     def sampler(x: np.ndarray) -> np.ndarray:
-        table = eigenfunction_table(levels, x, system)
-        return weights @ table.astype(complex)
+        return _band_psi(state, system, x)
 
+    sampler.state, sampler.system = state, system
     return sampler
+
+
+def _band_psi(state: EnergyBandState, system: OscillatorSystemSpec, x, with_slope=False):
+    """``psi`` of a band at ``x``, or with ``with_slope`` the tuple of ``psi``,
+    ``psi'`` and ``sum_r |w_r phi_r|^2`` (the density its levels carry one by
+    one) from one table over the levels ``lo - 1 .. hi + 1``, by the ladder
+    identity ``phi_n' = sqrt(m omega / hbar) (sqrt(n/2) phi_{n-1} - sqrt((n+1)/2) phi_{n+1})``.
+    """
+    n = state.levels
+    weights = state.coefficients * (-1j) ** state.offsets
+    if not with_slope:
+        return weights @ eigenfunction_table(n, x, system).astype(complex)
+    # at lo = 0 the row below is level 0 again, and it takes weight sqrt(0/2) = 0
+    table = eigenfunction_table(np.maximum(np.arange(n[0] - 1, n[-1] + 2), 0), x, system)
+    alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
+    down, up = weights * np.sqrt(n / 2.0), weights * np.sqrt((n + 1) / 2.0)
+    slope = alpha * (down @ table[:-2] - up @ table[2:])
+    return weights @ table[1:-1], slope, np.abs(weights) ** 2 @ table[1:-1] ** 2
 
 
 @dataclass(frozen=True)

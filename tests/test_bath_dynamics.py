@@ -1100,7 +1100,7 @@ class TestBathSpec:
             BathSpec(**bath)
             solve_g_kernel(SpectralDensity(**ohmic), **solver)
 
-    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, True])
     def test_discretization_rejects_fractional_mode_count(self, bad):
         with pytest.raises(ValueError, match="n_modes must be an integer"):
             discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), bad)
@@ -1139,6 +1139,27 @@ class TestSampling:
         assert np.array_equal(again.positions, sample.positions)
         assert np.array_equal(again.momenta, sample.momenta)
         assert not np.array_equal(sample_bath(bath, seed=12).positions, sample.positions)
+
+    @pytest.mark.parametrize("seed", [0, 11, np.int64(7), 12.0, 2**40])
+    def test_seed_reaches_the_generator_unchanged(self, seed):
+        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 16)
+        sample = sample_bath(bath, seed)
+        draws = np.random.Generator(np.random.Philox(int(seed))).standard_normal(32)
+        spread = np.sqrt(1.0 / np.expm1(bath.thermal_ratios))
+        assert np.array_equal(sample.positions, draws[:16] * bath.coherent_widths * spread)
+        assert np.array_equal(
+            sample.momenta, draws[16:] * (bath.hbar / bath.coherent_widths) * spread
+        )
+        assert type(sample.seed) is int and sample.seed == seed
+
+    @pytest.mark.parametrize(
+        "seed, rule", [(1.5, "an integer"), (np.nan, "an integer"), (True, "an integer"),
+                       (-1, "non-negative")]
+    )
+    def test_rejects_bad_seed(self, seed, rule):
+        bath = discretize_spectral_density(oracle_params(), OscillatorSystemSpec(), 4)
+        with pytest.raises(ValueError, match=f"^seed must be {rule}"):
+            sample_bath(bath, seed)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["positions", "momenta"])

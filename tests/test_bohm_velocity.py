@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from bohmdec.phase_space import (
     WignerField,
     band_wavefunction,
     build_energy_band_state,
+    eigenfunction_table,
     exact_oscillator_wigner,
     wigner_transform,
     wkb_amplitudes,
@@ -48,6 +52,30 @@ def rotated_band(state, angle):
     """Band state with coefficients advanced by the free-rotation phases."""
     coeffs = state.coefficients * np.exp(-1j * state.offsets * angle)
     return build_energy_band_state(state.mean_level, state.band_width, coeffs)
+
+
+def _mp_level(n, xi):
+    """``(phi_n, d phi_n / d xi)`` at the mpmath number ``xi`` in natural units,
+    from Hermite polynomials and ``H_n' = 2 n H_{n-1}``."""
+    norm = mp.exp(-(xi**2) / 2) / mp.sqrt(mp.sqrt(mp.pi) * mp.mpf(2) ** n * mp.factorial(n))
+    h = mp.hermite(n, xi)
+    slope = 2 * n * mp.hermite(n - 1, xi) if n else 0
+    return norm * h, norm * (slope - xi * h)
+
+
+def _mp_band_velocity(state, system, x, digits=40):
+    """``(hbar/m) Im(psi* psi') / |psi|^2`` of a band state at ``x`` by mpmath."""
+    alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
+    with mp.workdps(digits):
+        xi = mp.mpf(float(alpha)) * mp.mpf(float(x))
+        psi = slope = mp.mpc(0)
+        for r, c in zip(state.offsets, state.coefficients):
+            weight = mp.mpc(complex(c)) * mp.mpc(0, -1) ** int(r)
+            value, derivative = _mp_level(state.mean_level + int(r), xi)
+            psi += weight * value
+            slope += weight * derivative
+        ratio = mp.im(mp.conj(psi) * slope) / abs(psi) ** 2
+        return float(ratio) * system.hbar / system.mass * float(alpha)
 
 
 def eigenstate_field(n, grid, system):
@@ -230,15 +258,82 @@ class TestInitialVelocity:
         psi = band_wavefunction(build_energy_band_state(0, 0), natural_system)
         assert abs(initial_velocity(psi, 0.7, natural_system)) < 1e-13
 
-    def test_plane_wave_phase_gives_group_velocity(self, natural_system):
-        k = 2.7
-
-        def sampler(x):
-            return np.exp(1j * k * x) * np.exp(-(x**2) / 50.0)
-
-        assert initial_velocity(sampler, 1.1, natural_system) == pytest.approx(
-            k, abs=1e-6
+    def test_two_adjacent_levels_match_closed_form(self, natural_system):
+        # psi = i a phi_4 + b phi_5 (the third coefficient is zero), so
+        # v = a b (phi_5 phi_4' - phi_4 phi_5') / (a^2 phi_4^2 + b^2 phi_5^2)
+        a, b = 0.6, 0.8
+        psi = band_wavefunction(build_energy_band_state(5, 2, [a, b, 0.0]), natural_system)
+        xs = np.array([-2.3, -0.7, 0.4, 1.1, 3.0])
+        expected = []
+        with mp.workdps(40):
+            for x in xs:
+                (f4, d4), (f5, d5) = (_mp_level(n, mp.mpf(float(x))) for n in (4, 5))
+                expected.append(float(a * b * (f5 * d4 - f4 * d5) / (a**2 * f4**2 + b**2 * f5**2)))
+        np.testing.assert_allclose(
+            initial_velocity(psi, xs, natural_system), expected, rtol=1e-12, atol=0.0
         )
+
+    @pytest.mark.parametrize(
+        "system",
+        [OscillatorSystemSpec(), OscillatorSystemSpec(mass=2.0, renormalized_frequency=3.0, hbar=0.5)],
+        ids=["natural", "scaled"],
+    )
+    def test_canonical_band_matches_mpmath(self, system):
+        # the ground-state lengths -8 .. 8; the stencil this replaced read
+        # 1.3e-7 of max|v| here in natural units
+        state = build_energy_band_state(50, 8)
+        alpha = np.sqrt(system.mass * system.renormalized_frequency / system.hbar)
+        xs = np.linspace(-8.0, 8.0, 161) / alpha
+        expected = np.array([_mp_band_velocity(state, system, x) for x in xs])
+        got = initial_velocity(band_wavefunction(state, system), xs, system)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_reads_the_band_not_its_samples(self, natural_system):
+        # a functools.wraps wrapper, as a traced caller passes, copies the
+        # band; the velocity never calls the sampler
+        psi = band_wavefunction(build_energy_band_state(3, 2), natural_system)
+
+        @functools.wraps(psi)
+        def unsampled(x):
+            raise AssertionError("the sampler was called")
+
+        xs = np.array([-1.2, 0.5, 2.0])
+        got = initial_velocity(unsampled, xs, natural_system)
+        assert np.array_equal(got, initial_velocity(psi, xs, natural_system))
+
+    def test_plain_callable_is_rejected(self, natural_system):
+        def plane_wave(x):
+            return np.exp(2.7j * x) * np.exp(-(x**2) / 50.0)
+
+        with pytest.raises(ValueError, match="^psi_sampler carries no band state"):
+            initial_velocity(plane_wave, 1.1, natural_system)
+
+    @pytest.mark.parametrize(
+        "field, value", [("mass", 2.0), ("renormalized_frequency", 2.0), ("hbar", 2.0)]
+    )
+    def test_other_oscillator_is_rejected(self, natural_system, field, value):
+        psi = band_wavefunction(build_energy_band_state(3, 2), natural_system)
+        other = OscillatorSystemSpec(**{field: value})
+        with pytest.raises(ValueError, match="^system differs from the sampler's$"):
+            initial_velocity(psi, 1.1, other)
+
+    @pytest.mark.parametrize("ratio, defined", [(1e-11, True), (1e-13, False)])
+    def test_floor_is_a_fraction_of_the_levels_density(self, natural_system, ratio, defined):
+        # psi = i (a phi_3 - b phi_5) with a phi_3 = t b phi_5 at x = 1, so
+        # |psi|^2 / (a^2 phi_3^2 + b^2 phi_5^2) = (t - 1)^2 / (t^2 + 1) = ratio:
+        # a floor of 1e-10 rejects the first point and one of 1e-14 keeps the second
+        x = 1.0
+        phi3, phi5 = eigenfunction_table(np.array([3, 5]), np.array([x]), natural_system)[:, 0]
+        t = (1.0 + np.sqrt(1.0 - (1.0 - ratio) ** 2)) / (1.0 - ratio)
+        a, b = t * phi5 / phi3, 1.0
+        norm = np.hypot(a, b)
+        state = build_energy_band_state(4, 2, [a / norm, 0.0, b / norm])
+        psi = band_wavefunction(state, natural_system)
+        if defined:
+            assert np.isfinite(initial_velocity(psi, x, natural_system))
+        else:
+            with pytest.raises(UndefinedVelocityError, match="node regions"):
+                initial_velocity(psi, x, natural_system)
 
     def test_band_velocity_escapes_classical_range(self, canonical_cl_run):
         # the ensemble velocity of a freshly prepared coherent band
@@ -268,30 +363,12 @@ class TestInitialVelocity:
         xs = np.array([8.0, 0.5])
         both = initial_velocity(psi, xs, natural_system)
         alone = [initial_velocity(psi, x, natural_system) for x in xs]
-        # the sampler rounds a batch and a single point differently
+        # a batch and a single point may round differently
         assert both == pytest.approx(alone, rel=1e-12)
-        # the closed-form derivative of the Hermite functions gives
-        # -0.0249848 at x = 8; the stencil reads it to 5e-6
-        assert alone[0] == pytest.approx(-0.0249848, rel=1e-4)
-
-    @pytest.mark.parametrize("level, width, x", [(50, 8, 0.5), (50, 8, 5.0), (3, 2, 8.0)])
-    def test_steps_are_one_percent_of_the_lengths(self, natural_system, level, width, x):
-        # The first pass steps one percent of the ground-state length (1
-        # here), the second min(that, 1 / (100 k)) with k = m |v| / hbar from
-        # the first pass: k is about 12 and 7 on the canonical band, and
-        # 0.025 at x = 8 on band (3, 2), where the first step stays
-        psi = band_wavefunction(build_energy_band_state(level, width), natural_system)
-        offsets = []
-
-        def recording(points):
-            offsets.append(float(points[0] - x))
-            return psi(points)
-
-        v = initial_velocity(recording, x, natural_system)
-        step = min(0.01, 0.01 / abs(v))
-        np.testing.assert_allclose(offsets[1:5], [0.01, 0.02, -0.01, -0.02], rtol=1e-9)
-        # the first pass reads k to its truncation error, about 1e-6 here
-        np.testing.assert_allclose(offsets[5:], np.array([1, 2, -1, -2]) * step, rtol=1e-4)
+        # -0.0249848 by mpmath; the stencil this replaced read it to 5e-6
+        assert alone[0] == pytest.approx(
+            _mp_band_velocity(psi.state, natural_system, 8.0), rel=1e-12
+        )
 
     @pytest.mark.parametrize("x", [6.65182753e59, 1e300, -1.7e308])
     def test_far_tail_is_undefined(self, canonical_cl_run, x):

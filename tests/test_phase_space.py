@@ -92,12 +92,14 @@ class TestEnergyBandState:
         assert not build_energy_band_state(5, 4).semiclassical_ok
         assert not build_energy_band_state(9, 0).semiclassical_ok
 
-    @pytest.mark.parametrize("levels", [(10.7, 2), (10, 2.5), (np.nan, 2), (np.inf, 0)])
+    @pytest.mark.parametrize(
+        "levels", [(10.7, 2), (10, 2.5), (np.nan, 2), (np.inf, 0), (True, 0), (10, np.True_)]
+    )
     def test_rejects_non_integer_levels(self, levels):
         with pytest.raises(ValueError, match="integer"):
             build_energy_band_state(*levels)
 
-    @pytest.mark.parametrize("levels", [(50.5, 2), (50, 2.5)])
+    @pytest.mark.parametrize("levels", [(50.5, 2), (50, 2.5), (True, 0)])
     def test_constructor_rejects_non_integer_levels(self, levels):
         # rejected when the state is built, not later by band_wavefunction
         mean_level, band_width = levels
@@ -445,6 +447,19 @@ class TestGridSpec:
         x, p = np.array([0.0, 1.0, 3.0]), np.array([0.0, 1.0, 2.0])
         with pytest.raises(ValueError, match="uniform"):
             _build_axes(kind, x, p)
+
+    @pytest.mark.parametrize("kind", ["GridSpec", "WignerField"])
+    @pytest.mark.parametrize("name", ["x", "p"])
+    @pytest.mark.parametrize("axis", [np.linspace(5.0, -5.0, 11), np.zeros(11)], ids=["descending", "constant"])
+    def test_rejects_axis_that_does_not_increase(self, kind, name, axis):
+        # a descending x-axis once failed in wigner_transform's reach probe, a
+        # descending p-axis gave a negative density, and propagate_wigner a
+        # broadcast error
+        axes = {"x": np.linspace(-5.0, 5.0, 11), "p": np.linspace(-5.0, 5.0, 11)}
+        axes[name] = axis
+        label = f"GridSpec.{name}" if kind == "GridSpec" else f"WignerField.{name}_grid"
+        with pytest.raises(ValueError, match=rf"^{label} must be increasing$"):
+            _build_axes(kind, axes["x"], axes["p"])
 
     @pytest.mark.parametrize("kind", ["GridSpec", "WignerField"])
     @pytest.mark.parametrize("shift, uniform", [(3.0, True), (6.0, False)])
@@ -849,6 +864,14 @@ class TestExactOscillatorWigner:
     def test_rejects_invalid_level(self, natural_system, n):
         with pytest.raises(ValueError, match="non-negative integer"):
             exact_oscillator_wigner(n, 0.0, 0.0, natural_system)
+
+    @pytest.mark.parametrize("name", ["x", "p"])
+    def test_rejects_nan_point(self, natural_system, name):
+        # NaN once came back as the value; +-inf stays a far point reading 0
+        points = {"x": np.array([0.5, 1.0]), "p": np.array([0.0, np.inf])}
+        points[name][0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} has NaN entries$"):
+            exact_oscillator_wigner(3, points["x"], points["p"], natural_system)
 
     def test_levels_stop_at_300(self, natural_system):
         # at n = 300 the clamp drops below 1.4e-13 of the peak 1/pi; above it
