@@ -28,8 +28,13 @@ def require_nonnegative(name: str, value: float) -> None:
 
 
 def require_integer(name: str, value) -> int:
-    """``value`` as an ``int``; ``ValueError`` unless it is a whole number, not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():  # or NaN, inf
+    """``value`` as an ``int``; ``ValueError`` unless it is a whole number, not a bool,
+    within the float range."""
+    try:
+        whole = float(value).is_integer()  # False for NaN and inf
+    except OverflowError:
+        raise ValueError(f"{name} is beyond the float range") from None
+    if isinstance(value, (bool, np.bool_)) or not whole:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

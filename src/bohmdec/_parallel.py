@@ -6,12 +6,16 @@ grid stage goes through :func:`run_blocks`, one block of rows per call; a
 block as long as the grid makes each worker's whole span one call (the
 bicubic pullback). The dense products of the explicit bath, the transfer
 matrix ``T(t)`` of its exact blocks and the round trip ``T(t) T(-t)``, take
-one span of rows per worker from :func:`run_spans`, the thread pool under
-``run_blocks``. Every job writes only its own rows of an array its caller
-allocated, so the outputs do not depend on the worker count: bitwise where
-each fixed pair of rows is computed alone (the Wigner transform), and to
-round-off where a span shifts the arithmetic (the bicubic pullback's offsets,
-and the products, whose rounding depends on the rows in one BLAS call).
+one span of rows per worker from :func:`run_spans`, which also runs under
+``run_blocks``. The first span runs on the calling thread and each other
+span on a pool thread, so ``n`` spans start ``n - 1`` threads: glibc gives
+each thread's work arrays a malloc arena of its own and keeps what they
+free, so every extra thread can raise the peak resident memory. Every job
+writes only its own rows of an array its caller allocated, so the outputs do
+not depend on the worker count: bitwise where each fixed pair of rows is
+computed alone (the Wigner transform), and to round-off where a span shifts
+the arithmetic (the bicubic pullback's offsets, and the products, whose
+rounding depends on the rows in one BLAS call).
 """
 
 from __future__ import annotations
@@ -41,18 +45,20 @@ def row_spans(n_rows: int) -> list[tuple[int, int]]:
 def run_spans(job, spans: list[tuple[int, int]]) -> list:
     """``job(k, lo, hi)`` for each span ``k``, results in span order.
 
-    Each span runs on its own thread under a copy of the caller's context, so
-    a caller's ``np.errstate`` holds in the workers; a worker's exception is
-    raised here. One span runs inline.
+    Span 0 runs inline on the calling thread; each other span runs on a pool
+    thread under a copy of the caller's context, so a caller's ``np.errstate``
+    holds in every span. An exception from any span is raised here once the
+    other spans have finished.
     """
     if len(spans) == 1:
         return [job(0, *spans[0])]
-    with ThreadPoolExecutor(len(spans)) as pool:
+    with ThreadPoolExecutor(len(spans) - 1) as pool:
         futures = [
             pool.submit(contextvars.copy_context().run, job, k, lo, hi)
-            for k, (lo, hi) in enumerate(spans)
+            for k, (lo, hi) in enumerate(spans[1:], start=1)
         ]
-        return [future.result() for future in futures]
+        first = job(0, *spans[0])
+        return [first] + [future.result() for future in futures]
 
 
 def run_blocks(job, first: int, last: int, block: int) -> None:

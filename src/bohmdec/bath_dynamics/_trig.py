@@ -19,7 +19,6 @@ from __future__ import annotations
 from math import factorial, isqrt
 
 import numpy as np
-from scipy.special import sici
 
 _SERIES_CUT = 0.05
 _CIN_CUT = 0.5
@@ -57,6 +56,9 @@ def cin(x: np.ndarray) -> np.ndarray:
     (Abramowitz & Stegun 5.2.2); below, where that difference cancels, its
     power series.
     """
+    # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+    from scipy.special import sici
+
     x = np.abs(np.asarray(x, dtype=float))
     x2 = x * x
     series = x2 * np.polynomial.polynomial.polyval(x2, _CIN_SERIES)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import lambertw
 
 from .._guards import finite_array, require_orbit_system, require_positive
 from ..bohm_velocity import MInverseParams, TimescaleReport, ValidityReport, timescales
@@ -74,6 +73,9 @@ def conditional_smearing_time(
             "conditional smearing-time window is empty: 10/cutoff = "
             f"{lo:g} is not below 1/(10 gamma) = {hi:g}"
         )
+    # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+    from scipy.special import lambertw
+
     twice_k = 2.0 * cutoff**2 * orbit.de_broglie / (orbit.amplitude * omega * gamma)
     t = float(np.sqrt(twice_k / lambertw(twice_k).real)) / cutoff
     if not lo <= t <= hi:

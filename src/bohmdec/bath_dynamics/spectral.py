@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import sici
 
 from .._guards import (
     finite_array, freeze_fields, require_integer, require_nonnegative, require_positive
@@ -186,6 +185,9 @@ class SpectralDensity:
         """
         if self.kind != "ohmic":
             raise ValueError("only the ohmic density has kernel tables")
+        # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+        from scipy.special import sici
+
         b = bare_frequency
         times = np.arange(count) * step
         s, c = np.sin(b * times), np.cos(b * times)

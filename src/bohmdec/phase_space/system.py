@@ -56,7 +56,8 @@ class EnergyBandState:
     The stored ``coefficients`` are indexed by the level offset
     ``r = -band_width/2 .. +band_width/2``. They obey
     ``sum |c_r|^2 == 1`` to within 1e-12 and the lowest populated level
-    ``mean_level - band_width/2`` may not be negative. Both levels must be
+    ``mean_level - band_width/2`` may not be negative, nor may the highest
+    ``mean_level + band_width/2`` exceed the int64 range. Both levels must be
     whole numbers (``ValueError`` otherwise) and are stored as ``int``. Two
     states are equal when their levels, widths and coefficients are.
 
@@ -86,6 +87,11 @@ class EnergyBandState:
             raise ValueError(
                 "EnergyBandState requires mean_level - band_width/2 >= 0 "
                 "(lowest populated level would be negative)"
+            )
+        if self.mean_level + self.band_width // 2 > np.iinfo(np.int64).max:
+            raise ValueError(
+                "EnergyBandState.mean_level + band_width/2 must fit in int64 "
+                "(the levels are an int64 array)"
             )
         coeffs = np.asarray(self.coefficients, dtype=complex)
         if coeffs.shape != (self.band_width + 1,):

@@ -7,8 +7,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
-from scipy import ndimage
 
 from .. import _parallel
 from .._guards import finite_array, require_positive
@@ -244,6 +242,9 @@ def _support_interval(
 def _momentum_band(samples: np.ndarray, step: float, hbar: float) -> tuple[np.ndarray, float]:
     """Least and largest ``p`` where the FFT of ``samples`` exceeds
     ``_ENVELOPE_CUTOFF`` of its peak, and the spacing of its momentum modes."""
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    from scipy import fft as sp_fft
+
     spectrum = np.abs(sp_fft.fft(samples))
     p_modes = (2.0 * np.pi * hbar) * sp_fft.fftfreq(samples.size, step)
     present = p_modes[spectrum > _ENVELOPE_CUTOFF * spectrum.max()]
@@ -398,6 +399,9 @@ def wigner_transform(
     lattice = centre + y_step * (np.arange(n_lattice + 1) - 0.5 * n_lattice)
     psi = _sample(wavefunction_sampler, lattice)
     windows = sliding_window_view(psi, u.size)[::k]
+
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    from scipy import fft as sp_fft
 
     # Chirp-z sum over y (see above); the trapezoid half-weights and the
     # prefactor ride on the pre-chirp.
@@ -596,6 +600,9 @@ def density_matrix_from_wigner(
         [field.values @ (weights[:, None] * np.cos(angle)),
          field.values @ (weights[:, None] * np.sin(angle))]
     )
+    # imported here so that importing bohmdec skips its load: about 28 MB and 0.2 s
+    from scipy import ndimage
+
     coeffs = ndimage.spline_filter1d(table, 3, axis=0, mode="nearest")
     rows = (mid.ravel() - field.x_grid[0]) / field.dx
     index = np.floor(rows)

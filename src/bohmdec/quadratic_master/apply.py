@@ -65,8 +65,6 @@ round differently, so the output moves with the worker count by round-off
 from __future__ import annotations
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import ndimage
 
 from .. import _parallel
 from ..errors import NumericalFailureError
@@ -85,6 +83,9 @@ _BLOCK_ROWS = 16
 
 def _padded_axis(size: int, width: float) -> tuple[int, int]:
     """Margin and buffer length for ``size`` input cells smeared ``width`` cells wide."""
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    from scipy import fft as sp_fft
+
     margin = 2 + int(np.ceil(_SIGMA_CUT * width))
     return margin, sp_fft.next_fast_len(size + 2 * margin, real=True)
 
@@ -151,6 +152,10 @@ def propagate_wigner(
     det_a = float(np.linalg.det(a))
     if det_a <= 0.0:
         raise NumericalFailureError("flow matrix must preserve orientation")
+    # imported here so that importing bohmdec skips their load: about 29 MB and 0.3 s
+    from scipy import fft as sp_fft
+    from scipy import ndimage
+
     x, p, dx, dp = field.x_grid, field.p_grid, field.dx, field.dp
 
     # a singular M may carry a round-off negative diagonal entry

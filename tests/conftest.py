@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -31,6 +34,13 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter on this one's import path, with every
+    warning an error; a failed assertion there fails the calling test."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-W", "error", "-c", code], check=True, env=env, timeout=60)
 
 
 def local_average(sampler, x: np.ndarray, window: float, n: int = 61) -> np.ndarray:

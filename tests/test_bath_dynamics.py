@@ -65,7 +65,7 @@ from bohmdec.phase_space import (
 )
 from bohmdec.quadratic_master import CaldeiraLeggettParams
 
-from conftest import traced_peak, trapz
+from conftest import run_fresh, traced_peak, trapz
 
 ORACLE_DIGITS = 30
 # g, g_dot and g_ddot from the normal modes against expm of the generator, as
@@ -1318,6 +1318,41 @@ class TestConditionalVelocity:
         short = discretize_spectral_density(params, system, 15)
         with pytest.raises(ValueError, match="disagree on the mode count"):
             conditional_kernel(props, bath, sample_bath(short, seed=3), 0.5)
+
+    def test_line_spectrum_route_loads_no_fft_or_ndimage(self):
+        # the explicit-bath route on a line spectrum, in a fresh interpreter:
+        # no stage of it transforms or interpolates a grid, so scipy.fft and
+        # scipy.ndimage stay unloaded
+        code = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from bohmdec.bath_dynamics import (SpectralDensity, conditional_kernel,\n"
+            "    conditional_velocity, counterterm_bare_frequency, discretize_spectral_density,\n"
+            "    exact_bath_matrices, sample_bath, solve_g_kernel, weak_coupling_matrices)\n"
+            "from bohmdec.phase_space import (OscillatorSystemSpec, build_energy_band_state,\n"
+            "    classical_orbit, wkb_amplitudes)\n"
+            "from bohmdec.quadratic_master import CaldeiraLeggettParams\n"
+            "system = OscillatorSystemSpec()\n"
+            "params = CaldeiraLeggettParams(damping_rate=1e-6, thermal_energy=1e3, cutoff=100.0)\n"
+            "bath = discretize_spectral_density(params, system, 64)\n"
+            "bare = counterterm_bare_frequency(bath, system)\n"
+            "coupled = dataclasses.replace(system, bare_frequency=bare)\n"
+            "lines = SpectralDensity.from_bath(bath)\n"
+            "table = solve_g_kernel(lines, bare, 0.5, 5e-4, mass=system.mass)\n"
+            "exact = exact_bath_matrices(bath, coupled, table, 0.5, include_d_corrections=True)\n"
+            "assert np.isfinite(exact.transfer).all()\n"
+            "props = weak_coupling_matrices(bath, system, 0.5, small_angle=True)\n"
+            "kernel = conditional_kernel(props, bath, sample_bath(bath, seed=3), 0.5)\n"
+            "state = build_energy_band_state(50, 8)\n"
+            "orbit = classical_orbit(state, system)\n"
+            "wkb = wkb_amplitudes(state, orbit, system)\n"
+            "x = 0.3 * orbit.amplitude\n"
+            "bath_slice = kernel.conditional_peaks(x, float(orbit.classical_momentum(x)))\n"
+            "assert np.isfinite(conditional_velocity(state, orbit, wkb, kernel, x, bath_slice))\n"
+            "loaded = [m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
+        )
+        run_fresh(code)
 
     def test_degenerate_kernel_falls_back_to_initial_velocity(self):
         system = OscillatorSystemSpec()

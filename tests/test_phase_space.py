@@ -109,6 +109,30 @@ class TestEnergyBandState:
                 coefficients=np.ones(3) / np.sqrt(3),
             )
 
+    @pytest.mark.parametrize("build", ["builder", "constructor"])
+    @pytest.mark.parametrize(
+        "mean_level, message",
+        [
+            (10**400, "^mean_level is beyond the float range$"),
+            (1e300, r"^EnergyBandState\.mean_level \+ band_width/2 must fit in int64"),
+            (2**63 - 1, r"^EnergyBandState\.mean_level \+ band_width/2 must fit in int64"),
+        ],
+        ids=["beyond-float", "beyond-int64", "top-one-past-int64"],
+    )
+    def test_rejects_levels_beyond_int64(self, build, mean_level, message):
+        # .levels is an int64 array, so a band whose top level overflows it
+        # is named when it is built, not raised later as OverflowError
+        with pytest.raises(ValueError, match=message):
+            if build == "builder":
+                build_energy_band_state(mean_level, 2)
+            else:
+                EnergyBandState(mean_level=mean_level, band_width=2,
+                                coefficients=np.ones(3) / np.sqrt(3))
+
+    def test_top_level_at_the_int64_limit_is_kept(self):
+        top = np.iinfo(np.int64).max
+        assert build_energy_band_state(top - 1, 2).levels[-1] == top
+
     def test_constructor_stores_integer_levels(self):
         st = EnergyBandState(mean_level=50.0, band_width=np.int64(2),
                              coefficients=np.ones(3) / np.sqrt(3))

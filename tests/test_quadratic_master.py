@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import importlib
 import os
-import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import mpmath as mp
@@ -44,7 +45,7 @@ from bohmdec.quadratic_master import (
 from bohmdec.quadratic_master import apply
 from bohmdec.quadratic_master.propagator import _exp_series
 
-from conftest import traced_peak, widen_momentum_axis
+from conftest import run_fresh, traced_peak, widen_momentum_axis
 from pde_oracle import pde_oracle_evolve
 
 
@@ -539,14 +540,17 @@ class TestIntegratePropagator:
 
     def test_import_loads_no_ode_solver_or_scipy_linalg(self):
         # the propagator is one closed form summed in numpy, so no subpackage
-        # needs an ODE solver or scipy.linalg; the root finder and the sparse
-        # eigensolver are imported only by the two functions that call them,
-        # which the reduced route does not reach
+        # needs an ODE solver or scipy.linalg; every scipy module is imported
+        # by the functions that call it, so the import loads none, and the
+        # root finder and the sparse eigensolver are not reached by the
+        # reduced route
         code = (
             "import sys\n"
             "import numpy as np\n"
             "import bohmdec.bath_dynamics, bohmdec.bohm_velocity\n"
             "import bohmdec.phase_space, bohmdec.quadratic_master\n"
+            "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy, scipy\n"
             "from bohmdec.bohm_velocity import ensemble_velocity\n"
             "from bohmdec.phase_space import (GridSpec, OscillatorSystemSpec,\n"
             "    band_wavefunction, build_energy_band_state, classical_orbit,\n"
@@ -566,8 +570,48 @@ class TestIntegratePropagator:
             "loaded = [m for m in unused if m in sys.modules]\n"
             "assert not loaded, loaded\n"
         )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-        subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
+        run_fresh(code)
+
+    @pytest.mark.parametrize(
+        "call, loads",
+        [
+            ("wigner_transform(psi, grid, system).values", "scipy.fft"),
+            ("propagate_wigner(prop, field, system).values", "scipy.ndimage"),
+            ("np.array(ohmic.kernel_tables(1.1, 1.0, 1e-3, 400))", "scipy.special"),
+        ],
+        ids=["wigner_transform", "propagate_wigner", "kernel_tables"],
+    )
+    def test_first_call_loads_scipy_under_raising_float_state(self, call, loads):
+        # The call that loads its scipy module, the first in a fresh
+        # interpreter, runs under np.errstate(all="raise") and with every
+        # warning an error, and returns what a second, warm call returns
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from bohmdec.bath_dynamics import SpectralDensity\n"
+            "from bohmdec.phase_space import (GridSpec, OscillatorSystemSpec, WignerField,\n"
+            "    band_wavefunction, build_energy_band_state, classical_orbit,\n"
+            "    exact_oscillator_wigner, wigner_transform)\n"
+            "from bohmdec.quadratic_master import (CaldeiraLeggettParams,\n"
+            "    assemble_cl_coefficients, integrate_propagator, propagate_wigner)\n"
+            "system = OscillatorSystemSpec()\n"
+            "state = build_energy_band_state(6, 2)\n"
+            "psi = band_wavefunction(state, system)\n"
+            "grid = GridSpec.for_orbit(classical_orbit(state, system), 2.0, 2.0)\n"
+            "values = exact_oscillator_wigner(1, grid.x[:, None], grid.p[None, :], system)\n"
+            "field = WignerField(grid.x, grid.p, values, 0.0)\n"
+            "params = CaldeiraLeggettParams(1e-2, 10.0, 100.0)\n"
+            "prop = integrate_propagator(assemble_cl_coefficients(system, params), 0.5)\n"
+            "ohmic = SpectralDensity.from_ohmic(system, 1e-2, 100.0)\n"
+            "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy, scipy\n"
+            "with np.errstate(all='raise'):\n"
+            f"    cold = {call}\n"
+            f"assert {loads!r} in sys.modules\n"
+            f"warm = {call}\n"
+            "assert np.array_equal(cold, warm)\n"
+        )
+        run_fresh(code)
 
 
 class TestPropagateWigner:
@@ -798,6 +842,32 @@ class TestPropagateWigner:
             with pytest.raises(FloatingPointError, match="underflow"):
                 _parallel.run_spans(underflow, spans)
         assert _parallel.run_spans(caught, spans) == [False] * workers
+
+    def test_first_span_runs_on_the_calling_thread(self, monkeypatch):
+        # span 0 runs inline and each other span on a pool thread, so n spans
+        # start n - 1 threads; the results come back in span order
+        monkeypatch.setattr(_parallel, "WORKERS", 3)
+        caller = threading.get_ident()
+        done = _parallel.run_spans(
+            lambda k, lo, hi: (k, lo, hi, threading.get_ident()), _parallel.row_spans(6)
+        )
+        assert [entry[:3] for entry in done] == [(0, 0, 2), (1, 2, 4), (2, 4, 6)]
+        assert done[0][3] == caller
+        assert caller not in {entry[3] for entry in done[1:]}
+
+    def test_inline_span_raises_after_the_others_finish(self, monkeypatch):
+        monkeypatch.setattr(_parallel, "WORKERS", 2)
+        finished = threading.Event()
+
+        def job(k, lo, hi):
+            if k == 0:
+                raise RuntimeError("span 0 failed")
+            time.sleep(0.05)
+            finished.set()
+
+        with pytest.raises(RuntimeError, match="span 0 failed"):
+            _parallel.run_spans(job, _parallel.row_spans(2))
+        assert finished.is_set()
 
     def test_smear_evaluates_no_underflowing_factor(self, canonical_cl_run):
         # The cut drops every factor below e^-E_c (E_c = 53.4 here) before it
