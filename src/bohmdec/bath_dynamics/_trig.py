@@ -56,7 +56,7 @@ def cin(x: np.ndarray) -> np.ndarray:
     (Abramowitz & Stegun 5.2.2); below, where that difference cancels, its
     power series.
     """
-    # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 26 MB and 0.3 s
     from scipy.special import sici
 
     x = np.abs(np.asarray(x, dtype=float))

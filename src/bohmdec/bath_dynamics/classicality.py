@@ -73,7 +73,7 @@ def conditional_smearing_time(
             "conditional smearing-time window is empty: 10/cutoff = "
             f"{lo:g} is not below 1/(10 gamma) = {hi:g}"
         )
-    # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 26 MB and 0.3 s
     from scipy.special import lambertw
 
     twice_k = 2.0 * cutoff**2 * orbit.de_broglie / (orbit.amplitude * omega * gamma)

@@ -185,7 +185,7 @@ class SpectralDensity:
         """
         if self.kind != "ohmic":
             raise ValueError("only the ohmic density has kernel tables")
-        # imported here so that importing bohmdec skips its load: about 26 MB and 0.2 s
+        # imported here so that importing bohmdec skips its load: about 26 MB and 0.3 s
         from scipy.special import sici
 
         b = bare_frequency

@@ -242,7 +242,7 @@ def _support_interval(
 def _momentum_band(samples: np.ndarray, step: float, hbar: float) -> tuple[np.ndarray, float]:
     """Least and largest ``p`` where the FFT of ``samples`` exceeds
     ``_ENVELOPE_CUTOFF`` of its peak, and the spacing of its momentum modes."""
-    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.25 s
     from scipy import fft as sp_fft
 
     spectrum = np.abs(sp_fft.fft(samples))
@@ -400,7 +400,7 @@ def wigner_transform(
     psi = _sample(wavefunction_sampler, lattice)
     windows = sliding_window_view(psi, u.size)[::k]
 
-    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.25 s
     from scipy import fft as sp_fft
 
     # Chirp-z sum over y (see above); the trapezoid half-weights and the
@@ -600,7 +600,7 @@ def density_matrix_from_wigner(
         [field.values @ (weights[:, None] * np.cos(angle)),
          field.values @ (weights[:, None] * np.sin(angle))]
     )
-    # imported here so that importing bohmdec skips its load: about 28 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.25 s
     from scipy import ndimage
 
     coeffs = ndimage.spline_filter1d(table, 3, axis=0, mode="nearest")

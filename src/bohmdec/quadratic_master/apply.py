@@ -83,7 +83,7 @@ _BLOCK_ROWS = 16
 
 def _padded_axis(size: int, width: float) -> tuple[int, int]:
     """Margin and buffer length for ``size`` input cells smeared ``width`` cells wide."""
-    # imported here so that importing bohmdec skips its load: about 27 MB and 0.2 s
+    # imported here so that importing bohmdec skips its load: about 27 MB and 0.25 s
     from scipy import fft as sp_fft
 
     margin = 2 + int(np.ceil(_SIGMA_CUT * width))
