@@ -109,7 +109,7 @@ class TestEnergyBandState:
                 coefficients=np.ones(3) / np.sqrt(3),
             )
 
-    @pytest.mark.parametrize("build", ["builder", "constructor"])
+    @pytest.mark.parametrize("make", ["function", "constructor"])
     @pytest.mark.parametrize(
         "mean_level, message",
         [
@@ -119,11 +119,11 @@ class TestEnergyBandState:
         ],
         ids=["beyond-float", "beyond-int64", "top-one-past-int64"],
     )
-    def test_rejects_levels_beyond_int64(self, build, mean_level, message):
+    def test_rejects_levels_beyond_int64(self, make, mean_level, message):
         # .levels is an int64 array, so a band whose top level overflows it
         # is named when it is built, not raised later as OverflowError
         with pytest.raises(ValueError, match=message):
-            if build == "builder":
+            if make == "function":
                 build_energy_band_state(mean_level, 2)
             else:
                 EnergyBandState(mean_level=mean_level, band_width=2,
