@@ -61,6 +61,9 @@ __all__ = [
     "weak_coupling_matrices",
 ]
 
+# _spectral_norm's first stop test, ARPACK's tol=0 (unit roundoff), Kahan's twice-is-enough bound
+_KRYLOV, _ROUNDOFF, _KAHAN = 21, np.finfo(float).eps / 2, 0.5**0.5
+
 
 def _rotation(stiffness, angle) -> np.ndarray:
     """Free rotations ``[[cos, sin / k], [-k sin, cos]]``, shape ``angle.shape + (2, 2)``."""
@@ -359,38 +362,40 @@ def _spectral_norm(mat: np.ndarray) -> float:
     top eigenvalue of ``R^T R``. A side of at most 2, as for three of the
     four round-trip blocks, reads that eigenvalue off the small Gram matrix.
     The mode block, the one mode-sized norm of each
-    :func:`reversibility_residuals` call, goes to Lanczos iteration (ARPACK,
-    within its default bound of ``10 n`` iterations) on ``v -> R^T (R v)``,
-    two products with ``R``, so no Gram matrix is formed. The result is
-    within 1e-13 relative when the top singular value is separated from the
-    rest; for a cluster (round-off residuals, ``sigma_2 / sigma_1 = 0.9994``)
-    it can fall about 1e-4 short. The start vector is a fixed pseudo-random
-    one, so repeated calls agree bit for bit and no symmetry of a residual
-    makes it orthogonal to the top eigenvector. A zero matrix, which Lanczos
-    cannot start from, has norm zero.
-
-    Raises
-    ------
-    NumericalFailureError
-        If the Lanczos iteration does not converge.
+    :func:`reversibility_residuals` call, goes to Lanczos iteration on
+    ``v -> R^T (R v)``, two products with ``R``, so no Gram matrix is formed;
+    each new vector is orthogonalized twice against the basis. The top Ritz
+    value ``theta`` is taken by ARPACK's rule for ``tol=0``, once its error
+    estimate is at most ``eps max(eps^(2/3), theta)``, tested from step 21 on
+    (where ARPACK's default 20-vector basis first tests it), or once the basis
+    spans the space or an invariant subspace (the second orthogonalization
+    removes over ``1 - 1/sqrt(2)`` of the vector, as in ARPACK's ``dsaitr``).
+    It is within 1e-13 relative for a separated top singular value, and for a
+    cluster (round-off residuals, ``sigma_2 / sigma_1 = 0.9994``) about 1e-4
+    short. The fixed pseudo-random start vector makes repeated calls agree bit
+    for bit, and no symmetry of a residual makes it orthogonal to the top one.
     """
-    if not mat.any():
-        return 0.0
     tall = mat.T if mat.shape[0] < mat.shape[1] else mat
     size = tall.shape[1]
     if size <= 2:
         top = np.linalg.eigvalsh(tall.T @ tall)[-1]
         return float(np.sqrt(max(top, 0.0)))
-    # imported here so that importing bohmdec skips its load: about 3.6 MB
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    gram = LinearOperator((size, size), matvec=lambda v: tall.T @ (tall @ v), dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(size)
-    try:
-        (top,) = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise NumericalFailureError(f"Lanczos top eigenvalue did not converge: {exc}") from exc
-    return float(np.sqrt(max(top, 0.0)))
+    q = np.random.default_rng(0).standard_normal(size)
+    basis, alpha, beta = np.empty((0, size)), [], []
+    while True:
+        basis = np.vstack([basis, q / np.linalg.norm(q)])
+        q = tall.T @ (tall @ basis[-1])
+        alpha.append(basis[-1] @ q)
+        q -= basis.T @ (basis @ q)
+        first = np.linalg.norm(q)
+        q -= basis.T @ (basis @ q)
+        beta.append(np.linalg.norm(q))
+        spanned = len(alpha) == size or beta[-1] <= _KAHAN * first
+        if spanned or len(alpha) >= _KRYLOV:
+            theta, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+            estimate = beta[-1] * abs(vectors[-1, -1])
+            if spanned or estimate <= _ROUNDOFF * max(_ROUNDOFF ** (2 / 3), theta[-1]):
+                return float(np.sqrt(max(theta[-1], 0.0)))
 
 
 def reversibility_residuals(
@@ -406,11 +411,6 @@ def reversibility_residuals(
     rows on the threads of :mod:`bohmdec._parallel`, each written into its
     rows in place, is the only large array held, and :func:`_spectral_norm`
     takes products with it rather than a Gram matrix.
-
-    Raises
-    ------
-    NumericalFailureError
-        If a Lanczos iteration does not converge.
     """
     # only exact blocks carry a transfer matrix (BathPropagators checks it)
     if forward.transfer is None or backward.transfer is None:

@@ -11,7 +11,7 @@ from .._guards import (
 )
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
-from ._trig import cin, one_minus_cos, sin_minus_u_cos, t_minus_sin
+from ._trig import cin, one_minus_cos, si_cin, sin_minus_u_cos, t_minus_sin
 
 __all__ = [
     "BathSpec",
@@ -176,25 +176,27 @@ class SpectralDensity:
         step : float
             Positive spacing of the uniform time grid.
         count : int
-            Number of grid nodes, starting at ``tau = 0``.
+            Number of grid nodes, starting at ``tau = 0``; a whole number.
 
         Raises
         ------
         ValueError
-            For a line spectrum.
+            For a line spectrum, a ``bare_frequency``, ``mass`` or ``step`` not
+            finite and positive, or a ``count`` not a whole number of at least 1.
         """
         if self.kind != "ohmic":
             raise ValueError("only the ohmic density has kernel tables")
-        # imported here so that importing bohmdec skips its load: about 26 MB and 0.3 s
-        from scipy.special import sici
-
+        for name, value in (("bare_frequency", bare_frequency), ("mass", mass), ("step", step)):
+            require_positive(name, value)
+        if require_integer("count", count) < 1:
+            raise ValueError("count must be at least 1")
         b = bare_frequency
         times = np.arange(count) * step
         s, c = np.sin(b * times), np.cos(b * times)
         k = 4.0 * self.damping_rate / np.pi * (self.mass / mass)
         cut = self.cutoff
-        d_cin = cin((cut + b) * times) - cin((cut - b) * times)
-        si_sum = sici((cut + b) * times)[0] + sici((cut - b) * times)[0]
+        si, cin_ = si_cin(np.multiply.outer([cut + b, cut - b], times))
+        d_cin, si_sum = cin_[0] - cin_[1], si[0] + si[1]
         u = cut * times
         chi = k / b * (cut * s - 0.5 * b * (s * d_cin + c * si_sum))
         chi_dot = k * (cut * c - 0.5 * b * (c * d_cin - s * si_sum) - cut * np.sinc(u / np.pi))
@@ -218,9 +220,10 @@ class SpectralDensity:
             P = 2 Cin(X) - Cin(2X) / 2
             S = Cin(2X) / 2 - 1/2 + sin(2X) / (2X) - sin(X)^2 / (2 X^2)
 
-        All four cancel down to ``O(X^4)``, so below ``X = 0.5`` their
-        Taylor series are summed instead.
+        All four cancel down to ``O(X^4)``, so below ``X = 0.5`` their Taylor
+        series are summed instead. ``t`` must be finite and non-negative (``ValueError``).
         """
+        require_nonnegative("t", t)
         if self.kind == "discrete":
             freqs, weights = self.bath.frequencies, self.bath.spectral_weights
             u = freqs * t
@@ -231,7 +234,7 @@ class SpectralDensity:
                 (sin_minus_u_cos(u) / (freqs * freqs)) ** 2,
             )
             return tuple(float(np.dot(weights, f)) for f in integrands)
-        r, q, p, s = _ohmic_slice_forms(self.cutoff * t)
+        r, q, p, s = _ohmic_slice_forms(float(self.cutoff * t))
         scale = 2.0 * self.mass * self.damping_rate / np.pi
         return scale * t * t * q, scale * t * r, scale * p, scale * t * t * s
 
@@ -244,7 +247,7 @@ def _ohmic_slice_forms(x: float) -> tuple[float, float, float, float]:
             float(x2 * x2 * np.polynomial.polynomial.polyval(x2, row))
             for row in _SLICE_SERIES
         )
-    cin_x, cin_2x = float(cin(x)), float(cin(2.0 * x))
+    cin_x, cin_2x = cin(x), cin(2.0 * x)
     sinc = np.sin(x) / x
     r = 2.0 * cin_x - cin_2x + (np.sin(x) - 0.5 * np.sin(2.0 * x)) / x
     q = r - 0.5 * (1.0 - sinc) ** 2

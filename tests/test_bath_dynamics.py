@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
-from scipy.sparse.linalg import ArpackNoConvergence
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from bohmdec import _parallel
 from bohmdec.bath_dynamics import (
@@ -40,7 +41,9 @@ from bohmdec.bath_dynamics import (
     solve_g_kernel,
     weak_coupling_matrices,
 )
-from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums
+from bohmdec.bath_dynamics import _trig, matrices
+from bohmdec.bath_dynamics._trig import cin, pair_kernel, phase_sums, si_cin
+from bohmdec.bath_dynamics.classicality import _lambert_w
 from bohmdec.bath_dynamics.matrices import _flow_rows, _spectral_norm
 from bohmdec.bath_dynamics.volterra import NormalModeBasis, _normal_modes
 from bohmdec.bohm_velocity import (
@@ -201,6 +204,23 @@ def route_bath_table() -> tuple:
     return bath, coupled, table
 
 
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the products taken with it or its transpose."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return np.asarray(self) @ other
+
+
+def lanczos_steps(mat: np.ndarray) -> int:
+    """Lanczos steps :func:`_spectral_norm` takes on ``mat``: two products each."""
+    _CountingMatrix.products = 0
+    _spectral_norm(mat.view(_CountingMatrix))
+    return _CountingMatrix.products // 2
+
+
 def dense_blocks(props) -> tuple:
     """``A``, ``B``, ``C`` and ``D`` of the dense transfer matrix."""
     transfer = props.transfer
@@ -208,12 +228,44 @@ def dense_blocks(props) -> tuple:
 
 
 class TestClosedForms:
-    @pytest.mark.parametrize("x", [1e-3, 0.05, 0.49, 0.51, 2.0, 500.0])
+    @pytest.mark.parametrize(
+        "x", [1e-3, 0.05, 0.49, 0.51, 2.0, 4.0 - 1e-9, 4.0, 4.0 + 1e-9, 37.0, 500.0, 2e4]
+    )
     def test_cin_matches_mpmath(self, x):
-        with mp.workdps(ORACLE_DIGITS):
-            expected = mp.quad(lambda u: (1 - mp.cos(u)) / u, mp.linspace(0, x, 20))
-        assert float(cin(x)) == pytest.approx(float(expected), rel=1e-13, abs=0.0)
+        # Si and Cin on the float path and on an array, on both sides of the
+        # split at 4 between the power series and the continued fraction:
+        # 2.5e-16 relative measured worst (Cin just below the split)
+        with mp.workdps(40):
+            si, cin_ = mp.si(x), mp.euler + mp.log(x) - mp.ci(x)
+        for got_si, got_cin in (si_cin(x), si_cin(np.array(x))):
+            assert float(got_si) == pytest.approx(float(si), rel=4e-16, abs=0.0)
+            assert float(got_cin) == pytest.approx(float(cin_), rel=4e-16, abs=0.0)
+        assert si_cin(-x) == (-si_cin(x)[0], si_cin(x)[1])
         assert float(cin(-x)) == float(cin(x))
+
+    def test_e1_fraction_stops_within_eps(self, monkeypatch):
+        # the continued fraction stops at the first ratio within eps of 1: 47
+        # steps at the split, on the array and the float path alike (one
+        # absolute value each); a tolerance 100 times looser stops at 37, one
+        # 100 times tighter at 49
+        steps = []
+
+        def counted(value):
+            steps.append(value)
+            return abs(value)
+
+        monkeypatch.setattr(_trig.np, "abs", counted)
+        monkeypatch.setattr(_trig, "abs", counted, raising=False)
+        for fraction, x in ((_trig._e1_fraction, np.array([4.0])), (_trig._e1_fraction_float, 4.0)):
+            steps.clear()
+            fraction(x)
+            assert len(steps) == 47, fraction
+
+    @pytest.mark.parametrize("z", [1e-3, 0.3, np.e, 10.0, 1e3, 1e10, 1e100, 1e300])
+    def test_lambert_w_matches_mpmath(self, z):
+        with mp.workdps(40):
+            expected = float(mp.lambertw(z))
+        assert _lambert_w(z) == pytest.approx(expected, rel=4e-16, abs=0.0)
 
     @pytest.mark.parametrize(
         "bare, cutoff", [(1.0, 50.0), (3.0, 2.0), (2.0, 2.0)], ids=["above", "below", "equal"]
@@ -538,6 +590,53 @@ class TestSolveGKernel:
     def test_spectral_norm_matches_svd(self, shape):
         mat = np.random.default_rng(5).standard_normal(shape)
         assert _spectral_norm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [5.0, 10.0, 20.0])
+    def test_spectral_norm_reads_route_residuals_as_closely_as_arpack(self, t, monkeypatch):
+        # the benchmark's round trip at its block times: a cluster of round-off
+        # singular values (sigma_2 / sigma_1 from 0.9994), which ARPACK's eigsh
+        # (tol=0, the same start vector) read 1.0e-4, 6.1e-8 and 9.3e-12 short
+        # of the SVD value; 21 Lanczos steps read it no further off
+        forward, backward = (
+            exact_bath_matrices(*route_bath_table(), sign * t, include_d_corrections=True)
+            for sign in (1.0, -1.0)
+        )
+        blocks = []
+        monkeypatch.setattr(matrices, "_spectral_norm", lambda m: blocks.append(m) or 0.0)
+        reversibility_residuals(forward, backward)
+        modes = blocks[1]
+        exact = np.linalg.norm(modes, 2)
+        size = modes.shape[1]
+        gram = LinearOperator((size, size), matvec=lambda v: modes.T @ (modes @ v), dtype=float)
+        v0 = np.random.default_rng(0).standard_normal(size)
+        (top,) = eigsh(gram, k=1, which="LA", tol=0.0, v0=v0, return_eigenvectors=False)
+        assert abs(_spectral_norm(modes) - exact) <= abs(np.sqrt(top) - exact)
+        assert lanczos_steps(modes) == 21
+
+    @pytest.mark.parametrize("case", ["identity", "rank-one", "zero"])
+    def test_spectral_norm_stops_on_an_invariant_subspace(self, case):
+        # a Krylov space that closes before step 21 ends the iteration: built
+        # on from its round-off, the basis loses orthogonality (the identity
+        # read 42); the identity closes at once, a rank-one Gram matrix at step 2
+        rng = np.random.default_rng(3)
+        mat, steps = {
+            "identity": (np.eye(40), 1),
+            "rank-one": (np.outer(rng.standard_normal(200), rng.standard_normal(200)), 2),
+            "zero": (np.zeros((40, 40)), 1),
+        }[case]
+        assert lanczos_steps(mat) == steps
+        assert _spectral_norm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-15, abs=0.0)
+
+    def test_spectral_norm_stops_by_arpack_rule(self):
+        # a top singular value 1/0.85 above the rest: the error estimate first
+        # meets eps max(eps^(2/3), theta) at step 33, and one step moves it by
+        # about 2.5x, so a tolerance 100 times looser or tighter stops 3 or 4
+        # steps early or late
+        rng = np.random.default_rng(11)
+        u, v = (np.linalg.qr(rng.standard_normal((120, 120)))[0] for _ in range(2))
+        mat = (u * np.concatenate([[1.0], np.linspace(0.85, 0.0, 119)])) @ v.T
+        assert lanczos_steps(mat) == 33
+        assert _spectral_norm(mat) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("shape", [(2, 2), (2, 70), (70, 2), (3, 3), (40, 40), (12, 70)])
     def test_spectral_norm_is_exact_for_a_separated_top(self, shape):
@@ -877,15 +976,6 @@ class TestBlocks:
         forward, backward = reversal_pair(0.0)
         assert reversibility_residuals(forward, backward) == dict.fromkeys(RESIDUAL_KEYS, 0.0)
 
-    def test_spectral_norm_reports_lanczos_failure(self, monkeypatch):
-        def stalled(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
-
-        # _spectral_norm imports eigsh when called, so patch it at its source
-        monkeypatch.setattr("scipy.sparse.linalg.eigsh", stalled)
-        with pytest.raises(NumericalFailureError, match="did not converge"):
-            _spectral_norm(np.eye(3))
-
     @pytest.mark.parametrize("n", [1, 2, 7, 50, 6401])
     def test_phase_sums_match_long_double(self, n):
         # one node, one whole block (n = 2), and padded last blocks (7, 50,
@@ -1009,6 +1099,47 @@ def _rejection(case):
 def test_inconsistent_input_is_rejected(case):
     call, message = _rejection(case)
     with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "slice-nan", "slice-negative", "slice-inf", "tables-step-nan", "tables-step-negative",
+        "tables-count", "tables-bare-frequency", "tables-mass",
+    ],
+)
+def test_spectral_methods_check_their_input(case):
+    # both methods are public, so each checks its own arguments: unchecked, a
+    # NaN or negative time gave NaN or -7.5e19 integrals, a NaN or negative
+    # step NaN tables or tables at negative times, count 2.5 three nodes, and a
+    # zero frequency or mass a bare ZeroDivisionError
+    ohmic = SpectralDensity.from_ohmic(OscillatorSystemSpec(), 1e-2, 100.0)
+    calls = {
+        "slice-nan": (lambda: ohmic.slice_integrals(np.nan), "t = nan is not finite"),
+        "slice-negative": (
+            lambda: ohmic.slice_integrals(-1.0), "t must be non-negative, got -1"
+        ),
+        "slice-inf": (lambda: ohmic.slice_integrals(np.inf), "t = inf is not finite"),
+        "tables-step-nan": (
+            lambda: ohmic.kernel_tables(1.0, 1.0, np.nan, 10), "step = nan is not finite"
+        ),
+        "tables-step-negative": (
+            lambda: ohmic.kernel_tables(1.0, 1.0, -1.0, 10), "step must be positive, got -1"
+        ),
+        "tables-count": (
+            lambda: ohmic.kernel_tables(1.0, 1.0, 1e-3, 2.5), "count must be an integer, got 2.5"
+        ),
+        "tables-bare-frequency": (
+            lambda: ohmic.kernel_tables(0.0, 1.0, 1e-3, 10),
+            "bare_frequency must be positive, got 0",
+        ),
+        "tables-mass": (
+            lambda: ohmic.kernel_tables(1.0, 0.0, 1e-3, 10), "mass must be positive, got 0"
+        ),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
         call()
 
 
@@ -1319,16 +1450,18 @@ class TestConditionalVelocity:
         with pytest.raises(ValueError, match="disagree on the mode count"):
             conditional_kernel(props, bath, sample_bath(short, seed=3), 0.5)
 
-    def test_line_spectrum_route_loads_no_fft_or_ndimage(self):
-        # the explicit-bath route on a line spectrum, in a fresh interpreter:
-        # no stage of it transforms or interpolates a grid, so scipy.fft and
-        # scipy.ndimage stay unloaded
+    def test_explicit_bath_route_loads_no_scipy(self):
+        # the explicit-bath route in a fresh interpreter, on a line spectrum and
+        # on the ohmic continuum: Si, Ci, Lambert W and the Lanczos norm are
+        # numpy code and no stage transforms or interpolates a grid, so no
+        # scipy module loads
         code = (
             "import dataclasses, sys\n"
             "import numpy as np\n"
-            "from bohmdec.bath_dynamics import (SpectralDensity, conditional_kernel,\n"
-            "    conditional_velocity, counterterm_bare_frequency, discretize_spectral_density,\n"
-            "    exact_bath_matrices, sample_bath, solve_g_kernel, weak_coupling_matrices)\n"
+            "from bohmdec.bath_dynamics import (SpectralDensity, classicality_report,\n"
+            "    conditional_kernel, conditional_velocity, counterterm_bare_frequency,\n"
+            "    discretize_spectral_density, exact_bath_matrices, reversibility_residuals,\n"
+            "    sample_bath, solve_g_kernel, weak_coupling_matrices)\n"
             "from bohmdec.phase_space import (OscillatorSystemSpec, build_energy_band_state,\n"
             "    classical_orbit, wkb_amplitudes)\n"
             "from bohmdec.quadratic_master import CaldeiraLeggettParams\n"
@@ -1337,20 +1470,48 @@ class TestConditionalVelocity:
             "bath = discretize_spectral_density(params, system, 64)\n"
             "bare = counterterm_bare_frequency(bath, system)\n"
             "coupled = dataclasses.replace(system, bare_frequency=bare)\n"
+            "ohmic = SpectralDensity.from_ohmic(system, params.damping_rate, params.cutoff)\n"
+            "assert np.isfinite(solve_g_kernel(ohmic, bare, 0.5, 5e-4).values).all()\n"
             "lines = SpectralDensity.from_bath(bath)\n"
             "table = solve_g_kernel(lines, bare, 0.5, 5e-4, mass=system.mass)\n"
-            "exact = exact_bath_matrices(bath, coupled, table, 0.5, include_d_corrections=True)\n"
-            "assert np.isfinite(exact.transfer).all()\n"
+            "forward, backward = (exact_bath_matrices(bath, coupled, table, sign * 0.5,\n"
+            "    include_d_corrections=True) for sign in (1.0, -1.0))\n"
+            "assert max(reversibility_residuals(forward, backward).values()) < 1e-9\n"
             "props = weak_coupling_matrices(bath, system, 0.5, small_angle=True)\n"
-            "kernel = conditional_kernel(props, bath, sample_bath(bath, seed=3), 0.5)\n"
             "state = build_energy_band_state(50, 8)\n"
             "orbit = classical_orbit(state, system)\n"
             "wkb = wkb_amplitudes(state, orbit, system)\n"
             "x = 0.3 * orbit.amplitude\n"
-            "bath_slice = kernel.conditional_peaks(x, float(orbit.classical_momentum(x)))\n"
-            "assert np.isfinite(conditional_velocity(state, orbit, wkb, kernel, x, bath_slice))\n"
-            "loaded = [m for m in ('scipy.fft', 'scipy.ndimage') if m in sys.modules]\n"
-            "assert not loaded, loaded\n"
+            "for spectral in (None, ohmic):\n"
+            "    kernel = conditional_kernel(props, bath, sample_bath(bath, seed=3), 0.5,\n"
+            "        spectral=spectral)\n"
+            "    bath_slice = kernel.conditional_peaks(x, float(orbit.classical_momentum(x)))\n"
+            "    v = conditional_velocity(state, orbit, wkb, kernel, x, bath_slice)\n"
+            "    assert np.isfinite(v)\n"
+            "cl = CaldeiraLeggettParams(damping_rate=1e-4, thermal_energy=1e3, cutoff=1e3)\n"
+            "assert classicality_report(system, orbit, cl, 2.0).conditional_smearing_time > 0\n"
+            "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy, scipy\n"
+        )
+        run_fresh(code)
+
+    def test_benchmark_bath_pass_loads_no_scipy(self):
+        # perfbench's own bath_route set-up and pass, at the smoke test's sizes
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        code = (
+            "import dataclasses, sys\n"
+            f"sys.path.insert(0, {str(perfbench)!r})\n"
+            "from smoke import SMALL\n"
+            "from tracing import NullTracer, public_api\n"
+            "from workloads import WORKLOADS, Ledger\n"
+            "cfg, setup, run_pass = WORKLOADS['bath_route']\n"
+            "cfg = dataclasses.replace(cfg, **SMALL['bath_route'])\n"
+            "api = public_api(NullTracer())\n"
+            "ledger = Ledger(api, NullTracer())\n"
+            "run_pass(ledger, cfg, setup(api, cfg, 7))\n"
+            "assert ledger.attempted and not ledger.failed, ledger.failures\n"
+            "scipy = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not scipy, scipy\n"
         )
         run_fresh(code)
 
