@@ -247,7 +247,7 @@ class TestClosedForms:
         # the continued fraction stops at the first ratio within eps of 1: 47
         # steps at the split, on the array and the float path alike (one
         # absolute value each); a tolerance 100 times looser stops at 37, one
-        # 100 times tighter at 49
+        # 100 times tighter at 53 or 54
         steps = []
 
         def counted(value):
