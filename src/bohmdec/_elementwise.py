@@ -2,12 +2,12 @@
 
 :func:`elementwise` hands a formula the functions it calls, from numpy for an
 array and from :mod:`math` and the builtins for a float, where each numpy
-scalar call costs about a microsecond. So a per-point caller runs the array
-path's formulas on floats. The two may differ in the last bit of a
-transcendental function (``log``, ``arcsin``); square roots and arithmetic
-agree bitwise. ``math`` raises where numpy warns and returns NaN or inf (a
-root of a negative number, a log of zero), so a formula keeps its arguments
-out of those domains, as the orbit's clamps do.
+scalar call costs about a microsecond. So a per-point caller, or ``Si`` and
+``Cin`` in :mod:`bohmdec.bath_dynamics._trig`, runs the array path's formulas
+on floats. The two may differ in the last bit of a transcendental function
+(``log``, ``cos``); square roots and arithmetic agree bitwise. ``math``
+raises where numpy warns and returns NaN or inf (a root of a negative number,
+a log of zero), so a formula keeps its arguments out of those domains.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ _FLOAT = SimpleNamespace(
     sqrt=math.sqrt,
     log=math.log,
     arcsin=math.asin,
+    cos=math.cos,
+    sin=math.sin,
+    copysign=math.copysign,
     # the value first and the bound second, so that, as with numpy, NaN stays NaN
     maximum=max,
     minimum=min,

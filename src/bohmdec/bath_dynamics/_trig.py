@@ -13,18 +13,21 @@ sine integral ``Si`` and the entire cosine integral ``Cin`` that the ohmic
 spectral integrals reduce to, and the phase sums over the normal modes at
 each node that tabulate a finite bath's response function. ``Si`` and ``Cin``
 are power series below ``|x| = 4`` (Abramowitz & Stegun 5.2) and the continued
-fraction of ``E1(ix)`` above (Press et al., *Numerical Recipes* 6.8; at most 48 steps).
+fraction of ``E1(ix)`` above (Press et al., *Numerical Recipes* 6.8), summed from
+its 48th partial fraction down, for a Python float or an array alike.
 """
 
 from __future__ import annotations
 
-import math
 from math import factorial, isqrt
 
 import numpy as np
 
+from .._elementwise import elementwise
+
 _SERIES_CUT = 0.05
-_EPS, _SICI_SPLIT = np.finfo(float).eps, 4.0
+# the Si/Ci split, and the depth of E1's continued fraction above it
+_SICI_SPLIT, _E1_DEPTH = 4.0, 48
 # Taylor coefficients in x^2 of Si(x) / x and Cin(x) / x^2; the 17th is below 1e-17 at the split
 _SI_SERIES = tuple((-1) ** k / ((2 * k + 1) * factorial(2 * k + 1)) for k in range(16))
 _CIN_SERIES = tuple((-1) ** k / ((2 * k + 2) * factorial(2 * k + 2)) for k in range(16))
@@ -58,59 +61,34 @@ def si_cin(x):
 
     Power series below the split, which cancel by less than a factor of 2, and
     ``Ci(x) + i (Si(x) - pi/2) = -E1(ix)`` above it: within 2.5e-16 relative of
-    mpmath. A Python float past the split takes a float path (as in
-    :mod:`bohmdec._elementwise`); an array evaluates each branch on its own points.
+    mpmath. Both branches run at every point, each on ``|x|`` clamped to its own
+    side of the split, and the side of ``|x|`` picks one; one text serves a Python
+    float and an array (:mod:`bohmdec._elementwise`). The series are summed from
+    the top, as numpy's ``polyval`` sums them.
     """
-    if type(x) is float and abs(x) >= _SICI_SPLIT:
-        ax = abs(x)
-        e1 = _e1_fraction_float(ax) * complex(math.cos(ax), -math.sin(ax))
-        return math.copysign(0.5 * math.pi + e1.imag, x), np.euler_gamma + math.log(ax) + e1.real
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    near, polyval = ax < _SICI_SPLIT, np.polynomial.polynomial.polyval
-    si, cin_ = np.empty_like(ax), np.empty_like(ax)
-    x2 = ax[near] ** 2
-    si[near], cin_[near] = ax[near] * polyval(x2, _SI_SERIES), x2 * polyval(x2, _CIN_SERIES)
-    far = ax[~near]
-    e1 = _e1_fraction(far) * np.exp(-1j * far)  # E1(i far)
-    si[~near], cin_[~near] = 0.5 * np.pi + e1.imag, np.euler_gamma + np.log(far) + e1.real
-    return np.copysign(si, x), cin_
+    lib, x = elementwise(x)
+    ax = abs(x)
+    near, far = lib.minimum(ax, _SICI_SPLIT), lib.maximum(ax, _SICI_SPLIT)
+    x2, si_sum, cin_sum = near * near, 0.0, 0.0
+    for si_k, cin_k in zip(reversed(_SI_SERIES), reversed(_CIN_SERIES)):
+        si_sum, cin_sum = si_k + si_sum * x2, cin_k + cin_sum * x2
+    e1 = _e1_fraction(far) * (lib.cos(far) - 1j * lib.sin(far))  # E1(i far)
+    below = ax < _SICI_SPLIT
+    si = lib.where(below, near * si_sum, 0.5 * lib.pi + e1.imag)
+    cin_ = lib.where(below, x2 * cin_sum, np.euler_gamma + lib.log(far) + e1.real)
+    return lib.copysign(si, x), cin_
 
 
-def cin(x):
-    """Entire cosine integral ``Cin(x) = integral_0^x (1 - cos u) / u du``, even in ``x``."""
-    return si_cin(x)[1]
-
-
-def _e1_fraction(x: np.ndarray) -> np.ndarray:
-    """``e^{ix} E1(ix) = 1 / (1 + ix - 1 / (3 + ix - 4 / (5 + ix - ...)))`` on a 1-D array
-    by the modified Lentz method; a point leaves at the first step whose ratio is
-    within eps of 1 (a NaN at once), so its value does not depend on the others."""
-    out, where, ix, c, k = np.empty(x.shape, complex), np.arange(x.size), 1j * x, math.inf, 1
-    d = h = 1.0 / (1.0 + ix)
-    while where.size:
-        a, b = -float(k * k), ix + (2 * k + 1)
-        d, c = 1.0 / (a * d + b), b + a / c
-        ratio = c * d
-        h = h * ratio
-        going = np.abs(ratio - 1.0) > _EPS
-        out[where[~going]] = h[~going]
-        where, ix, d, c, h = where[going], ix[going], d[going], c[going], h[going]
-        k += 1
-    return out
-
-
-def _e1_fraction_float(x: float) -> complex:
-    """:func:`_e1_fraction` at a Python float, in Python complex arithmetic."""
-    ix, c, k = 1j * x, math.inf, 1
-    d = h = 1.0 / (1.0 + ix)
-    while True:
-        a, b = -float(k * k), ix + (2 * k + 1)
-        d, c = 1.0 / (a * d + b), b + a / c
-        h *= c * d
-        if not abs(c * d - 1.0) > _EPS:
-            return h
-        k += 1
+def _e1_fraction(x):
+    """``e^{ix} E1(ix) = 1 / (1 + ix - 1 / (3 + ix - 4 / (5 + ix - ...)))`` for ``x >= 4``,
+    a Python float or an array, evaluated from its tail: the partial fractions
+    ``k^2 / (2k + 1 + ix)`` up to ``k = 48``, one more than the modified Lentz
+    method takes to reach eps at ``x = 4``; a larger ``x`` converges sooner."""
+    ix = 1j * x
+    tail = ix + (2 * _E1_DEPTH + 1)
+    for k in range(_E1_DEPTH, 0, -1):
+        tail = ix + (2 * k - 1) - k * k / tail
+    return 1.0 / tail
 
 
 def pair_kernel(

@@ -17,10 +17,11 @@ coordinates ``y = sqrt(m) q`` and ``v = p / sqrt(m)`` the flow has the blocks
 with ``y(t) = C y + S v`` and ``v(t) = -V S y + C v``; each block is mapped
 back to ``(q, p)`` by the root masses. One evaluator forms the rows of
 any run of sites: the central rows of ``T(t)`` inline, or all of it in one
-span of sites per CPU in the process's affinity mask (the threads of
-:mod:`bohmdec._parallel`), and the round trip ``T(t) T(-t)`` is one product
-per span of its rows. A span's products round differently from the whole
-one, so ``T`` and the round trip move with the worker count by round-off.
+span of sites per CPU in the process's affinity mask, and the round trip
+``T(t) T(-t)`` is one product per span of its rows; both go through
+:func:`bohmdec._parallel.run_blocks` with one block per span, as the
+bicubic pullback does. A span's products round differently from the whole one, so
+``T`` and the round trip move with the worker count by round-off.
 The flow is exact at every time, and ``T(-t) = P T(t) P`` with
 ``P = diag(1, -1, 1, -1, ...)`` holds bit for bit at any worker count
 because ``C`` is even and ``S`` odd in ``t``, so the round trip
@@ -44,8 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._guards import require_close, require_finite
-from .._parallel import row_spans, run_spans
+from .._guards import finite_array, require_close, require_finite
+from .._parallel import run_blocks
 from ..errors import CouplingStrengthWarning, NumericalFailureError
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master.propagator import _COND_LIMIT
@@ -97,6 +98,8 @@ class BathPropagators:
         exact blocks ``None`` unless requested (``ValueError`` otherwise). Its
         mode sector is the mode-to-mode block ``D``, which tends to
         ``d_free`` as the couplings vanish.
+
+    A NaN or inf in ``time``, ``a``, ``b`` or ``transfer`` raises ``ValueError``.
     """
 
     time: float
@@ -119,6 +122,11 @@ class BathPropagators:
             raise ValueError(f"b must have shape ({n}, 2, 2)")
         if self.transfer is not None and self.transfer.shape != (2 * n + 2, 2 * n + 2):
             raise ValueError(f"transfer must have shape ({2 * n + 2}, {2 * n + 2})")
+        require_finite("time", self.time)
+        finite_array("a", self.a)
+        finite_array("b", self.b)
+        if self.transfer is not None:
+            finite_array("transfer", self.transfer)  # no float copy: a mask of one byte per entry
 
     @property
     def n_modes(self) -> int:
@@ -210,9 +218,9 @@ def exact_bath_matrices(
     include_d_corrections : bool, optional
         Assemble the dense transfer matrix ``T(t)`` (``transfer``), which
         :func:`reversibility_residuals` needs. Off by default: it takes
-        ``8 (2N + 2)^2`` bytes and three ``(N + 1)``-cubed products, run on
-        one thread per CPU in the affinity mask, each over its own span of
-        rows. Building it holds one and a half transfer matrices at its
+        ``8 (2N + 2)^2`` bytes and three ``(N + 1)``-cubed products, one
+        span of rows per CPU in the affinity mask (the first on the calling
+        thread). Building it holds one and a half transfer matrices at its
         peak at any worker count, as each worker's work array and flow
         block cover only its rows.
 
@@ -239,9 +247,9 @@ def exact_bath_matrices(
     # one span of site pairs per worker; the central pair alone runs inline
     sites = bath.n_modes + 1 if include_d_corrections else 1
     rows = np.empty((2 * sites, 2 * bath.n_modes + 2))
-    run_spans(
-        lambda worker, lo, hi: _flow_rows(basis, t, slice(lo, hi), rows[2 * lo : 2 * hi]),
-        row_spans(sites),
+    run_blocks(
+        lambda worker, span: _flow_rows(basis, t, span, rows[2 * span.start : 2 * span.stop]),
+        0, sites, sites,
     )
     return BathPropagators(
         time=float(t),
@@ -359,16 +367,14 @@ def _spectral_norm(mat: np.ndarray) -> float:
 
     Taken on the smaller side: with ``R`` the matrix or its transpose,
     whichever has no more columns than rows, it is the square root of the
-    top eigenvalue of ``R^T R``. A side of at most 2, as for three of the
-    four round-trip blocks, reads that eigenvalue off the small Gram matrix.
-    The mode block, the one mode-sized norm of each
-    :func:`reversibility_residuals` call, goes to Lanczos iteration on
+    top eigenvalue of ``R^T R``, read by Lanczos iteration on
     ``v -> R^T (R v)``, two products with ``R``, so no Gram matrix is formed;
     each new vector is orthogonalized twice against the basis. The top Ritz
     value ``theta`` is taken by ARPACK's rule for ``tol=0``, once its error
     estimate is at most ``eps max(eps^(2/3), theta)``, tested from step 21 on
     (where ARPACK's default 20-vector basis first tests it), or once the basis
-    spans the space or an invariant subspace (the second orthogonalization
+    spans the space, as a side of 2 (three of the four round-trip blocks) is
+    after two steps, or an invariant subspace (the second orthogonalization
     removes over ``1 - 1/sqrt(2)`` of the vector, as in ARPACK's ``dsaitr``).
     It is within 1e-13 relative for a separated top singular value, and for a
     cluster (round-off residuals, ``sigma_2 / sigma_1 = 0.9994``) about 1e-4
@@ -377,9 +383,6 @@ def _spectral_norm(mat: np.ndarray) -> float:
     """
     tall = mat.T if mat.shape[0] < mat.shape[1] else mat
     size = tall.shape[1]
-    if size <= 2:
-        top = np.linalg.eigvalsh(tall.T @ tall)[-1]
-        return float(np.sqrt(max(top, 0.0)))
     q = np.random.default_rng(0).standard_normal(size)
     basis, alpha, beta = np.empty((0, size)), [], []
     while True:
@@ -408,7 +411,7 @@ def reversibility_residuals(
     bit for bit, ``T(-t) T(t) - 1 = P R P`` adds nothing, and other
     identities of the blocks are algebraic functions of ``R``. The inputs
     are read, never written; ``R``, formed by one product per span of its
-    rows on the threads of :mod:`bohmdec._parallel`, each written into its
+    rows through :func:`bohmdec._parallel.run_blocks`, each written into its
     rows in place, is the only large array held, and :func:`_spectral_norm`
     takes products with it rather than a Gram matrix.
     """
@@ -418,11 +421,11 @@ def reversibility_residuals(
     require_close("backward blocks must be evaluated at minus the forward time",
                   -backward.time, forward.time)
     round_trip = np.empty_like(forward.transfer)
-    run_spans(
-        lambda worker, lo, hi: np.matmul(
-            forward.transfer[lo:hi], backward.transfer, out=round_trip[lo:hi]
+    run_blocks(
+        lambda worker, span: np.matmul(
+            forward.transfer[span], backward.transfer, out=round_trip[span]
         ),
-        row_spans(len(round_trip)),
+        0, len(round_trip), len(round_trip),
     )
     round_trip[np.diag_indices_from(round_trip)] -= 1.0
     return {

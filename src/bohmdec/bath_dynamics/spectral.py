@@ -11,7 +11,7 @@ from .._guards import (
 )
 from ..phase_space import OscillatorSystemSpec
 from ..quadratic_master import CaldeiraLeggettParams
-from ._trig import cin, one_minus_cos, si_cin, sin_minus_u_cos, t_minus_sin
+from ._trig import one_minus_cos, si_cin, sin_minus_u_cos, t_minus_sin
 
 __all__ = [
     "BathSpec",
@@ -247,7 +247,7 @@ def _ohmic_slice_forms(x: float) -> tuple[float, float, float, float]:
             float(x2 * x2 * np.polynomial.polynomial.polyval(x2, row))
             for row in _SLICE_SERIES
         )
-    cin_x, cin_2x = cin(x), cin(2.0 * x)
+    cin_x, cin_2x = si_cin(x)[1], si_cin(2.0 * x)[1]
     sinc = np.sin(x) / x
     r = 2.0 * cin_x - cin_2x + (np.sin(x) - 0.5 * np.sin(2.0 * x)) / x
     q = r - 0.5 * (1.0 - sinc) ** 2

@@ -20,6 +20,7 @@ from .._elementwise import elementwise
 from .._guards import (
     finite_array,
     require_finite,
+    require_nonnegative,
     require_orbit_system,
     require_positive,
     require_symmetric,
@@ -188,7 +189,7 @@ def validity_window(
         (else ``ValueError``).
     cl_params : CaldeiraLeggettParams, optional
     time : float, optional
-        Evolution time for the damped-oscillator window (finite, else ``ValueError``).
+        Evolution time for the damped-oscillator window (NaN, inf or < 0: ``ValueError``).
 
     Returns
     -------
@@ -209,7 +210,7 @@ def validity_window(
         "chord_spread": _spread_margin(x_max, chord_spread),
     }
     if time is not None:
-        require_finite("time", time)
+        require_nonnegative("time", time)
         report = timescales(system, cl_params, orbit)
         reduced = time / report.t_c
         lower = (omega * report.t_loc) ** (4.0 / 3.0)
@@ -438,7 +439,7 @@ def semiclassical_decomposition(
     Raises
     ------
     ValueError
-        If ``time`` is NaN or inf.
+        If ``time`` is NaN, inf or negative.
     DomainValidityError
         If the validity window does not pass.
     """

@@ -42,7 +42,7 @@ def ensemble_velocity(
     Raises
     ------
     ValueError
-        If ``x`` has a NaN or infinite entry.
+        If ``x`` or ``field`` has a NaN or infinite entry.
     GridCoverageError
         If a requested position rounds to no column of the sampled grid.
     UndefinedVelocityError
@@ -62,7 +62,8 @@ def ensemble_velocity(
         )
     index = index.astype(int)
 
-    density = _trapezoid(field.values, field.dp)
+    # a NaN or inf cell reaches the density of its row
+    density = finite_array("field", _trapezoid(field.values, field.dp))
     floor = _DENSITY_FLOOR * float(density.max())
     selected = density[index]
     if np.any(selected <= floor):

@@ -573,7 +573,7 @@ def density_matrix_from_wigner(
     field : WignerField
     system : OscillatorSystemSpec
     x, x_prime : array_like
-        Same-shape finite coordinate pairs (NaN or inf: ``ValueError``).
+        Same-shape finite coordinate pairs (NaN or inf here or in ``field``: ``ValueError``).
 
     Returns
     -------
@@ -596,10 +596,11 @@ def density_matrix_from_wigner(
     weights = np.full(field.p_grid.size, field.dp)
     weights[[0, -1]] *= 0.5
     angle = np.outer(field.p_grid, sep.ravel()) / system.hbar
-    table = np.hstack(
+    # a NaN or inf cell reaches every sum of its row
+    table = finite_array("field", np.hstack(
         [field.values @ (weights[:, None] * np.cos(angle)),
          field.values @ (weights[:, None] * np.sin(angle))]
-    )
+    ))
     # imported here so that importing bohmdec skips its load: about 27 MB and 0.25 s
     from scipy import ndimage
 

@@ -212,6 +212,16 @@ class TestEnsembleVelocity:
             ensemble_velocity(field, natural_system, 5.475)
         assert abs(ensemble_velocity(field, natural_system, 5.0)) < 1e-9
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_cell_rejected(self, natural_system, bad):
+        # WignerField is mutable, so the cell is checked at the call: once it
+        # read NaN at the cell's row
+        grid = GridSpec(x=np.linspace(-5.0, 5.0, 101), p=np.linspace(-5.0, 5.0, 101))
+        field = eigenstate_field(0, grid, natural_system)
+        field.values[50, 60] = bad
+        with pytest.raises(ValueError, match="^field has non-finite entries"):
+            ensemble_velocity(field, natural_system, 0.0)
+
     def test_off_grid_position_rejected(self, natural_system):
         grid = GridSpec(
             x=np.linspace(-5.0, 5.0, 101), p=np.linspace(-5.0, 5.0, 101)
@@ -550,6 +560,23 @@ class TestValidityWindow:
             ),
         }
         with pytest.raises(ValueError, match=f"time = {time:g} is not finite"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["validity_window", "semiclassical_decomposition"])
+    def test_rejects_negative_time(self, canonical_cl_run, entry):
+        # a time before the start once read a margin of -0.30
+        run = canonical_cl_run
+        minv = MInverseParams.from_m_matrix(run.prop_five.m)
+        wkb = wkb_amplitudes(run.state, run.orbit, run.system)
+        calls = {
+            "validity_window": lambda: validity_window(
+                minv, run.orbit, run.system, cl_params=run.params, time=-1.0
+            ),
+            "semiclassical_decomposition": lambda: semiclassical_decomposition(
+                minv, run.orbit, wkb, 0.0, cl_params=run.params, time=-1.0
+            ),
+        }
+        with pytest.raises(ValueError, match="time must be non-negative, got -1"):
             calls[entry]()
 
     def test_time_window_needs_both_arguments(self, natural_system,

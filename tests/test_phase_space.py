@@ -961,6 +961,17 @@ class TestDensityMatrixFromWigner:
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
             density_matrix_from_wigner(field, natural_system, pairs["x"], pairs["x_prime"])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_cell(self, natural_system, bad):
+        # WignerField is mutable, so the cell is checked at the call: once
+        # every entry read NaN + NaN j
+        st = build_energy_band_state(0, 0)
+        grid = _wide_grid(classical_orbit(st, natural_system), x_step=0.05)
+        field = wigner_transform(band_wavefunction(st, natural_system), grid, natural_system)
+        field.values[field.values.shape[0] // 2, 3] = bad
+        with pytest.raises(ValueError, match="^field has non-finite entries"):
+            density_matrix_from_wigner(field, natural_system, [0.0, 0.4], [0.2, -0.5])
+
     @pytest.mark.parametrize(
         "case, error, message",
         [

@@ -826,34 +826,41 @@ class TestPropagateWigner:
         # each worker raises as the inline pass does, and the worker's
         # exception reaches the caller.
         monkeypatch.setattr(_parallel, "WORKERS", workers)
-        spans = _parallel.row_spans(2 * workers)
-        assert len(spans) == workers
+        assert _parallel.span_count(2 * workers) == workers
         tiny = np.full(2 * workers, 1e-300)
+        caught = [None] * workers
 
-        def caught(worker, lo, hi):
+        def catch(worker, rows):
             try:
-                tiny[lo:hi] * 1e-300
+                tiny[rows] * 1e-300
             except FloatingPointError:
-                return True
-            return False
+                caught[worker] = True
+            else:
+                caught[worker] = False
 
-        def underflow(worker, lo, hi):
-            return tiny[lo:hi] * 1e-300
+        def underflow(worker, rows):
+            tiny[rows] * 1e-300
 
+        n = tiny.size
         with np.errstate(under="raise"):
-            assert _parallel.run_spans(caught, spans) == [True] * workers
+            _parallel.run_blocks(catch, 0, n, n)
+            assert caught == [True] * workers
             with pytest.raises(FloatingPointError, match="underflow"):
-                _parallel.run_spans(underflow, spans)
-        assert _parallel.run_spans(caught, spans) == [False] * workers
+                _parallel.run_blocks(underflow, 0, n, n)
+        _parallel.run_blocks(catch, 0, n, n)
+        assert caught == [False] * workers
 
     def test_first_span_runs_on_the_calling_thread(self, monkeypatch):
         # span 0 runs inline and each other span on a pool thread, so n spans
-        # start n - 1 threads; the results come back in span order
+        # start n - 1 threads
         monkeypatch.setattr(_parallel, "WORKERS", 3)
         caller = threading.get_ident()
-        done = _parallel.run_spans(
-            lambda k, lo, hi: (k, lo, hi, threading.get_ident()), _parallel.row_spans(6)
+        done = []
+        _parallel.run_blocks(
+            lambda k, rows: done.append((k, rows.start, rows.stop, threading.get_ident())),
+            0, 6, 6,
         )
+        done.sort()
         assert [entry[:3] for entry in done] == [(0, 0, 2), (1, 2, 4), (2, 4, 6)]
         assert done[0][3] == caller
         assert caller not in {entry[3] for entry in done[1:]}
@@ -862,14 +869,14 @@ class TestPropagateWigner:
         monkeypatch.setattr(_parallel, "WORKERS", 2)
         finished = threading.Event()
 
-        def job(k, lo, hi):
+        def job(k, rows):
             if k == 0:
                 raise RuntimeError("span 0 failed")
             time.sleep(0.05)
             finished.set()
 
         with pytest.raises(RuntimeError, match="span 0 failed"):
-            _parallel.run_spans(job, _parallel.row_spans(2))
+            _parallel.run_blocks(job, 0, 2, 2)
         assert finished.is_set()
 
     def test_smear_evaluates_no_underflowing_factor(self, canonical_cl_run):
